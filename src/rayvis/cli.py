@@ -88,22 +88,40 @@ def _scan_views(directory, suffix: str) -> dict:
     return out
 
 
+def _json_field(path, obj, key, shape=()):
+    """``obj[key]`` as a float array of ``shape``; an InputError names the file and key."""
+    try:
+        return np.asarray(obj[key], dtype=np.float64).reshape(shape)
+    except (KeyError, TypeError, ValueError):
+        raise InputError(f"{path}: missing or malformed '{key}'") from None
+
+
 def _load_cameras(data_dir) -> tuple:
     path = Path(data_dir) / "cameras.json"
     if not path.exists():
         raise InputError(f"missing cameras file: {path}")
-    meta = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        meta = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise InputError(f"{path}: not valid JSON: {exc}") from None
+    for key, shape in (("near", ()), ("far", ()), ("background", (3,))):
+        _json_field(path, meta, key, shape)
+    if not isinstance(meta.get("cameras"), list):
+        raise InputError(f"{path}: missing or malformed 'cameras'")
     cameras = {}
     for entry in meta["cameras"]:
-        cameras[int(entry["index"])] = PinholeCamera(
-            width=int(entry["width"]),
-            height=int(entry["height"]),
-            fx=float(entry["fx"]),
-            fy=float(entry["fy"]),
-            cx=float(entry["cx"]),
-            cy=float(entry["cy"]),
-            rotation=np.asarray(entry["rotation"], dtype=np.float64).reshape(3, 3),
-            translation=np.asarray(entry["translation"], dtype=np.float64),
+        def get(key, shape=()):
+            return _json_field(path, entry, key, shape)
+
+        cameras[int(get("index"))] = PinholeCamera(
+            width=int(get("width")),
+            height=int(get("height")),
+            fx=float(get("fx")),
+            fy=float(get("fy")),
+            cx=float(get("cx")),
+            cy=float(get("cy")),
+            rotation=get("rotation", (3, 3)),
+            translation=get("translation", (3,)),
         )
     return cameras, meta
 

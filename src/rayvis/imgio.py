@@ -63,13 +63,15 @@ def read_ppm(path) -> np.ndarray:
         fields.append(blob[start:pos])
     if fields[0] != b"P6":
         raise InputError(f"{path}: not a binary PPM file")
+    if not all(f.isdigit() for f in fields[1:]):
+        raise InputError(f"{path}: truncated or malformed PPM header")
     w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
     if maxval != 255:
         raise InputError(f"{path}: only maxval 255 is supported")
     pos += 1  # single whitespace after the header
-    data = np.frombuffer(blob, dtype=np.uint8, count=w * h * 3, offset=pos)
-    if data.size != w * h * 3:
+    if len(blob) - pos < w * h * 3:
         raise InputError(f"{path}: truncated pixel data")
+    data = np.frombuffer(blob, dtype=np.uint8, count=w * h * 3, offset=pos)
     return data.reshape(h, w, 3).astype(np.float64) / 255.0
 
 

@@ -15,7 +15,7 @@ The maps are the only trainable parameters; Adam updates them densely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -31,13 +31,11 @@ from rayvis.raydist import (
     inv_softplus,
     logit,
     mixture_cdf_param_grads,
+    scatter_to_map,
 )
 from rayvis.render import (
     RenderConfig,
     RenderView,
-    _chunk_forward,
-    _fine_depths,
-    _uniform_depths,
     render_image,
     render_rays,
     render_rays_backward,
@@ -188,9 +186,7 @@ def depth_loss(dmap: DistributionMap, depth: DepthMap, pixels: np.ndarray):
     gmu = np.zeros_like(mu)
     gmu[:, 0] = 2.0 * diff
     graw = decode_backward(raw, near, far, gmu, np.zeros_like(mu), np.zeros_like(mu))
-    grad = np.zeros_like(dmap.params)
-    np.add.at(grad.reshape(-1, 3, grad.shape[-1]), iy * dmap.width + ix, graw)
-    return value, grad
+    return value, scatter_to_map(dmap.params.shape, iy, ix, graw)
 
 
 def init_from_depth(
@@ -226,9 +222,9 @@ def adam_step(
     grads: Dict[int, np.ndarray],
 ) -> None:
     """One Adam update with bias correction, applied in place to ``params``."""
+    lr = state.current_lr()
     state.step += 1
     t = state.step
-    lr = state.learning_rate * 0.5 ** ((t - 1) // max(state.halve_every, 1))
     b1, b2 = state.betas
     for key, p in params.items():
         g = grads.get(key)
@@ -303,13 +299,18 @@ def own_hit_probs_backward(dmap: DistributionMap, pixels: np.ndarray, back, g_h_
     gsig = np.sum(g_h_tilde[..., None] * dsig, axis=1)
     gw = np.sum(g_h_tilde[..., None] * dw, axis=1)
     graw = decode_backward(raw, near, far, gmu, gsig, gw)
-    grad = np.zeros_like(dmap.params)
-    np.add.at(
-        grad.reshape(-1, 3, grad.shape[-1]),
-        pixels[:, 0] * dmap.width + pixels[:, 1],
-        graw,
-    )
-    return grad
+    return scatter_to_map(dmap.params.shape, pixels[:, 0], pixels[:, 1], graw)
+
+
+def _draw_batch(rng: np.random.Generator, data: SceneData, config: TrainConfig):
+    """The random draws of one training step: the pseudo query view and its
+    (row, column) pixel batch. Resume replays this to stay bit-exact."""
+    refs = data.reference_indices()
+    q = int(refs[rng.integers(len(refs))])
+    camera = data.cameras[q]
+    n_px = camera.height * camera.width
+    flat = rng.choice(n_px, size=min(config.batch_size, n_px), replace=False)
+    return q, np.stack([flat // camera.width, flat % camera.width], axis=1)
 
 
 def train_step(
@@ -322,11 +323,8 @@ def train_step(
     refs = data.reference_indices()
     if len(refs) < 2:
         raise ConfigurationError("training needs at least two reference views")
-    q = int(refs[rng.integers(len(refs))])
+    q, pixels = _draw_batch(rng, data, config)
     camera = data.cameras[q]
-    n_px = camera.height * camera.width
-    flat = rng.choice(n_px, size=min(config.batch_size, n_px), replace=False)
-    pixels = np.stack([flat // camera.width, flat % camera.width], axis=1)
 
     views = [v for v in data.render_views() if v.index != q]
     working = select_working_views(
@@ -339,26 +337,13 @@ def train_step(
     origins = np.broadcast_to(camera.center, dirs.shape)
     gt = data.images[q][pixels[:, 0], pixels[:, 1]]
 
-    if config.sampling_mode == "uniform":
-        fwd = render_rays(working, origins, dirs, rcfg, keep_state=True)
-        kept = np.ones(len(pixels), dtype=bool)
-        c_o = fwd.colors_out
+    out = render_rays(working, origins, dirs, rcfg, keep_state=True)
+    c_o = out.colors_out
+    if out.fine_keep is None:
+        fwd, kept = out, np.ones(len(pixels), dtype=bool)
     else:
-        # a coarse pass places the fine samples; sample placement is
-        # treated as constant w.r.t. the parameters, gradients flow only
-        # through the fine evaluations
-        z_c, w_c = _uniform_depths(data.near, data.far, config.k_samples, len(pixels))
-        coarse = _chunk_forward(working, origins, dirs, z_c, w_c, rcfg,
-                                with_colors=False)
-        z_f, w_f, kept = _fine_depths(z_c, w_c, coarse.h_hat, config.k_fine, data.far)
-        fwd = None
-        c_o = np.broadcast_to(
-            np.asarray(config.background, dtype=np.float64), (len(pixels), 3)
-        ).copy()
-        if np.any(kept):
-            fwd = _chunk_forward(working, origins[kept], dirs[kept], z_f, w_f,
-                                 rcfg, keep_state=True)
-            c_o[kept] = fwd.colors_out
+        # gradients flow only through the fine evaluations
+        fwd, kept = out.fine, out.fine_keep
 
     l_render, g_render = render_loss(c_o, gt)
 
@@ -419,10 +404,7 @@ def evaluate_holdout(
         return float("nan")
     rcfg = config.render_config()
     if k_eval is not None:
-        rcfg = RenderConfig(
-            k_coarse=k_eval, mode="uniform", n_working=rcfg.n_working,
-            background=rcfg.background, sh_degree=rcfg.sh_degree,
-        )
+        rcfg = replace(rcfg, k_coarse=k_eval, mode="uniform")
     values = []
     for idx, (camera, image) in sorted(holdout.items()):
         views = data.render_views()
@@ -461,7 +443,7 @@ def optimize_scene(
     rng = np.random.default_rng(config.seed)
     # replay the RNG stream consumed by completed steps so resume is exact
     for _ in range(start_step):
-        _advance_rng(rng, data, config)
+        _draw_batch(rng, data, config)
     metrics_rows = []
     for step in range(start_step, config.steps):
         report = train_step(data, config, state, rng)
@@ -484,15 +466,6 @@ def optimize_scene(
     return state, history
 
 
-def _advance_rng(rng: np.random.Generator, data: SceneData, config: TrainConfig):
-    """Consume exactly the random draws of one training step."""
-    refs = data.reference_indices()
-    q = int(refs[rng.integers(len(refs))])
-    camera = data.cameras[q]
-    n_px = camera.height * camera.width
-    rng.choice(n_px, size=min(config.batch_size, n_px), replace=False)
-
-
 def save_checkpoint(out_dir, data: SceneData, state: OptimState):
     """Write NRAY maps plus an exact-resume state file."""
     out = Path(out_dir)
@@ -509,19 +482,33 @@ def save_checkpoint(out_dir, data: SceneData, state: OptimState):
 
 
 def load_checkpoint(out_dir, data: SceneData, state: OptimState) -> int:
-    """Restore exact f64 parameters and moments; returns the completed step."""
+    """Restore exact f64 parameters and moments; returns the completed step.
+
+    Every array is checked for its map's shape and for finiteness before
+    any map is written.
+    """
     path = Path(out_dir) / "state.npz"
     if not path.exists():
         raise InputError(f"no resumable state at {path}")
+    restored = {}
     with np.load(path) as blob:
         step = int(blob["step"])
         for idx in data.reference_indices():
-            key = f"params_{idx}"
-            if key not in blob:
+            if f"params_{idx}" not in blob:
                 raise InputError(f"checkpoint is missing map {idx}")
-            data.maps[idx].params[...] = blob[key]
-            if f"m_{idx}" in blob:
-                state.m[idx] = blob[f"m_{idx}"]
-                state.v[idx] = blob[f"v_{idx}"]
+            keys = [f"params_{idx}"] + [k for k in (f"m_{idx}", f"v_{idx}") if k in blob]
+            if len(keys) == 2:
+                raise InputError(f"checkpoint has only one Adam moment for map {idx}")
+            shape = data.maps[idx].params.shape
+            restored[idx] = [blob[key] for key in keys]
+            for key, arr in zip(keys, restored[idx]):
+                if arr.shape != shape:
+                    raise InputError(f"{path}: {key} has shape {arr.shape}, map {idx} is {shape}")
+                if not np.all(np.isfinite(arr)):
+                    raise InputError(f"{path}: {key} holds non-finite values")
+    for idx, (params, *moments) in restored.items():
+        data.maps[idx].params[...] = params
+        if moments:
+            state.m[idx], state.v[idx] = moments
     state.step = step
     return step

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import expit as sigmoid
 
 from rayvis.counters import counters
@@ -31,6 +30,8 @@ NRAY_MAGIC = b"NRAY"
 NRAY_VERSION = 1
 SIGMA_MIN_FRACTION = 1e-4
 DEFAULT_N_COMPONENTS = 2
+# an occlusion CDF at or above this has saturated: nothing behind is visible
+_SATURATION = 1.0 - 1e-12
 
 
 def softplus(x):
@@ -146,33 +147,40 @@ def decode_backward(params: np.ndarray, near: float, far: float, gmu, gsig, gw):
     return out
 
 
-def mixture_cdf(mu, sig, w, z, count: bool = True):
+def mixture_cdf_terms(mu, sig, w, z):
+    """The one mixture CDF kernel: ``t = sum_i w_i * sigmoid(x_i)``.
+
+    ``z`` broadcasts against the component axis of (..., n). Returns ``t``
+    with the standardized depths ``x = (z - mu) / sigma`` and the component
+    sigmoids ``s``, which the gradients reuse. Counts nothing.
+    """
+    x = (np.asarray(z, dtype=np.float64)[..., None] - mu) / sig
+    s = sigmoid(x)
+    return np.sum(w * s, axis=-1), x, s
+
+
+def mixture_cdf(mu, sig, w, z):
     """CDF of decoded parameter arrays; ``z`` broadcasts against (..., n)."""
-    z = np.asarray(z, dtype=np.float64)
-    t = np.sum(w * sigmoid((z[..., None] - mu) / sig), axis=-1)
-    if count:
-        counters.add("cdf_evals", t.size)
+    t = mixture_cdf_terms(mu, sig, w, z)[0]
+    counters.add("cdf_evals", t.size)
     return t
+
+
+def mixture_cdf_grads(sig, w, x, s):
+    """Gradients of ``t`` w.r.t. (mu, sigma, w) from the kernel's ``x`` and ``s``."""
+    sp = s * (1.0 - s)
+    return -w * sp / sig, -w * sp * x / sig, s
 
 
 def mixture_cdf_param_grads(mu, sig, w, z):
     """CDF value and its gradients w.r.t. the constrained parameters."""
-    z = np.asarray(z, dtype=np.float64)
-    x = (z[..., None] - mu) / sig
-    s = sigmoid(x)
-    sp = s * (1.0 - s)
-    t = np.sum(w * s, axis=-1)
-    dmu = -w * sp / sig
-    dsig = -w * sp * x / sig
-    dw = s
-    return t, dmu, dsig, dw
+    t, x, s = mixture_cdf_terms(mu, sig, w, z)
+    return (t,) + mixture_cdf_grads(sig, w, x, s)
 
 
 def occlusion_cdf(dist: MixtureOfLogistics, z):
     """Probability that the ray is occluded before depth ``z``."""
-    z = np.asarray(z, dtype=np.float64)
-    t = np.sum(dist.weights * sigmoid((z[..., None] - dist.means) / dist.scales), axis=-1)
-    counters.add("cdf_evals", t.size)
+    t = mixture_cdf(dist.means, dist.scales, dist.weights, z)
     return t if t.ndim else float(t)
 
 
@@ -201,17 +209,31 @@ def input_ray_alpha(dist: MixtureOfLogistics, z0, z1, return_saturated: bool = F
     z1 = np.asarray(z1, dtype=np.float64)
     if np.any(z0 > z1):
         raise IntervalOrderError("interval endpoints must satisfy z0 <= z1")
-    t0 = occlusion_cdf(dist, z0)
-    t1 = occlusion_cdf(dist, z1)
-    saturated = t0 >= 1.0 - 1e-12
-    denom = np.where(saturated, 1.0, 1.0 - t0)
-    alpha = np.clip(np.where(saturated, 1.0, (t1 - t0) / denom), 0.0, 1.0)
+    alpha, saturated = interval_alpha(occlusion_cdf(dist, z0), occlusion_cdf(dist, z1))
+    alpha = np.clip(alpha, 0.0, 1.0)
     if alpha.ndim == 0:
         alpha = float(alpha)
         saturated = bool(saturated)
     if return_saturated:
         return alpha, saturated
     return alpha
+
+
+def interval_alpha(t0, t1):
+    """Unclipped interval opacity ``(t1 - t0) / (1 - t0)`` from CDF values.
+
+    Returns the opacity and the mask where ``t0`` has saturated; there the
+    opacity is 1 instead of a division by zero.
+    """
+    saturated = t0 >= _SATURATION
+    return np.where(saturated, 1.0, (t1 - t0) / np.where(saturated, 1.0, 1.0 - t0)), saturated
+
+
+def scatter_to_map(shape, iy, ix, values):
+    """Sum per-sample values (..., 3, n) into a zero map of ``shape`` at pixels (iy, ix)."""
+    out = np.zeros(shape)
+    np.add.at(out.reshape((-1,) + tuple(shape[2:])), iy * shape[1] + ix, values)
+    return out
 
 
 def grad_cdf(raw: RawRayParams, z, depth_range) -> np.ndarray:
@@ -260,10 +282,6 @@ class DistributionMap:
     def raw_at(self, iy: int, ix: int) -> RawRayParams:
         return RawRayParams.from_array(self.params[iy, ix])
 
-    def decode_all(self, near: float, far: float):
-        """Decode the whole grid to (mu, sigma, w) arrays of shape (H, W, n)."""
-        return decode_arrays(self.params, near, far)
-
     def save(self, path):
         save_distribution_map(self, path)
 
@@ -300,6 +318,8 @@ def load_distribution_map(path) -> DistributionMap:
     if len(blob) != 24 + expected:
         raise InputError(f"{path}: expected {24 + expected} bytes, got {len(blob)}")
     data = np.frombuffer(blob, dtype="<f4", offset=24).astype(np.float64)
+    if not np.all(np.isfinite(data)):
+        raise InputError(f"{path}: non-finite parameter values")
     return DistributionMap(view=view, params=data.reshape(height, width, 3, n))
 
 
@@ -351,82 +371,3 @@ def density_visibility_oracle(profile: DensityProfile, z) -> float:
     d = np.maximum(profile.densities, 0.0)
     v = np.exp(-np.sum(np.where(evaluated, d * overlap, 0.0), axis=1))
     return float(v[0]) if scalar else v
-
-
-def fit_logistics_to_density(
-    profile: DensityProfile,
-    n_components: int,
-    grid,
-    n_restarts: int = 6,
-    seed: int = 0,
-) -> MixtureOfLogistics:
-    """Least-squares fit of the mixture CDF to the density-based occlusion.
-
-    Minimizes the squared residual of ``t(z)`` against
-    ``1 - density_visibility_oracle(z)`` on the grid using this module's
-    analytic gradients; returns the best of several seeded restarts.
-    """
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid[0] > profile.knots[0] or grid[-1] < profile.knots[-1]:
-        raise InputError("grid must cover the knot range")
-    # pad the decode range so a component mean can move past the grid,
-    # which is how "no surface in range" is representable
-    span = float(profile.knots[-1] - profile.knots[0])
-    near = float(profile.knots[0]) - 0.5 * span
-    far = float(profile.knots[-1]) + 0.5 * span
-    target = 1.0 - density_visibility_oracle(profile, grid)
-
-    def objective(flat):
-        params = flat.reshape(3, n_components)
-        mu, sig, w = decode_arrays(params, near, far)
-        t, dmu, dsig, dw = mixture_cdf_param_grads(mu, sig, w, grid)
-        resid = t - target
-        gmu = 2.0 * np.sum(resid[:, None] * dmu, axis=0)
-        gsig = 2.0 * np.sum(resid[:, None] * dsig, axis=0)
-        gw = 2.0 * np.sum(resid[:, None] * dw, axis=0)
-        grad = decode_backward(params, near, far, gmu, gsig, gw)
-        return float(np.sum(resid**2)), grad.reshape(-1)
-
-    rng = np.random.default_rng(seed)
-    anchor = _quantile_init(n_components, grid, target, near, far)
-    inits = [anchor, _spread_init(n_components)]
-    # half the restarts jitter around the data-driven anchor, half are global
-    for k in range(max(0, n_restarts - 2)):
-        if k % 2 == 0:
-            inits.append(anchor + rng.normal(0.0, 0.5, size=(3, n_components)))
-        else:
-            inits.append(rng.normal(0.0, 1.5, size=(3, n_components)))
-    best = None
-    for init in inits:
-        res = minimize(objective, np.asarray(init).reshape(-1), jac=True, method="L-BFGS-B")
-        if best is None or res.fun < best.fun:
-            best = res
-    params = best.x.reshape(3, n_components)
-    mu, sig, w = decode_arrays(params, near, far)
-    return MixtureOfLogistics(mu, sig, w)
-
-
-def _spread_init(n_components: int) -> np.ndarray:
-    centers = (np.arange(n_components) + 0.5) / n_components
-    init = np.zeros((3, n_components))
-    init[0] = logit(centers)
-    init[1] = -2.0
-    return init
-
-
-def _quantile_init(n_components, grid, target, near, far) -> np.ndarray:
-    """Place component means at quantiles of the target's increments."""
-    init = np.zeros((3, n_components))
-    init[1] = -4.0
-    jumps = np.clip(np.diff(target), 0.0, None)
-    total = jumps.sum()
-    if total < 1e-12:
-        init[0] = 8.0  # no occlusion mass: push all means past the grid
-        return init
-    cdf = np.cumsum(jumps) / total
-    quantiles = (np.arange(n_components) + 0.5) / n_components
-    idx = np.searchsorted(cdf, quantiles)
-    centers = grid[np.minimum(idx + 1, grid.size - 1)]
-    u = np.clip((centers - near) / (far - near), 1e-6, 1 - 1e-6)
-    init[0] = logit(u)
-    return init

@@ -17,12 +17,20 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import expit as sigmoid
 
 from rayvis.camera import PinholeCamera, Ray
 from rayvis.counters import counters
 from rayvis.errors import ConfigurationError, DimensionMismatchError, InputError
-from rayvis.raydist import DistributionMap, decode_arrays
+from rayvis.raydist import (
+    DistributionMap,
+    decode_arrays,
+    decode_backward,
+    interval_alpha,
+    mixture_cdf,
+    mixture_cdf_grads,
+    mixture_cdf_terms,
+    scatter_to_map,
+)
 from rayvis.shcolor import (
     DEFAULT_DEGREE_PENALTIES,
     SHBasis,
@@ -39,7 +47,6 @@ _FINE_MASS_FLOOR = 1e-3
 # width: transferring long intervals onto input rays manufactures opacity
 # from unrelated geometry far behind the sample
 _FINE_WIDTH_CAP = 0.5
-_SATURATION = 1.0 - 1e-12
 
 
 @dataclass(frozen=True)
@@ -92,19 +99,12 @@ class RenderView:
 
 @dataclass
 class _ViewState:
-    """Per-view data prepared for a render: decoded parameter grids.
-
-    ``jac_mean``/``jac_scale`` are the elementwise derivatives of the
-    decoded mean and scale w.r.t. their raw parameters, precomputed on the
-    pixel grid so the backward pass only gathers.
-    """
+    """Per-view data prepared for a render: decoded parameter grids."""
 
     view: RenderView
     mu: np.ndarray
     sig: np.ndarray
     w: np.ndarray
-    jac_mean: np.ndarray = None
-    jac_scale: np.ndarray = None
 
     @property
     def camera(self) -> PinholeCamera:
@@ -164,16 +164,10 @@ def select_working_views(
             f"requested {n_working} working views but only {len(candidates)} available"
         )
     candidates.sort(key=lambda item: (item[0], item[1]))
-    chosen = [item[2] for item in candidates[:n_working]]
-    states = []
-    span = far - near
-    for view in chosen:
-        params = view.dmap.params
-        mu, sig, w = decode_arrays(params, near, far)
-        sm = sigmoid(params[..., 0, :])
-        jac_mean = span * sm * (1.0 - sm)
-        jac_scale = sigmoid(params[..., 1, :])
-        states.append(_ViewState(view, mu, sig, w, jac_mean, jac_scale))
+    states = [
+        _ViewState(view, *decode_arrays(view.dmap.params, near, far))
+        for _, _, view in candidates[:n_working]
+    ]
     return WorkingSet(query_camera, states, float(near), float(far))
 
 
@@ -187,19 +181,24 @@ def _same_camera(a: PinholeCamera, b: PinholeCamera) -> bool:
     )
 
 
-def bilinear_sample(image: np.ndarray, u, v) -> np.ndarray:
-    """Bilinear lookup at continuous image coordinates (pixel centers at +0.5)."""
-    h, w = image.shape[:2]
+def bilinear_sample(grid: np.ndarray, u, v) -> np.ndarray:
+    """Bilinear lookup at continuous image coordinates (pixel centers at +0.5).
+
+    ``grid`` is (H, W, ...): an image or a raw parameter map; the weights
+    broadcast over its trailing axes.
+    """
+    h, w = grid.shape[:2]
     x = np.asarray(u, dtype=np.float64) - 0.5
     y = np.asarray(v, dtype=np.float64) - 0.5
     x0 = np.clip(np.floor(x).astype(np.int64), 0, w - 1)
     y0 = np.clip(np.floor(y).astype(np.int64), 0, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    fx = np.clip(x - x0, 0.0, 1.0)[..., None]
-    fy = np.clip(y - y0, 0.0, 1.0)[..., None]
-    top = image[y0, x0] * (1 - fx) + image[y0, x1] * fx
-    bot = image[y1, x0] * (1 - fx) + image[y1, x1] * fx
+    trailing = (...,) + (None,) * (grid.ndim - 2)
+    fx = np.clip(x - x0, 0.0, 1.0)[trailing]
+    fy = np.clip(y - y0, 0.0, 1.0)[trailing]
+    top = grid[y0, x0] * (1 - fx) + grid[y0, x1] * fx
+    bot = grid[y1, x0] * (1 - fx) + grid[y1, x1] * fx
     return top * (1 - fy) + bot * fy
 
 
@@ -220,7 +219,7 @@ def _view_lookup(state: _ViewState, points: np.ndarray, near: float, far: float,
     ix = np.clip(np.floor(u).astype(np.int64), 0, cam.width - 1)
     iy = np.clip(np.floor(v).astype(np.int64), 0, cam.height - 1)
     if bilinear_params:
-        raw = _bilinear_raw_params(state.view.dmap.params, u, v)
+        raw = bilinear_sample(state.view.dmap.params, u, v)
         mu, sig, w = decode_arrays(raw, near, far)
     else:
         mu = state.mu[iy, ix]
@@ -229,24 +228,10 @@ def _view_lookup(state: _ViewState, points: np.ndarray, near: float, far: float,
     return mu, sig, w, z, (u, v), valid, (iy, ix)
 
 
-def _bilinear_raw_params(params: np.ndarray, u, v) -> np.ndarray:
-    h, w = params.shape[:2]
-    x = np.asarray(u, dtype=np.float64) - 0.5
-    y = np.asarray(v, dtype=np.float64) - 0.5
-    x0 = np.clip(np.floor(x).astype(np.int64), 0, w - 1)
-    y0 = np.clip(np.floor(y).astype(np.int64), 0, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = np.clip(x - x0, 0.0, 1.0)[..., None, None]
-    fy = np.clip(y - y0, 0.0, 1.0)[..., None, None]
-    top = params[y0, x0] * (1 - fx) + params[y0, x1] * fx
-    bot = params[y1, x0] * (1 - fx) + params[y1, x1] * fx
-    return top * (1 - fy) + bot * fy
-
-
-def _cdf(mu, sig, w, z):
-    """Mixture CDF with z broadcast against trailing component axis."""
-    return np.sum(w * sigmoid((z[..., None] - mu) / sig), axis=-1)
+def _transmittance(alphas):
+    """Exclusive cumulative product of ``1 - alpha`` along the sample axis."""
+    trans = np.cumprod(1.0 - alphas, axis=-1)
+    return np.concatenate([np.ones_like(trans[..., :1]), trans[..., :-1]], axis=-1)
 
 
 @dataclass
@@ -269,6 +254,7 @@ class ChunkState:
     alpha_tilde: Optional[np.ndarray] = None
     h_w: Optional[np.ndarray] = None
     fine_keep: Optional[np.ndarray] = None
+    fine: Optional["ChunkState"] = None
 
 
 def _chunk_forward(working: WorkingSet, origins, dirs, z, widths, config: RenderConfig,
@@ -288,17 +274,11 @@ def _chunk_forward(working: WorkingSet, origins, dirs, z, widths, config: Render
             state, points, working.near, working.far, config.bilinear_params
         )
         uv_list.append(uv)
-        x_a = (depth[..., None] - mu) / sig
-        s_a = sigmoid(x_a)
-        t_a = np.sum(w * s_a, axis=-1)
-        x_b = (depth[..., None] + widths[..., None] - mu) / sig
-        s_b = sigmoid(x_b)
-        t_b = np.sum(w * s_b, axis=-1)
+        t_a, x_a, s_a = mixture_cdf_terms(mu, sig, w, depth)
+        t_b, x_b, s_b = mixture_cdf_terms(mu, sig, w, depth + widths)
         counters.add("cdf_evals", 2 * npts)
         vis = np.where(valid, 1.0 - t_a, 0.0)
-        saturated = t_a >= _SATURATION
-        denom = np.where(saturated, 1.0, 1.0 - t_a)
-        alpha_raw = np.where(saturated, 1.0, (t_b - t_a) / denom)
+        alpha_raw, saturated = interval_alpha(t_a, t_b)
         alpha = np.clip(alpha_raw, 0.0, 1.0)
         alpha = np.where(valid, alpha, 0.0)
         h_w = np.where(valid, t_b - t_a, 0.0)
@@ -318,24 +298,16 @@ def _chunk_forward(working: WorkingSet, origins, dirs, z, widths, config: Render
     good = denom >= EPS_VISIBILITY
     safe = np.where(good, denom, 1.0)
     alpha_hat = np.where(good, np.sum(alpha_tilde * vis, axis=-1) / safe, 0.0)
-    trans = np.cumprod(1.0 - alpha_hat, axis=-1)
-    trans = np.concatenate([np.ones_like(trans[:, :1]), trans[:, :-1]], axis=1)
-    h_hat = trans * alpha_hat
-
+    h_hat = _transmittance(alpha_hat) * alpha_hat
+    out = ChunkState(origins, dirs, z, widths, None, alpha_hat, h_hat, None, None, denom)
+    if keep_state:
+        out.per_view, out.vis, out.alpha_tilde, out.h_w = per_view, vis, alpha_tilde, h_w
     if not with_colors:
-        state = ChunkState(origins, dirs, z, widths, None, alpha_hat, h_hat,
-                           None, None, denom)
-        if keep_state:
-            state.per_view = per_view
-            state.vis = vis
-            state.alpha_tilde = alpha_tilde
-            state.h_w = h_w
-        return state
+        return out
 
     counters.add("color_samples", npts)
     active = np.any(h_w >= EPS_VISIBILITY, axis=-1)
     sample_colors = np.broadcast_to(background, z.shape + (3,)).copy()
-    sh_state = None
     if np.any(active):
         counters.add("sh_fits", int(active.sum()))
         apoints = points[active]
@@ -356,19 +328,15 @@ def _chunk_forward(working: WorkingSet, origins, dirs, z, widths, config: Render
         y_q = sh_basis_values(config.sh_degree, dirs)                        # (B,nb)
         y_q_active = y_q[ray_active]
         sample_colors[active] = np.matmul(y_q_active[:, None, :], theta)[:, 0, :]
-        sh_state = (y_in, colors_in, weights, theta, a_mats, y_q_active)
+        if keep_state:
+            out.sh = (y_in, colors_in, weights, theta, a_mats, y_q_active)
 
     h_sum = h_hat.sum(axis=-1)
-    c_o = np.matmul(h_hat[:, None, :], sample_colors)[:, 0, :] + background * (1.0 - h_sum)[:, None]
-    state = ChunkState(origins, dirs, z, widths, c_o, alpha_hat, h_hat,
-                       sample_colors, active, denom)
-    if keep_state:
-        state.per_view = per_view
-        state.vis = vis
-        state.alpha_tilde = alpha_tilde
-        state.h_w = h_w
-        state.sh = sh_state
-    return state
+    out.colors_out = (np.matmul(h_hat[:, None, :], sample_colors)[:, 0, :]
+                      + background * (1.0 - h_sum)[:, None])
+    out.sample_colors = sample_colors
+    out.active = active
+    return out
 
 
 def _uniform_depths(near: float, far: float, k: int, n_rays: int):
@@ -417,37 +385,40 @@ def _fine_depths(z_coarse, widths_coarse, h_hat, k_fine: int, far: float):
 
 def render_rays(working: WorkingSet, origins, dirs, config: RenderConfig,
                 keep_state: bool = False):
-    """Render a batch of rays; returns the final ChunkState (uniform or fine)."""
+    """Render a batch of rays; returns the final ChunkState (uniform or fine).
+
+    In coarse-to-fine mode the returned state covers every ray, ``fine_keep``
+    marks the rays that got fine samples, and with ``keep_state=True``
+    ``fine`` holds the fine pass's own state over those rays (None when no
+    ray was kept). Sample placement is constant w.r.t. the parameters.
+    """
     origins = np.asarray(origins, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
     n = origins.shape[0]
+    z, widths = _uniform_depths(working.near, working.far, config.k_coarse, n)
     if config.mode == "uniform":
-        z, widths = _uniform_depths(working.near, working.far, config.k_coarse, n)
         return _chunk_forward(working, origins, dirs, z, widths, config,
                               keep_state=keep_state)
     # coarse pass: alphas only, no color fits
-    z_c, w_c = _uniform_depths(working.near, working.far, config.k_coarse, n)
-    coarse = _chunk_forward(working, origins, dirs, z_c, w_c, config, with_colors=False)
-    z_f, w_f, keep = _fine_depths(z_c, w_c, coarse.h_hat, config.k_fine, working.far)
+    coarse = _chunk_forward(working, origins, dirs, z, widths, config, with_colors=False)
+    z_f, w_f, keep = _fine_depths(z, widths, coarse.h_hat, config.k_fine, working.far)
+    # rays without fine samples keep zero depths and alphas and the background
+    k = config.k_fine
     background = np.asarray(config.background, dtype=np.float64)
-    c_o = np.broadcast_to(background, (n, 3)).copy()
-    alpha = np.zeros((n, config.k_fine))
-    h_hat = np.zeros((n, config.k_fine))
-    scol = np.broadcast_to(background, (n, config.k_fine, 3)).copy()
-    z_full = np.zeros((n, config.k_fine))
-    wid_full = np.zeros((n, config.k_fine))
+    state = ChunkState(
+        origins, dirs, z=np.zeros((n, k)), widths=np.zeros((n, k)),
+        colors_out=np.broadcast_to(background, (n, 3)).copy(),
+        alpha_hat=np.zeros((n, k)), h_hat=np.zeros((n, k)),
+        sample_colors=np.broadcast_to(background, (n, k, 3)).copy(),
+        active=None, denom=None, fine_keep=keep,
+    )
     if np.any(keep):
         fine = _chunk_forward(working, origins[keep], dirs[keep], z_f, w_f, config,
                               keep_state=keep_state)
-        c_o[keep] = fine.colors_out
-        alpha[keep] = fine.alpha_hat
-        h_hat[keep] = fine.h_hat
-        scol[keep] = fine.sample_colors
-        z_full[keep] = fine.z
-        wid_full[keep] = fine.widths
-    state = ChunkState(origins, dirs, z_full, wid_full, c_o, alpha, h_hat, scol,
-                       None, None)
-    state.fine_keep = keep
+        for name in ("z", "widths", "colors_out", "alpha_hat", "h_hat", "sample_colors"):
+            getattr(state, name)[keep] = getattr(fine, name)
+        if keep_state:
+            state.fine = fine
     return state
 
 
@@ -456,8 +427,9 @@ def render_rays_backward(working: WorkingSet, state: ChunkState, config: RenderC
     """Pull output-color (and optional hitting-probability) gradients back
     to the raw distribution parameters of every working view.
 
-    ``state`` must come from a uniform-mode :func:`render_rays` call with
-    ``keep_state=True``. Returns ``{view_index: (H, W, 3, n) gradient}``.
+    ``state`` must come from a :func:`render_rays` call with
+    ``keep_state=True``: the returned state in uniform mode, its ``fine``
+    state in coarse-to-fine mode. Returns ``{view_index: (H, W, 3, n) gradient}``.
     Only the nearest-pixel lookup path is differentiable.
     """
     if config.bilinear_params:
@@ -486,9 +458,8 @@ def render_rays_backward(working: WorkingSet, state: ChunkState, config: RenderC
     # through the compositing products into the blended alphas
     u = d_hhat * h_hat
     suffix = np.cumsum(u[:, ::-1], axis=1)[:, ::-1] - u
-    trans = np.cumprod(1.0 - alpha_hat, axis=-1)
-    trans = np.concatenate([np.ones_like(trans[:, :1]), trans[:, :-1]], axis=1)
-    d_alpha_hat = d_hhat * trans - suffix / np.maximum(1.0 - alpha_hat, 1e-300)
+    d_alpha_hat = (d_hhat * _transmittance(alpha_hat)
+                   - suffix / np.maximum(1.0 - alpha_hat, 1e-300))
 
     denom = state.denom
     good = denom >= EPS_VISIBILITY
@@ -518,23 +489,18 @@ def render_rays_backward(working: WorkingSet, state: ChunkState, config: RenderC
         iy, ix = pv["pix"]
         sig = vstate.sig[iy, ix]
         w = vstate.w[iy, ix]
-        # mixture CDF gradients from the forward's stored component sigmoids
-        sp_a = pv["s_a"] * (1.0 - pv["s_a"])
-        sp_b = pv["s_b"] * (1.0 - pv["s_b"])
-        ca = dt_a[..., None] * w / sig
-        cb = dt_b[..., None] * w / sig
-        gmu = -(ca * sp_a + cb * sp_b)
-        gsig = -(ca * sp_a * pv["x_a"] + cb * sp_b * pv["x_b"])
-        gw = dt_a[..., None] * pv["s_a"] + dt_b[..., None] * pv["s_b"]
-        # raw-parameter chain through the decode, jacobians gathered per pixel
-        graw = np.empty(gmu.shape[:-1] + (3, gmu.shape[-1]))
-        graw[..., 0, :] = gmu * vstate.jac_mean[iy, ix]
-        graw[..., 1, :] = gsig * vstate.jac_scale[iy, ix]
-        graw[..., 2, :] = w * (gw - np.sum(gw * w, axis=-1, keepdims=True))
-        grad = np.zeros_like(vstate.view.dmap.params)
-        flat = (iy * vstate.camera.width + ix)[valid]
-        np.add.at(grad.reshape(-1, 3, grad.shape[-1]), flat, graw[valid])
-        grads[vstate.view.index] = grad
+        # mixture CDF gradients from the forward's stored x and component sigmoids
+        d_a = np.stack(mixture_cdf_grads(sig, w, pv["x_a"], pv["s_a"]), axis=-2)
+        d_b = np.stack(mixture_cdf_grads(sig, w, pv["x_b"], pv["s_b"]), axis=-2)
+        g = dt_a[..., None, None] * d_a + dt_b[..., None, None] * d_b
+        # sum the (mu, sigma, w) gradients per pixel, then chain through the
+        # decode once: it acts per pixel, so its chain rule is linear in them
+        params = vstate.view.dmap.params
+        g_map = scatter_to_map(params.shape, iy[valid], ix[valid], g[valid])
+        grads[vstate.view.index] = decode_backward(
+            params, working.near, working.far,
+            g_map[..., 0, :], g_map[..., 1, :], g_map[..., 2, :],
+        )
     return grads
 
 
@@ -585,10 +551,7 @@ def hitting_probs(alphas) -> np.ndarray:
     alphas = np.asarray(alphas, dtype=np.float64)
     if np.any(alphas < 0) or np.any(alphas > 1):
         raise InputError("alphas must lie in [0, 1]")
-    trans = np.cumprod(1.0 - alphas, axis=-1)
-    ones = np.ones_like(alphas[..., :1])
-    trans = np.concatenate([ones, trans[..., :-1]], axis=-1)
-    return trans * alphas
+    return _transmittance(alphas) * alphas
 
 
 def query_visibility(working: WorkingSet, point) -> np.ndarray:
@@ -604,38 +567,25 @@ def query_visibility(working: WorkingSet, point) -> np.ndarray:
             state, point[None, :], working.near, working.far, False
         )
         if valid[0]:
-            t = _cdf(mu[0], sig[0], w[0], depth[:1])[0]
-            counters.add("cdf_evals", 1)
-            out[j] = 1.0 - t
+            out[j] = 1.0 - mixture_cdf(mu[0], sig[0], w[0], depth[0])
     return out
+
+
+def _point_sample(working: WorkingSet, point, direction, bin_width: float,
+                  config: RenderConfig, with_colors: bool) -> ChunkState:
+    """One sample on a ray that starts at ``point``: depth 0, width ``bin_width``."""
+    origins = np.asarray(point, dtype=np.float64).reshape(1, 3)
+    dirs = np.asarray(direction, dtype=np.float64).reshape(1, 3)
+    return _chunk_forward(working, origins, dirs, np.zeros((1, 1)),
+                          np.full((1, 1), float(bin_width)), config, with_colors=with_colors)
 
 
 def sample_alpha(working: WorkingSet, point, bin_width: float) -> float:
     """Visibility-weighted mean of the working views' interval opacities."""
     if bin_width <= 0:
         raise InputError("bin width must be positive")
-    point = np.asarray(point, dtype=np.float64)
-    num = 0.0
-    den = 0.0
-    for state in working.views:
-        mu, sig, w, depth, _, valid, _ = _view_lookup(
-            state, point[None, :], working.near, working.far, False
-        )
-        if not valid[0]:
-            continue
-        t_a = _cdf(mu[0], sig[0], w[0], depth[:1])[0]
-        t_b = _cdf(mu[0], sig[0], w[0], depth[:1] + bin_width)[0]
-        counters.add("cdf_evals", 2)
-        vis = 1.0 - t_a
-        if t_a >= _SATURATION:
-            alpha = 1.0
-        else:
-            alpha = min(max((t_b - t_a) / (1.0 - t_a), 0.0), 1.0)
-        num += alpha * vis
-        den += vis
-    if den < EPS_VISIBILITY:
-        return 0.0
-    return num / den
+    state = _point_sample(working, point, np.zeros(3), bin_width, RenderConfig(), False)
+    return float(state.alpha_hat[0, 0])
 
 
 def sample_color(working: WorkingSet, point, direction, bin_width: float,
@@ -645,36 +595,7 @@ def sample_color(working: WorkingSet, point, direction, bin_width: float,
     Falls back to the background color when every working view's weight is
     below the visibility floor.
     """
-    point = np.asarray(point, dtype=np.float64)
-    direction = np.asarray(direction, dtype=np.float64)
-    weights, dirs_in, colors_in = [], [], []
-    for state in working.views:
-        mu, sig, w, depth, uv, valid, _ = _view_lookup(
-            state, point[None, :], working.near, working.far, False
-        )
-        if valid[0]:
-            t_a = _cdf(mu[0], sig[0], w[0], depth[:1])[0]
-            t_b = _cdf(mu[0], sig[0], w[0], depth[:1] + bin_width)[0]
-            counters.add("cdf_evals", 2)
-            weight = max(t_b - t_a, 0.0)
-            color = bilinear_sample(state.view.image, uv[0][:1], uv[1][:1])[0]
-        else:
-            weight = 0.0
-            color = np.zeros(3)
-        offs = point - state.camera.center
-        dirs_in.append(offs / np.linalg.norm(offs))
-        colors_in.append(color)
-        weights.append(weight)
-    weights = np.asarray(weights)
-    counters.add("color_samples", 1)
-    if np.all(weights < EPS_VISIBILITY):
-        return np.asarray(config.background, dtype=np.float64)
-    counters.add("sh_fits", 1)
-    y_in = sh_basis_values(config.sh_degree, np.stack(dirs_in))[None, :, :]
-    lam = SHRegularizer(config.sh_penalties).diagonal(SHBasis(config.sh_degree))
-    theta, _ = sh_fit_batched(y_in, weights[None, :], np.stack(colors_in)[None, :, :], lam)
-    y_q = sh_basis_values(config.sh_degree, direction)
-    return y_q @ theta[0]
+    return _point_sample(working, point, direction, bin_width, config, True).sample_colors[0, 0]
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,9 +1,14 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rayvis
 from rayvis.cli import main
 from rayvis.imgio import read_ppm, write_ppm
 from rayvis.scenefile import dump_scene
@@ -235,6 +240,46 @@ class TestOptimize:
             "--out", str(out), "--steps", "2", "--nw", "3", "--resume",
         ])
         assert code == 2
+
+
+def _truncate_image(data_dir):
+    path = data_dir / "images" / "view_0001.ppm"
+    path.write_bytes(path.read_bytes()[:100])
+
+
+def _edit_camera(data_dir, edit):
+    path = data_dir / "cameras.json"
+    meta = json.loads(path.read_text())
+    edit(meta["cameras"][1])
+    path.write_text(json.dumps(meta))
+
+
+class TestInputFaults:
+    """Corrupt input files exit 2 with a message, never with a traceback."""
+
+    @pytest.mark.parametrize("fault, names", [
+        (_truncate_image, ["view_0001.ppm"]),
+        (lambda d: _edit_camera(d, lambda cam: cam.pop("fx")), ["cameras.json", "'fx'"]),
+        (lambda d: _edit_camera(d, lambda cam: cam.update(rotation=[1.0, 0.0, 0.0])),
+         ["cameras.json", "'rotation'"]),
+    ], ids=["truncated_ppm", "camera_missing_key", "camera_wrong_shape"])
+    def test_render_exits_2_without_traceback(self, fault, names, synth_dir, maps_dir,
+                                              tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        fault(data)
+        src = str(Path(rayvis.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rayvis.cli", "render", "--data", str(data),
+             "--maps", str(maps_dir), "--view", "0", "--out", str(tmp_path / "x.ppm"),
+             "--k-coarse", "8", "--nw", "3"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert all(name in proc.stderr for name in names)
 
 
 class TestEval:

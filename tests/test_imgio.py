@@ -47,6 +47,18 @@ class TestPpm:
         with pytest.raises(InputError):
             read_ppm(path)
 
+    @pytest.mark.parametrize("blob", [
+        b"P6\n2 2\n255\n" + b"\x10" * 11,   # payload one byte short
+        b"P6\n2 2\n255",                     # header only
+        b"P6\n2 2",                           # header cut before maxval
+        b"P6\n2 x\n255\n" + b"\x10" * 12,   # non-numeric size
+    ], ids=["short_payload", "no_payload", "short_header", "bad_size"])
+    def test_rejects_truncated(self, tmp_path, blob):
+        path = tmp_path / "img.ppm"
+        path.write_bytes(blob)
+        with pytest.raises(InputError):
+            read_ppm(path)
+
 
 class TestFloatImage:
     def test_round_trip_bit_exact(self, tmp_path):

@@ -462,10 +462,12 @@ class TestOptimizeScene:
             assert np.array_equal(before[i], data.maps[i].params)
         assert (tmp_path / "view_0000.nray").exists()
 
-    def test_resume_matches_uninterrupted(self, tmp_path):
+    @pytest.mark.parametrize("sampling_mode", ["uniform", "coarse_to_fine"])
+    def test_resume_matches_uninterrupted(self, tmp_path, sampling_mode):
         config_args = dict(steps=6, batch_size=16, k_samples=8, n_working=3,
                            sh_degree=1, seed=5, eval_interval=0,
-                           background=(0.4, 0.4, 0.4))
+                           background=(0.4, 0.4, 0.4), sampling_mode=sampling_mode,
+                           k_fine=4)
         rng = np.random.default_rng(12)
         data_a, _ = tiny_training_data(rng)
         state_a, _ = optimize_scene(data_a, TrainConfig(**config_args))
@@ -487,6 +489,36 @@ class TestOptimizeScene:
                                     state=state_c, start_step=start)
         for i in data_a.maps:
             assert np.array_equal(data_a.maps[i].params, data_c.maps[i].params)
+
+    @pytest.mark.parametrize("fault", [
+        lambda a: a.update(params_0=np.full((1, 1, 3, 2), np.nan)),
+        lambda a: a.update(m_1=a["m_1"][:, :-1]),
+        lambda a: a.update(v_2=np.where(a["v_2"] > 0, np.nan, a["v_2"])),
+        lambda a: a.update(params_2=np.where(a["params_2"] > 0, np.inf, a["params_2"])),
+        lambda a: a.pop("params_3"),
+        lambda a: a.pop("v_1"),
+    ], ids=["broadcastable_params", "moment_shape", "nan_moment", "inf_params",
+            "missing_last_map", "missing_moment"])
+    def test_bad_checkpoint_refused_before_any_write(self, tmp_path, fault):
+        from rayvis.optim import load_checkpoint
+
+        config = TrainConfig(steps=2, batch_size=16, k_samples=8, n_working=3,
+                             sh_degree=1, seed=5, eval_interval=0)
+        data, _ = tiny_training_data(np.random.default_rng(12))
+        optimize_scene(data, config, out_dir=tmp_path)
+        with np.load(tmp_path / "state.npz") as blob:
+            arrays = dict(blob)
+        fault(arrays)
+        np.savez(tmp_path / "state.npz", **arrays)
+
+        fresh, _ = tiny_training_data(np.random.default_rng(12))
+        before = {i: m.params.copy() for i, m in fresh.maps.items()}
+        state = OptimState()
+        with pytest.raises(InputError):
+            load_checkpoint(tmp_path, fresh, state)
+        for i in before:
+            assert np.array_equal(before[i], fresh.maps[i].params)
+        assert state.m == {} and state.step == 0
 
     def test_losses_trend_down_with_gt_init(self):
         rng = np.random.default_rng(13)

@@ -11,7 +11,6 @@ from rayvis.raydist import (
     SIGMA_MIN_FRACTION,
     decode,
     density_visibility_oracle,
-    fit_logistics_to_density,
     grad_cdf,
     hit_prob_interval,
     input_ray_alpha,
@@ -19,6 +18,8 @@ from rayvis.raydist import (
     occlusion_cdf,
     visibility,
 )
+
+from logistic_fit import fit_logistics_to_density
 
 
 def random_raw(rng, n=2):
@@ -302,6 +303,15 @@ class TestDistributionMapFormat:
             DistributionMap.load(path)
         path.write_bytes(b"NRAY" + b"\0" * 10)
         with pytest.raises(InputError):
+            DistributionMap.load(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_payload(self, tmp_path, bad):
+        params = np.zeros((2, 2, 3, 1))
+        params[1, 0, 2, 0] = bad
+        path = tmp_path / "m.nray"
+        DistributionMap(view=0, params=params).save(path)
+        with pytest.raises(InputError, match="non-finite"):
             DistributionMap.load(path)
 
     def test_raw_at_round_trip(self):

@@ -8,6 +8,7 @@ from rayvis.raydist import DistributionMap
 from rayvis.render import (
     RenderConfig,
     RenderView,
+    bilinear_sample,
     hitting_probs,
     psnr,
     query_visibility,
@@ -178,6 +179,29 @@ class TestSampleAlpha:
         ws = self.synthetic_working_set([0.5], [0.9])
         with pytest.raises(InputError):
             sample_alpha(ws, (0, 0, 0), 0.0)
+
+
+class TestBilinearGather:
+    def test_parameter_grid_centers_and_midpoints(self):
+        grid = np.random.default_rng(23).normal(size=(4, 5, 3, 2))
+        iy, ix = np.meshgrid(np.arange(4), np.arange(5), indexing="ij")
+        assert np.array_equal(bilinear_sample(grid, ix + 0.5, iy + 0.5), grid)
+        mid_x = bilinear_sample(grid, ix[:, :-1] + 1.0, iy[:, :-1] + 0.5)
+        np.testing.assert_allclose(mid_x, 0.5 * (grid[:, :-1] + grid[:, 1:]), atol=1e-12)
+        mid_y = bilinear_sample(grid, ix[:-1] + 0.5, iy[:-1] + 1.0)
+        np.testing.assert_allclose(mid_y, 0.5 * (grid[:-1] + grid[1:]), atol=1e-12)
+
+    def test_constant_maps_render_alike_with_either_lookup(self):
+        ws = TestSampleAlpha().synthetic_working_set([0.4, 0.8], [0.75, 0.25])
+        cam = ws.query_camera
+        dirs, _ = cam.rays_for_pixels(np.array([[1.5, 1.5], [2.2, 2.7], [2.5, 1.0]]))
+        origins = np.broadcast_to(cam.center, dirs.shape)
+        states = [
+            render_rays(ws, origins, dirs, RenderConfig(k_coarse=16, bilinear_params=b))
+            for b in (False, True)
+        ]
+        np.testing.assert_allclose(states[0].h_hat, states[1].h_hat, atol=1e-12)
+        np.testing.assert_allclose(states[0].colors_out, states[1].colors_out, atol=1e-12)
 
 
 class TestHittingProbs:
