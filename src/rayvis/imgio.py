@@ -94,6 +94,8 @@ def read_float_image(path) -> np.ndarray:
     if len(blob) != 12 + w * h * 3 * 4:
         raise InputError(f"{path}: wrong payload size")
     data = np.frombuffer(blob, dtype="<f4", offset=12).astype(np.float64)
+    if not np.all(np.isfinite(data)):
+        raise InputError(f"{path}: non-finite pixel values")
     return data.reshape(h, w, 3)
 
 
@@ -118,4 +120,6 @@ def read_depth_map(path) -> DepthMap:
     if len(blob) != 24 + w * h * 4:
         raise InputError(f"{path}: wrong payload size")
     values = np.frombuffer(blob, dtype="<f4", offset=24).astype(np.float64)
+    if not np.all(np.isfinite(values)) or not np.all(np.isfinite((near, far, scale))):
+        raise InputError(f"{path}: non-finite depth values")
     return DepthMap(values.reshape(h, w), float(near), float(far), float(scale))

@@ -230,10 +230,18 @@ def interval_alpha(t0, t1):
 
 
 def scatter_to_map(shape, iy, ix, values):
-    """Sum per-sample values (..., 3, n) into a zero map of ``shape`` at pixels (iy, ix)."""
-    out = np.zeros(shape)
-    np.add.at(out.reshape((-1,) + tuple(shape[2:])), iy * shape[1] + ix, values)
-    return out
+    """Sum per-sample values (N, 3, n) into a zero map of ``shape`` at pixels (iy, ix).
+
+    One ``np.bincount`` per trailing column: the same sums in the same
+    order as ``np.add.at``, several times faster.
+    """
+    n_pix = shape[0] * shape[1]
+    flat = iy * shape[1] + ix
+    columns = np.reshape(values, (flat.size, int(np.prod(shape[2:]))))
+    out = np.empty((n_pix, columns.shape[1]))
+    for c in range(columns.shape[1]):
+        out[:, c] = np.bincount(flat, weights=columns[:, c], minlength=n_pix)
+    return out.reshape(shape)
 
 
 def grad_cdf(raw: RawRayParams, z, depth_range) -> np.ndarray:

@@ -33,10 +33,12 @@ from rayvis.raydist import (
 )
 from rayvis.shcolor import (
     DEFAULT_DEGREE_PENALTIES,
-    SHBasis,
-    SHRegularizer,
+    MAX_DEGREE,
+    DualFit,
     sh_basis_values,
+    sh_dual_form,
     sh_fit_batched,
+    sh_fit_weight_grads,
 )
 
 EPS_VISIBILITY = 1e-6
@@ -72,6 +74,12 @@ class RenderConfig:
             raise ConfigurationError(f"unknown sampling mode '{self.mode}'")
         if self.n_working < 1:
             raise ConfigurationError("need at least one working view")
+        if not 0 <= self.sh_degree <= MAX_DEGREE:
+            raise ConfigurationError(f"sh_degree must be in [0, {MAX_DEGREE}]")
+        penalties = tuple(float(p) for p in self.sh_penalties)
+        if not all(0.0 <= p < np.inf for p in penalties):
+            raise ConfigurationError("sh_penalties must be finite and nonnegative")
+        object.__setattr__(self, "sh_penalties", penalties)
 
 
 @dataclass
@@ -249,7 +257,7 @@ class ChunkState:
     active: Optional[np.ndarray]
     denom: Optional[np.ndarray]
     per_view: list = field(default_factory=list)
-    sh: Optional[tuple] = None
+    sh: Optional[DualFit] = None
     vis: Optional[np.ndarray] = None
     alpha_tilde: Optional[np.ndarray] = None
     h_w: Optional[np.ndarray] = None
@@ -311,7 +319,6 @@ def _chunk_forward(working: WorkingSet, origins, dirs, z, widths, config: Render
     if np.any(active):
         counters.add("sh_fits", int(active.sum()))
         apoints = points[active]
-        weights = h_w[active]
         in_dirs, in_colors = [], []
         for j, state in enumerate(working.views):
             offs = apoints - state.camera.center
@@ -320,16 +327,17 @@ def _chunk_forward(working: WorkingSet, origins, dirs, z, widths, config: Render
             uv_u = uv_list[j][0][active]
             uv_v = uv_list[j][1][active]
             in_colors.append(bilinear_sample(state.view.image, uv_u, uv_v))
-        y_in = sh_basis_values(config.sh_degree, np.stack(in_dirs, axis=1))  # (M,J,nb)
-        colors_in = np.stack(in_colors, axis=1)                              # (M,J,3)
-        lam = SHRegularizer(config.sh_penalties).diagonal(SHBasis(config.sh_degree))
-        theta, a_mats = sh_fit_batched(y_in, weights, colors_in, lam)
-        ray_active = np.nonzero(active)[0]
-        y_q = sh_basis_values(config.sh_degree, dirs)                        # (B,nb)
-        y_q_active = y_q[ray_active]
-        sample_colors[active] = np.matmul(y_q_active[:, None, :], theta)[:, 0, :]
+        in_dirs = np.stack(in_dirs, axis=1)                                  # (M,J,3)
+        q_dirs = dirs[np.nonzero(active)[0]]                                 # (M,3)
+        kernel, border_degree, border = sh_dual_form(config.sh_degree, config.sh_penalties)
+        colors_q, fit = sh_fit_batched(
+            in_dirs, h_w[active], np.stack(in_colors, axis=1), q_dirs, kernel,
+            sh_basis_values(border_degree, in_dirs)[..., border],
+            sh_basis_values(border_degree, q_dirs)[..., border],
+        )
+        sample_colors[active] = colors_q
         if keep_state:
-            out.sh = (y_in, colors_in, weights, theta, a_mats, y_q_active)
+            out.sh = fit
 
     h_sum = h_hat.sum(axis=-1)
     out.colors_out = (np.matmul(h_hat[:, None, :], sample_colors)[:, 0, :]
@@ -447,13 +455,9 @@ def render_rays_backward(working: WorkingSet, state: ChunkState, config: RenderC
     # gradient of the sample colors (only active samples have one)
     dh_w = np.zeros_like(state.h_w)
     if state.sh is not None:
-        y_in, colors_in, weights, theta, a_mats, y_q_active = state.sh
         ray_active = np.nonzero(state.active)[0]
         dc_active = h_hat[state.active][:, None] * dc_o[ray_active]
-        psi = np.linalg.solve(a_mats, y_q_active[..., None])[..., 0]
-        resid = colors_in - np.matmul(y_in, theta)
-        ypsi = np.matmul(y_in, psi[:, :, None])[:, :, 0]
-        dh_w[state.active] = ypsi * np.matmul(resid, dc_active[:, :, None])[:, :, 0]
+        dh_w[state.active] = sh_fit_weight_grads(state.sh, dc_active)
 
     # through the compositing products into the blended alphas
     u = d_hhat * h_hat

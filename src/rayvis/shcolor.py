@@ -8,6 +8,23 @@ disturb the fit.
 
 Basis convention: real spherical harmonics, components ordered by degree l
 ascending and order m from -l to l within each degree. Degree 0..3 only.
+
+:func:`sh_fit` solves the primal normal equations over the basis
+coefficients and is the reference. The render pipeline needs only the
+color at the query direction and has few views (J) per fit, so
+:func:`sh_fit_batched` solves the same estimator in its dual (kernel) form.
+By the addition theorem, ``sum_m Y_lm(a) Y_lm(b) = (2l+1)/(4 pi) P_l(a.b)``,
+so the penalized degrees reduce to the kernel
+``K(a, b) = sum_{lambda_l > 0} (2l+1)/(4 pi lambda_l) P_l(a.b)``, one cubic
+in the direction cosine. Degrees with zero penalty stay explicit as border
+columns ``Y_b``. With ``s = sqrt(w)``, the fit is one symmetric system of
+size J + n_b::
+
+    S = [[I + diag(s) K diag(s), diag(s) Y_b],
+         [(diag(s) Y_b)',        0          ]]
+
+and the color at ``q`` is ``sum_j g_j s_j c_j`` with
+``g = S^-1 [s * K(q, d); y_b(q)]``.
 """
 
 from __future__ import annotations
@@ -183,25 +200,103 @@ def sh_color(coeffs: SHCoefficients, direction) -> np.ndarray:
     return sh_basis_values(degree, d) @ coeffs.values
 
 
-def sh_fit_batched(y: np.ndarray, weights: np.ndarray, colors: np.ndarray, lam: np.ndarray):
-    """Batched normal-equation solves for the render pipeline.
+def sh_dual_form(degree: int, penalties: Sequence[float]):
+    """Kernel and border of the dual fit for ``degree`` and per-degree penalties.
 
-    ``y``: (M, J, nb) basis rows, ``weights``: (M, J), ``colors``: (M, J, 3),
-    ``lam``: (nb,). Returns ``(theta, a)`` with theta (M, nb, 3); ``a`` is
-    kept for the backward pass through the solve.
+    Returns ``(kernel, border_degree, border)``: the power-series
+    coefficients (lowest first) of ``K`` in the direction cosine, and the
+    indices of the unpenalized basis columns within
+    ``sh_basis_values(border_degree, ...)``. Missing penalties are zero.
     """
-    wy = weights[..., None] * y
-    yt = np.ascontiguousarray(np.swapaxes(wy, -1, -2))
-    a = np.matmul(yt, y)
-    a[..., np.arange(lam.size), np.arange(lam.size)] += lam
-    rhs = np.matmul(yt, colors)
-    try:
-        theta = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:
-        theta = np.empty_like(rhs)
-        for m in range(a.shape[0]):
-            try:
-                theta[m] = np.linalg.solve(a[m], rhs[m])
-            except np.linalg.LinAlgError:
-                theta[m] = np.linalg.pinv(a[m]) @ rhs[m]
-    return theta, a
+    pen = [float(penalties[ell]) if ell < len(penalties) else 0.0 for ell in range(degree + 1)]
+    legendre = [(2 * ell + 1) / (4.0 * np.pi * p) if p > 0 else 0.0 for ell, p in enumerate(pen)]
+    kernel = np.polynomial.legendre.leg2poly(legendre)
+    free = [ell for ell, p in enumerate(pen) if p == 0]
+    border = np.array([i for ell in free for i in range(ell * ell, (ell + 1) ** 2)], dtype=np.int64)
+    return kernel, max(free, default=0), border
+
+
+@dataclass
+class DualFit:
+    """Intermediates of :func:`sh_fit_batched`, kept for :func:`sh_fit_weight_grads`."""
+
+    s: np.ndarray        # (M, J) square-root weights
+    kern: np.ndarray     # (M, J, J) kernel between input directions
+    k_q: np.ndarray      # (M, J) kernel between input and query directions
+    y_b: np.ndarray      # (M, J, n_b) border columns at the input directions
+    colors: np.ndarray   # (M, J, 3)
+    system: np.ndarray   # (M, J + n_b, J + n_b)
+    singular: np.ndarray  # (M,) rows solved by the pseudo-inverse
+    g: np.ndarray        # (M, J + n_b) forward solution
+
+
+def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    out = np.full_like(x, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out *= x
+        out += c
+    return out
+
+
+def _solve(system: np.ndarray, rhs: np.ndarray, singular: np.ndarray) -> np.ndarray:
+    """One right-hand side per row; singular rows use the pseudo-inverse."""
+    if not singular.any():
+        return np.linalg.solve(system, rhs[..., None])[..., 0]
+    out = np.empty_like(rhs)
+    ok = ~singular
+    out[ok] = np.linalg.solve(system[ok], rhs[ok][..., None])[..., 0]
+    out[singular] = np.matmul(np.linalg.pinv(system[singular]), rhs[singular][..., None])[..., 0]
+    return out
+
+
+def sh_fit_batched(dirs, weights, colors, query, kernel, y_b, y_bq):
+    """Batched dual-form fits, each evaluated at its query direction.
+
+    ``dirs``: (M, J, 3) unit input directions, ``weights``: (M, J)
+    nonnegative, ``colors``: (M, J, 3), ``query``: (M, 3) unit directions,
+    ``kernel``, ``y_b`` (M, J, n_b) and ``y_bq`` (M, n_b) from
+    :func:`sh_dual_form` and :func:`sh_basis_values`. Returns
+    ``(colors_q, fit)`` with colors_q (M, 3); ``fit`` is kept for the
+    backward pass. A row is singular exactly when its weighted border
+    columns are rank deficient; those rows use the pseudo-inverse.
+    """
+    m, j = weights.shape
+    nb = y_b.shape[-1]
+    s = np.sqrt(np.maximum(weights, 0.0))  # clamp rounding noise below zero
+    kern = _horner(kernel, np.matmul(dirs, np.swapaxes(dirs, -1, -2)))
+    k_q = _horner(kernel, np.matmul(dirs, query[:, :, None])[..., 0])
+    sb = s[..., None] * y_b
+    top = s[:, :, None] * kern * s[:, None, :]
+    top[:, np.arange(j), np.arange(j)] += 1.0
+    system = np.block([[top, sb], [np.swapaxes(sb, -1, -2), np.zeros((m, nb, nb))]])
+    if nb == 0:
+        singular = np.zeros(m, dtype=bool)
+    elif nb == 1:
+        singular = ~np.any(sb[..., 0], axis=-1)
+    else:
+        singular = np.linalg.matrix_rank(sb) < nb
+    g = _solve(system, np.concatenate([s * k_q, y_bq], axis=-1), singular)
+    colors_q = np.matmul((g[:, :j] * s)[:, None, :], colors)[:, 0, :]
+    return colors_q, DualFit(s, kern, k_q, y_b, colors, system, singular, g)
+
+
+def sh_fit_weight_grads(fit: DualFit, dc: np.ndarray) -> np.ndarray:
+    """Gradient of ``colors_q . dc`` w.r.t. the weights, (M, J), for ``dc`` (M, 3).
+
+    ``d color / d w_j = (y_j . psi)(c_j - fitted_j)`` with ``psi`` the
+    primal solve of the query basis row. Both factors come without a
+    division by ``s``: ``y_j . psi = k_q - K (s g_J) - Y_b g_b``, and the
+    residual of the colors projected on ``dc`` follows from one more solve,
+    as the fit is linear in the colors.
+    """
+    j = fit.s.shape[1]
+
+    def unweighted(x):
+        return (np.matmul(fit.kern, (fit.s * x[:, :j])[..., None])[..., 0]
+                + np.matmul(fit.y_b, x[:, j:, None])[..., 0])
+
+    e = np.matmul(fit.colors, dc[..., None])[..., 0]
+    rhs = np.concatenate([fit.s * e, np.zeros((e.shape[0], fit.y_b.shape[-1]))], axis=-1)
+    resid = e - unweighted(_solve(fit.system, rhs, fit.singular))
+    ypsi = fit.k_q - unweighted(fit.g)
+    return ypsi * resid

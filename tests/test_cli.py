@@ -247,6 +247,21 @@ def _truncate_image(data_dir):
     path.write_bytes(path.read_bytes()[:100])
 
 
+def _nan_depth(data_dir):
+    path = data_dir / "depth" / "view_0002.nrdf"
+    blob = bytearray(path.read_bytes())
+    blob[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+    path.write_bytes(bytes(blob))
+
+
+def _run_cli(*args):
+    src = str(Path(rayvis.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "rayvis.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def _edit_camera(data_dir, edit):
     path = data_dir / "cameras.json"
     meta = json.loads(path.read_text())
@@ -268,18 +283,21 @@ class TestInputFaults:
         data = tmp_path / "data"
         shutil.copytree(synth_dir, data)
         fault(data)
-        src = str(Path(rayvis.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "rayvis.cli", "render", "--data", str(data),
-             "--maps", str(maps_dir), "--view", "0", "--out", str(tmp_path / "x.ppm"),
-             "--k-coarse", "8", "--nw", "3"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = _run_cli("render", "--data", str(data), "--maps", str(maps_dir),
+                        "--view", "0", "--out", str(tmp_path / "x.ppm"),
+                        "--k-coarse", "8", "--nw", "3")
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert all(name in proc.stderr for name in names)
+
+    def test_init_nan_depth_exits_2_without_traceback(self, synth_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        _nan_depth(data)
+        proc = _run_cli("init", str(data), str(tmp_path / "maps"))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "view_0002.nrdf" in proc.stderr and "non-finite" in proc.stderr
 
 
 class TestEval:

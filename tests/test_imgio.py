@@ -81,6 +81,16 @@ class TestFloatImage:
             read_float_image(path)
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, tmp_path, bad):
+        image = np.zeros((2, 3, 3))
+        image[1, 2, 0] = bad
+        path = tmp_path / "img.nrif"
+        write_float_image(path, image)
+        with pytest.raises(InputError, match="non-finite"):
+            read_float_image(path)
+
+
 class TestDepthMap:
     def test_round_trip_with_metadata(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -100,4 +110,19 @@ class TestDepthMap:
         path = tmp_path / "d.nrdf"
         path.write_bytes(b"XXXX" + b"\0" * 24)
         with pytest.raises(InputError):
+            read_depth_map(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, tmp_path, bad):
+        values = np.full((3, 2), 2.0)
+        values[2, 1] = bad
+        path = tmp_path / "d.nrdf"
+        write_depth_map(path, DepthMap(values, 1.0, 5.0, 4.0))
+        with pytest.raises(InputError, match="non-finite"):
+            read_depth_map(path)
+
+    def test_rejects_non_finite_header(self, tmp_path):
+        path = tmp_path / "d.nrdf"
+        write_depth_map(path, DepthMap(np.full((3, 2), 2.0), 1.0, np.nan, 4.0))
+        with pytest.raises(InputError, match="non-finite"):
             read_depth_map(path)

@@ -16,6 +16,7 @@ from rayvis.raydist import (
     input_ray_alpha,
     mixture_cdf_param_grads,
     occlusion_cdf,
+    scatter_to_map,
     visibility,
 )
 
@@ -267,6 +268,22 @@ class TestFitLogisticsToDensity:
         mix = fit_logistics_to_density(profile, 2, grid)
         target = 1.0 - density_visibility_oracle(profile, grid)
         assert np.max(np.abs(occlusion_cdf(mix, grid) - target)) < 0.05
+
+
+class TestScatterToMap:
+    def test_matches_add_at_reference(self):
+        rng = np.random.default_rng(11)
+        shape = (5, 7, 3, 2)
+        iy, ix = rng.integers(0, 5, 300), rng.integers(0, 7, 300)
+        values = rng.normal(size=(300, 3, 2))
+        want = np.zeros(shape)
+        np.add.at(want.reshape(35, 3, 2), iy * 7 + ix, values)
+        assert np.array_equal(scatter_to_map(shape, iy, ix, values), want)
+
+    def test_no_samples_give_zero_map(self):
+        empty = np.zeros(0, dtype=np.int64)
+        out = scatter_to_map((3, 4, 3, 1), empty, empty, np.zeros((0, 3, 1)))
+        assert out.shape == (3, 4, 3, 1) and not out.any()
 
 
 class TestDistributionMapFormat:

@@ -15,6 +15,7 @@ from rayvis.render import (
     render_image,
     render_pixel,
     render_rays,
+    render_rays_backward,
     sample_alpha,
     sample_color,
     select_working_views,
@@ -179,6 +180,67 @@ class TestSampleAlpha:
         ws = self.synthetic_working_set([0.5], [0.9])
         with pytest.raises(InputError):
             sample_alpha(ws, (0, 0, 0), 0.0)
+
+
+class TestRenderConfig:
+    @pytest.mark.parametrize("degree", [-1, 4])
+    def test_sh_degree_out_of_range(self, degree):
+        with pytest.raises(ConfigurationError, match="sh_degree"):
+            RenderConfig(sh_degree=degree)
+
+    @pytest.mark.parametrize("penalties", [(0.0, -1e-3, 0.0, 0.0), (0.0, np.nan), (np.inf,)])
+    def test_negative_or_non_finite_penalty(self, penalties):
+        with pytest.raises(ConfigurationError, match="sh_penalties"):
+            RenderConfig(sh_penalties=penalties)
+
+
+class TestBackwardFiniteDifferences:
+    """The SH color gradient at degrees 2 and 3 with eight working views:
+    the dual system has 9 unknowns there, against 9 and 16 coefficients."""
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_render_loss_gradient(self, degree):
+        rng = np.random.default_rng(40 + degree)
+        views = []
+        for j, ang in enumerate(np.linspace(0, 2 * np.pi, 9)[:8] + rng.uniform(0, 0.3, 8)):
+            eye = 3.0 * np.array([np.cos(ang), 0.25, np.sin(ang)])
+            cam = look_at_camera(6, 6, 7.0, 7.0, 3.0, 3.0, eye, (0, 0, 0))
+            views.append(RenderView(j, cam, DistributionMap(j, rng.normal(0, 1.0, (6, 6, 3, 2))),
+                                    rng.uniform(0, 1, (6, 6, 3))))
+        qcam = look_at_camera(6, 6, 7.0, 7.0, 3.0, 3.0, (0.4, 0.9, 3.1), (0, 0, 0))
+        config = RenderConfig(k_coarse=8, n_working=8, sh_degree=degree,
+                              background=(0.2, 0.3, 0.4))
+        dirs, _ = qcam.rays_for_pixels(rng.uniform(1.5, 4.5, size=(4, 2)))
+        origins = np.broadcast_to(qcam.center, dirs.shape)
+        weights = rng.normal(size=(4, 3))
+
+        def objective():
+            ws = select_working_views(views, qcam, 8, 1.0, 5.0)
+            return float(np.sum(render_rays(ws, origins, dirs, config).colors_out * weights))
+
+        ws = select_working_views(views, qcam, 8, 1.0, 5.0)
+        state = render_rays(ws, origins, dirs, config, keep_state=True)
+        assert state.sh.system.shape[1:] == (9, 9)
+        grads = render_rays_backward(ws, state, config, weights)
+        checked = 0
+        for view in views:
+            params, g = view.dmap.params, grads[view.index]
+            for idx in map(tuple, np.argwhere(np.abs(g) > 1e-5)[::3]):
+                old = params[idx]
+                slopes = []
+                for step in (1e-6, 1e-5):
+                    params[idx] = old + step
+                    plus = objective()
+                    params[idx] = old - step
+                    minus = objective()
+                    params[idx] = old
+                    slopes.append((plus - minus) / (2 * step))
+                # two step sizes must agree before the estimate is trusted
+                if abs(slopes[0] - slopes[1]) > 1e-5 * abs(slopes[0]):
+                    continue
+                assert g[idx] == pytest.approx(slopes[0], rel=1e-4)
+                checked += 1
+        assert checked >= 20
 
 
 class TestBilinearGather:

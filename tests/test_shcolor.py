@@ -3,6 +3,7 @@ import pytest
 
 from rayvis.errors import DegenerateFitError, InputError
 from rayvis.shcolor import (
+    DEFAULT_DEGREE_PENALTIES,
     SHBasis,
     SHCoefficients,
     SHRegularizer,
@@ -10,7 +11,9 @@ from rayvis.shcolor import (
     sh_basis_values,
     sh_color,
     sh_eval,
+    sh_dual_form,
     sh_fit,
+    sh_fit_batched,
 )
 
 Y00 = 0.2820947918
@@ -231,3 +234,45 @@ class TestRegularizer:
     def test_negative_penalty_rejected(self):
         with pytest.raises(InputError):
             SHRegularizer((-0.1, 0.0))
+
+
+class TestDualFit:
+    """The batched dual-form fit against the primal ``sh_fit`` reference."""
+
+    BORDER_PENALTIES = (0.002, 0.001, 0.0, 0.01)  # unpenalized degree 2 only
+
+    @staticmethod
+    def dual_colors(dirs, weights, colors, query, degree, penalties):
+        kernel, border_degree, border = sh_dual_form(degree, penalties)
+        y_b = sh_basis_values(border_degree, dirs)[..., border]
+        y_bq = sh_basis_values(border_degree, query)[..., border]
+        return sh_fit_batched(dirs, weights, colors, query, kernel, y_b, y_bq)
+
+    @pytest.mark.parametrize("penalties", [DEFAULT_DEGREE_PENALTIES, BORDER_PENALTIES])
+    @pytest.mark.parametrize("n_views", [1, 3, 8, 20])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_query_color_matches_primal(self, degree, n_views, penalties):
+        rng = np.random.default_rng(10 * degree + n_views)
+        rows = 12
+        dirs = random_directions(rng, rows * n_views).reshape(rows, n_views, 3)
+        query = random_directions(rng, rows)
+        colors = rng.uniform(0, 1, size=(rows, n_views, 3))
+        weights = rng.uniform(0, 1, size=(rows, n_views))
+        weights[1::3, 0] = 0.0
+        weights[3] = 0.0
+        # with fewer views than unpenalized columns, a 1e-12 weight alone
+        # pins some of them: ill-conditioned in either form, so left out
+        if n_views >= sh_dual_form(degree, penalties)[2].size:
+            weights[2::3, -1] = 1e-12
+            weights[4] = 1e-12
+        got, _ = self.dual_colors(dirs, weights, colors, query, degree, penalties)
+        basis, reg = SHBasis(degree), SHRegularizer(penalties)
+        for m in range(rows):
+            if not weights[m].any() and not any(penalties[: degree + 1]):
+                # the reference refuses this fit; the dual returns the zero fit
+                np.testing.assert_array_equal(got[m], 0.0)
+                continue
+            samples = [WeightedColorSample(d, c, float(w))
+                       for d, c, w in zip(dirs[m], colors[m], weights[m])]
+            want = sh_color(sh_fit(samples, basis, reg), query[m])
+            assert np.max(np.abs(got[m] - want)) <= 1e-9 * np.max(np.abs(colors[m])), m
