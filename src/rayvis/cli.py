@@ -63,10 +63,12 @@ class RunManifest:
     duration_seconds: float
 
 
-def _write_manifest(directory, manifest: RunManifest):
-    path = Path(directory) / "manifest.json"
+def _write_manifest(directory, command, seed, config, inputs, outputs, start):
+    """Write ``manifest.json``, with the package version and the seconds since ``start``."""
+    manifest = RunManifest(command, rayvis.__version__, seed, config, inputs, outputs,
+                           time.perf_counter() - start)
     blob = json.dumps(asdict(manifest), indent=2, sort_keys=True).encode("utf-8")
-    imgio.atomic_write_bytes(path, blob)
+    imgio.atomic_write_bytes(Path(directory) / "manifest.json", blob)
 
 
 def _view_name(index: int, suffix: str) -> str:
@@ -189,18 +191,8 @@ def cmd_synth(args) -> int:
     imgio.atomic_write_bytes(
         out / "cameras.json", json.dumps(meta, indent=2).encode("utf-8")
     )
-    _write_manifest(
-        out,
-        RunManifest(
-            command="synth",
-            version=rayvis.__version__,
-            seed=None,
-            config={"scene": str(args.scene)},
-            inputs=[str(args.scene)],
-            outputs=outputs + [str(out / "cameras.json")],
-            duration_seconds=time.perf_counter() - start,
-        ),
-    )
+    _write_manifest(out, "synth", None, {"scene": str(args.scene)}, [str(args.scene)],
+                    outputs + [str(out / "cameras.json")], start)
     print(f"wrote {len(cam_entries)} views to {out}")
     return 0
 
@@ -227,18 +219,8 @@ def cmd_init(args) -> int:
         "noise": args.noise,
         "data_dir": str(args.data_dir),
     }
-    _write_manifest(
-        out,
-        RunManifest(
-            command="init",
-            version=rayvis.__version__,
-            seed=args.seed,
-            config=config,
-            inputs=[str(p) for p in depths.values()],
-            outputs=outputs,
-            duration_seconds=time.perf_counter() - start,
-        ),
-    )
+    _write_manifest(out, "init", args.seed, config, [str(p) for p in depths.values()],
+                    outputs, start)
     print(f"initialized {len(outputs)} maps in {out}")
     return 0
 
@@ -257,21 +239,25 @@ def _render_config(args, background) -> RenderConfig:
     )
 
 
-def cmd_render(args) -> int:
-    start = time.perf_counter()
+def _query_working_set(args, cap: bool):
+    """The working set of query view ``args.view`` with ``args.nw`` views, and
+    the cameras file's metadata. With ``cap`` a larger request is lowered to
+    the views available; without it, ``select_working_views`` refuses it."""
     cameras, meta = _load_cameras(args.data_dir)
     if args.view not in cameras:
         raise InputError(f"no camera with index {args.view}")
     views = _load_render_views(args.data_dir, args.maps_dir, exclude=(args.view,))
-    config = _render_config(args, meta["background"])
-    if config.n_working > len(views):
-        raise InputError(
-            f"requested {config.n_working} working views, only {len(views)} available"
-        )
+    nw = min(args.nw, len(views)) if cap else args.nw
     working = select_working_views(
-        views, cameras[args.view], config.n_working, meta["near"], meta["far"],
-        query_index=args.view,
+        views, cameras[args.view], nw, meta["near"], meta["far"], query_index=args.view
     )
+    return working, meta
+
+
+def cmd_render(args) -> int:
+    start = time.perf_counter()
+    working, meta = _query_working_set(args, cap=False)
+    config = _render_config(args, meta["background"])
     image = render_image(working, config)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -283,29 +269,11 @@ def cmd_render(args) -> int:
     if args.gt:
         value = psnr(image, imgio.read_ppm(args.gt))
         print(f"psnr {value:.4f}")
-    _write_manifest(
-        out.parent,
-        RunManifest(
-            command="render",
-            version=rayvis.__version__,
-            seed=None,
-            config={
-                "view": args.view,
-                "mode": args.mode,
-                "k_coarse": args.k_coarse,
-                "k_fine": args.k_fine,
-                "nw": args.nw,
-                "sh_degree": args.sh_degree,
-                "bilinear_params": args.bilinear_params,
-                "threads": args.threads,
-                "maps_dir": str(args.maps_dir),
-                "data_dir": str(args.data_dir),
-            },
-            inputs=[str(args.data_dir), str(args.maps_dir)],
-            outputs=outputs,
-            duration_seconds=time.perf_counter() - start,
-        ),
-    )
+    settings = {key: getattr(args, key) for key in (
+        "view", "mode", "k_coarse", "k_fine", "nw", "sh_degree", "bilinear_params", "threads")}
+    settings.update(maps_dir=str(args.maps_dir), data_dir=str(args.data_dir))
+    _write_manifest(out.parent, "render", None, settings,
+                    [str(args.data_dir), str(args.maps_dir)], outputs, start)
     print(f"rendered view {args.view} -> {out}")
     return 0
 
@@ -396,23 +364,15 @@ def cmd_optimize(args) -> int:
     cfg_dict["eval_views"] = eval_views
     cfg_dict["init_dir"] = str(args.init_dir)
     cfg_dict["data_dir"] = str(args.data_dir)
-    _write_manifest(
-        out,
-        RunManifest(
-            command="optimize",
-            version=rayvis.__version__,
-            seed=args.seed,
-            config=cfg_dict,
-            inputs=[str(args.data_dir), str(args.init_dir)],
-            outputs=[str(out / _view_name(i, "nray")) for i in sorted(maps)],
-            duration_seconds=time.perf_counter() - start,
-        ),
-    )
+    _write_manifest(out, "optimize", args.seed, cfg_dict,
+                    [str(args.data_dir), str(args.init_dir)],
+                    [str(out / _view_name(i, "nray")) for i in sorted(maps)], start)
     print(f"optimized {len(maps)} maps for {config.steps} steps -> {out}")
     return 0
 
 
 def cmd_eval(args) -> int:
+    start = time.perf_counter()
     rendered = _scan_views(args.rendered_dir, "ppm")
     truth = _scan_views(args.gt_dir, "ppm")
     if not rendered:
@@ -438,30 +398,16 @@ def cmd_eval(args) -> int:
         csv_path = Path(args.csv)
         csv_path.parent.mkdir(parents=True, exist_ok=True)
         imgio.atomic_write_bytes(csv_path, ("\n".join(lines) + "\n").encode("utf-8"))
-        _write_manifest(
-            csv_path.parent,
-            RunManifest(
-                command="eval",
-                version=rayvis.__version__,
-                seed=None,
-                config={"rendered": str(args.rendered_dir), "gt": str(args.gt_dir)},
-                inputs=[str(args.rendered_dir), str(args.gt_dir)],
-                outputs=[str(csv_path)],
-                duration_seconds=0.0,
-            ),
-        )
+        _write_manifest(csv_path.parent, "eval", None,
+                        {"rendered": str(args.rendered_dir), "gt": str(args.gt_dir)},
+                        [str(args.rendered_dir), str(args.gt_dir)], [str(csv_path)], start)
     return 0
 
 
 def cmd_bench(args) -> int:
-    cameras, meta = _load_cameras(args.data_dir)
-    if args.view not in cameras:
-        raise InputError(f"no camera with index {args.view}")
-    views = _load_render_views(args.data_dir, args.maps_dir, exclude=(args.view,))
-    nw = min(args.nw, len(views))
-    working = select_working_views(
-        views, cameras[args.view], nw, meta["near"], meta["far"], query_index=args.view
-    )
+    start = time.perf_counter()
+    working, meta = _query_working_set(args, cap=True)
+    nw = working.n_views
     background = tuple(meta["background"])
     report = []
 
@@ -519,22 +465,10 @@ def cmd_bench(args) -> int:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         imgio.atomic_write_bytes(out, (text + "\n").encode("utf-8"))
-        _write_manifest(
-            out.parent,
-            RunManifest(
-                command="bench",
-                version=rayvis.__version__,
-                seed=None,
-                config={
-                    "view": args.view, "k_uniform": args.k_uniform,
-                    "k_coarse": args.k_coarse, "k_fine": args.k_fine,
-                    "nw": nw, "kr": args.kr,
-                },
-                inputs=[str(args.data_dir), str(args.maps_dir)],
-                outputs=[str(out)],
-                duration_seconds=time_u + time_c,
-            ),
-        )
+        settings = {"view": args.view, "k_uniform": args.k_uniform, "k_coarse": args.k_coarse,
+                    "k_fine": args.k_fine, "nw": nw, "kr": args.kr}
+        _write_manifest(out.parent, "bench", None, settings,
+                        [str(args.data_dir), str(args.maps_dir)], [str(out)], start)
     return 0
 
 

@@ -22,7 +22,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from rayvis.camera import PinholeCamera
-from rayvis.errors import ConfigurationError, DimensionMismatchError, InputError
+from rayvis.errors import ConfigurationError, DimensionMismatchError, InputError, NumericalError
 from rayvis.raydist import (
     DistributionMap,
     SIGMA_MIN_FRACTION,
@@ -221,29 +221,38 @@ def adam_step(
     params: Dict[int, np.ndarray],
     grads: Dict[int, np.ndarray],
 ) -> None:
-    """One Adam update with bias correction, applied in place to ``params``."""
+    """One Adam update with bias correction, applied in place to ``params``.
+
+    Every map's new moments and parameters are computed first and written
+    only if all are finite; otherwise ``NumericalError`` is raised and the
+    maps, the moments and the step count are left as they were.
+    """
     lr = state.current_lr()
-    state.step += 1
-    t = state.step
+    t = state.step + 1
     b1, b2 = state.betas
+    updates = {}
     for key, p in params.items():
         g = grads.get(key)
         if g is None:
             g = np.zeros_like(p)
         if g.shape != p.shape:
             raise DimensionMismatchError(f"gradient shape mismatch for map {key}")
-        if key not in state.m:
-            state.m[key] = np.zeros_like(p)
-            state.v[key] = np.zeros_like(p)
-        m = state.m[key]
-        v = state.v[key]
+        m = state.m[key].copy() if key in state.m else np.zeros_like(p)
+        v = state.v[key].copy() if key in state.v else np.zeros_like(p)
         m *= b1
         m += (1 - b1) * g
         v *= b2
         v += (1 - b2) * g * g
         m_hat = m / (1 - b1**t)
         v_hat = v / (1 - b2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        step = lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        updates[key] = (m, v, step)
+        if not all(np.all(np.isfinite(a)) for a in (m, v, p - step)):
+            raise NumericalError(f"step {t}: non-finite Adam update for map {key}")
+    for key, (m, v, step) in updates.items():
+        state.m[key], state.v[key] = m, v
+        params[key] -= step
+    state.step = t
 
 
 @dataclass
@@ -382,6 +391,10 @@ def train_step(
     if depth_grad is not None:
         grads[q] = grads.get(q, 0) + config.lambda_depth * depth_grad
 
+    losses = (l_render, l_consist, l_depth)
+    if not (np.all(np.isfinite(losses)) and all(np.all(np.isfinite(g)) for g in grads.values())):
+        raise NumericalError(f"step {state.step + 1}: non-finite loss or gradient "
+                             f"(losses {l_render}, {l_consist}, {l_depth})")
     params = {i: data.maps[i].params for i in refs}
     adam_step(state, params, grads)
 

@@ -8,12 +8,18 @@ colors gives the sample color. Two sampling modes exist: uniform depths,
 and coarse-to-fine where a cheap coarse pass (CDF evaluations only, no
 color fits) places the few fine samples by deterministic stratified
 inverse-CDF sampling of the coarse hitting mass.
+
+A working set stacks its J views, padded to the largest height H, width W
+and component count n. Points project onto every view at once, so
+per-sample quantities are (..., J) arrays. Pixel (y, x) of view j is the
+flat cell ``(j * H + y) * W + x`` of a (J, H, W, ...) stack, by which
+parameters, images and gradients are gathered and scattered.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,6 +55,9 @@ _FINE_MASS_FLOOR = 1e-3
 # width: transferring long intervals onto input rays manufactures opacity
 # from unrelated geometry far behind the sample
 _FINE_WIDTH_CAP = 0.5
+# raw value of padded cells: as a weight logit it decodes to about 1e-305,
+# which leaves the real weights bit-exact, before being set to exactly 0
+_PAD_LOGIT = -1e300
 
 
 @dataclass(frozen=True)
@@ -107,7 +116,7 @@ class RenderView:
 
 @dataclass
 class _ViewState:
-    """Per-view data prepared for a render: decoded parameter grids."""
+    """One working view with its decoded parameter grids (slices of the stacks)."""
 
     view: RenderView
     mu: np.ndarray
@@ -121,12 +130,21 @@ class _ViewState:
 
 @dataclass
 class WorkingSet:
-    """Query camera plus its nearest reference views and depth bounds."""
+    """Query camera, its nearest reference views and depth bounds, and the J views' stacks."""
 
     query_camera: PinholeCamera
     views: list
     near: float
     far: float
+    rot: np.ndarray         # (3, 3J): the transposed rotations side by side
+    trans: np.ndarray       # (J, 3)
+    centers: np.ndarray     # (J, 3)
+    intrinsics: np.ndarray  # (4, J): fx, fy, cx, cy
+    sizes: np.ndarray       # (2, J): each view's own height and width
+    comps: np.ndarray       # (J, n): True for the components a view really has
+    params: np.ndarray      # (J, H, W, 3, n) raw parameters
+    decoded: tuple          # (mu, sig, w), each (J, H, W, n); padding weighs 0
+    images: np.ndarray      # (J, H, W, 3)
 
     @property
     def n_views(self) -> int:
@@ -158,35 +176,79 @@ def select_working_views(
     the query is itself a reference view (matched by ``query_index`` or by
     identical camera), it is excluded from its own working set.
     """
-    candidates = []
     qc = query_camera.center
-    for view in views:
-        if query_index is not None and view.index == query_index:
-            continue
-        if _same_camera(view.camera, query_camera):
-            continue
-        dist = float(np.linalg.norm(view.camera.center - qc))
-        candidates.append((dist, view.index, view))
-    if n_working > len(candidates):
+    candidates = sorted(
+        ((float(np.linalg.norm(v.camera.center - qc)), v.index, v) for v in views
+         if v.index != query_index and not _same_camera(v.camera, query_camera)),
+        key=lambda item: item[:2],
+    )
+    if not 1 <= n_working <= len(candidates):
         raise ConfigurationError(
-            f"requested {n_working} working views but only {len(candidates)} available"
+            f"requested {n_working} working views; 1 to {len(candidates)} are available"
         )
-    candidates.sort(key=lambda item: (item[0], item[1]))
+    chosen = [view for _, _, view in candidates[:n_working]]
+    params = _padded([view.dmap.params for view in chosen], _PAD_LOGIT)
+    comps = np.arange(params.shape[-1]) < np.array([[v.dmap.n_components] for v in chosen])
+    mu, sig, weights = decode_arrays(params, near, far)
+    decoded = (mu, sig, np.where(comps[:, None, None], weights, 0.0))
     states = [
-        _ViewState(view, *decode_arrays(view.dmap.params, near, far))
-        for _, _, view in candidates[:n_working]
+        _ViewState(v, *(a[j, : v.dmap.height, : v.dmap.width, : v.dmap.n_components]
+                        for a in decoded))
+        for j, v in enumerate(chosen)
     ]
-    return WorkingSet(query_camera, states, float(near), float(far))
+    cams = [view.camera for view in chosen]
+    return WorkingSet(
+        query_camera, states, float(near), float(far),
+        rot=np.concatenate([c.rotation.T for c in cams], axis=1),
+        trans=np.array([c.translation for c in cams]),
+        centers=np.array([c.center for c in cams]),
+        intrinsics=np.array([[c.fx, c.fy, c.cx, c.cy] for c in cams]).T,
+        sizes=np.array([[c.height, c.width] for c in cams]).T,
+        comps=comps, params=params, decoded=decoded,
+        images=_padded([view.image for view in chosen], 0.0),
+    )
+
+
+def _padded(arrays, fill: float) -> np.ndarray:
+    """Stack arrays along a new leading axis, padded with ``fill`` to the largest shape."""
+    out = np.full((len(arrays),) + tuple(np.max([a.shape for a in arrays], axis=0)), fill)
+    for j, a in enumerate(arrays):
+        out[j][tuple(map(slice, a.shape))] = a
+    return out
 
 
 def _same_camera(a: PinholeCamera, b: PinholeCamera) -> bool:
     return (
-        a.width == b.width
-        and a.height == b.height
-        and (a.fx, a.fy, a.cx, a.cy) == (b.fx, b.fy, b.cx, b.cy)
+        (a.width, a.height, a.fx, a.fy, a.cx, a.cy) == (b.width, b.height, b.fx, b.fy, b.cx, b.cy)
         and np.array_equal(a.rotation, b.rotation)
         and np.array_equal(a.translation, b.translation)
     )
+
+
+def _take(stack: np.ndarray, cells) -> np.ndarray:
+    """Gather by one flat ``np.take`` over the first three axes: cells of a
+    (J, H, W, ...) stack, or (ray, sample, view) entries of a (B, K, J, ...) array."""
+    return np.take(stack.reshape((-1,) + stack.shape[3:]), cells, axis=0)
+
+
+def _bilinear(stack: np.ndarray, view, h, w, u, v) -> np.ndarray:
+    """Bilinear lookup at continuous image coordinates (pixel centers at +0.5)
+    in grid ``view`` of a (J, H, W, ...) stack, clipped to that grid's own
+    ``h`` x ``w``; the weights broadcast over the trailing axes."""
+    x = np.asarray(u, dtype=np.float64) - 0.5
+    y = np.asarray(v, dtype=np.float64) - 0.5
+    x0 = np.clip(np.floor(x).astype(np.int64), 0, w - 1)
+    y0 = np.clip(np.floor(y).astype(np.int64), 0, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    trailing = (...,) + (None,) * (stack.ndim - 3)
+    fx = np.clip(x - x0, 0.0, 1.0)[trailing]
+    fy = np.clip(y - y0, 0.0, 1.0)[trailing]
+    first = view * stack.shape[1]       # the grid's first row in the stack
+    r0, r1 = (first + y0) * stack.shape[2], (first + y1) * stack.shape[2]
+    top = _take(stack, r0 + x0) * (1 - fx) + _take(stack, r0 + x1) * fx
+    bot = _take(stack, r1 + x0) * (1 - fx) + _take(stack, r1 + x1) * fx
+    return top * (1 - fy) + bot * fy
 
 
 def bilinear_sample(grid: np.ndarray, u, v) -> np.ndarray:
@@ -195,45 +257,35 @@ def bilinear_sample(grid: np.ndarray, u, v) -> np.ndarray:
     ``grid`` is (H, W, ...): an image or a raw parameter map; the weights
     broadcast over its trailing axes.
     """
-    h, w = grid.shape[:2]
-    x = np.asarray(u, dtype=np.float64) - 0.5
-    y = np.asarray(v, dtype=np.float64) - 0.5
-    x0 = np.clip(np.floor(x).astype(np.int64), 0, w - 1)
-    y0 = np.clip(np.floor(y).astype(np.int64), 0, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    trailing = (...,) + (None,) * (grid.ndim - 2)
-    fx = np.clip(x - x0, 0.0, 1.0)[trailing]
-    fy = np.clip(y - y0, 0.0, 1.0)[trailing]
-    top = grid[y0, x0] * (1 - fx) + grid[y0, x1] * fx
-    bot = grid[y1, x0] * (1 - fx) + grid[y1, x1] * fx
-    return top * (1 - fy) + bot * fy
+    return _bilinear(grid[None], 0, grid.shape[0], grid.shape[1], u, v)
 
 
-def _view_lookup(state: _ViewState, points: np.ndarray, near: float, far: float,
-                 bilinear_params: bool):
-    """Project points (..., 3) onto one view and gather its distributions.
+def _lookup(working: WorkingSet, points: np.ndarray, bilinear_params: bool):
+    """Project points (..., 3) onto every working view and gather their mixtures.
 
-    Returns (mu, sig, w, depth, uv, valid, pix) where valid marks points in
-    front of the camera that project inside the image.
+    Returns (mu, sig, w), each (..., J, n), then the view depth, the image
+    coordinates (u, v), ``valid`` (in front of the view, inside its own
+    image) and the flat cell, each (..., J).
     """
-    cam = state.camera
-    pc = points @ cam.rotation.T + cam.translation
+    pc = (points @ working.rot).reshape(points.shape[:-1] + working.trans.shape) + working.trans
     z = pc[..., 2]
     safe_z = np.where(z > 0, z, 1.0)
-    u = cam.fx * pc[..., 0] / safe_z + cam.cx
-    v = cam.fy * pc[..., 1] / safe_z + cam.cy
-    valid = (z > 0) & (u >= 0) & (u < cam.width) & (v >= 0) & (v < cam.height)
-    ix = np.clip(np.floor(u).astype(np.int64), 0, cam.width - 1)
-    iy = np.clip(np.floor(v).astype(np.int64), 0, cam.height - 1)
+    fx, fy, cx, cy = working.intrinsics
+    u = fx * pc[..., 0] / safe_z + cx
+    v = fy * pc[..., 1] / safe_z + cy
+    h, w = working.sizes
+    valid = (z > 0) & (u >= 0) & (u < w) & (v >= 0) & (v < h)
+    view = np.arange(working.n_views)
+    ix = np.clip(np.floor(u).astype(np.int64), 0, w - 1)
+    iy = np.clip(np.floor(v).astype(np.int64), 0, h - 1)
+    cell = (view * working.params.shape[1] + iy) * working.params.shape[2] + ix
     if bilinear_params:
-        raw = bilinear_sample(state.view.dmap.params, u, v)
-        mu, sig, w = decode_arrays(raw, near, far)
+        mu, sig, wt = decode_arrays(_bilinear(working.params, view, h, w, u, v),
+                                    working.near, working.far)
+        wt = np.where(working.comps, wt, 0.0)
     else:
-        mu = state.mu[iy, ix]
-        sig = state.sig[iy, ix]
-        w = state.w[iy, ix]
-    return mu, sig, w, z, (u, v), valid, (iy, ix)
+        mu, sig, wt = (_take(a, cell) for a in working.decoded)
+    return mu, sig, wt, z, (u, v), valid, cell
 
 
 def _transmittance(alphas):
@@ -244,10 +296,10 @@ def _transmittance(alphas):
 
 @dataclass
 class ChunkState:
-    """All intermediates of one forward chunk, kept for the backward pass."""
+    """All intermediates of one forward chunk, kept for the backward pass:
+    ``valid`` and ``cell`` of the (B, K, J) lookup, and ``cdf_a``/``cdf_b``,
+    the mixture CDF's (t, x, s) at each bin's start and end."""
 
-    origins: np.ndarray
-    dirs: np.ndarray
     z: np.ndarray
     widths: np.ndarray
     colors_out: Optional[np.ndarray]
@@ -256,11 +308,11 @@ class ChunkState:
     sample_colors: Optional[np.ndarray]
     active: Optional[np.ndarray]
     denom: Optional[np.ndarray]
-    per_view: list = field(default_factory=list)
     sh: Optional[DualFit] = None
-    vis: Optional[np.ndarray] = None
-    alpha_tilde: Optional[np.ndarray] = None
-    h_w: Optional[np.ndarray] = None
+    valid: Optional[np.ndarray] = None
+    cell: Optional[np.ndarray] = None
+    cdf_a: Optional[tuple] = None
+    cdf_b: Optional[tuple] = None
     fine_keep: Optional[np.ndarray] = None
     fine: Optional["ChunkState"] = None
 
@@ -275,41 +327,25 @@ def _chunk_forward(working: WorkingSet, origins, dirs, z, widths, config: Render
     background = np.asarray(config.background, dtype=np.float64)
     npts = z.size
     points = origins[:, None, :] + z[..., None] * dirs[:, None, :]
-    v_stack, alpha_stack, hw_stack, uv_list = [], [], [], []
-    per_view = []
-    for state in working.views:
-        mu, sig, w, depth, uv, valid, pix = _view_lookup(
-            state, points, working.near, working.far, config.bilinear_params
-        )
-        uv_list.append(uv)
-        t_a, x_a, s_a = mixture_cdf_terms(mu, sig, w, depth)
-        t_b, x_b, s_b = mixture_cdf_terms(mu, sig, w, depth + widths)
-        counters.add("cdf_evals", 2 * npts)
-        vis = np.where(valid, 1.0 - t_a, 0.0)
-        alpha_raw, saturated = interval_alpha(t_a, t_b)
-        alpha = np.clip(alpha_raw, 0.0, 1.0)
-        alpha = np.where(valid, alpha, 0.0)
-        h_w = np.where(valid, t_b - t_a, 0.0)
-        v_stack.append(vis)
-        alpha_stack.append(alpha)
-        hw_stack.append(h_w)
-        if keep_state:
-            per_view.append(
-                dict(depth=depth, uv=uv, valid=valid, pix=pix, t_a=t_a, t_b=t_b,
-                     x_a=x_a, s_a=s_a, x_b=x_b, s_b=s_b,
-                     saturated=saturated, clamped=(alpha_raw < 0) | (alpha_raw > 1))
-            )
-    vis = np.stack(v_stack, axis=-1)       # (B, K, J)
-    alpha_tilde = np.stack(alpha_stack, axis=-1)
-    h_w = np.stack(hw_stack, axis=-1)
+    mu, sig, w, depth, (u, v), valid, cell = _lookup(working, points, config.bilinear_params)
+    cdf_a = mixture_cdf_terms(mu, sig, w, depth)
+    cdf_b = mixture_cdf_terms(mu, sig, w, depth + widths[..., None])
+    del mu, sig, w, depth
+    counters.add("cdf_evals", 2 * npts * working.n_views)
+    t_a, t_b = cdf_a[0], cdf_b[0]
+    vis = np.where(valid, 1.0 - t_a, 0.0)       # (B, K, J)
+    alpha_raw, _ = interval_alpha(t_a, t_b)
+    alpha_tilde = np.where(valid, np.clip(alpha_raw, 0.0, 1.0), 0.0)
+    h_w = np.where(valid, t_b - t_a, 0.0)
     denom = vis.sum(axis=-1)
     good = denom >= EPS_VISIBILITY
     safe = np.where(good, denom, 1.0)
     alpha_hat = np.where(good, np.sum(alpha_tilde * vis, axis=-1) / safe, 0.0)
     h_hat = _transmittance(alpha_hat) * alpha_hat
-    out = ChunkState(origins, dirs, z, widths, None, alpha_hat, h_hat, None, None, denom)
+    out = ChunkState(z, widths, None, alpha_hat, h_hat, None, None, denom)
     if keep_state:
-        out.per_view, out.vis, out.alpha_tilde, out.h_w = per_view, vis, alpha_tilde, h_w
+        out.valid, out.cell, out.cdf_a, out.cdf_b = valid, cell, cdf_a, cdf_b
+    del cdf_a, cdf_b, alpha_raw
     if not with_colors:
         return out
 
@@ -318,20 +354,14 @@ def _chunk_forward(working: WorkingSet, origins, dirs, z, widths, config: Render
     sample_colors = np.broadcast_to(background, z.shape + (3,)).copy()
     if np.any(active):
         counters.add("sh_fits", int(active.sum()))
-        apoints = points[active]
-        in_dirs, in_colors = [], []
-        for j, state in enumerate(working.views):
-            offs = apoints - state.camera.center
-            norm = np.linalg.norm(offs, axis=-1, keepdims=True)
-            in_dirs.append(offs / np.maximum(norm, 1e-30))
-            uv_u = uv_list[j][0][active]
-            uv_v = uv_list[j][1][active]
-            in_colors.append(bilinear_sample(state.view.image, uv_u, uv_v))
-        in_dirs = np.stack(in_dirs, axis=1)                                  # (M,J,3)
+        offs = points[active][:, None, :] - working.centers                  # (M,J,3)
+        in_dirs = offs / np.maximum(np.linalg.norm(offs, axis=-1, keepdims=True), 1e-30)
+        in_colors = _bilinear(working.images, np.arange(working.n_views), *working.sizes,
+                              u[active], v[active])                          # (M,J,3)
         q_dirs = dirs[np.nonzero(active)[0]]                                 # (M,3)
         kernel, border_degree, border = sh_dual_form(config.sh_degree, config.sh_penalties)
         colors_q, fit = sh_fit_batched(
-            in_dirs, h_w[active], np.stack(in_colors, axis=1), q_dirs, kernel,
+            in_dirs, h_w[active], in_colors, q_dirs, kernel,
             sh_basis_values(border_degree, in_dirs)[..., border],
             sh_basis_values(border_degree, q_dirs)[..., border],
         )
@@ -347,14 +377,6 @@ def _chunk_forward(working: WorkingSet, origins, dirs, z, widths, config: Render
     return out
 
 
-def _uniform_depths(near: float, far: float, k: int, n_rays: int):
-    step = (far - near) / k
-    z = near + step * np.arange(k)
-    z = np.broadcast_to(z, (n_rays, k)).copy()
-    widths = np.full((n_rays, k), step)
-    return z, widths
-
-
 def _fine_depths(z_coarse, widths_coarse, h_hat, k_fine: int, far: float):
     """Deterministic stratified inverse-CDF placement of fine samples.
 
@@ -362,10 +384,8 @@ def _fine_depths(z_coarse, widths_coarse, h_hat, k_fine: int, far: float):
     Returns (z_fine, widths_fine, keep_mask).
     """
     mass = h_hat.sum(axis=-1)
-    keep = mass >= _FINE_MASS_FLOOR
-    if k_fine == 0 or not np.any(keep):
-        if k_fine == 0:
-            keep = np.zeros(z_coarse.shape[0], dtype=bool)
+    keep = (mass >= _FINE_MASS_FLOOR) & (k_fine > 0)
+    if not np.any(keep):
         shape = (z_coarse.shape[0], 0)
         return np.zeros(shape), np.zeros(shape), keep
     pdf = h_hat[keep] / mass[keep, None]
@@ -380,9 +400,7 @@ def _fine_depths(z_coarse, widths_coarse, h_hat, k_fine: int, far: float):
     frac = np.clip((u[None, :] - cdf_prev[rows, idx]) / bin_pdf, 0.0, 1.0)
     z_fine = z_coarse[keep][rows, idx] + frac * widths_coarse[keep][rows, idx]
     # enforce strictly increasing depths
-    z_fine = np.maximum.accumulate(z_fine, axis=-1)
-    bump = np.arange(k_fine) * 1e-12
-    z_fine = z_fine + bump
+    z_fine = np.maximum.accumulate(z_fine, axis=-1) + np.arange(k_fine) * 1e-12
     widths_fine = np.concatenate(
         [np.diff(z_fine, axis=-1), np.maximum(far - z_fine[:, -1:], 0.0)], axis=1
     )
@@ -402,8 +420,10 @@ def render_rays(working: WorkingSet, origins, dirs, config: RenderConfig,
     """
     origins = np.asarray(origins, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
-    n = origins.shape[0]
-    z, widths = _uniform_depths(working.near, working.far, config.k_coarse, n)
+    n, k = origins.shape[0], config.k_coarse
+    step = (working.far - working.near) / k
+    z = np.broadcast_to(working.near + step * np.arange(k), (n, k)).copy()
+    widths = np.full((n, k), step)
     if config.mode == "uniform":
         return _chunk_forward(working, origins, dirs, z, widths, config,
                               keep_state=keep_state)
@@ -414,7 +434,7 @@ def render_rays(working: WorkingSet, origins, dirs, config: RenderConfig,
     k = config.k_fine
     background = np.asarray(config.background, dtype=np.float64)
     state = ChunkState(
-        origins, dirs, z=np.zeros((n, k)), widths=np.zeros((n, k)),
+        z=np.zeros((n, k)), widths=np.zeros((n, k)),
         colors_out=np.broadcast_to(background, (n, 3)).copy(),
         alpha_hat=np.zeros((n, k)), h_hat=np.zeros((n, k)),
         sample_colors=np.broadcast_to(background, (n, k, 3)).copy(),
@@ -442,18 +462,16 @@ def render_rays_backward(working: WorkingSet, state: ChunkState, config: RenderC
     """
     if config.bilinear_params:
         raise ConfigurationError("gradients require nearest-pixel parameter lookups")
-    if not state.per_view:
+    if state.valid is None:
         raise InputError("state was not recorded with keep_state=True")
     background = np.asarray(config.background, dtype=np.float64)
-    h_hat = state.h_hat
-    alpha_hat = state.alpha_hat
-
+    h_hat, alpha_hat = state.h_hat, state.alpha_hat
     d_hhat = np.matmul(state.sample_colors - background, dc_o[:, :, None])[:, :, 0]
     if dh_extra is not None:
         d_hhat = d_hhat + dh_extra
 
     # gradient of the sample colors (only active samples have one)
-    dh_w = np.zeros_like(state.h_w)
+    dh_w = np.zeros(state.valid.shape)
     if state.sh is not None:
         ray_active = np.nonzero(state.active)[0]
         dc_active = h_hat[state.active][:, None] * dc_o[ray_active]
@@ -465,88 +483,74 @@ def render_rays_backward(working: WorkingSet, state: ChunkState, config: RenderC
     d_alpha_hat = (d_hhat * _transmittance(alpha_hat)
                    - suffix / np.maximum(1.0 - alpha_hat, 1e-300))
 
-    denom = state.denom
+    # only the (ray, sample, view) entries that project into a view carry
+    # gradient: compact to them (each with its (ray, sample) entry ``rs``)
+    # and redo their visibilities and opacities from the stored CDF values
+    sel = np.flatnonzero(state.valid)
+    rs = sel // working.n_views
+    t_a, t_b = _take(state.cdf_a[0], sel), _take(state.cdf_b[0], sel)
+    vis = 1.0 - t_a
+    alpha_raw, saturated = interval_alpha(t_a, t_b)
+    denom = np.take(state.denom, rs)
     good = denom >= EPS_VISIBILITY
     safe = np.where(good, denom, 1.0)
-    grads = {}
-    for j, vstate in enumerate(working.views):
-        pv = state.per_view[j]
-        valid = pv["valid"]
-        t_a, t_b = pv["t_a"], pv["t_b"]
-        alpha_j = state.alpha_tilde[..., j]
-        vis_j = state.vis[..., j]
-        d_alpha_j = np.where(good, d_alpha_hat * vis_j / safe, 0.0)
-        d_vis_j = np.where(good, d_alpha_hat * (alpha_j - alpha_hat) / safe, 0.0)
-        gate = valid & ~pv["saturated"] & ~pv["clamped"]
-        inv = np.where(pv["saturated"], 1.0, 1.0 - t_a)
-        d_alpha_eff = np.where(gate, d_alpha_j, 0.0)
-        dh_w_j = np.where(valid, dh_w[..., j], 0.0)
-        dt_b = d_alpha_eff / inv + dh_w_j
-        dt_a = (
-            d_alpha_eff * (t_b - 1.0) / (inv * inv)
-            - np.where(valid, d_vis_j, 0.0)
-            - dh_w_j
-        )
-        dt_a = np.where(valid, dt_a, 0.0)
-        dt_b = np.where(valid, dt_b, 0.0)
+    d_ah = np.take(d_alpha_hat, rs)
+    d_alpha = np.where(good, d_ah * vis / safe, 0.0)
+    d_vis = np.where(good, d_ah * (np.clip(alpha_raw, 0.0, 1.0) - np.take(alpha_hat, rs))
+                     / safe, 0.0)
+    inv = np.where(saturated, 1.0, vis)
+    d_alpha = np.where(saturated | (alpha_raw < 0) | (alpha_raw > 1), 0.0, d_alpha)
+    dh_w = np.take(dh_w, sel)
+    dt_b = d_alpha / inv + dh_w
+    dt_a = d_alpha * (t_b - 1.0) / (inv * inv) - d_vis - dh_w
 
-        iy, ix = pv["pix"]
-        sig = vstate.sig[iy, ix]
-        w = vstate.w[iy, ix]
-        # mixture CDF gradients from the forward's stored x and component sigmoids
-        d_a = np.stack(mixture_cdf_grads(sig, w, pv["x_a"], pv["s_a"]), axis=-2)
-        d_b = np.stack(mixture_cdf_grads(sig, w, pv["x_b"], pv["s_b"]), axis=-2)
-        g = dt_a[..., None, None] * d_a + dt_b[..., None, None] * d_b
-        # sum the (mu, sigma, w) gradients per pixel, then chain through the
-        # decode once: it acts per pixel, so its chain rule is linear in them
-        params = vstate.view.dmap.params
-        g_map = scatter_to_map(params.shape, iy[valid], ix[valid], g[valid])
-        grads[vstate.view.index] = decode_backward(
-            params, working.near, working.far,
-            g_map[..., 0, :], g_map[..., 1, :], g_map[..., 2, :],
-        )
-    return grads
+    cell = _take(state.cell, sel)
+    sig, w = (_take(a, cell) for a in working.decoded[1:])
+    # mixture CDF gradients from the forward's stored x and component sigmoids
+    d_a = mixture_cdf_grads(sig, w, *(_take(a, sel) for a in state.cdf_a[1:]))
+    d_b = mixture_cdf_grads(sig, w, *(_take(a, sel) for a in state.cdf_b[1:]))
+    g = np.stack([dt_a[:, None] * a + dt_b[:, None] * b for a, b in zip(d_a, d_b)], axis=1)
+    del d_a, d_b, sig, w
+    # sum the (mu, sigma, w) gradients per cell of the stack, then chain through
+    # the decode once: it acts per pixel, so its chain rule is linear in them
+    shape = working.params.shape
+    g_map = scatter_to_map((shape[0] * shape[1],) + shape[2:], *np.divmod(cell, shape[2]), g)
+    g_map = g_map.reshape(shape)
+    g_map[..., 2, :] *= working.comps[:, None, None]     # padded components stay put
+    g_raw = decode_backward(working.params, working.near, working.far,
+                            g_map[..., 0, :], g_map[..., 1, :], g_map[..., 2, :])
+    return {s.view.index: g_raw[j][tuple(map(slice, s.view.dmap.params.shape))]
+            for j, s in enumerate(working.views)}
 
 
 def render_image(working: WorkingSet, config: RenderConfig) -> np.ndarray:
     """Render the query view; deterministic and parallelizable per pixel."""
     cam = working.query_camera
-    ys, xs = np.meshgrid(
-        np.arange(cam.height, dtype=np.float64) + 0.5,
-        np.arange(cam.width, dtype=np.float64) + 0.5,
-        indexing="ij",
-    )
+    ys, xs = np.indices((cam.height, cam.width)) + 0.5
     px = np.stack([xs, ys], axis=-1).reshape(-1, 2)
     dirs, _ = cam.rays_for_pixels(px)
     origins = np.broadcast_to(cam.center, dirs.shape)
     out = np.empty((px.shape[0], 3))
-    chunk = 512
-    ranges = [(s, min(s + chunk, px.shape[0])) for s in range(0, px.shape[0], chunk)]
+    chunk = 128     # rays per pass; a pass holds chunk x J (ray, view) pairs per sample
 
-    def run(span):
-        s, e = span
-        state = render_rays(working, origins[s:e], dirs[s:e], config)
-        out[s:e] = state.colors_out
+    def run(s):
+        out[s:s + chunk] = render_rays(working, origins[s:s + chunk], dirs[s:s + chunk],
+                                       config).colors_out
 
+    starts = range(0, px.shape[0], chunk)
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            list(pool.map(run, ranges))
+            list(pool.map(run, starts))
     else:
-        for span in ranges:
-            run(span)
+        list(map(run, starts))
     return np.clip(out.reshape(cam.height, cam.width, 3), 0.0, 1.0)
 
 
 def render_pixel(working: WorkingSet, ray: Ray, config: RenderConfig):
     """Render a single query ray; returns (color, SampleSet)."""
     state = render_rays(working, ray.origin[None, :], ray.direction[None, :], config)
-    samples = SampleSet(
-        depths=state.z[0],
-        widths=state.widths[0],
-        alphas=state.alpha_hat[0],
-        hit_probs=state.h_hat[0],
-        colors=state.sample_colors[0],
-    )
+    samples = SampleSet(state.z[0], state.widths[0], state.alpha_hat[0], state.h_hat[0],
+                        state.sample_colors[0])
     return np.clip(state.colors_out[0], 0.0, 1.0), samples
 
 
@@ -561,17 +565,13 @@ def hitting_probs(alphas) -> np.ndarray:
 def query_visibility(working: WorkingSet, point) -> np.ndarray:
     """Per-working-view visibility of a world point.
 
-    Views that do not image the point (behind the camera or outside the
-    frame) report zero visibility.
+    Costs one CDF evaluation per view that images the point; views that do
+    not (behind the camera or outside the frame) report zero visibility.
     """
-    point = np.asarray(point, dtype=np.float64)
+    point = np.asarray(point, dtype=np.float64)[None, :]
+    mu, sig, w, depth, _, valid, _ = _lookup(working, point, False)
     out = np.zeros(working.n_views)
-    for j, state in enumerate(working.views):
-        mu, sig, w, depth, _, valid, _ = _view_lookup(
-            state, point[None, :], working.near, working.far, False
-        )
-        if valid[0]:
-            out[j] = 1.0 - mixture_cdf(mu[0], sig[0], w[0], depth[0])
+    out[valid[0]] = 1.0 - mixture_cdf(mu[valid], sig[valid], w[valid], depth[valid])
     return out
 
 

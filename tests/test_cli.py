@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import rayvis
+from rayvis import optim
 from rayvis.cli import main
 from rayvis.imgio import read_ppm, write_ppm
 from rayvis.scenefile import dump_scene
@@ -240,6 +241,24 @@ class TestOptimize:
             "--out", str(out), "--steps", "2", "--nw", "3", "--resume",
         ])
         assert code == 2
+
+
+class TestNumericalFailure:
+    def test_non_finite_loss_exits_3_and_keeps_checkpoint(self, synth_dir, maps_dir,
+                                                          tmp_path, capsys, monkeypatch):
+        out = tmp_path / "diverge"
+        common = ["optimize", "--data", str(synth_dir), "--init", str(maps_dir),
+                  "--out", str(out), "--batch", "16", "--k", "8", "--nw", "3",
+                  "--sh-degree", "1", "--eval-interval", "0", "--checkpoint-interval", "1"]
+        assert main([*common, "--steps", "2"]) == 0
+        before = (out / "state.npz").read_bytes()
+        monkeypatch.setattr(optim, "render_loss",
+                            lambda rendered, gt: (float("nan"), np.zeros_like(rendered)))
+        capsys.readouterr()
+        assert main([*common, "--steps", "4", "--resume"]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "non-finite loss" in err
+        assert (out / "state.npz").read_bytes() == before
 
 
 def _truncate_image(data_dir):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rayvis.camera import look_at_camera
-from rayvis.errors import ConfigurationError, DimensionMismatchError, InputError
+from rayvis.errors import ConfigurationError, DimensionMismatchError, InputError, NumericalError
 from rayvis.optim import (
     OptimState,
     SceneData,
@@ -243,6 +243,21 @@ class TestAdamStep:
         adam_step(state, params, {0: np.array([1.0])})
         assert np.isfinite(params[0][0])
 
+    def test_non_finite_update_writes_nothing(self):
+        state = OptimState(learning_rate=1e-3)
+        params = {0: np.array([1.0, 2.0]), 1: np.array([3.0])}
+        adam_step(state, params, {0: np.array([0.5, -0.5]), 1: np.array([1.0])})
+        before = ({k: p.copy() for k, p in params.items()},
+                  {k: m.copy() for k, m in state.m.items()},
+                  {k: v.copy() for k, v in state.v.items()})
+        # map 0 would update finitely; map 1's infinite gradient must stop both
+        with pytest.raises(NumericalError, match="map 1"), np.errstate(invalid="ignore"):
+            adam_step(state, params, {0: np.array([0.1, 0.2]), 1: np.array([np.inf])})
+        assert state.step == 1
+        for now, then in zip((params, state.m, state.v), before):
+            assert now.keys() == then.keys()
+            assert all(np.array_equal(now[k], then[k]) for k in now)
+
 
 def tiny_training_data(rng, n_views=4, size=10, near=1.0, far=5.0):
     """A small ring of views around a synthetic blob for fast train steps."""
@@ -339,6 +354,23 @@ class TestTrainStep:
         data.maps = {0: data.maps[0]}
         with pytest.raises(ConfigurationError):
             train_step(data, config, state, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("sampling_mode", ["uniform", "coarse_to_fine"])
+    def test_nan_images_raise_before_any_write(self, sampling_mode):
+        data, config, state = self.make(sampling_mode=sampling_mode, k_fine=6)
+        rng = np.random.default_rng(config.seed)
+        train_step(data, config, state, rng)
+        maps = {i: m.params.copy() for i, m in data.maps.items()}
+        moments = {i: (state.m[i].copy(), state.v[i].copy()) for i in state.m}
+        for image in data.images.values():
+            image[...] = np.nan
+        with pytest.raises(NumericalError, match="non-finite loss"):
+            train_step(data, config, state, rng)
+        assert state.step == 1
+        assert all(np.array_equal(data.maps[i].params, maps[i]) for i in maps)
+        assert state.m.keys() == moments.keys()
+        for i, (m, v) in moments.items():
+            assert np.array_equal(state.m[i], m) and np.array_equal(state.v[i], v)
 
     def test_coarse_to_fine_mode_trains_deterministically(self):
         finals = []

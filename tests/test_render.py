@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rayvis.camera import generate_ray, look_at_camera
+from rayvis.counters import counters
 from rayvis.errors import ConfigurationError, DimensionMismatchError, InputError
 from rayvis.optim import init_from_depth
 from rayvis.raydist import DistributionMap
@@ -20,7 +21,7 @@ from rayvis.render import (
     sample_color,
     select_working_views,
 )
-from rayvis.scene import intersect, oracle_visibility
+from rayvis.scene import intersect, oracle_visibility, render_ground_truth
 
 
 def working_set_for(ring_scene, gt_views, query_index, n_working=8):
@@ -125,6 +126,114 @@ class TestQueryVisibility:
         assert query_visibility(ws, front)[0] > 0.95
         assert query_visibility(ws, behind)[0] < 0.05
 
+    def test_one_cdf_evaluation_per_imaging_view(self, ring_scene, gt_views):
+        ws = working_set_for(ring_scene, gt_views, 0)
+        rng = np.random.default_rng(29)
+        seen = set()
+        for point in rng.uniform(-4.0, 4.0, size=(200, 3)):
+            imaged = np.array([_images_point(state.camera, point) for state in ws.views])
+            counters.reset()
+            vis = query_visibility(ws, point)
+            assert counters.snapshot().cdf_evals == imaged.sum()
+            assert np.all(vis[~imaged] == 0.0)
+            seen.add(int(imaged.sum()))
+        assert 0 in seen and ws.n_views in seen and len(seen) >= 4
+
+
+def _images_point(cam, point) -> bool:
+    """Does ``cam`` image the world point: in front of it and inside its frame."""
+    pc = cam.to_camera(point)
+    if pc[2] <= 0:
+        return False
+    u = cam.fx * pc[0] / pc[2] + cam.cx
+    v = cam.fy * pc[1] / pc[2] + cam.cy
+    return bool(0 <= u < cam.width and 0 <= v < cam.height)
+
+
+@pytest.fixture(scope="module")
+def mixed_views(ring_scene, ring_ground_truth):
+    """The ring with every odd view re-shot at 40x48 pixels, and with 1 to 3
+    mixture components per view: a working set of mixed sizes and counts."""
+    images, depths = ring_ground_truth
+    views = []
+    for i, cam in enumerate(ring_scene.cameras):
+        image, depth = images[i], depths[i]
+        if i % 2:
+            cam = look_at_camera(40, 48, 38.0, 38.0, 20.0, 24.0, cam.center, (0, 0, 0))
+            image, depth = render_ground_truth(ring_scene, cam)
+        views.append(RenderView(i, cam, init_from_depth(depth, 0.005, i % 3 + 1, view=i), image))
+    return views
+
+
+class TestMixedWorkingSet:
+    def working_set(self, ring_scene, views):
+        return select_working_views(views, ring_scene.cameras[0], min(8, len(views)),
+                                    ring_scene.near, ring_scene.far, query_index=0)
+
+    def test_mixed_sizes_and_components(self, ring_scene, mixed_views):
+        ws = self.working_set(ring_scene, mixed_views)
+        shapes = {s.view.dmap.params.shape for s in ws.views}
+        assert {(s[0], s[1]) for s in shapes} == {(64, 64), (48, 40)}
+        assert {s[3] for s in shapes} == {1, 2, 3}
+        for state in ws.views:
+            h, w, _, n = state.view.dmap.params.shape
+            assert state.mu.shape == state.sig.shape == state.w.shape == (h, w, n)
+
+    def probe_points(self, ws):
+        """Random points, plus points just inside and just outside the smaller
+        views' right and bottom edges, where a lookup clipped to the padded
+        size goes wrong."""
+        points = list(np.random.default_rng(31).uniform(-1.5, 1.5, size=(60, 3)))
+        for state in ws.views:
+            cam = state.camera
+            if cam.width == 64:
+                continue
+            for depth in (2.0, 3.0):
+                for edge in (-0.3, -1e-3, 1e-3):
+                    for frac in (0.1, 0.5, 0.9):
+                        points.append(cam.unproject((cam.width + edge, frac * cam.height), depth))
+                        points.append(cam.unproject((frac * cam.width, cam.height + edge), depth))
+        return np.array(points)
+
+    @pytest.mark.parametrize("bilinear", [False, True])
+    def test_lookup_matches_single_view_sets(self, ring_scene, mixed_views, bilinear):
+        from rayvis.render import _lookup
+
+        ws = self.working_set(ring_scene, mixed_views)
+        points = self.probe_points(ws)
+        mu, sig, w, depth, _, valid, _ = _lookup(ws, points, bilinear)
+        for j, state in enumerate(ws.views):
+            n = state.view.dmap.n_components
+            assert np.all(w[:, j, n:] == 0.0)   # padded components weigh exactly 0
+            *want, want_depth, _, want_valid, _ = _lookup(
+                self.working_set(ring_scene, [state.view]), points, bilinear)
+            assert np.array_equal(valid[:, j], want_valid[:, 0])
+            assert np.array_equal(depth[:, j], want_depth[:, 0])
+            inside = valid[:, j]
+            for got, single in zip((mu, sig, w), want):
+                assert np.array_equal(got[inside, j, :n], single[inside, 0])
+
+    def test_visibility_matches_single_view_sets(self, ring_scene, mixed_views):
+        ws = self.working_set(ring_scene, mixed_views)
+        points = self.probe_points(ws)
+        singles = [self.working_set(ring_scene, [s.view]) for s in ws.views]
+        inside = 0
+        for point in points:
+            want = np.array([query_visibility(single, point)[0] for single in singles])
+            assert np.array_equal(query_visibility(ws, point), want)
+            inside += int(np.count_nonzero(want))
+        assert inside > 100
+
+    @pytest.mark.parametrize("mode", ["uniform", "coarse_to_fine"])
+    @pytest.mark.parametrize("bilinear", [False, True])
+    def test_render_quality(self, ring_scene, ring_ground_truth, mixed_views, mode, bilinear):
+        ws = self.working_set(ring_scene, mixed_views)
+        config = RenderConfig(k_coarse=32, k_fine=8, mode=mode, bilinear_params=bilinear,
+                              background=tuple(ring_scene.background))
+        image = render_image(ws, config)
+        assert np.all(np.isfinite(image)) and image.min() >= 0.0 and image.max() <= 1.0
+        assert psnr(image, ring_ground_truth[0][0]) >= 24.0
+
 
 class TestSampleAlpha:
     def synthetic_working_set(self, alphas, visibilities):
@@ -196,17 +305,20 @@ class TestRenderConfig:
 
 class TestBackwardFiniteDifferences:
     """The SH color gradient at degrees 2 and 3 with eight working views:
-    the dual system has 9 unknowns there, against 9 and 16 coefficients."""
+    the dual system has 9 unknowns there, against 9 and 16 coefficients.
+    The mixed set pads 4x5 views holding 1 to 3 components to 6x6x2 stacks."""
 
-    @pytest.mark.parametrize("degree", [2, 3])
-    def test_render_loss_gradient(self, degree):
-        rng = np.random.default_rng(40 + degree)
+    @pytest.mark.parametrize("degree, mixed", [(2, False), (3, False), (2, True)],
+                             ids=["2", "3", "mixed"])
+    def test_render_loss_gradient(self, degree, mixed):
+        rng = np.random.default_rng(40 + degree + 5 * mixed)
         views = []
         for j, ang in enumerate(np.linspace(0, 2 * np.pi, 9)[:8] + rng.uniform(0, 0.3, 8)):
             eye = 3.0 * np.array([np.cos(ang), 0.25, np.sin(ang)])
-            cam = look_at_camera(6, 6, 7.0, 7.0, 3.0, 3.0, eye, (0, 0, 0))
-            views.append(RenderView(j, cam, DistributionMap(j, rng.normal(0, 1.0, (6, 6, 3, 2))),
-                                    rng.uniform(0, 1, (6, 6, 3))))
+            h, w, n = (4, 5, j % 3 + 1) if mixed and j % 2 == 0 else (6, 6, 2)
+            cam = look_at_camera(w, h, 7.0, 7.0, w / 2, h / 2, eye, (0, 0, 0))
+            views.append(RenderView(j, cam, DistributionMap(j, rng.normal(0, 1.0, (h, w, 3, n))),
+                                    rng.uniform(0, 1, (h, w, 3))))
         qcam = look_at_camera(6, 6, 7.0, 7.0, 3.0, 3.0, (0.4, 0.9, 3.1), (0, 0, 0))
         config = RenderConfig(k_coarse=8, n_working=8, sh_degree=degree,
                               background=(0.2, 0.3, 0.4))
@@ -225,6 +337,7 @@ class TestBackwardFiniteDifferences:
         checked = 0
         for view in views:
             params, g = view.dmap.params, grads[view.index]
+            assert g.shape == params.shape
             for idx in map(tuple, np.argwhere(np.abs(g) > 1e-5)[::3]):
                 old = params[idx]
                 slopes = []
