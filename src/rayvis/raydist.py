@@ -147,35 +147,60 @@ def decode_backward(params: np.ndarray, near: float, far: float, gmu, gsig, gw):
     return out
 
 
-def mixture_cdf_terms(mu, sig, w, z):
+def mixture_cdf_terms(mu, sig, w, z, keep: bool = True):
     """The one mixture CDF kernel: ``t = sum_i w_i * sigmoid(x_i)``.
 
-    ``z`` broadcasts against the component axis of (..., n). Returns ``t``
-    with the standardized depths ``x = (z - mu) / sigma`` and the component
-    sigmoids ``s``, which the gradients reuse. Counts nothing.
+    Component-first: ``mu``, ``sig`` and ``w`` are (n, ...) and ``z``
+    broadcasts against their trailing shape. Returns ``t`` with the
+    standardized depths ``x = (z - mu) / sigma`` and the component sigmoids
+    ``s``, each (n, ...), which the gradients reuse. With ``keep=False``
+    the sigmoids overwrite ``x`` in place and only ``t`` is returned, as
+    ``(t, None, None)``. The components are summed by explicit adds, which
+    equal ``np.sum`` over a trailing axis bit for bit for n <= 7 (NumPy's
+    pairwise sum unrolls from 8 on). Counts nothing.
     """
-    x = (np.asarray(z, dtype=np.float64)[..., None] - mu) / sig
-    s = sigmoid(x)
-    return np.sum(w * s, axis=-1), x, s
+    x = np.asarray(z, dtype=np.float64) - mu
+    x /= sig
+    s = sigmoid(x, out=None if keep else x)
+    t = w[0] * s[0]
+    for i in range(1, len(s)):
+        t += w[i] * s[i]
+    return (t, x, s) if keep else (t, None, None)
+
+
+def _component_first(mu, sig, w, z):
+    """(..., n) parameters and (...) depths as the kernel's component-first
+    views; ``z`` pairs with the leading axes of the parameters, never with
+    their component axis."""
+    z = np.asarray(z, dtype=np.float64)
+    shape = np.broadcast_shapes(z.shape + (1,), np.shape(mu), np.shape(sig), np.shape(w))
+    return [np.moveaxis(np.broadcast_to(a, shape), -1, 0) for a in (mu, sig, w)] + [z]
 
 
 def mixture_cdf(mu, sig, w, z):
-    """CDF of decoded parameter arrays; ``z`` broadcasts against (..., n)."""
-    t = mixture_cdf_terms(mu, sig, w, z)[0]
+    """CDF of decoded parameter arrays; ``z[..., None]`` broadcasts against (..., n)."""
+    t = mixture_cdf_terms(*_component_first(mu, sig, w, z), keep=False)[0]
     counters.add("cdf_evals", t.size)
     return t
 
 
 def mixture_cdf_grads(sig, w, x, s):
-    """Gradients of ``t`` w.r.t. (mu, sigma, w) from the kernel's ``x`` and ``s``."""
+    """Gradients of ``t`` w.r.t. (mu, sigma, w) from the kernel's ``x`` and
+    ``s``; component-first like the kernel."""
     sp = s * (1.0 - s)
     return -w * sp / sig, -w * sp * x / sig, s
 
 
 def mixture_cdf_param_grads(mu, sig, w, z):
-    """CDF value and its gradients w.r.t. the constrained parameters."""
+    """CDF value and its gradients w.r.t. the constrained parameters.
+
+    Takes and returns the (..., n) layout of :func:`mixture_cdf`; the
+    gradients are contiguous, so reductions over them keep their order.
+    """
+    mu, sig, w, z = _component_first(mu, sig, w, z)
     t, x, s = mixture_cdf_terms(mu, sig, w, z)
-    return (t,) + mixture_cdf_grads(sig, w, x, s)
+    return (t,) + tuple(np.ascontiguousarray(np.moveaxis(g, 0, -1))
+                        for g in mixture_cdf_grads(sig, w, x, s))
 
 
 def occlusion_cdf(dist: MixtureOfLogistics, z):
@@ -230,17 +255,21 @@ def interval_alpha(t0, t1):
 
 
 def scatter_to_map(shape, iy, ix, values):
-    """Sum per-sample values (N, 3, n) into a zero map of ``shape`` at pixels (iy, ix).
+    """Sum per-sample values into a zero (H, W, 3, n) map at pixels (iy, ix).
 
-    One ``np.bincount`` per trailing column: the same sums in the same
-    order as ``np.add.at``, several times faster.
+    ``values`` is an (N, 3, n) array, or component-major: one (n, N) block
+    per parameter row, as the mixture gradients come. One ``np.bincount``
+    per (row, component) column: the same sums in the same order as
+    ``np.add.at``, several times faster.
     """
     n_pix = shape[0] * shape[1]
     flat = iy * shape[1] + ix
-    columns = np.reshape(values, (flat.size, int(np.prod(shape[2:]))))
-    out = np.empty((n_pix, columns.shape[1]))
-    for c in range(columns.shape[1]):
-        out[:, c] = np.bincount(flat, weights=columns[:, c], minlength=n_pix)
+    if isinstance(values, np.ndarray):
+        values = values.transpose(1, 2, 0)
+    out = np.empty((n_pix,) + tuple(shape[2:]))
+    for r, block in enumerate(values):
+        for c, column in enumerate(block):
+            out[:, r, c] = np.bincount(flat, weights=column, minlength=n_pix)
     return out.reshape(shape)
 
 

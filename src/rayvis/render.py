@@ -13,7 +13,10 @@ A working set stacks its J views, padded to the largest height H, width W
 and component count n. Points project onto every view at once, so
 per-sample quantities are (..., J) arrays. Pixel (y, x) of view j is the
 flat cell ``(j * H + y) * W + x`` of a (J, H, W, ...) stack, by which
-parameters, images and gradients are gathered and scattered.
+parameters, images and gradients are gathered and scattered. The decoded
+mixtures are component-major: the (3, n, J·H·W) stack gathers to
+(mu, sigma, w), each (n, ..., J), so the CDF kernel and its gradients
+work on contiguous per-component arrays.
 """
 
 from __future__ import annotations
@@ -83,6 +86,8 @@ class RenderConfig:
             raise ConfigurationError(f"unknown sampling mode '{self.mode}'")
         if self.n_working < 1:
             raise ConfigurationError("need at least one working view")
+        if self.threads < 1:
+            raise ConfigurationError("threads must be at least 1")
         if not 0 <= self.sh_degree <= MAX_DEGREE:
             raise ConfigurationError(f"sh_degree must be in [0, {MAX_DEGREE}]")
         penalties = tuple(float(p) for p in self.sh_penalties)
@@ -143,7 +148,8 @@ class WorkingSet:
     sizes: np.ndarray       # (2, J): each view's own height and width
     comps: np.ndarray       # (J, n): True for the components a view really has
     params: np.ndarray      # (J, H, W, 3, n) raw parameters
-    decoded: tuple          # (mu, sig, w), each (J, H, W, n); padding weighs 0
+    decoded: np.ndarray     # (3, n, J*H*W): mu, sig, w by component and flat cell;
+                            # padding weighs 0
     images: np.ndarray      # (J, H, W, 3)
 
     @property
@@ -189,11 +195,11 @@ def select_working_views(
     chosen = [view for _, _, view in candidates[:n_working]]
     params = _padded([view.dmap.params for view in chosen], _PAD_LOGIT)
     comps = np.arange(params.shape[-1]) < np.array([[v.dmap.n_components] for v in chosen])
-    mu, sig, weights = decode_arrays(params, near, far)
-    decoded = (mu, sig, np.where(comps[:, None, None], weights, 0.0))
+    mu, sig, weights = (np.moveaxis(a, -1, 0) for a in decode_arrays(params, near, far))
+    decoded = np.stack([mu, sig, np.where(comps.T[:, :, None, None], weights, 0.0)])
     states = [
-        _ViewState(v, *(a[j, : v.dmap.height, : v.dmap.width, : v.dmap.n_components]
-                        for a in decoded))
+        _ViewState(v, *np.moveaxis(
+            decoded[:, : v.dmap.n_components, j, : v.dmap.height, : v.dmap.width], 1, -1))
         for j, v in enumerate(chosen)
     ]
     cams = [view.camera for view in chosen]
@@ -204,7 +210,7 @@ def select_working_views(
         centers=np.array([c.center for c in cams]),
         intrinsics=np.array([[c.fx, c.fy, c.cx, c.cy] for c in cams]).T,
         sizes=np.array([[c.height, c.width] for c in cams]).T,
-        comps=comps, params=params, decoded=decoded,
+        comps=comps, params=params, decoded=decoded.reshape(3, params.shape[-1], -1),
         images=_padded([view.image for view in chosen], 0.0),
     )
 
@@ -263,7 +269,7 @@ def bilinear_sample(grid: np.ndarray, u, v) -> np.ndarray:
 def _lookup(working: WorkingSet, points: np.ndarray, bilinear_params: bool):
     """Project points (..., 3) onto every working view and gather their mixtures.
 
-    Returns (mu, sig, w), each (..., J, n), then the view depth, the image
+    Returns (mu, sig, w), each (n, ..., J), then the view depth, the image
     coordinates (u, v), ``valid`` (in front of the view, inside its own
     image) and the flat cell, each (..., J).
     """
@@ -282,9 +288,9 @@ def _lookup(working: WorkingSet, points: np.ndarray, bilinear_params: bool):
     if bilinear_params:
         mu, sig, wt = decode_arrays(_bilinear(working.params, view, h, w, u, v),
                                     working.near, working.far)
-        wt = np.where(working.comps, wt, 0.0)
+        mu, sig, wt = (np.moveaxis(a, -1, 0) for a in (mu, sig, np.where(working.comps, wt, 0.0)))
     else:
-        mu, sig, wt = (_take(a, cell) for a in working.decoded)
+        mu, sig, wt = np.take(working.decoded, cell, axis=2)
     return mu, sig, wt, z, (u, v), valid, cell
 
 
@@ -298,7 +304,8 @@ def _transmittance(alphas):
 class ChunkState:
     """All intermediates of one forward chunk, kept for the backward pass:
     ``valid`` and ``cell`` of the (B, K, J) lookup, and ``cdf_a``/``cdf_b``,
-    the mixture CDF's (t, x, s) at each bin's start and end."""
+    the mixture CDF's (t, x, s) at each bin's start and end, with ``t``
+    (B, K, J) and ``x``, ``s`` (n, B, K, J)."""
 
     z: np.ndarray
     widths: np.ndarray
@@ -328,8 +335,8 @@ def _chunk_forward(working: WorkingSet, origins, dirs, z, widths, config: Render
     npts = z.size
     points = origins[:, None, :] + z[..., None] * dirs[:, None, :]
     mu, sig, w, depth, (u, v), valid, cell = _lookup(working, points, config.bilinear_params)
-    cdf_a = mixture_cdf_terms(mu, sig, w, depth)
-    cdf_b = mixture_cdf_terms(mu, sig, w, depth + widths[..., None])
+    cdf_a = mixture_cdf_terms(mu, sig, w, depth, keep_state)
+    cdf_b = mixture_cdf_terms(mu, sig, w, depth + widths[..., None], keep_state)
     del mu, sig, w, depth
     counters.add("cdf_evals", 2 * npts * working.n_views)
     t_a, t_b = cdf_a[0], cdf_b[0]
@@ -505,11 +512,13 @@ def render_rays_backward(working: WorkingSet, state: ChunkState, config: RenderC
     dt_a = d_alpha * (t_b - 1.0) / (inv * inv) - d_vis - dh_w
 
     cell = _take(state.cell, sel)
-    sig, w = (_take(a, cell) for a in working.decoded[1:])
-    # mixture CDF gradients from the forward's stored x and component sigmoids
-    d_a = mixture_cdf_grads(sig, w, *(_take(a, sel) for a in state.cdf_a[1:]))
-    d_b = mixture_cdf_grads(sig, w, *(_take(a, sel) for a in state.cdf_b[1:]))
-    g = np.stack([dt_a[:, None] * a + dt_b[:, None] * b for a, b in zip(d_a, d_b)], axis=1)
+    sig, w = np.take(working.decoded[1:], cell, axis=2)
+    # mixture CDF gradients from the forward's stored x and component
+    # sigmoids, gathered as (n, M) columns
+    d_a, d_b = (mixture_cdf_grads(sig, w, *(np.take(a.reshape(len(a), -1), sel, axis=1)
+                                            for a in cdf[1:]))
+                for cdf in (state.cdf_a, state.cdf_b))
+    g = [dt_a * a + dt_b * b for a, b in zip(d_a, d_b)]
     del d_a, d_b, sig, w
     # sum the (mu, sigma, w) gradients per cell of the stack, then chain through
     # the decode once: it acts per pixel, so its chain rule is linear in them
@@ -571,7 +580,7 @@ def query_visibility(working: WorkingSet, point) -> np.ndarray:
     point = np.asarray(point, dtype=np.float64)[None, :]
     mu, sig, w, depth, _, valid, _ = _lookup(working, point, False)
     out = np.zeros(working.n_views)
-    out[valid[0]] = 1.0 - mixture_cdf(mu[valid], sig[valid], w[valid], depth[valid])
+    out[valid[0]] = 1.0 - mixture_cdf(*(a[:, valid].T for a in (mu, sig, w)), depth[valid])
     return out
 
 

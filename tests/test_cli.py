@@ -309,6 +309,17 @@ class TestInputFaults:
         assert "Traceback" not in proc.stderr
         assert all(name in proc.stderr for name in names)
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_render_bad_threads_exits_2_without_traceback(self, threads, synth_dir, maps_dir,
+                                                          tmp_path):
+        out = tmp_path / "x.ppm"
+        proc = _run_cli("render", "--data", str(synth_dir), "--maps", str(maps_dir),
+                        "--view", "0", "--out", str(out), "--k-coarse", "8", "--nw", "3",
+                        "--threads", threads)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr and "threads" in proc.stderr
+        assert not out.exists()
+
     def test_init_nan_depth_exits_2_without_traceback(self, synth_dir, tmp_path):
         data = tmp_path / "data"
         shutil.copytree(synth_dir, data)

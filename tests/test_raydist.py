@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from rayvis.counters import counters
 from rayvis.errors import InputError, IntervalOrderError
@@ -14,6 +15,7 @@ from rayvis.raydist import (
     grad_cdf,
     hit_prob_interval,
     input_ray_alpha,
+    mixture_cdf,
     mixture_cdf_param_grads,
     occlusion_cdf,
     scatter_to_map,
@@ -268,6 +270,38 @@ class TestFitLogisticsToDensity:
         mix = fit_logistics_to_density(profile, 2, grid)
         target = 1.0 - density_visibility_oracle(profile, grid)
         assert np.max(np.abs(occlusion_cdf(mix, grid) - target)) < 0.05
+
+
+class TestReferenceBroadcast:
+    """The (..., n) reference entry points pair each depth with the leading
+    axes of the parameters, never with the component axis: for one mixture
+    and M == n depths, a component-first broadcast done before ``z[..., None]``
+    would silently pair depth i with component i."""
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 4), (2, 2), (2, 5), (3, 3), (3, 2)])
+    def test_single_mixture_many_depths(self, n, m):
+        rng = np.random.default_rng(60 + 10 * n + m)
+        mu, sig = rng.uniform(1.0, 5.0, n), rng.uniform(0.1, 1.0, n)
+        w = rng.dirichlet(np.ones(n))
+        z = rng.uniform(0.0, 6.0, m)
+        s = expit((z[..., None] - mu) / sig)
+        want = np.sum(w * s, -1)
+        sp = s * (1.0 - s)
+        want_grads = (-w * sp / sig, -w * sp * ((z[..., None] - mu) / sig) / sig, s)
+        mix = MixtureOfLogistics(mu, sig, w)
+        t, *grads = mixture_cdf_param_grads(mu, sig, w, z)
+        for got in (occlusion_cdf(mix, z), mixture_cdf(mu, sig, w, z), t):
+            assert got.shape == (m,) and np.array_equal(got, want)
+        for got, expected in zip(grads, want_grads):
+            assert got.shape == (m, n) and got.flags.c_contiguous
+            assert np.array_equal(got, expected)
+        for i in range(m):      # depth by depth, as scalar calls
+            assert occlusion_cdf(mix, z[i]) == want[i]
+            assert mixture_cdf(mu, sig, w, z[i]) == want[i]
+            t_i, *grads_i = mixture_cdf_param_grads(mu, sig, w, z[i])
+            assert t_i == want[i]
+            for got, single in zip(grads, grads_i):
+                assert np.array_equal(got[i], single)
 
 
 class TestScatterToMap:

@@ -204,14 +204,14 @@ class TestMixedWorkingSet:
         mu, sig, w, depth, _, valid, _ = _lookup(ws, points, bilinear)
         for j, state in enumerate(ws.views):
             n = state.view.dmap.n_components
-            assert np.all(w[:, j, n:] == 0.0)   # padded components weigh exactly 0
+            assert np.all(w[n:, :, j] == 0.0)   # padded components weigh exactly 0
             *want, want_depth, _, want_valid, _ = _lookup(
                 self.working_set(ring_scene, [state.view]), points, bilinear)
             assert np.array_equal(valid[:, j], want_valid[:, 0])
             assert np.array_equal(depth[:, j], want_depth[:, 0])
             inside = valid[:, j]
             for got, single in zip((mu, sig, w), want):
-                assert np.array_equal(got[inside, j, :n], single[inside, 0])
+                assert np.array_equal(got[:n, inside, j], single[:, inside, 0])
 
     def test_visibility_matches_single_view_sets(self, ring_scene, mixed_views):
         ws = self.working_set(ring_scene, mixed_views)
@@ -301,6 +301,11 @@ class TestRenderConfig:
     def test_negative_or_non_finite_penalty(self, penalties):
         with pytest.raises(ConfigurationError, match="sh_penalties"):
             RenderConfig(sh_penalties=penalties)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one(self, threads):
+        with pytest.raises(ConfigurationError, match="threads"):
+            RenderConfig(threads=threads)
 
 
 class TestBackwardFiniteDifferences:
@@ -566,6 +571,24 @@ class TestRenderImage:
             ws, RenderConfig(k_coarse=32, background=tuple(ring_scene.background), threads=4)
         )
         assert np.array_equal(serial, parallel)
+
+    @pytest.mark.parametrize("mode", ["uniform", "coarse_to_fine"])
+    def test_value_only_path_matches_kept_path(self, ring_scene, gt_views, mode):
+        """Without ``keep_state`` the CDF kernel overwrites its standardized
+        depths in place; the values must equal those of the state-keeping path."""
+        ws = working_set_for(ring_scene, gt_views, 0)
+        cam = ring_scene.cameras[0]
+        px = np.random.default_rng(17).uniform(0, 64, size=(300, 2))
+        dirs, _ = cam.rays_for_pixels(px)
+        origins = np.broadcast_to(cam.center, dirs.shape)
+        config = RenderConfig(k_coarse=32, k_fine=8, mode=mode,
+                              background=tuple(ring_scene.background))
+        value_only = render_rays(ws, origins, dirs, config)
+        kept = render_rays(ws, origins, dirs, config, keep_state=True)
+        assert value_only.cdf_a is None and (kept.fine or kept).cdf_a is not None
+        assert np.any(kept.h_hat > 0.01)
+        for name in ("colors_out", "h_hat", "alpha_hat"):
+            assert np.array_equal(getattr(value_only, name), getattr(kept, name))
 
     def test_repeated_calls_identical(self, ring_scene, gt_views):
         ws = working_set_for(ring_scene, gt_views, 0)
