@@ -225,6 +225,11 @@ def cmd_init(args) -> int:
     return 0
 
 
+def _threads(args) -> dict:
+    """``--threads N`` as a RenderConfig keyword; without it the library default."""
+    return {} if args.threads is None else {"threads": args.threads}
+
+
 def _render_config(args, background) -> RenderConfig:
     mode = {"uniform": "uniform", "c2f": "coarse_to_fine"}[args.mode]
     return RenderConfig(
@@ -235,7 +240,7 @@ def _render_config(args, background) -> RenderConfig:
         background=tuple(background),
         sh_degree=args.sh_degree,
         bilinear_params=args.bilinear_params,
-        threads=args.threads,
+        **_threads(args),
     )
 
 
@@ -270,8 +275,9 @@ def cmd_render(args) -> int:
         value = psnr(image, imgio.read_ppm(args.gt))
         print(f"psnr {value:.4f}")
     settings = {key: getattr(args, key) for key in (
-        "view", "mode", "k_coarse", "k_fine", "nw", "sh_degree", "bilinear_params", "threads")}
-    settings.update(maps_dir=str(args.maps_dir), data_dir=str(args.data_dir))
+        "view", "mode", "k_coarse", "k_fine", "nw", "sh_degree", "bilinear_params")}
+    settings.update(threads=config.threads, maps_dir=str(args.maps_dir),
+                    data_dir=str(args.data_dir))
     _write_manifest(out.parent, "render", None, settings,
                     [str(args.data_dir), str(args.maps_dir)], outputs, start)
     print(f"rendered view {args.view} -> {out}")
@@ -287,6 +293,24 @@ def _parse_view_list(text: str) -> list:
 def cmd_optimize(args) -> int:
     start = time.perf_counter()
     cameras, meta = _load_cameras(args.data_dir)
+    config = optim.TrainConfig(
+        lambda_render=args.lambda_render,
+        lambda_consist=args.lambda_consist,
+        lambda_depth=args.lambda_depth,
+        batch_size=args.batch,
+        steps=args.steps,
+        seed=args.seed,
+        n_working=args.nw,
+        k_samples=args.k,
+        k_fine=args.k_fine,
+        learning_rate=args.lr,
+        sh_degree=args.sh_degree,
+        background=tuple(meta["background"]),
+        sampling_mode={"uniform": "uniform", "c2f": "coarse_to_fine"}[args.sampling_mode],
+        eval_interval=args.eval_interval,
+        consist_variant=args.consist_variant,
+        consist_flow=args.consist_flow,
+    )
     images = _scan_views(Path(args.data_dir) / "images", "ppm")
     depth_paths = _scan_views(Path(args.data_dir) / "depth", "nrdf")
     maps_in = _scan_views(args.init_dir, "nray")
@@ -320,24 +344,6 @@ def cmd_optimize(args) -> int:
             raise InputError(f"eval view {idx} not present in the data directory")
         holdout[idx] = (cameras[idx], imgio.read_ppm(images[idx]))
 
-    config = optim.TrainConfig(
-        lambda_render=args.lambda_render,
-        lambda_consist=args.lambda_consist,
-        lambda_depth=args.lambda_depth,
-        batch_size=args.batch,
-        steps=args.steps,
-        seed=args.seed,
-        n_working=args.nw,
-        k_samples=args.k,
-        k_fine=args.k_fine,
-        learning_rate=args.lr,
-        sh_degree=args.sh_degree,
-        background=tuple(meta["background"]),
-        sampling_mode={"uniform": "uniform", "c2f": "coarse_to_fine"}[args.sampling_mode],
-        eval_interval=args.eval_interval,
-        consist_variant=args.consist_variant,
-        consist_flow=args.consist_flow,
-    )
     state = optim.OptimState(
         learning_rate=config.learning_rate,
         halve_every=config.halve_every,
@@ -419,8 +425,9 @@ def cmd_bench(args) -> int:
         snap = counters.snapshot()
         n_px = image.shape[0] * image.shape[1]
         report.append(
-            f"{label}: wall_clock_s={dt:.3f} cdf_evals={snap.cdf_evals} "
-            f"sh_fits={snap.sh_fits} color_samples={snap.color_samples} "
+            f"{label}: threads={config.threads} wall_clock_s={dt:.3f} "
+            f"cdf_evals={snap.cdf_evals} sh_fits={snap.sh_fits} "
+            f"color_samples={snap.color_samples} "
             f"cdf_per_pixel={snap.cdf_evals / n_px:.1f} "
             f"sh_fits_per_pixel={snap.sh_fits / n_px:.2f}"
         )
@@ -428,12 +435,12 @@ def cmd_bench(args) -> int:
 
     uniform_cfg = RenderConfig(
         k_coarse=args.k_uniform, mode="uniform", n_working=nw,
-        background=background, sh_degree=args.sh_degree, threads=args.threads,
+        background=background, sh_degree=args.sh_degree, **_threads(args),
     )
     c2f_cfg = RenderConfig(
         k_coarse=args.k_coarse, k_fine=args.k_fine, mode="coarse_to_fine",
         n_working=nw, background=background, sh_degree=args.sh_degree,
-        threads=args.threads,
+        **_threads(args),
     )
     img_u, time_u, snap_u = run(f"uniform k={args.k_uniform}", uniform_cfg)
     img_c, time_c, snap_c = run(f"coarse_to_fine k={args.k_coarse}+{args.k_fine}", c2f_cfg)
@@ -466,7 +473,8 @@ def cmd_bench(args) -> int:
         out.parent.mkdir(parents=True, exist_ok=True)
         imgio.atomic_write_bytes(out, (text + "\n").encode("utf-8"))
         settings = {"view": args.view, "k_uniform": args.k_uniform, "k_coarse": args.k_coarse,
-                    "k_fine": args.k_fine, "nw": nw, "kr": args.kr}
+                    "k_fine": args.k_fine, "nw": nw, "kr": args.kr,
+                    "threads": uniform_cfg.threads}
         _write_manifest(out.parent, "bench", None, settings,
                         [str(args.data_dir), str(args.maps_dir)], [str(out)], start)
     return 0
@@ -504,7 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nw", type=int, default=8)
     p.add_argument("--sh-degree", type=int, default=3, dest="sh_degree")
     p.add_argument("--bilinear-params", action="store_true", dest="bilinear_params")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=None,
+                   help="rendering threads (default: every usable CPU)")
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("optimize", help="optimize distribution maps on a scene")
@@ -552,7 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nw", type=int, default=8)
     p.add_argument("--sh-degree", type=int, default=3, dest="sh_degree")
     p.add_argument("--kr", type=int, default=32)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=None,
+                   help="rendering threads (default: every usable CPU)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)
     return parser

@@ -84,6 +84,10 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.lambda_render, self.lambda_consist, self.lambda_depth) < 0:
             raise ConfigurationError("loss weights must be nonnegative")
+        if self.batch_size < 1:
+            raise ConfigurationError("batch_size must be at least 1")
+        if not (0.0 < self.learning_rate < np.inf):
+            raise ConfigurationError("learning_rate must be finite and positive")
         if not (0.0 < self.eps_prob < 0.5):
             raise ConfigurationError("eps_prob must lie in (0, 0.5)")
         if self.sampling_mode not in ("uniform", "coarse_to_fine"):

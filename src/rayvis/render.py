@@ -17,12 +17,20 @@ parameters, images and gradients are gathered and scattered. The decoded
 mixtures are component-major: the (3, n, J·H·W) stack gathers to
 (mu, sigma, w), each (n, ..., J), so the CDF kernel and its gradients
 work on contiguous per-component arrays.
+
+``render_image`` renders on ``RenderConfig.threads`` streams, by default
+every CPU the process may use: the caller and its helper threads pull ray
+chunks from one shared queue, with 128 rays in flight in total, so the
+chunk memory does not grow with the thread count. NumPy releases the GIL
+in the large kernels, so the streams overlap. Rays never interact, so the
+image and the counters are identical for every thread count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+import os
+import threading
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -61,6 +69,16 @@ _FINE_WIDTH_CAP = 0.5
 # raw value of padded cells: as a weight logit it decodes to about 1e-305,
 # which leaves the real weights bit-exact, before being set to exactly 0
 _PAD_LOGIT = -1e300
+# rays rendered at once over all threads of ``render_image``; a pass holds
+# rays x J (ray, view) pairs per sample, so this sets the peak chunk memory
+_RAYS_IN_FLIGHT = 128
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -75,7 +93,7 @@ class RenderConfig:
     sh_degree: int = 3
     sh_penalties: tuple = DEFAULT_DEGREE_PENALTIES
     bilinear_params: bool = False
-    threads: int = 1
+    threads: int = field(default_factory=usable_cpus)
 
     def __post_init__(self):
         if self.k_coarse < 2:
@@ -533,25 +551,51 @@ def render_rays_backward(working: WorkingSet, state: ChunkState, config: RenderC
 
 
 def render_image(working: WorkingSet, config: RenderConfig) -> np.ndarray:
-    """Render the query view; deterministic and parallelizable per pixel."""
+    """Render the query view; deterministic and parallelizable per pixel.
+
+    ``T = min(config.threads, 128)`` streams share one queue of ray chunks:
+    the caller and ``T - 1`` helper threads each pull the next chunk start,
+    render that chunk and write its rows. The chunk is ``ceil(128 / T)``
+    rays, so 128 rays are in flight in total and the chunk temporaries take
+    the same memory for every thread count. Every ray is rendered on its
+    own, so the image and the counters are bit-identical for every thread
+    count. The first error raised in any stream stops the queue and is
+    re-raised once all streams have stopped.
+    """
     cam = working.query_camera
     ys, xs = np.indices((cam.height, cam.width)) + 0.5
     px = np.stack([xs, ys], axis=-1).reshape(-1, 2)
     dirs, _ = cam.rays_for_pixels(px)
     origins = np.broadcast_to(cam.center, dirs.shape)
     out = np.empty((px.shape[0], 3))
-    chunk = 128     # rays per pass; a pass holds chunk x J (ray, view) pairs per sample
+    streams = min(config.threads, _RAYS_IN_FLIGHT)
+    chunk = -(-_RAYS_IN_FLIGHT // streams)
+    starts = iter(range(0, px.shape[0], chunk))
+    lock = threading.Lock()
+    errors = []
 
-    def run(s):
-        out[s:s + chunk] = render_rays(working, origins[s:s + chunk], dirs[s:s + chunk],
-                                       config).colors_out
+    def drain():
+        while True:
+            with lock:
+                s = None if errors else next(starts, None)
+            if s is None:
+                return
+            try:
+                out[s:s + chunk] = render_rays(working, origins[s:s + chunk],
+                                               dirs[s:s + chunk], config).colors_out
+            except BaseException as exc:
+                with lock:
+                    errors.append(exc)
+                return
 
-    starts = range(0, px.shape[0], chunk)
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            list(pool.map(run, starts))
-    else:
-        list(map(run, starts))
+    helpers = [threading.Thread(target=drain) for _ in range(streams - 1)]
+    for helper in helpers:
+        helper.start()
+    drain()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
     return np.clip(out.reshape(cam.height, cam.width, 3), 0.0, 1.0)
 
 

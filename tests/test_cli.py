@@ -12,6 +12,7 @@ import rayvis
 from rayvis import optim
 from rayvis.cli import main
 from rayvis.imgio import read_ppm, write_ppm
+from rayvis.render import usable_cpus
 from rayvis.scenefile import dump_scene
 from rayvis.scenes import two_spheres
 
@@ -131,7 +132,8 @@ class TestRender:
         assert "psnr" in captured
         assert float(captured.split("psnr")[1].split()[0]) > 18.0
         assert out.exists()
-        assert (out.parent / "manifest.json").exists()
+        manifest = json.loads((out.parent / "manifest.json").read_text())
+        assert manifest["config"]["threads"] == usable_cpus()
 
     def test_modes_and_flags(self, synth_dir, maps_dir, tmp_path):
         out = tmp_path / "c2f.ppm"
@@ -165,6 +167,8 @@ class TestRender:
                 "--nw", "4", "--threads", threads,
             ]) == 0
             images.append(out.read_bytes())
+            manifest = json.loads((tmp_path / "manifest.json").read_text())
+            assert manifest["config"]["threads"] == int(threads)
         assert images[0] == images[1]
 
     def test_unknown_flag_usage_error(self, synth_dir, maps_dir, tmp_path):
@@ -320,6 +324,19 @@ class TestInputFaults:
         assert "Traceback" not in proc.stderr and "threads" in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--batch", "-5", "batch_size"), ("--batch", "0", "batch_size"),
+        ("--lr", "-1", "learning_rate")])
+    def test_optimize_bad_setting_exits_2_without_traceback(self, flag, value, field,
+                                                            synth_dir, maps_dir, tmp_path):
+        out = tmp_path / "opt"
+        proc = _run_cli("optimize", "--data", str(synth_dir), "--init", str(maps_dir),
+                        "--out", str(out), "--steps", "1", "--eval-interval", "0",
+                        "--nw", "3", "--k", "8", flag, value)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr and field in proc.stderr
+        assert not out.exists()
+
     def test_init_nan_depth_exits_2_without_traceback(self, synth_dir, tmp_path):
         data = tmp_path / "data"
         shutil.copytree(synth_dir, data)
@@ -385,5 +402,6 @@ class TestBench:
             ]
 
         assert counts(first) == counts(second)
+        assert first.count(f": threads={usable_cpus()} ") == 2
         assert "density_oracle_evals_per_query=32" in first
         assert "cdf_evals_per_query=1" in first

@@ -386,6 +386,18 @@ class TestTrainStep:
             assert np.array_equal(finals[0][i], finals[1][i])
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("batch_size", [0, -5])
+    def test_batch_below_one(self, batch_size):
+        with pytest.raises(ConfigurationError, match="batch_size"):
+            TrainConfig(batch_size=batch_size)
+
+    @pytest.mark.parametrize("learning_rate", [-1.0, 0.0, np.nan, np.inf])
+    def test_learning_rate_not_finite_and_positive(self, learning_rate):
+        with pytest.raises(ConfigurationError, match="learning_rate"):
+            TrainConfig(learning_rate=learning_rate)
+
+
 class TestOwnHitProbs:
     def test_matches_direct_cdf_differences(self):
         rng = np.random.default_rng(9)

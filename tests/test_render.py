@@ -1,6 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from rayvis import render
 from rayvis.camera import generate_ray, look_at_camera
 from rayvis.counters import counters
 from rayvis.errors import ConfigurationError, DimensionMismatchError, InputError
@@ -20,6 +24,7 @@ from rayvis.render import (
     sample_alpha,
     sample_color,
     select_working_views,
+    usable_cpus,
 )
 from rayvis.scene import intersect, oracle_visibility, render_ground_truth
 
@@ -307,6 +312,10 @@ class TestRenderConfig:
         with pytest.raises(ConfigurationError, match="threads"):
             RenderConfig(threads=threads)
 
+    def test_threads_default_to_usable_cpus(self):
+        assert usable_cpus() >= 1
+        assert RenderConfig().threads == usable_cpus()
+
 
 class TestBackwardFiniteDifferences:
     """The SH color gradient at degrees 2 and 3 with eight working views:
@@ -571,6 +580,68 @@ class TestRenderImage:
             ws, RenderConfig(k_coarse=32, background=tuple(ring_scene.background), threads=4)
         )
         assert np.array_equal(serial, parallel)
+
+    @pytest.mark.parametrize("mode, bilinear", [
+        ("uniform", False), ("coarse_to_fine", False), ("uniform", True)])
+    def test_thread_count_invariant(self, ring_scene, gt_views, mode, bilinear):
+        """1, 2 and 3 streams render 128-, 64- and 43-ray chunks, the last one
+        ragged; the image and the counts must not depend on it. A short switch
+        interval interleaves the streams often, so a chunk lost or rendered
+        twice from the shared queue, or a lost counter update, would show."""
+        ws = working_set_for(ring_scene, gt_views, 0)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for threads in (1, 2, 3):
+                config = RenderConfig(k_coarse=32, k_fine=8, mode=mode,
+                                      bilinear_params=bilinear,
+                                      background=tuple(ring_scene.background), threads=threads)
+                counters.reset()
+                image = render_image(ws, config)
+                snap = counters.snapshot()
+                results.append((image, (snap.cdf_evals, snap.sh_fits, snap.color_samples)))
+        finally:
+            sys.setswitchinterval(interval)
+        (first, counts), rest = results[0], results[1:]
+        assert counts[0] > 0 and counts[1] > 0
+        for image, other in rest:
+            assert np.array_equal(image, first) and other == counts
+
+    @pytest.mark.parametrize("stream", ["caller", "helper"])
+    def test_stream_error_is_raised(self, ring_scene, gt_views, monkeypatch, stream):
+        """A chunk that fails on the calling thread or on a helper stops the
+        queue, and ``render_image`` raises that error instead of hanging."""
+        ws = working_set_for(ring_scene, gt_views, 0, n_working=2)
+        config = RenderConfig(k_coarse=4, background=tuple(ring_scene.background), threads=2)
+        real = render.render_rays
+        caller, failed, calls, result = [], threading.Event(), [], {}
+
+        def chunk(*args, **kwargs):
+            on_caller = threading.get_ident() == caller[0]
+            calls.append(on_caller)
+            if on_caller == (stream == "caller"):
+                failed.set()
+                raise RuntimeError(f"chunk failed on the {stream}")
+            if stream == "helper":     # hold the caller until the helper has failed
+                failed.wait(timeout=30)
+            return real(*args, **kwargs)
+
+        def run():
+            caller.append(threading.get_ident())
+            try:
+                render_image(ws, config)
+            except RuntimeError as exc:
+                result["error"] = exc
+
+        monkeypatch.setattr(render, "render_rays", chunk)
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        assert str(result["error"]) == f"chunk failed on the {stream}"
+        assert calls.count(stream == "caller") == 1
+        assert len(calls) < 32     # of 64 chunks: the queue stopped at the failure
 
     @pytest.mark.parametrize("mode", ["uniform", "coarse_to_fine"])
     def test_value_only_path_matches_kept_path(self, ring_scene, gt_views, mode):
