@@ -18,12 +18,15 @@ mixtures are component-major: the (3, n, J·H·W) stack gathers to
 (mu, sigma, w), each (n, ..., J), so the CDF kernel and its gradients
 work on contiguous per-component arrays.
 
-``render_image`` renders on ``RenderConfig.threads`` streams, by default
-every CPU the process may use: the caller and its helper threads pull ray
-chunks from one shared queue, with 128 rays in flight in total, so the
-chunk memory does not grow with the thread count. NumPy releases the GIL
-in the large kernels, so the streams overlap. Rays never interact, so the
-image and the counters are identical for every thread count.
+``render_image`` renders on up to ``RenderConfig.threads`` streams, by
+default every CPU the process may use: the caller and its helper threads
+pull ray chunks from one shared queue, with 128 rays in flight in total, so
+the chunk memory does not grow with the thread count. NumPy releases the
+GIL in the large kernels, so the streams overlap; a render splits only as
+far as each stream's chunk keeps at least 4096 (ray, sample) pairs, since
+smaller chunks spend their gain on GIL hand-offs between the streams. Rays
+never interact, so the image and the counters are identical for every
+thread count.
 """
 
 from __future__ import annotations
@@ -72,6 +75,13 @@ _PAD_LOGIT = -1e300
 # rays rendered at once over all threads of ``render_image``; a pass holds
 # rays x J (ray, view) pairs per sample, so this sets the peak chunk memory
 _RAYS_IN_FLIGHT = 128
+# fewest (ray, sample) pairs per chunk for which ``render_image`` adds a
+# stream: below it a chunk's NumPy calls are so short that the GIL hand-offs
+# between streams eat the gain. On a 2-CPU VM, coarse-to-fine 32 + 8 samples
+# in two 64-ray streams (2560 pairs each) were no faster than one 128-ray
+# stream and spread 3 to 7 times wider from run to run; 64-ray streams of
+# 128 uniform samples (8192 pairs) ran 1.8x faster than one stream.
+_MIN_STREAM_SAMPLES = 4096
 
 
 def usable_cpus() -> int:
@@ -553,14 +563,17 @@ def render_rays_backward(working: WorkingSet, state: ChunkState, config: RenderC
 def render_image(working: WorkingSet, config: RenderConfig) -> np.ndarray:
     """Render the query view; deterministic and parallelizable per pixel.
 
-    ``T = min(config.threads, 128)`` streams share one queue of ray chunks:
-    the caller and ``T - 1`` helper threads each pull the next chunk start,
-    render that chunk and write its rows. The chunk is ``ceil(128 / T)``
-    rays, so 128 rays are in flight in total and the chunk temporaries take
-    the same memory for every thread count. Every ray is rendered on its
-    own, so the image and the counters are bit-identical for every thread
-    count. The first error raised in any stream stops the queue and is
-    re-raised once all streams have stopped.
+    ``T`` streams share one queue of ray chunks: the caller and ``T - 1``
+    helper threads each pull the next chunk start, render that chunk and
+    write its rows. The chunk is ``ceil(128 / T)`` rays, so 128 rays are in
+    flight in total and the chunk temporaries take the same memory for every
+    thread count. ``T`` is ``config.threads``, lowered until each chunk holds
+    at least 4096 (ray, sample) pairs (``k_coarse``, plus ``k_fine`` in
+    coarse-to-fine mode, per ray); a render below twice that runs on the
+    caller alone, as with one thread. Every ray is rendered on its own, so
+    the image and the counters are bit-identical for every thread count.
+    The first error raised in any stream stops the queue and is re-raised
+    once all streams have stopped.
     """
     cam = working.query_camera
     ys, xs = np.indices((cam.height, cam.width)) + 0.5
@@ -568,7 +581,9 @@ def render_image(working: WorkingSet, config: RenderConfig) -> np.ndarray:
     dirs, _ = cam.rays_for_pixels(px)
     origins = np.broadcast_to(cam.center, dirs.shape)
     out = np.empty((px.shape[0], 3))
-    streams = min(config.threads, _RAYS_IN_FLIGHT)
+    samples = config.k_coarse + (config.k_fine if config.mode == "coarse_to_fine" else 0)
+    streams = max(1, min(config.threads, _RAYS_IN_FLIGHT,
+                         _RAYS_IN_FLIGHT * samples // _MIN_STREAM_SAMPLES))
     chunk = -(-_RAYS_IN_FLIGHT // streams)
     starts = iter(range(0, px.shape[0], chunk))
     lock = threading.Lock()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rayvis
-from rayvis import optim
+from rayvis import optim, render
 from rayvis.cli import main
 from rayvis.imgio import read_ppm, write_ppm
 from rayvis.render import usable_cpus
@@ -157,7 +157,8 @@ class TestRender:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_threads_match_serial(self, synth_dir, maps_dir, tmp_path):
+    def test_threads_match_serial(self, synth_dir, maps_dir, tmp_path, monkeypatch):
+        monkeypatch.setattr(render, "_MIN_STREAM_SAMPLES", 1)    # split these small chunks
         images = []
         for threads in ("1", "4"):
             out = tmp_path / f"t{threads}.ppm"

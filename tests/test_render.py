@@ -571,7 +571,8 @@ class TestRenderImage:
         image = render_image(ws, config)
         assert psnr(image, images[0]) >= 25.0
 
-    def test_parallel_matches_serial(self, ring_scene, gt_views):
+    def test_parallel_matches_serial(self, ring_scene, gt_views, monkeypatch):
+        monkeypatch.setattr(render, "_MIN_STREAM_SAMPLES", 1)    # split these small chunks
         ws = working_set_for(ring_scene, gt_views, 0)
         serial = render_image(
             ws, RenderConfig(k_coarse=32, background=tuple(ring_scene.background), threads=1)
@@ -583,11 +584,12 @@ class TestRenderImage:
 
     @pytest.mark.parametrize("mode, bilinear", [
         ("uniform", False), ("coarse_to_fine", False), ("uniform", True)])
-    def test_thread_count_invariant(self, ring_scene, gt_views, mode, bilinear):
+    def test_thread_count_invariant(self, ring_scene, gt_views, monkeypatch, mode, bilinear):
         """1, 2 and 3 streams render 128-, 64- and 43-ray chunks, the last one
         ragged; the image and the counts must not depend on it. A short switch
         interval interleaves the streams often, so a chunk lost or rendered
         twice from the shared queue, or a lost counter update, would show."""
+        monkeypatch.setattr(render, "_MIN_STREAM_SAMPLES", 1)    # split these small chunks
         ws = working_set_for(ring_scene, gt_views, 0)
         results = []
         interval = sys.getswitchinterval()
@@ -612,6 +614,7 @@ class TestRenderImage:
     def test_stream_error_is_raised(self, ring_scene, gt_views, monkeypatch, stream):
         """A chunk that fails on the calling thread or on a helper stops the
         queue, and ``render_image`` raises that error instead of hanging."""
+        monkeypatch.setattr(render, "_MIN_STREAM_SAMPLES", 1)    # split these small chunks
         ws = working_set_for(ring_scene, gt_views, 0, n_working=2)
         config = RenderConfig(k_coarse=4, background=tuple(ring_scene.background), threads=2)
         real = render.render_rays
@@ -642,6 +645,30 @@ class TestRenderImage:
         assert str(result["error"]) == f"chunk failed on the {stream}"
         assert calls.count(stream == "caller") == 1
         assert len(calls) < 32     # of 64 chunks: the queue stopped at the failure
+
+    @pytest.mark.parametrize("mode, k_coarse, k_fine, threads, chunk", [
+        ("uniform", 64, 0, 2, 64),              # 64 rays x 64 samples per stream
+        ("uniform", 64, 0, 3, 64),              # a third stream would fall below
+        ("uniform", 32, 0, 2, 128),             # 64 x 32 is too small to split
+        ("coarse_to_fine", 32, 8, 2, 128),      # 64 x (32 + 8) too
+        ("coarse_to_fine", 48, 16, 2, 64),
+    ])
+    def test_streams_keep_a_minimum_chunk(self, ring_scene, gt_views, monkeypatch,
+                                          mode, k_coarse, k_fine, threads, chunk):
+        """Streams are added only while each chunk keeps 4096 (ray, sample)
+        pairs; the chunk size shows how many streams share the 128 rays."""
+        ws = working_set_for(ring_scene, gt_views, 0, n_working=2)
+        config = RenderConfig(k_coarse=k_coarse, k_fine=k_fine, mode=mode, threads=threads,
+                              background=tuple(ring_scene.background))
+        real, sizes = render.render_rays, []
+
+        def chunk_size(working, origins, *args, **kwargs):
+            sizes.append(len(origins))
+            return real(working, origins, *args, **kwargs)
+
+        monkeypatch.setattr(render, "render_rays", chunk_size)
+        render_image(ws, config)
+        assert max(sizes) == chunk
 
     @pytest.mark.parametrize("mode", ["uniform", "coarse_to_fine"])
     def test_value_only_path_matches_kept_path(self, ring_scene, gt_views, mode):
