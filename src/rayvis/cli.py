@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -23,7 +22,6 @@ import numpy as np
 
 import rayvis
 from rayvis import imgio, optim, scenefile
-from rayvis.camera import PinholeCamera
 from rayvis.counters import counters
 from rayvis.errors import InputError, NumericalError, RayvisError
 from rayvis.raydist import (
@@ -71,33 +69,6 @@ def _write_manifest(directory, command, seed, config, inputs, outputs, start):
     imgio.atomic_write_bytes(Path(directory) / "manifest.json", blob)
 
 
-def _view_name(index: int, suffix: str) -> str:
-    return f"view_{index:04d}.{suffix}"
-
-
-_VIEW_RE = re.compile(r"view_(\d+)\.(\w+)$")
-
-
-def _scan_views(directory, suffix: str) -> dict:
-    out = {}
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise InputError(f"not a directory: {directory}")
-    for path in sorted(directory.iterdir()):
-        m = _VIEW_RE.match(path.name)
-        if m and m.group(2) == suffix:
-            out[int(m.group(1))] = path
-    return out
-
-
-def _json_field(path, obj, key, shape=()):
-    """``obj[key]`` as a float array of ``shape``; an InputError names the file and key."""
-    try:
-        return np.asarray(obj[key], dtype=np.float64).reshape(shape)
-    except (KeyError, TypeError, ValueError):
-        raise InputError(f"{path}: missing or malformed '{key}'") from None
-
-
 def _load_cameras(data_dir) -> tuple:
     path = Path(data_dir) / "cameras.json"
     if not path.exists():
@@ -107,31 +78,27 @@ def _load_cameras(data_dir) -> tuple:
     except ValueError as exc:
         raise InputError(f"{path}: not valid JSON: {exc}") from None
     for key, shape in (("near", ()), ("far", ()), ("background", (3,))):
-        _json_field(path, meta, key, shape)
+        scenefile.json_array(meta, key, path, shape)
     if not isinstance(meta.get("cameras"), list):
         raise InputError(f"{path}: missing or malformed 'cameras'")
     cameras = {}
-    for entry in meta["cameras"]:
-        def get(key, shape=()):
-            return _json_field(path, entry, key, shape)
-
-        cameras[int(get("index"))] = PinholeCamera(
-            width=int(get("width")),
-            height=int(get("height")),
-            fx=float(get("fx")),
-            fy=float(get("fy")),
-            cx=float(get("cx")),
-            cy=float(get("cy")),
-            rotation=get("rotation", (3, 3)),
-            translation=get("translation", (3,)),
-        )
+    for i, entry in enumerate(meta["cameras"]):
+        where = f"{path} cameras[{i}]"
+        camera = scenefile.camera_from_json(entry, where, extra={"index"})
+        cameras[int(scenefile.json_array(entry, "index", where))] = camera
     return cameras, meta
 
 
-def _load_render_views(data_dir, maps_dir, exclude=()) -> list:
-    cameras, _ = _load_cameras(data_dir)
-    images = _scan_views(Path(data_dir) / "images", "ppm")
-    maps = _scan_views(maps_dir, "nray")
+def _check_size(path, shape, camera):
+    """Refuse a per-view file whose pixel grid is not its camera's."""
+    if tuple(shape[:2]) != (camera.height, camera.width):
+        raise InputError(f"{path}: {shape[0]}x{shape[1]} pixels, but its camera has "
+                         f"{camera.height}x{camera.width}")
+
+
+def _load_render_views(data_dir, cameras, maps_dir, exclude=()) -> list:
+    images = imgio.scan_views(Path(data_dir) / "images", "ppm")
+    maps = imgio.scan_views(maps_dir, "nray")
     views = []
     for idx, map_path in sorted(maps.items()):
         if idx in exclude:
@@ -140,14 +107,11 @@ def _load_render_views(data_dir, maps_dir, exclude=()) -> list:
             raise InputError(f"map {map_path} has no camera entry")
         if idx not in images:
             raise InputError(f"no image for view {idx} in {data_dir}")
-        views.append(
-            RenderView(
-                idx,
-                cameras[idx],
-                DistributionMap.load(map_path),
-                imgio.read_ppm(images[idx]),
-            )
-        )
+        dmap = DistributionMap.load(map_path)
+        image = imgio.read_ppm(images[idx])
+        _check_size(map_path, dmap.params.shape, cameras[idx])
+        _check_size(images[idx], image.shape, cameras[idx])
+        views.append(RenderView(idx, cameras[idx], dmap, image))
     if not views:
         raise InputError(f"no usable views found in {maps_dir}")
     return views
@@ -163,24 +127,12 @@ def cmd_synth(args) -> int:
     outputs = []
     for idx, camera in enumerate(scene.cameras):
         image, depth = render_ground_truth(scene, camera)
-        img_path = out / "images" / _view_name(idx, "ppm")
-        dep_path = out / "depth" / _view_name(idx, "nrdf")
+        img_path = out / "images" / imgio.view_name(idx, "ppm")
+        dep_path = out / "depth" / imgio.view_name(idx, "nrdf")
         imgio.write_ppm(img_path, image)
         imgio.write_depth_map(dep_path, depth)
         outputs += [str(img_path), str(dep_path)]
-        cam_entries.append(
-            {
-                "index": idx,
-                "width": camera.width,
-                "height": camera.height,
-                "fx": camera.fx,
-                "fy": camera.fy,
-                "cx": camera.cx,
-                "cy": camera.cy,
-                "rotation": camera.rotation.reshape(-1).tolist(),
-                "translation": camera.translation.tolist(),
-            }
-        )
+        cam_entries.append({"index": idx, **scenefile.camera_to_json(camera)})
     meta = {
         "near": scene.near,
         "far": scene.far,
@@ -199,7 +151,7 @@ def cmd_synth(args) -> int:
 
 def cmd_init(args) -> int:
     start = time.perf_counter()
-    depths = _scan_views(Path(args.data_dir) / "depth", "nrdf")
+    depths = imgio.scan_views(Path(args.data_dir) / "depth", "nrdf")
     if not depths:
         raise InputError(f"no depth maps under {args.data_dir}/depth")
     out = Path(args.out_dir)
@@ -210,7 +162,7 @@ def cmd_init(args) -> int:
         if args.noise > 0:
             depth = perturb_depth(depth, args.noise, args.seed + idx)
         dmap = optim.init_from_depth(depth, args.sigma_init, args.components, view=idx)
-        map_path = out / _view_name(idx, "nray")
+        map_path = out / imgio.view_name(idx, "nray")
         dmap.save(map_path)
         outputs.append(str(map_path))
     config = {
@@ -251,7 +203,7 @@ def _query_working_set(args, cap: bool):
     cameras, meta = _load_cameras(args.data_dir)
     if args.view not in cameras:
         raise InputError(f"no camera with index {args.view}")
-    views = _load_render_views(args.data_dir, args.maps_dir, exclude=(args.view,))
+    views = _load_render_views(args.data_dir, cameras, args.maps_dir, exclude=(args.view,))
     nw = min(args.nw, len(views)) if cap else args.nw
     working = select_working_views(
         views, cameras[args.view], nw, meta["near"], meta["far"], query_index=args.view
@@ -311,51 +263,38 @@ def cmd_optimize(args) -> int:
         consist_variant=args.consist_variant,
         consist_flow=args.consist_flow,
     )
-    images = _scan_views(Path(args.data_dir) / "images", "ppm")
-    depth_paths = _scan_views(Path(args.data_dir) / "depth", "nrdf")
-    maps_in = _scan_views(args.init_dir, "nray")
-    if len(maps_in) < 2:
-        raise InputError("optimization needs at least two initialized views")
     eval_views = _parse_view_list(args.eval_views)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    maps, imgs, deps = {}, {}, {}
-    for idx, path in sorted(maps_in.items()):
-        if idx in eval_views:
-            continue
-        if idx not in cameras or idx not in images:
-            raise InputError(f"map {path} has no matching camera or image")
-        maps[idx] = DistributionMap.load(path)
-        imgs[idx] = imgio.read_ppm(images[idx])
-        if idx in depth_paths:
-            deps[idx] = imgio.read_depth_map(depth_paths[idx])
+    views = _load_render_views(args.data_dir, cameras, args.init_dir, exclude=eval_views)
+    if len(views) < 2:
+        raise InputError("optimization needs at least two initialized views")
+    depth_paths = imgio.scan_views(Path(args.data_dir) / "depth", "nrdf")
+    deps = {}
+    for view in views:
+        if view.index in depth_paths:
+            deps[view.index] = imgio.read_depth_map(depth_paths[view.index])
+            _check_size(depth_paths[view.index], deps[view.index].values.shape, view.camera)
     data = optim.SceneData(
         cameras=cameras,
-        images=imgs,
-        maps=maps,
+        images={view.index: view.image for view in views},
+        maps={view.index: view.dmap for view in views},
         depths=deps if deps else None,
         near=meta["near"],
         far=meta["far"],
     )
+    images = imgio.scan_views(Path(args.data_dir) / "images", "ppm")
     holdout = {}
     for idx in eval_views:
         if idx not in cameras or idx not in images:
             raise InputError(f"eval view {idx} not present in the data directory")
         holdout[idx] = (cameras[idx], imgio.read_ppm(images[idx]))
+        _check_size(images[idx], holdout[idx][1].shape, cameras[idx])
 
-    state = optim.OptimState(
-        learning_rate=config.learning_rate,
-        halve_every=config.halve_every,
-        betas=config.betas,
-        eps=config.adam_eps,
-    )
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    state = config.optim_state()
     start_step = 0
     if args.resume:
-        try:
-            start_step = optim.load_checkpoint(out, data, state)
-        except (OSError, ValueError, KeyError) as exc:
-            raise InputError(f"corrupt checkpoint in {out}: {exc}") from exc
+        start_step = optim.load_checkpoint(out, data, state)
         print(f"resuming from step {start_step}")
     state, _ = optim.optimize_scene(
         data,
@@ -372,15 +311,15 @@ def cmd_optimize(args) -> int:
     cfg_dict["data_dir"] = str(args.data_dir)
     _write_manifest(out, "optimize", args.seed, cfg_dict,
                     [str(args.data_dir), str(args.init_dir)],
-                    [str(out / _view_name(i, "nray")) for i in sorted(maps)], start)
-    print(f"optimized {len(maps)} maps for {config.steps} steps -> {out}")
+                    [str(out / imgio.view_name(i, "nray")) for i in sorted(data.maps)], start)
+    print(f"optimized {len(data.maps)} maps for {config.steps} steps -> {out}")
     return 0
 
 
 def cmd_eval(args) -> int:
     start = time.perf_counter()
-    rendered = _scan_views(args.rendered_dir, "ppm")
-    truth = _scan_views(args.gt_dir, "ppm")
+    rendered = imgio.scan_views(args.rendered_dir, "ppm")
+    truth = imgio.scan_views(args.gt_dir, "ppm")
     if not rendered:
         raise InputError(f"no rendered views in {args.rendered_dir}")
     missing = sorted(set(rendered) - set(truth))

@@ -15,6 +15,7 @@ The maps are the only trainable parameters; Adam updates them densely.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Optional
@@ -23,6 +24,7 @@ import numpy as np
 
 from rayvis.camera import PinholeCamera
 from rayvis.errors import ConfigurationError, DimensionMismatchError, InputError, NumericalError
+from rayvis.imgio import atomic_write_bytes, atomic_writer, view_name
 from rayvis.raydist import (
     DistributionMap,
     SIGMA_MIN_FRACTION,
@@ -105,6 +107,15 @@ class TrainConfig:
             n_working=self.n_working,
             background=self.background,
             sh_degree=self.sh_degree,
+        )
+
+    def optim_state(self) -> "OptimState":
+        """A fresh optimizer state with this run's learning-rate schedule and Adam settings."""
+        return OptimState(
+            learning_rate=self.learning_rate,
+            halve_every=self.halve_every,
+            betas=self.betas,
+            eps=self.adam_eps,
         )
 
 
@@ -280,16 +291,15 @@ class SceneData:
         ]
 
 
-def own_hit_probs(dmap: DistributionMap, camera: PinholeCamera, pixels: np.ndarray,
+def own_hit_probs(dmap: DistributionMap, zfac: np.ndarray, pixels: np.ndarray,
                   z: np.ndarray, widths: np.ndarray, near: float, far: float):
     """Hitting probabilities of the view's own rays over the sample bins.
 
     ``z``/``widths`` are euclidean ray parameters of the pseudo query rays;
-    they convert to view depths through each pixel ray's z factor. Returns
-    the probabilities plus what the backward pass needs.
+    they convert to view depths through ``zfac``, the z factor of each
+    pixel's ray from ``PinholeCamera.rays_for_pixels``. Returns the
+    probabilities plus what the backward pass needs.
     """
-    px_centers = pixels[:, ::-1].astype(np.float64) + 0.5  # (x, y) order
-    _, zfac = camera.rays_for_pixels(px_centers)
     z_view = z * zfac[:, None]
     z_view_end = (z + widths) * zfac[:, None]
     raw = dmap.params[pixels[:, 0], pixels[:, 1]]          # (B, 3, n)
@@ -346,7 +356,7 @@ def train_step(
     rcfg = config.render_config()
 
     px_centers = pixels[:, ::-1].astype(np.float64) + 0.5
-    dirs, _ = camera.rays_for_pixels(px_centers)
+    dirs, zfac = camera.rays_for_pixels(px_centers)
     origins = np.broadcast_to(camera.center, dirs.shape)
     gt = data.images[q][pixels[:, 0], pixels[:, 1]]
 
@@ -364,7 +374,7 @@ def train_step(
     g_tilde = g_h = back = None
     if fwd is not None:
         h_tilde, back = own_hit_probs(
-            data.maps[q], camera, pixels[kept], fwd.z, fwd.widths, data.near, data.far
+            data.maps[q], zfac[kept], pixels[kept], fwd.z, fwd.widths, data.near, data.far
         )
         l_consist, g_tilde, g_h = consistency_loss(
             h_tilde, fwd.h_hat, config.eps_prob, config.consist_variant
@@ -450,12 +460,7 @@ def optimize_scene(
     file and a metrics CSV.
     """
     if state is None:
-        state = OptimState(
-            learning_rate=config.learning_rate,
-            halve_every=config.halve_every,
-            betas=config.betas,
-            eps=config.adam_eps,
-        )
+        state = config.optim_state()
     history = []
     rng = np.random.default_rng(config.seed)
     # replay the RNG stream consumed by completed steps so resume is exact
@@ -477,25 +482,26 @@ def optimize_scene(
             save_checkpoint(out_dir, data, state)
     if out_dir is not None:
         save_checkpoint(out_dir, data, state)
-        path = Path(out_dir) / "metrics.csv"
         header = "step,render_loss,consist_loss,depth_loss,psnr"
-        path.write_text("\n".join([header] + metrics_rows) + "\n", encoding="utf-8")
+        atomic_write_bytes(Path(out_dir) / "metrics.csv",
+                           ("\n".join([header] + metrics_rows) + "\n").encode("utf-8"))
     return state, history
 
 
 def save_checkpoint(out_dir, data: SceneData, state: OptimState):
-    """Write NRAY maps plus an exact-resume state file."""
+    """Write NRAY maps plus an exact-resume state file, each atomically."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for idx in data.reference_indices():
-        data.maps[idx].save(out / f"view_{idx:04d}.nray")
+        data.maps[idx].save(out / view_name(idx, "nray"))
     arrays = {"step": np.array(state.step)}
     for idx in data.reference_indices():
         arrays[f"params_{idx}"] = data.maps[idx].params
         if idx in state.m:
             arrays[f"m_{idx}"] = state.m[idx]
             arrays[f"v_{idx}"] = state.v[idx]
-    np.savez(out / "state.npz", **arrays)
+    with atomic_writer(out / "state.npz") as f:
+        np.savez(f, **arrays)
 
 
 def load_checkpoint(out_dir, data: SceneData, state: OptimState) -> int:
@@ -507,22 +513,26 @@ def load_checkpoint(out_dir, data: SceneData, state: OptimState) -> int:
     path = Path(out_dir) / "state.npz"
     if not path.exists():
         raise InputError(f"no resumable state at {path}")
+    try:
+        with np.load(path) as blob:
+            arrays = {key: blob[key] for key in blob.files}
+        step = int(arrays["step"])
+    except (OSError, EOFError, TypeError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+        raise InputError(f"{path}: unreadable checkpoint: {exc!r}") from None
     restored = {}
-    with np.load(path) as blob:
-        step = int(blob["step"])
-        for idx in data.reference_indices():
-            if f"params_{idx}" not in blob:
-                raise InputError(f"checkpoint is missing map {idx}")
-            keys = [f"params_{idx}"] + [k for k in (f"m_{idx}", f"v_{idx}") if k in blob]
-            if len(keys) == 2:
-                raise InputError(f"checkpoint has only one Adam moment for map {idx}")
-            shape = data.maps[idx].params.shape
-            restored[idx] = [blob[key] for key in keys]
-            for key, arr in zip(keys, restored[idx]):
-                if arr.shape != shape:
-                    raise InputError(f"{path}: {key} has shape {arr.shape}, map {idx} is {shape}")
-                if not np.all(np.isfinite(arr)):
-                    raise InputError(f"{path}: {key} holds non-finite values")
+    for idx in data.reference_indices():
+        if f"params_{idx}" not in arrays:
+            raise InputError(f"{path}: checkpoint is missing map {idx}")
+        keys = [f"params_{idx}"] + [k for k in (f"m_{idx}", f"v_{idx}") if k in arrays]
+        if len(keys) == 2:
+            raise InputError(f"{path}: checkpoint has only one Adam moment for map {idx}")
+        shape = data.maps[idx].params.shape
+        restored[idx] = [arrays[key] for key in keys]
+        for key, arr in zip(keys, restored[idx]):
+            if arr.shape != shape:
+                raise InputError(f"{path}: {key} has shape {arr.shape}, map {idx} is {shape}")
+            if not np.all(np.isfinite(arr)):
+                raise InputError(f"{path}: {key} holds non-finite values")
     for idx, (params, *moments) in restored.items():
         data.maps[idx].params[...] = params
         if moments:

@@ -16,17 +16,16 @@ The deterministic reparameterization keeps every decode valid:
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import expit as sigmoid
 
 from rayvis.counters import counters
 from rayvis.errors import InputError, IntervalOrderError
+from rayvis.imgio import read_record, write_record
 
-NRAY_MAGIC = b"NRAY"
+NRAY = (b"NRAY", "IIIII")  # magic; version, view, height, width, components
 NRAY_VERSION = 1
 SIGMA_MIN_FRACTION = 1e-4
 DEFAULT_N_COMPONENTS = 2
@@ -301,8 +300,9 @@ class DistributionMap:
 
     def __post_init__(self):
         self.params = np.asarray(self.params, dtype=np.float64)
-        if self.params.ndim != 4 or self.params.shape[2] != 3:
-            raise InputError("distribution map parameters must have shape (H, W, 3, n)")
+        if self.params.ndim != 4 or self.params.shape[2] != 3 or 0 in self.params.shape:
+            raise InputError("distribution map parameters must have shape (H, W, 3, n) "
+                             f"with H, W, n >= 1, not {self.params.shape}")
 
     @property
     def height(self) -> int:
@@ -320,44 +320,22 @@ class DistributionMap:
         return RawRayParams.from_array(self.params[iy, ix])
 
     def save(self, path):
-        save_distribution_map(self, path)
+        """Write the NRAY format: u32 version, view, height, width and n, then
+        the raw values as f32."""
+        write_record(path, *NRAY,
+                     (NRAY_VERSION, self.view, self.height, self.width, self.n_components),
+                     self.params)
 
     @staticmethod
     def load(path) -> "DistributionMap":
-        return load_distribution_map(path)
-
-
-def save_distribution_map(dist_map: DistributionMap, path):
-    """Write the NRAY binary format (little-endian f32 raw values)."""
-    header = struct.pack(
-        "<4sIIIII",
-        NRAY_MAGIC,
-        NRAY_VERSION,
-        dist_map.view,
-        dist_map.height,
-        dist_map.width,
-        dist_map.n_components,
-    )
-    payload = dist_map.params.astype("<f4").tobytes()
-    Path(path).write_bytes(header + payload)
-
-
-def load_distribution_map(path) -> DistributionMap:
-    blob = Path(path).read_bytes()
-    if len(blob) < 24:
-        raise InputError(f"{path}: truncated distribution map file")
-    magic, version, view, height, width, n = struct.unpack("<4sIIIII", blob[:24])
-    if magic != NRAY_MAGIC:
-        raise InputError(f"{path}: bad magic {magic!r}")
-    if version != NRAY_VERSION:
-        raise InputError(f"{path}: unsupported format version {version}")
-    expected = height * width * 3 * n * 4
-    if len(blob) != 24 + expected:
-        raise InputError(f"{path}: expected {24 + expected} bytes, got {len(blob)}")
-    data = np.frombuffer(blob, dtype="<f4", offset=24).astype(np.float64)
-    if not np.all(np.isfinite(data)):
-        raise InputError(f"{path}: non-finite parameter values")
-    return DistributionMap(view=view, params=data.reshape(height, width, 3, n))
+        (version, view, height, width, n), values = read_record(
+            path, *NRAY, lambda version, view, h, w, n: h * w * 3 * n)
+        if version != NRAY_VERSION:
+            raise InputError(f"{path}: unsupported format version {version}")
+        try:
+            return DistributionMap(view, values.reshape(height, width, 3, n))
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,12 @@ from pathlib import Path
 import numpy as np
 
 from rayvis.camera import PinholeCamera
-from rayvis.errors import SceneFormatError
+from rayvis.errors import InputError, SceneFormatError
 from rayvis.scene import Box, Material, PlanePatch, Primitive, Sphere, SyntheticScene
 
-_CAMERA_KEYS = {"width", "height", "fx", "fy", "cx", "cy", "rotation", "translation"}
+# camera key -> the shape of its value; rotation is world-to-camera, row-major
+_CAMERA_SHAPES = {"width": (), "height": (), "fx": (), "fy": (), "cx": (), "cy": (),
+                  "rotation": (3, 3), "translation": (3,)}
 _MATERIAL_KEYS = {
     "albedo",
     "checker_color",
@@ -45,6 +47,20 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def json_array(obj, key: str, where: str, shape=()) -> np.ndarray:
+    """``obj[key]`` as a finite float array of ``shape``; errors name
+    ``where`` and the quoted key."""
+    try:
+        value = np.asarray(_require(obj, key, where), dtype=np.float64).reshape(shape)
+        valid = np.all(np.isfinite(value))
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise SceneFormatError(f"{where}: '{key}' must be {np.prod(shape, dtype=int)} "
+                               "finite number(s)")
+    return value
+
+
 def _parse_material(obj, where: str) -> Material:
     if not isinstance(obj, dict):
         raise SceneFormatError(f"material in {where} must be an object")
@@ -59,29 +75,37 @@ def _parse_material(obj, where: str) -> Material:
         raise SceneFormatError(f"invalid material in {where}: {exc}") from exc
 
 
-def _parse_camera(obj, index: int) -> PinholeCamera:
-    where = f"cameras[{index}]"
+def camera_to_json(cam: PinholeCamera) -> dict:
+    """The JSON object of one camera; :func:`camera_from_json` inverts it."""
+    obj = {key: getattr(cam, key) for key in _CAMERA_SHAPES}
+    obj["rotation"] = cam.rotation.reshape(-1).tolist()
+    obj["translation"] = cam.translation.tolist()
+    return obj
+
+
+def camera_from_json(obj, where: str, extra=frozenset()) -> PinholeCamera:
+    """The camera of a JSON object; messages name ``where`` and the quoted key.
+
+    Keys in ``extra`` are allowed and left to the caller; any other unknown
+    key, a missing key, a value of the wrong shape or a non-finite value is
+    refused with ``SceneFormatError``.
+    """
     if not isinstance(obj, dict):
         raise SceneFormatError(f"{where} must be an object")
-    _check_keys(obj, _CAMERA_KEYS, where)
-    rotation = np.asarray(_require(obj, "rotation", where), dtype=np.float64)
-    if rotation.size != 9:
-        raise SceneFormatError(f"{where}: rotation must have 9 row-major entries")
-    translation = np.asarray(_require(obj, "translation", where), dtype=np.float64)
-    if translation.size != 3:
-        raise SceneFormatError(f"{where}: translation must have 3 entries")
+    _check_keys(obj, _CAMERA_SHAPES.keys() | extra, where)
+    values = {key: json_array(obj, key, where, shape) for key, shape in _CAMERA_SHAPES.items()}
     try:
         return PinholeCamera(
-            width=int(_require(obj, "width", where)),
-            height=int(_require(obj, "height", where)),
-            fx=float(_require(obj, "fx", where)),
-            fy=float(_require(obj, "fy", where)),
-            cx=float(_require(obj, "cx", where)),
-            cy=float(_require(obj, "cy", where)),
-            rotation=rotation.reshape(3, 3),
-            translation=translation,
+            width=int(values["width"]),
+            height=int(values["height"]),
+            fx=float(values["fx"]),
+            fy=float(values["fy"]),
+            cx=float(values["cx"]),
+            cy=float(values["cy"]),
+            rotation=values["rotation"],
+            translation=values["translation"],
         )
-    except Exception as exc:
+    except InputError as exc:
         raise SceneFormatError(f"invalid camera {where}: {exc}") from exc
 
 
@@ -97,20 +121,20 @@ def _parse_primitive(obj, index: int) -> Primitive:
     try:
         if shape == "sphere":
             return Sphere(
-                center=np.asarray(_require(obj, "center", where), dtype=np.float64),
-                radius=float(_require(obj, "radius", where)),
+                center=json_array(obj, "center", where, (3,)),
+                radius=float(json_array(obj, "radius", where)),
                 material=material,
             )
         if shape == "box":
             return Box(
-                minimum=np.asarray(_require(obj, "min", where), dtype=np.float64),
-                maximum=np.asarray(_require(obj, "max", where), dtype=np.float64),
+                minimum=json_array(obj, "min", where, (3,)),
+                maximum=json_array(obj, "max", where, (3,)),
                 material=material,
             )
         return PlanePatch(
-            point=np.asarray(_require(obj, "point", where), dtype=np.float64),
-            normal=np.asarray(_require(obj, "normal", where), dtype=np.float64),
-            half_extent=float(_require(obj, "half_extent", where)),
+            point=json_array(obj, "point", where, (3,)),
+            normal=json_array(obj, "normal", where, (3,)),
+            half_extent=float(json_array(obj, "half_extent", where)),
             material=material,
         )
     except SceneFormatError:
@@ -131,7 +155,7 @@ def parse_scene(text: str) -> SyntheticScene:
     primitives_obj = _require(root, "primitives", "scene")
     if not isinstance(cameras_obj, list) or not isinstance(primitives_obj, list):
         raise SceneFormatError("'cameras' and 'primitives' must be arrays")
-    cameras = [_parse_camera(c, i) for i, c in enumerate(cameras_obj)]
+    cameras = [camera_from_json(c, f"cameras[{i}]") for i, c in enumerate(cameras_obj)]
     primitives = [_parse_primitive(p, i) for i, p in enumerate(primitives_obj)]
     try:
         return SyntheticScene(
@@ -148,7 +172,14 @@ def parse_scene(text: str) -> SyntheticScene:
 
 
 def load_scene(path) -> SyntheticScene:
-    return parse_scene(Path(path).read_text(encoding="utf-8"))
+    """Parse a scene file; a ``SceneFormatError`` names the file."""
+    try:
+        return parse_scene(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SceneFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    except SceneFormatError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def dump_scene(scene: SyntheticScene) -> str:
@@ -197,19 +228,7 @@ def dump_scene(scene: SyntheticScene) -> str:
             )
         else:
             raise SceneFormatError(f"cannot serialize primitive type {type(prim).__name__}")
-    cameras = [
-        {
-            "width": cam.width,
-            "height": cam.height,
-            "fx": cam.fx,
-            "fy": cam.fy,
-            "cx": cam.cx,
-            "cy": cam.cy,
-            "rotation": cam.rotation.reshape(-1).tolist(),
-            "translation": cam.translation.tolist(),
-        }
-        for cam in scene.cameras
-    ]
+    cameras = [camera_to_json(cam) for cam in scene.cameras]
     return json.dumps(
         {
             "background": scene.background.tolist(),

@@ -277,12 +277,13 @@ class TestCriterion2Gradients:
             z = np.linspace(1.0, 5.0, k + 1)[:k][None, :]
             widths = np.full((1, k), 4.0 / k)
             target = crng.uniform(0.0, 0.3, size=(1, k))
-            h_tilde, back = own_hit_probs(dmap, cam, pixels, z, widths, 1.0, 5.0)
+            zfac = cam.rays_for_pixels(pixels[:, ::-1] + 0.5)[1]
+            h_tilde, back = own_hit_probs(dmap, zfac, pixels, z, widths, 1.0, 5.0)
             _, g_tilde, _ = consistency_loss(h_tilde, target)
             grad = own_hit_probs_backward(dmap, pixels, back, g_tilde, 1.0, 5.0)
 
             def consist_objective():
-                h, _ = own_hit_probs(dmap, cam, pixels, z, widths, 1.0, 5.0)
+                h, _ = own_hit_probs(dmap, zfac, pixels, z, widths, 1.0, 5.0)
                 return consistency_loss(h, target)[0]
 
             for idx in np.argwhere(np.abs(grad) > self.GATE)[:4]:
@@ -547,13 +548,14 @@ class TestCriterion6Optimization:
         dmap = init_from_depth(DepthMap(np.full((2, 2), wrong), near, far, far - near),
                                0.05, 2)
         pixels = np.array([[0, 0]])
+        own_zfac = cam.rays_for_pixels(pixels[:, ::-1] + 0.5)[1]
         state = OptimState(learning_rate=2e-2)
         for _ in range(200):
-            h_tilde, back = own_hit_probs(dmap, cam, pixels, z, widths, near, far)
+            h_tilde, back = own_hit_probs(dmap, own_zfac, pixels, z, widths, near, far)
             _, g_tilde, _ = consistency_loss(h_tilde, h_target)
             grad = own_hit_probs_backward(dmap, pixels, back, g_tilde, near, far)
             adam_step(state, {0: dmap.params}, {0: grad})
-        h_tilde, _ = own_hit_probs(dmap, cam, pixels, z, widths, near, far)
+        h_tilde, _ = own_hit_probs(dmap, own_zfac, pixels, z, widths, near, far)
         tv = 0.5 * float(np.abs(h_tilde - h_target).sum())
         assert tv < 0.05
         report(f"6 memorization sub-test: TV(h_own, h_frozen) = {tv:.4f} (< 0.05) PASS")

@@ -11,8 +11,10 @@ import pytest
 import rayvis
 from rayvis import optim, render
 from rayvis.cli import main
-from rayvis.imgio import read_ppm, write_ppm
+from rayvis.imgio import read_ppm, write_depth_map, write_ppm
+from rayvis.raydist import DistributionMap
 from rayvis.render import usable_cpus
+from rayvis.scene import DepthMap
 from rayvis.scenefile import dump_scene
 from rayvis.scenes import two_spheres
 
@@ -266,18 +268,6 @@ class TestNumericalFailure:
         assert (out / "state.npz").read_bytes() == before
 
 
-def _truncate_image(data_dir):
-    path = data_dir / "images" / "view_0001.ppm"
-    path.write_bytes(path.read_bytes()[:100])
-
-
-def _nan_depth(data_dir):
-    path = data_dir / "depth" / "view_0002.nrdf"
-    blob = bytearray(path.read_bytes())
-    blob[-4:] = np.array([np.nan], dtype="<f4").tobytes()
-    path.write_bytes(bytes(blob))
-
-
 def _run_cli(*args):
     src = str(Path(rayvis.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -286,33 +276,141 @@ def _run_cli(*args):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
-def _edit_camera(data_dir, edit):
-    path = data_dir / "cameras.json"
-    meta = json.loads(path.read_text())
-    edit(meta["cameras"][1])
-    path.write_text(json.dumps(meta))
+def _keep(stop):
+    """Fault: keep only ``blob[:stop]`` of the file."""
+    return lambda path: path.write_bytes(path.read_bytes()[:stop])
+
+
+def _halve(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _bad_magic(path):
+    path.write_bytes(b"XXXX" + path.read_bytes()[4:])
+
+
+def _nan_at(offset):
+    """Fault: overwrite the f32 at byte ``offset`` with NaN."""
+    def fault(path):
+        blob = bytearray(path.read_bytes())
+        pos = offset % len(blob)  # a negative offset counts from the end
+        blob[pos:pos + 4] = np.array([np.nan], dtype="<f4").tobytes()
+        path.write_bytes(bytes(blob))
+    return fault
+
+
+def _edit_json(edit):
+    def fault(path):
+        obj = json.loads(path.read_text())
+        edit(obj)
+        path.write_text(json.dumps(obj))
+    return fault
+
+
+def _edit_state(edit):
+    def fault(path):
+        with np.load(path) as blob:
+            arrays = dict(blob)
+        edit(arrays)
+        with open(path, "wb") as f:
+            np.savez(f, **arrays)
+    return fault
+
+
+def _zero_component_map(path):
+    """An NRAY header for a 24x24 map with no mixture components, and no payload."""
+    path.write_bytes(b"NRAY" + np.array([1, 1, 24, 24, 0], dtype="<u4").tobytes())
+
+
+_COMMANDS = {
+    "render": lambda d: ["render", "--data", d / "data", "--maps", d / "maps", "--view", "0",
+                         "--out", d / "x.ppm", "--k-coarse", "8", "--nw", "3"],
+    "init": lambda d: ["init", d / "data", d / "new_maps"],
+    "optimize": lambda d: ["optimize", "--data", d / "data", "--init", d / "maps",
+                           "--out", d / "opt", "--steps", "2", "--batch", "16", "--k", "8",
+                           "--nw", "3", "--sh-degree", "1", "--eval-interval", "0"],
+    "resume": lambda d: [*_COMMANDS["optimize"](d), "--resume"],
+    "synth": lambda d: ["synth", d / "scene.json", d / "synth"],
+}
+
+_PPM, _NRDF = "data/images/view_0001.ppm", "data/depth/view_0002.nrdf"
+_NRAY, _CAMS = "maps/view_0001.nray", "data/cameras.json"
+_STATE, _SCENE = "opt/state.npz", "scene.json"
+
+# (file, fault, command reading the file, words the message must hold)
+_FAULTS = {
+    "ppm-truncated": (_PPM, _keep(100), "render", []),
+    "ppm-bad_magic": (_PPM, lambda p: p.write_bytes(b"P5" + p.read_bytes()[2:]), "render", []),
+    "ppm-wrong_size": (_PPM, lambda p: p.write_bytes(p.read_bytes() + b"\0"), "render", []),
+    "ppm-wrong_shape": (_PPM, lambda p: write_ppm(p, np.zeros((12, 12, 3))), "render", []),
+    "nrdf-truncated": (_NRDF, _keep(10), "init", []),
+    "nrdf-bad_magic": (_NRDF, _bad_magic, "init", []),
+    "nrdf-wrong_size": (_NRDF, _keep(-4), "init", []),
+    "nrdf-nan": (_NRDF, _nan_at(-4), "init", ["non-finite"]),
+    "nrdf-nan_header": (_NRDF, _nan_at(12), "init", ["non-finite"]),
+    "nrdf-wrong_shape": (_NRDF, lambda p: write_depth_map(
+        p, DepthMap(np.full((12, 12), 2.0), 1.0, 5.0, 4.0)), "optimize", []),
+    "nray-truncated": (_NRAY, _keep(10), "render", []),
+    "nray-bad_magic": (_NRAY, _bad_magic, "render", []),
+    "nray-wrong_size": (_NRAY, _keep(-4), "render", []),
+    "nray-nan": (_NRAY, _nan_at(-4), "render", ["non-finite"]),
+    "nray-wrong_shape": (_NRAY, lambda p: DistributionMap(1, np.zeros((12, 12, 3, 2))).save(p),
+                         "render", []),
+    "nray-zero_components": (_NRAY, _zero_component_map, "render", []),
+    "cameras.json-truncated": (_CAMS, _halve, "render", []),
+    "cameras.json-missing_key": (
+        _CAMS, _edit_json(lambda m: m["cameras"][1].pop("fx")), "render", ["'fx'"]),
+    "cameras.json-nan": (
+        _CAMS, _edit_json(lambda m: m["cameras"][1].update(fx=np.nan)), "render", ["'fx'"]),
+    "cameras.json-wrong_shape": (
+        _CAMS, _edit_json(lambda m: m["cameras"][1].update(rotation=[1.0, 0.0, 0.0])),
+        "render", ["'rotation'"]),
+    "state.npz-truncated": (_STATE, _halve, "resume", []),
+    "state.npz-bad_magic": (_STATE, _bad_magic, "resume", []),
+    "state.npz-nan": (_STATE, _edit_state(lambda a: a["params_1"].fill(np.nan)), "resume",
+                      ["non-finite"]),
+    "state.npz-wrong_shape": (
+        _STATE, _edit_state(lambda a: a.update(params_1=np.zeros((2, 2, 3, 2)))), "resume",
+        ["params_1"]),
+    "scene.json-truncated": (_SCENE, _halve, "synth", []),
+    "scene.json-nan": (_SCENE, _edit_json(lambda s: s["cameras"][0].update(fx=np.nan)),
+                       "synth", ["'fx'"]),
+    "scene.json-nan_center": (
+        _SCENE, _edit_json(lambda s: s["primitives"][0].update(center=[0.0, np.nan, 0.0])),
+        "synth", ["'center'"]),
+    "scene.json-wrong_shape": (
+        _SCENE, _edit_json(lambda s: s["cameras"][0].update(translation=[0.0, 1.0])),
+        "synth", ["'translation'"]),
+}
+
+
+@pytest.fixture(scope="module")
+def checkpoint_dir(synth_dir, maps_dir, tmp_path_factory):
+    """The output of a one-step optimization, with its state.npz."""
+    out = tmp_path_factory.mktemp("checkpoint")
+    assert main(["optimize", "--data", str(synth_dir), "--init", str(maps_dir), "--out", str(out),
+                 "--steps", "1", "--batch", "16", "--k", "8", "--nw", "3", "--sh-degree", "1",
+                 "--eval-interval", "0"]) == 0
+    assert not list(out.glob("*.tmp"))
+    return out
 
 
 class TestInputFaults:
     """Corrupt input files exit 2 with a message, never with a traceback."""
 
-    @pytest.mark.parametrize("fault, names", [
-        (_truncate_image, ["view_0001.ppm"]),
-        (lambda d: _edit_camera(d, lambda cam: cam.pop("fx")), ["cameras.json", "'fx'"]),
-        (lambda d: _edit_camera(d, lambda cam: cam.update(rotation=[1.0, 0.0, 0.0])),
-         ["cameras.json", "'rotation'"]),
-    ], ids=["truncated_ppm", "camera_missing_key", "camera_wrong_shape"])
-    def test_render_exits_2_without_traceback(self, fault, names, synth_dir, maps_dir,
-                                              tmp_path):
-        data = tmp_path / "data"
-        shutil.copytree(synth_dir, data)
-        fault(data)
-        proc = _run_cli("render", "--data", str(data), "--maps", str(maps_dir),
-                        "--view", "0", "--out", str(tmp_path / "x.ppm"),
-                        "--k-coarse", "8", "--nw", "3")
+    @pytest.mark.parametrize("case", list(_FAULTS))
+    def test_fault_exits_2_naming_the_file(self, case, small_scene_file, synth_dir, maps_dir,
+                                           checkpoint_dir, tmp_path):
+        shutil.copytree(synth_dir, tmp_path / "data")
+        shutil.copytree(maps_dir, tmp_path / "maps")
+        shutil.copytree(checkpoint_dir, tmp_path / "opt")
+        shutil.copy(small_scene_file, tmp_path / "scene.json")
+        target, fault, command, words = _FAULTS[case]
+        fault(tmp_path / target)
+        proc = _run_cli(*map(str, _COMMANDS[command](tmp_path)))
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
-        assert all(name in proc.stderr for name in names)
+        assert all(word in proc.stderr for word in [Path(target).name, *words]), proc.stderr
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_render_bad_threads_exits_2_without_traceback(self, threads, synth_dir, maps_dir,
@@ -337,15 +435,6 @@ class TestInputFaults:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr and field in proc.stderr
         assert not out.exists()
-
-    def test_init_nan_depth_exits_2_without_traceback(self, synth_dir, tmp_path):
-        data = tmp_path / "data"
-        shutil.copytree(synth_dir, data)
-        _nan_depth(data)
-        proc = _run_cli("init", str(data), str(tmp_path / "maps"))
-        assert proc.returncode == 2, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert "view_0002.nrdf" in proc.stderr and "non-finite" in proc.stderr
 
 
 class TestEval:

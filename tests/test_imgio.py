@@ -3,6 +3,7 @@ import pytest
 
 from rayvis.errors import InputError
 from rayvis.imgio import (
+    atomic_writer,
     encode_ppm,
     read_depth_map,
     read_float_image,
@@ -80,6 +81,19 @@ class TestFloatImage:
         with pytest.raises(InputError):
             read_float_image(path)
 
+    @pytest.mark.parametrize("fault", [
+        lambda b: b[:10],
+        lambda b: b"XXXX" + b[4:],
+        lambda b: b[:-4],
+        lambda b: b + b"\0" * 4,
+        lambda b: b[:-4] + np.array([np.nan], dtype="<f4").tobytes(),
+    ], ids=["truncated", "bad_magic", "short_payload", "long_payload", "nan"])
+    def test_fault_names_the_file(self, tmp_path, fault):
+        path = tmp_path / "img.nrif"
+        write_float_image(path, np.zeros((2, 3, 3)))
+        path.write_bytes(fault(path.read_bytes()))
+        with pytest.raises(InputError, match="img.nrif"):
+            read_float_image(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, tmp_path, bad):
@@ -126,3 +140,14 @@ class TestDepthMap:
         write_depth_map(path, DepthMap(np.full((3, 2), 2.0), 1.0, np.nan, 4.0))
         with pytest.raises(InputError, match="non-finite"):
             read_depth_map(path)
+
+
+def test_atomic_writer_keeps_the_old_file_on_error(tmp_path):
+    path = tmp_path / "f.bin"
+    path.write_bytes(b"old")
+    with pytest.raises(RuntimeError):
+        with atomic_writer(path) as f:
+            f.write(b"new")
+            raise RuntimeError("interrupted")
+    assert path.read_bytes() == b"old"
+    assert list(tmp_path.iterdir()) == [path]

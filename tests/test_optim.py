@@ -407,7 +407,8 @@ class TestOwnHitProbs:
         pixels = np.array([[2, 3], [7, 7], [0, 9]])
         z = np.linspace(data.near, data.far, 9)[:8][None, :].repeat(3, axis=0)
         widths = np.full((3, 8), (data.far - data.near) / 8)
-        h_tilde, _ = own_hit_probs(dmap, camera, pixels, z, widths, data.near, data.far)
+        zfac = camera.rays_for_pixels(pixels[:, ::-1] + 0.5)[1]
+        h_tilde, _ = own_hit_probs(dmap, zfac, pixels, z, widths, data.near, data.far)
         from rayvis.raydist import occlusion_cdf
 
         for row, (iy, ix) in enumerate(pixels):
@@ -428,13 +429,14 @@ class TestOwnHitProbs:
         pixels = np.array([[4, 4], [5, 2]])
         z = np.linspace(data.near, data.far, 7)[:6][None, :].repeat(2, axis=0)
         widths = np.full((2, 6), (data.far - data.near) / 6)
-        h_tilde, back = own_hit_probs(dmap, camera, pixels, z, widths,
+        zfac = camera.rays_for_pixels(pixels[:, ::-1] + 0.5)[1]
+        h_tilde, back = own_hit_probs(dmap, zfac, pixels, z, widths,
                                       data.near, data.far)
         g_out = rng.normal(size=h_tilde.shape)
         grad = own_hit_probs_backward(dmap, pixels, back, g_out, data.near, data.far)
 
         def objective():
-            h, _ = own_hit_probs(dmap, camera, pixels, z, widths, data.near, data.far)
+            h, _ = own_hit_probs(dmap, zfac, pixels, z, widths, data.near, data.far)
             return float(np.sum(h * g_out))
 
         eps = 1e-5
@@ -477,15 +479,16 @@ class TestMemorization:
             DepthMap(np.full((2, 2), wrong_depth), near, far, far - near), 0.05, 2
         )
         pixels = np.array([[0, 0]])
+        own_zfac = camera.rays_for_pixels(pixels[:, ::-1] + 0.5)[1]
         state = OptimState(learning_rate=2e-2)
         history = []
         for step in range(200):
-            h_tilde, back = own_hit_probs(dmap, camera, pixels, z, widths, near, far)
+            h_tilde, back = own_hit_probs(dmap, own_zfac, pixels, z, widths, near, far)
             value, g_tilde, _ = consistency_loss(h_tilde, h_target)
             grad = own_hit_probs_backward(dmap, pixels, back, g_tilde, near, far)
             adam_step(state, {0: dmap.params}, {0: grad})
             history.append(np.abs(h_tilde - h_target).mean())
-        h_tilde, _ = own_hit_probs(dmap, camera, pixels, z, widths, near, far)
+        h_tilde, _ = own_hit_probs(dmap, own_zfac, pixels, z, widths, near, far)
         tv = 0.5 * np.abs(h_tilde - h_target).sum()
         assert tv < 0.05
         # mean absolute gap decreases monotonically over 10-step windows

@@ -356,6 +356,11 @@ class TestDistributionMapFormat:
         with pytest.raises(InputError):
             DistributionMap.load(path)
 
+    @pytest.mark.parametrize("shape", [(0, 2, 3, 2), (2, 0, 3, 2), (2, 2, 3, 0)])
+    def test_rejects_empty_map(self, shape):
+        with pytest.raises(InputError, match="H, W, n >= 1"):
+            DistributionMap(view=0, params=np.zeros(shape))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_payload(self, tmp_path, bad):
         params = np.zeros((2, 2, 3, 1))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rayvis.errors import SceneFormatError
-from rayvis.scenefile import dump_scene, load_scene, parse_scene
+from rayvis.scenefile import camera_from_json, camera_to_json, dump_scene, load_scene, parse_scene
 
 
 class TestParse:
@@ -60,3 +60,27 @@ class TestParse:
         path.write_text(dump_scene(ring_scene), encoding="utf-8")
         scene = load_scene(path)
         assert len(scene.cameras) == 16
+
+
+class TestCameraJson:
+    def test_round_trip(self, ring_scene):
+        cam = ring_scene.cameras[3]
+        back = camera_from_json(camera_to_json(cam), "camera")
+        for key in ("width", "height", "fx", "fy", "cx", "cy"):
+            assert getattr(back, key) == getattr(cam, key)
+        assert np.array_equal(back.rotation, cam.rotation)
+        assert np.array_equal(back.translation, cam.translation)
+
+    def test_extra_keys_only_where_allowed(self, ring_scene):
+        obj = {"index": 3, **camera_to_json(ring_scene.cameras[3])}
+        with pytest.raises(SceneFormatError, match="'index'"):
+            camera_from_json(obj, "camera")
+        camera_from_json(obj, "camera", extra={"index"})
+
+    @pytest.mark.parametrize("key, value", [
+        ("fx", float("nan")), ("cy", "x"), ("translation", [0.0, 1.0]),
+        ("rotation", [[1.0, 0.0], [0.0, 1.0]])])
+    def test_bad_value_names_where_and_key(self, ring_scene, key, value):
+        obj = {**camera_to_json(ring_scene.cameras[0]), key: value}
+        with pytest.raises(SceneFormatError, match=rf"cams\[0\]: '{key}'"):
+            camera_from_json(obj, "cams[0]")
