@@ -32,7 +32,7 @@ class Ray:
     def __post_init__(self):
         object.__setattr__(self, "origin", np.asarray(self.origin, dtype=np.float64))
         d = np.asarray(self.direction, dtype=np.float64)
-        if abs(np.linalg.norm(d) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(d) - 1.0) <= 1e-12:
             raise InputError("ray direction must be unit length")
         object.__setattr__(self, "direction", d)
 
@@ -54,13 +54,15 @@ class PinholeCamera:
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
+        if not (self.width >= 1 and self.height >= 1):
             raise InputError("image size must be at least 1x1")
-        if self.fx <= 0 or self.fy <= 0:
-            raise InputError("focal lengths must be positive")
         r = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        if np.linalg.norm(r.T @ r - np.eye(3)) >= _ROT_TOL:
+        if not all(np.all(np.isfinite(a)) for a in ((self.fx, self.fy, self.cx, self.cy), r, t)):
+            raise InputError("intrinsics and pose must be finite")
+        if not (self.fx > 0 and self.fy > 0):
+            raise InputError("focal lengths must be positive")
+        if not np.linalg.norm(r.T @ r - np.eye(3)) < _ROT_TOL:
             raise InputError("rotation is not orthonormal")
         if np.linalg.det(r) < 0:
             raise InputError("rotation must have determinant +1")

@@ -397,8 +397,7 @@ def cmd_bench(args) -> int:
     density_visibility_oracle(profile, meta["far"])
     d_evals = counters.snapshot().density_evals
     counters.reset()
-    state = working.views[0]
-    dist = decode(state.view.dmap.raw_at(0, 0), (meta["near"], meta["far"]))
+    dist = decode(working.views[0].dmap.raw_at(0, 0), (meta["near"], meta["far"]))
     visibility(dist, 0.5 * (meta["near"] + meta["far"]))
     c_evals = counters.snapshot().cdf_evals
     report.append(

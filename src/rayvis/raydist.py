@@ -363,10 +363,6 @@ class DensityProfile:
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "densities", dens)
 
-    @property
-    def n_segments(self) -> int:
-        return self.densities.size
-
 
 def density_visibility_oracle(profile: DensityProfile, z) -> float:
     """Visibility at depth ``z`` from accumulated segment densities.

@@ -148,25 +148,11 @@ class RenderView:
 
 
 @dataclass
-class _ViewState:
-    """One working view with its decoded parameter grids (slices of the stacks)."""
-
-    view: RenderView
-    mu: np.ndarray
-    sig: np.ndarray
-    w: np.ndarray
-
-    @property
-    def camera(self) -> PinholeCamera:
-        return self.view.camera
-
-
-@dataclass
 class WorkingSet:
     """Query camera, its nearest reference views and depth bounds, and the J views' stacks."""
 
     query_camera: PinholeCamera
-    views: list
+    views: list             # the J chosen RenderViews
     near: float
     far: float
     rot: np.ndarray         # (3, 3J): the transposed rotations side by side
@@ -225,14 +211,9 @@ def select_working_views(
     comps = np.arange(params.shape[-1]) < np.array([[v.dmap.n_components] for v in chosen])
     mu, sig, weights = (np.moveaxis(a, -1, 0) for a in decode_arrays(params, near, far))
     decoded = np.stack([mu, sig, np.where(comps.T[:, :, None, None], weights, 0.0)])
-    states = [
-        _ViewState(v, *np.moveaxis(
-            decoded[:, : v.dmap.n_components, j, : v.dmap.height, : v.dmap.width], 1, -1))
-        for j, v in enumerate(chosen)
-    ]
     cams = [view.camera for view in chosen]
     return WorkingSet(
-        query_camera, states, float(near), float(far),
+        query_camera, chosen, float(near), float(far),
         rot=np.concatenate([c.rotation.T for c in cams], axis=1),
         trans=np.array([c.translation for c in cams]),
         centers=np.array([c.center for c in cams]),
@@ -556,8 +537,8 @@ def render_rays_backward(working: WorkingSet, state: ChunkState, config: RenderC
     g_map[..., 2, :] *= working.comps[:, None, None]     # padded components stay put
     g_raw = decode_backward(working.params, working.near, working.far,
                             g_map[..., 0, :], g_map[..., 1, :], g_map[..., 2, :])
-    return {s.view.index: g_raw[j][tuple(map(slice, s.view.dmap.params.shape))]
-            for j, s in enumerate(working.views)}
+    return {v.index: g_raw[j][tuple(map(slice, v.dmap.params.shape))]
+            for j, v in enumerate(working.views)}
 
 
 def render_image(working: WorkingSet, config: RenderConfig) -> np.ndarray:

@@ -41,24 +41,24 @@ class Material:
 
     def __post_init__(self):
         albedo = np.asarray(self.albedo, dtype=np.float64)
-        if albedo.shape != (3,) or np.any(albedo < 0) or np.any(albedo > 1):
+        if albedo.shape != (3,) or not np.all((albedo >= 0) & (albedo <= 1)):
             raise InputError("albedo must be an RGB triple in [0, 1]")
         object.__setattr__(self, "albedo", albedo)
         if self.checker_color is not None:
             other = np.asarray(self.checker_color, dtype=np.float64)
-            if other.shape != (3,) or np.any(other < 0) or np.any(other > 1):
+            if other.shape != (3,) or not np.all((other >= 0) & (other <= 1)):
                 raise InputError("checker color must be an RGB triple in [0, 1]")
-            if self.checker_cell <= 0:
-                raise InputError("checker cell size must be positive")
+            if not 0 < self.checker_cell < np.inf:
+                raise InputError("checker cell size must be finite and positive")
             object.__setattr__(self, "checker_color", other)
         if not (0.0 <= self.specular_strength <= 1.0):
             raise InputError("specular strength must lie in [0, 1]")
-        if self.shininess <= 0:
-            raise InputError("shininess exponent must be positive")
+        if not 0 < self.shininess < np.inf:
+            raise InputError("shininess exponent must be finite and positive")
         light = np.asarray(self.light_direction, dtype=np.float64)
         n = np.linalg.norm(light)
-        if n == 0:
-            raise InputError("light direction must be nonzero")
+        if not 0 < n < np.inf:
+            raise InputError("light direction must be finite and nonzero")
         object.__setattr__(self, "light_direction", light / n)
 
     def albedo_at(self, points: np.ndarray) -> np.ndarray:

@@ -9,10 +9,10 @@ disturb the fit.
 Basis convention: real spherical harmonics, components ordered by degree l
 ascending and order m from -l to l within each degree. Degree 0..3 only.
 
-:func:`sh_fit` solves the primal normal equations over the basis
-coefficients and is the reference. The render pipeline needs only the
-color at the query direction and has few views (J) per fit, so
-:func:`sh_fit_batched` solves the same estimator in its dual (kernel) form.
+There is one solver. The render pipeline needs only the color at the query
+direction and has few views (J) per fit, so the estimator is solved in its
+dual (kernel) form, by :func:`sh_fit_batched` for a batch of fits and by
+:func:`sh_fit` as a one-row call of the same system that returns coefficients.
 By the addition theorem, ``sum_m Y_lm(a) Y_lm(b) = (2l+1)/(4 pi) P_l(a.b)``,
 so the penalized degrees reduce to the kernel
 ``K(a, b) = sum_{lambda_l > 0} (2l+1)/(4 pi lambda_l) P_l(a.b)``, one cubic
@@ -24,7 +24,10 @@ size J + n_b::
          [(diag(s) Y_b)',        0          ]]
 
 and the color at ``q`` is ``sum_j g_j s_j c_j`` with
-``g = S^-1 [s * K(q, d); y_b(q)]``.
+``g = S^+ [s * K(q, d); y_b(q)]``. One rule picks each row's solve: LU on
+``S`` while the border is at most one nonzero column; otherwise the border
+is eliminated through the SVD of ``diag(s) Y_b``, keeping the directions
+``matrix_rank`` counts, since LU would square that matrix's condition.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from rayvis.errors import DegenerateFitError, InputError
 
 MAX_DEGREE = 3
 DEFAULT_DEGREE_PENALTIES = (0.0, 0.001, 0.005, 0.01)
-_COND_LIMIT = 1e12
 
 _C0 = 0.28209479177387814
 _C1 = 0.4886025119029199
@@ -96,10 +98,6 @@ class SHCoefficients:
             raise InputError("coefficients must be a finite (basis, 3) array")
         object.__setattr__(self, "values", vals)
 
-    @property
-    def basis_size(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass(frozen=True)
 class WeightedColorSample:
@@ -111,7 +109,7 @@ class WeightedColorSample:
 
     def __post_init__(self):
         d = np.asarray(self.direction, dtype=np.float64).reshape(3)
-        if abs(np.linalg.norm(d) - 1.0) > 1e-9:
+        if not abs(np.linalg.norm(d) - 1.0) <= 1e-9:
             raise InputError("sample direction must be unit length")
         c = np.asarray(self.color, dtype=np.float64).reshape(3)
         if not np.all(np.isfinite(c)):
@@ -154,7 +152,7 @@ def sh_basis_values(degree: int, dirs: np.ndarray) -> np.ndarray:
 def sh_eval(basis: SHBasis, direction) -> np.ndarray:
     """Evaluate all basis functions at one unit direction."""
     d = np.asarray(direction, dtype=np.float64).reshape(3)
-    if abs(np.linalg.norm(d) - 1.0) > 1e-6:
+    if not abs(np.linalg.norm(d) - 1.0) <= 1e-6:
         raise InputError("direction must be unit length")
     return sh_basis_values(basis.degree, d)
 
@@ -167,10 +165,12 @@ def sh_fit(
     """Solve the regularized weighted least squares for the coefficients.
 
     Minimizes ``sum_j w_j * |B(r_j) theta - c_j|^2 + theta' Lambda theta``
-    per channel via the normal equations. The three channels share one
-    factorization. Falls back to the pseudo-inverse when the system is
-    ill-conditioned; raises only when all weights are zero and the
-    regularizer vanishes.
+    per channel by one row of the dual system, the channels as right-hand
+    sides ``[s * c; 0]``: the border unknowns are the unpenalized
+    coefficients, the penalized ones are ``Lambda^-1 Y_p' (s * r)`` for the
+    solved residuals ``r``. Coefficients that are not unique come out
+    minimum-norm. Raises only when all weights are zero and the regularizer
+    vanishes.
     """
     if not samples:
         raise InputError("need at least one sample")
@@ -180,24 +180,22 @@ def sh_fit(
     lam = reg.diagonal(basis)
     if np.all(weights == 0) and np.all(lam == 0):
         raise DegenerateFitError("all weights zero and no regularization")
-    b_mat = sh_basis_values(basis.degree, dirs)
-    a = b_mat.T @ (weights[:, None] * b_mat) + np.diag(lam)
-    rhs = b_mat.T @ (weights[:, None] * colors)
-    cond = np.linalg.cond(a)
-    if np.isfinite(cond) and cond <= _COND_LIMIT:
-        theta = np.linalg.solve(a, rhs)
-    else:
-        theta = np.linalg.pinv(a) @ rhs
+    kernel, _, border = sh_dual_form(basis.degree, reg.degree_penalties)
+    y = sh_basis_values(basis.degree, dirs)
+    s, _, system = _dual_system(dirs[None], weights[None], kernel, y[None][..., border])
+    rhs = np.concatenate([s[0, :, None] * colors, np.zeros((border.size, 3))])
+    sol = _solve(system, rhs[None], len(samples))[0]
+    theta = np.zeros((basis.basis_size, 3))
+    theta[border] = sol[len(samples):]
+    pen = lam > 0
+    theta[pen] = y[:, pen].T @ (s[0, :, None] * sol[: len(samples)]) / lam[pen, None]
     return SHCoefficients(theta)
 
 
 def sh_color(coeffs: SHCoefficients, direction) -> np.ndarray:
     """Color at a unit viewing direction; no clamping is applied here."""
-    d = np.asarray(direction, dtype=np.float64).reshape(3)
-    if abs(np.linalg.norm(d) - 1.0) > 1e-6:
-        raise InputError("direction must be unit length")
-    degree = int(round(np.sqrt(coeffs.basis_size))) - 1
-    return sh_basis_values(degree, d) @ coeffs.values
+    degree = int(round(np.sqrt(coeffs.values.shape[0]))) - 1
+    return sh_eval(SHBasis(degree), direction) @ coeffs.values
 
 
 def sh_dual_form(degree: int, penalties: Sequence[float]):
@@ -226,7 +224,6 @@ class DualFit:
     y_b: np.ndarray      # (M, J, n_b) border columns at the input directions
     colors: np.ndarray   # (M, J, 3)
     system: np.ndarray   # (M, J + n_b, J + n_b)
-    singular: np.ndarray  # (M,) rows solved by the pseudo-inverse
     g: np.ndarray        # (M, J + n_b) forward solution
 
 
@@ -238,15 +235,52 @@ def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve(system: np.ndarray, rhs: np.ndarray, singular: np.ndarray) -> np.ndarray:
-    """One right-hand side per row; singular rows use the pseudo-inverse."""
-    if not singular.any():
-        return np.linalg.solve(system, rhs[..., None])[..., 0]
+def _dual_system(dirs, weights, kernel, y_b):
+    """Square-root weights (M, J), kernel (M, J, J) and bordered system of each row."""
+    m, j = weights.shape
+    nb = y_b.shape[-1]
+    s = np.sqrt(np.maximum(weights, 0.0))  # clamp rounding noise below zero
+    kern = _horner(kernel, np.matmul(dirs, np.swapaxes(dirs, -1, -2)))
+    sb = s[..., None] * y_b
+    top = s[:, :, None] * kern * s[:, None, :]
+    top[:, np.arange(j), np.arange(j)] += 1.0
+    system = np.block([[top, sb], [np.swapaxes(sb, -1, -2), np.zeros((m, nb, nb))]])
+    return s, kern, system
+
+
+def _solve(system: np.ndarray, rhs: np.ndarray, j: int) -> np.ndarray:
+    """``S^+ rhs`` for right-hand sides ``rhs`` (M, J + n_b, k), by the module's rule."""
+    if system.shape[-1] - j > 1:
+        return _eliminate(system, rhs, j)
+    zero = (system.shape[-1] == j + 1) & ~np.any(system[:, :j, j:], axis=(1, 2))
+    if not zero.any():
+        return np.linalg.solve(system, rhs)
     out = np.empty_like(rhs)
-    ok = ~singular
-    out[ok] = np.linalg.solve(system[ok], rhs[ok][..., None])[..., 0]
-    out[singular] = np.matmul(np.linalg.pinv(system[singular]), rhs[singular][..., None])[..., 0]
+    out[~zero] = np.linalg.solve(system[~zero], rhs[~zero])
+    out[zero] = _eliminate(system[zero], rhs[zero], j)
     return out
+
+
+def _eliminate(system: np.ndarray, rhs: np.ndarray, j: int) -> np.ndarray:
+    """``S^+ rhs`` by eliminating the border ``B = s * Y_b = U1 sv V1'``.
+
+    ``B' x = t`` fixes ``U1' x``; the rest of ``x`` solves the SPD system
+    ``P A P + I - P`` with ``P = I - U1 U1'``, and the border unknowns are the
+    minimum-norm ``V1 sv^-1 U1' (r - A x)``.
+    """
+    a, b = system[:, :j, :j], system[:, :j, j:]
+    r, t = rhs[:, :j], rhs[:, j:]
+    u, sv, vh = np.linalg.svd(b)
+    k = sv.shape[-1]
+    keep = sv > np.finfo(float).eps * max(b.shape[1:]) * sv[:, :1]
+    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)[..., None]
+    u1 = u[..., :k] * keep[:, None, :]  # dropped directions join the null space of B'
+    u1t, v1t = np.swapaxes(u1, -1, -2), vh[:, :k]
+    x = u1 @ (inv * (v1t @ t))
+    p = np.eye(j) - u1 @ u1t
+    x += np.linalg.solve(p @ a @ p + np.eye(j) - p, p @ (r - a @ x))
+    y = np.swapaxes(v1t, -1, -2) @ (inv * (u1t @ (r - a @ x)))
+    return np.concatenate([x, y], axis=1)
 
 
 def sh_fit_batched(dirs, weights, colors, query, kernel, y_b, y_bq):
@@ -257,27 +291,15 @@ def sh_fit_batched(dirs, weights, colors, query, kernel, y_b, y_bq):
     ``kernel``, ``y_b`` (M, J, n_b) and ``y_bq`` (M, n_b) from
     :func:`sh_dual_form` and :func:`sh_basis_values`. Returns
     ``(colors_q, fit)`` with colors_q (M, 3); ``fit`` is kept for the
-    backward pass. A row is singular exactly when its weighted border
-    columns are rank deficient; those rows use the pseudo-inverse.
+    backward pass.
     """
-    m, j = weights.shape
-    nb = y_b.shape[-1]
-    s = np.sqrt(np.maximum(weights, 0.0))  # clamp rounding noise below zero
-    kern = _horner(kernel, np.matmul(dirs, np.swapaxes(dirs, -1, -2)))
+    j = weights.shape[1]
+    s, kern, system = _dual_system(dirs, weights, kernel, y_b)
     k_q = _horner(kernel, np.matmul(dirs, query[:, :, None])[..., 0])
-    sb = s[..., None] * y_b
-    top = s[:, :, None] * kern * s[:, None, :]
-    top[:, np.arange(j), np.arange(j)] += 1.0
-    system = np.block([[top, sb], [np.swapaxes(sb, -1, -2), np.zeros((m, nb, nb))]])
-    if nb == 0:
-        singular = np.zeros(m, dtype=bool)
-    elif nb == 1:
-        singular = ~np.any(sb[..., 0], axis=-1)
-    else:
-        singular = np.linalg.matrix_rank(sb) < nb
-    g = _solve(system, np.concatenate([s * k_q, y_bq], axis=-1), singular)
+    rhs = np.concatenate([s * k_q, y_bq], axis=-1)
+    g = _solve(system, rhs[..., None], j)[..., 0]
     colors_q = np.matmul((g[:, :j] * s)[:, None, :], colors)[:, 0, :]
-    return colors_q, DualFit(s, kern, k_q, y_b, colors, system, singular, g)
+    return colors_q, DualFit(s, kern, k_q, y_b, colors, system, g)
 
 
 def sh_fit_weight_grads(fit: DualFit, dc: np.ndarray) -> np.ndarray:
@@ -297,6 +319,6 @@ def sh_fit_weight_grads(fit: DualFit, dc: np.ndarray) -> np.ndarray:
 
     e = np.matmul(fit.colors, dc[..., None])[..., 0]
     rhs = np.concatenate([fit.s * e, np.zeros((e.shape[0], fit.y_b.shape[-1]))], axis=-1)
-    resid = e - unweighted(_solve(fit.system, rhs, fit.singular))
+    resid = e - unweighted(_solve(fit.system, rhs[..., None], j)[..., 0])
     ypsi = fit.k_q - unweighted(fit.g)
     return ypsi * resid

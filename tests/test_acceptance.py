@@ -32,6 +32,7 @@ from rayvis.raydist import (
     DistributionMap,
     RawRayParams,
     decode,
+    decode_arrays,
     density_visibility_oracle,
     grad_cdf,
     hit_prob_interval,
@@ -411,8 +412,8 @@ class TestCriterion4Occlusion:
         ws = working_set(gt_views, scene, 0, n_working=8)
         agree = total = 0
         eps = 1e-4 * scene.scene_scale
-        for state in ws.views:
-            cam = state.camera
+        for view in ws.views:
+            cam = view.camera
             pc = probes @ cam.rotation.T + cam.translation
             z = pc[:, 2]
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -422,9 +423,7 @@ class TestCriterion4Occlusion:
             # predicted visibility from the view's distribution map
             ix = np.clip(np.floor(u).astype(int), 0, cam.width - 1)
             iy = np.clip(np.floor(v).astype(int), 0, cam.height - 1)
-            mu = state.mu[iy, ix]
-            sig = state.sig[iy, ix]
-            w = state.w[iy, ix]
+            mu, sig, w = decode_arrays(view.dmap.params[iy, ix], ws.near, ws.far)
             from scipy.special import expit
 
             t = np.sum(w * expit((z[:, None] - mu) / sig), axis=-1)

@@ -85,6 +85,15 @@ class TestCameraInvariants:
         with pytest.raises(InputError):
             PinholeCamera(8, 8, 10, 10, 4, 4, rotation=bad)
 
+    @pytest.mark.parametrize("field", [
+        {"width": np.nan}, {"fx": np.nan}, {"fy": np.inf}, {"cx": np.inf}, {"cy": np.nan},
+        {"rotation": np.full((3, 3), np.nan)}, {"translation": (0.0, np.nan, 0.0)},
+    ])
+    def test_non_finite_intrinsics_and_pose_rejected(self, field):
+        with pytest.raises(InputError):
+            PinholeCamera(**{"width": 24, "height": 24, "fx": 10.0, "fy": 10.0,
+                             "cx": 12.0, "cy": 12.0, **field})
+
     def test_project_unproject_round_trip(self):
         rng = np.random.default_rng(11)
         for _ in range(1000):
@@ -101,6 +110,10 @@ class TestCameraInvariants:
     def test_ray_direction_must_be_unit(self):
         with pytest.raises(InputError):
             Ray(np.zeros(3), np.array([1.0, 1.0, 0.0]))
+
+    def test_ray_direction_must_be_finite(self):
+        with pytest.raises(InputError):
+            Ray(np.zeros(3), np.array([np.nan, 0.0, 1.0]))
 
     def test_look_at_points_at_target(self):
         cam = look_at_camera(64, 64, 60, 60, 32, 32, (3, 1, -2), (0.5, 0, 0))

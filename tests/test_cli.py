@@ -378,6 +378,9 @@ _FAULTS = {
     "scene.json-nan_center": (
         _SCENE, _edit_json(lambda s: s["primitives"][0].update(center=[0.0, np.nan, 0.0])),
         "synth", ["'center'"]),
+    "scene.json-nan_albedo": (
+        _SCENE, _edit_json(lambda s: s["primitives"][0]["material"].update(
+            albedo=[np.nan, 0.5, 0.5])), "synth", ["albedo"]),
     "scene.json-wrong_shape": (
         _SCENE, _edit_json(lambda s: s["cameras"][0].update(translation=[0.0, 1.0])),
         "synth", ["'translation'"]),

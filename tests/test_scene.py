@@ -269,3 +269,16 @@ class TestSceneValidation:
             Sphere(center=(0, 0, 0), radius=-1.0, material=GRAY)
         with pytest.raises(InputError):
             Box(minimum=(0, 0, 0), maximum=(0, 1, 1), material=GRAY)
+
+    @pytest.mark.parametrize("field", [
+        {"albedo": (np.nan, 0.5, 0.5)},
+        {"checker_color": (0.1, 0.2, np.nan)},
+        {"checker_color": (0.1, 0.2, 0.3), "checker_cell": np.nan},
+        {"shininess": np.nan},
+        {"shininess": np.inf},
+        {"light_direction": (np.nan, 1.0, 0.0)},
+        {"light_direction": (np.inf, 1.0, 0.0)},
+    ])
+    def test_material_non_finite_rejected(self, field):
+        with pytest.raises(InputError):
+            Material(**{"albedo": (0.5, 0.5, 0.5), **field})

@@ -14,6 +14,7 @@ from rayvis.shcolor import (
     sh_dual_form,
     sh_fit,
     sh_fit_batched,
+    sh_fit_weight_grads,
 )
 
 Y00 = 0.2820947918
@@ -76,6 +77,12 @@ class TestShEval:
     def test_non_unit_direction_rejected(self):
         with pytest.raises(InputError):
             sh_eval(SHBasis(2), (0, 0, 1.001))
+
+    def test_nan_direction_rejected(self):
+        with pytest.raises(InputError):
+            sh_eval(SHBasis(2), (np.nan, 0, 1))
+        with pytest.raises(InputError):
+            WeightedColorSample((np.nan, 0, 1), (0.5, 0.5, 0.5), 1.0)
 
     def test_degree_bounds(self):
         with pytest.raises(InputError):
@@ -236,17 +243,29 @@ class TestRegularizer:
             SHRegularizer((-0.1, 0.0))
 
 
+def lstsq_fit(dirs, weights, colors, degree, penalties):
+    """Oracle: the minimum-norm solution of the augmented least squares
+    ``[sqrt(w) Y; sqrt(Lambda)] theta = [sqrt(w) c; 0]``, with the condition
+    number of that matrix over the singular values it keeps."""
+    lam = SHRegularizer(penalties).diagonal(SHBasis(degree))
+    s = np.sqrt(weights)[:, None]
+    a = np.concatenate([s * sh_basis_values(degree, dirs), np.diag(np.sqrt(lam))])
+    b = np.concatenate([s * colors, np.zeros((lam.size, 3))])
+    theta, _, rank, sv = np.linalg.lstsq(a, b, rcond=None)
+    return theta, sv[0] / sv[rank - 1]
+
+
+def dual_colors(dirs, weights, colors, query, degree, penalties):
+    kernel, border_degree, border = sh_dual_form(degree, penalties)
+    y_b = sh_basis_values(border_degree, dirs)[..., border]
+    y_bq = sh_basis_values(border_degree, query)[..., border]
+    return sh_fit_batched(dirs, weights, colors, query, kernel, y_b, y_bq)
+
+
 class TestDualFit:
-    """The batched dual-form fit against the primal ``sh_fit`` reference."""
+    """Both SH entry points against an independent least-squares oracle."""
 
     BORDER_PENALTIES = (0.002, 0.001, 0.0, 0.01)  # unpenalized degree 2 only
-
-    @staticmethod
-    def dual_colors(dirs, weights, colors, query, degree, penalties):
-        kernel, border_degree, border = sh_dual_form(degree, penalties)
-        y_b = sh_basis_values(border_degree, dirs)[..., border]
-        y_bq = sh_basis_values(border_degree, query)[..., border]
-        return sh_fit_batched(dirs, weights, colors, query, kernel, y_b, y_bq)
 
     @pytest.mark.parametrize("penalties", [DEFAULT_DEGREE_PENALTIES, BORDER_PENALTIES])
     @pytest.mark.parametrize("n_views", [1, 3, 8, 20])
@@ -260,19 +279,52 @@ class TestDualFit:
         weights = rng.uniform(0, 1, size=(rows, n_views))
         weights[1::3, 0] = 0.0
         weights[3] = 0.0
-        # with fewer views than unpenalized columns, a 1e-12 weight alone
-        # pins some of them: ill-conditioned in either form, so left out
-        if n_views >= sh_dual_form(degree, penalties)[2].size:
-            weights[2::3, -1] = 1e-12
-            weights[4] = 1e-12
-        got, _ = self.dual_colors(dirs, weights, colors, query, degree, penalties)
+        # a 1e-12 weight alone pins the unpenalized columns it reaches
+        weights[2::3, -1] = 1e-12
+        weights[4] = 1e-12
+        got, _ = dual_colors(dirs, weights, colors, query, degree, penalties)
         basis, reg = SHBasis(degree), SHRegularizer(penalties)
         for m in range(rows):
             if not weights[m].any() and not any(penalties[: degree + 1]):
-                # the reference refuses this fit; the dual returns the zero fit
+                # sh_fit refuses this fit; the dual returns the zero fit
                 np.testing.assert_array_equal(got[m], 0.0)
                 continue
             samples = [WeightedColorSample(d, c, float(w))
                        for d, c, w in zip(dirs[m], colors[m], weights[m])]
-            want = sh_color(sh_fit(samples, basis, reg), query[m])
-            assert np.max(np.abs(got[m] - want)) <= 1e-9 * np.max(np.abs(colors[m])), m
+            theta, _ = lstsq_fit(dirs[m], weights[m], colors[m], degree, penalties)
+            want = sh_basis_values(degree, query[m]) @ theta
+            fitted = sh_color(sh_fit(samples, basis, reg), query[m])
+            scale = 1e-9 * np.max(np.abs(colors[m]))
+            assert np.max(np.abs(got[m] - want)) <= scale, m
+            assert np.max(np.abs(fitted - want)) <= scale, m
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_weight_grads_on_rank_deficient_rows(self, degree):
+        """Three views, two of them antipodal: the even degree-2 border sees
+        them as one direction, so ``s * Y_b`` has rank 2 < J = 3 < n_b = 5.
+        The third view's color is fitted exactly, so its gradient is zero.
+        Weights near the penalties keep the pair's gradients well above the
+        rounding floor of the central difference."""
+        rng = np.random.default_rng(50 + degree)
+        rows = 6
+        d, e = random_directions(rng, 2 * rows).reshape(2, rows, 3)
+        dirs = np.stack([d, -d, e], axis=1)
+        query = random_directions(rng, rows)
+        colors = rng.uniform(0, 1, size=(rows, 3, 3))
+        weights = rng.uniform(0.01, 0.1, size=(rows, 3))
+        dc = rng.normal(size=(rows, 3))
+
+        def objective(w):
+            return np.sum(dual_colors(dirs, w, colors, query, degree,
+                                      self.BORDER_PENALTIES)[0] * dc, axis=-1)
+
+        _, fit = dual_colors(dirs, weights, colors, query, degree, self.BORDER_PENALTIES)
+        assert fit.y_b.shape[-1] == 5   # more than one border column: eliminated
+        grads = sh_fit_weight_grads(fit, dc)
+        assert np.max(np.abs(grads[:, 2])) < 1e-12
+        h = 1e-6
+        for j in range(2):
+            step = np.zeros_like(weights)
+            step[:, j] = h
+            slope = (objective(weights + step) - objective(weights - step)) / (2 * h)
+            np.testing.assert_allclose(grads[:, j], slope, rtol=1e-4)
