@@ -30,7 +30,10 @@ class Ray:
     direction: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "origin", np.asarray(self.origin, dtype=np.float64))
+        origin = np.asarray(self.origin, dtype=np.float64)
+        if not np.all(np.isfinite(origin)):
+            raise InputError("ray origin must be finite")
+        object.__setattr__(self, "origin", origin)
         d = np.asarray(self.direction, dtype=np.float64)
         if not abs(np.linalg.norm(d) - 1.0) <= 1e-12:
             raise InputError("ray direction must be unit length")

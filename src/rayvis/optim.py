@@ -86,6 +86,8 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.lambda_render, self.lambda_consist, self.lambda_depth) < 0:
             raise ConfigurationError("loss weights must be nonnegative")
+        if self.steps < 0:
+            raise ConfigurationError("steps must be nonnegative")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be at least 1")
         if not (0.0 < self.learning_rate < np.inf):
@@ -98,6 +100,7 @@ class TrainConfig:
             raise ConfigurationError(f"unknown CE variant '{self.consist_variant}'")
         if self.consist_flow not in ("stop_h", "symmetric"):
             raise ConfigurationError(f"unknown gradient flow '{self.consist_flow}'")
+        self.render_config()  # refuses the render settings before any step runs
 
     def render_config(self) -> RenderConfig:
         return RenderConfig(

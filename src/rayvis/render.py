@@ -113,7 +113,7 @@ class RenderConfig:
         if self.mode not in ("uniform", "coarse_to_fine"):
             raise ConfigurationError(f"unknown sampling mode '{self.mode}'")
         if self.n_working < 1:
-            raise ConfigurationError("need at least one working view")
+            raise ConfigurationError("n_working must be at least 1")
         if self.threads < 1:
             raise ConfigurationError("threads must be at least 1")
         if not 0 <= self.sh_degree <= MAX_DEGREE:

@@ -1,8 +1,11 @@
 """Scene description files.
 
 Scenes are stored as a JSON key-value tree (see README for the schema).
-The parser validates every key and rejects unknown ones by name; syntax
-errors carry the line and column reported by the JSON decoder.
+Each object of the tree (camera, primitive, material) is declared once, as
+a table of its keys and the shapes of their values; the parser and
+:func:`dump_scene` both read these tables. The parser reads every value as
+finite numbers of the declared shape, rejects unknown keys by name, and
+reports syntax errors with the line and column of the JSON decoder.
 """
 
 from __future__ import annotations
@@ -19,23 +22,25 @@ from rayvis.scene import Box, Material, PlanePatch, Primitive, Sphere, Synthetic
 # camera key -> the shape of its value; rotation is world-to-camera, row-major
 _CAMERA_SHAPES = {"width": (), "height": (), "fx": (), "fy": (), "cx": (), "cy": (),
                   "rotation": (3, 3), "translation": (3,)}
-_MATERIAL_KEYS = {
-    "albedo",
-    "checker_color",
-    "checker_cell",
-    "specular_strength",
-    "shininess",
-    "light_direction",
+# material key (also its Material attribute) -> the shape of its value;
+# only "albedo" is required
+_MATERIAL_SHAPES = {"albedo": (3,), "checker_color": (3,), "checker_cell": (),
+                    "specular_strength": (), "shininess": (), "light_direction": (3,)}
+# primitive "shape" -> (class, {key: (attribute, shape of its value)}); every
+# key is required, and so are "shape" and "material"
+_PRIMITIVES = {
+    "sphere": (Sphere, {"center": ("center", (3,)), "radius": ("radius", ())}),
+    "box": (Box, {"min": ("minimum", (3,)), "max": ("maximum", (3,))}),
+    "plane": (PlanePatch, {"point": ("point", (3,)), "normal": ("normal", (3,)),
+                           "half_extent": ("half_extent", ())}),
 }
-_SHAPE_KEYS = {
-    "sphere": {"shape", "center", "radius", "material"},
-    "box": {"shape", "min", "max", "material"},
-    "plane": {"shape", "point", "normal", "half_extent", "material"},
-}
-_TOP_KEYS = {"background", "near", "far", "cameras", "primitives"}
+# top-level key (also its SyntheticScene attribute) -> the shape of its value
+_SCENE_SHAPES = {"background": (3,), "near": (), "far": ()}
 
 
-def _check_keys(obj: dict, allowed: set, where: str):
+def _check_keys(obj, allowed, where: str):
+    if not isinstance(obj, dict):
+        raise SceneFormatError(f"{where} must be an object")
     for key in obj:
         if key not in allowed:
             raise SceneFormatError(f"unknown key '{key}' in {where}")
@@ -47,9 +52,9 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def json_array(obj, key: str, where: str, shape=()) -> np.ndarray:
-    """``obj[key]`` as a finite float array of ``shape``; errors name
-    ``where`` and the quoted key."""
+def json_array(obj, key: str, where: str, shape=()):
+    """``obj[key]`` as finite numbers of ``shape``: a float for ``()``, else a
+    float array; errors name ``where`` and the quoted key."""
     try:
         value = np.asarray(_require(obj, key, where), dtype=np.float64).reshape(shape)
         valid = np.all(np.isfinite(value))
@@ -58,29 +63,25 @@ def json_array(obj, key: str, where: str, shape=()) -> np.ndarray:
     if not valid:
         raise SceneFormatError(f"{where}: '{key}' must be {np.prod(shape, dtype=int)} "
                                "finite number(s)")
-    return value
+    return value if shape else float(value)
 
 
-def _parse_material(obj, where: str) -> Material:
-    if not isinstance(obj, dict):
-        raise SceneFormatError(f"material in {where} must be an object")
-    _check_keys(obj, _MATERIAL_KEYS, f"material of {where}")
-    kwargs = {"albedo": _require(obj, "albedo", f"material of {where}")}
-    for key in _MATERIAL_KEYS - {"albedo"}:
-        if key in obj:
-            kwargs[key] = obj[key]
+def _to_json(value):
+    """A JSON value of ``value``: arrays flattened to lists, scalars as they are."""
+    return np.ravel(value).tolist() if np.ndim(value) else np.asarray(value).tolist()
+
+
+def _build(cls, where: str, values: dict):
+    """``cls(**values)``; a value the class refuses is reported at ``where``."""
     try:
-        return Material(**kwargs)
-    except Exception as exc:
-        raise SceneFormatError(f"invalid material in {where}: {exc}") from exc
+        return cls(**values)
+    except InputError as exc:
+        raise SceneFormatError(f"invalid {where}: {exc}") from exc
 
 
 def camera_to_json(cam: PinholeCamera) -> dict:
     """The JSON object of one camera; :func:`camera_from_json` inverts it."""
-    obj = {key: getattr(cam, key) for key in _CAMERA_SHAPES}
-    obj["rotation"] = cam.rotation.reshape(-1).tolist()
-    obj["translation"] = cam.translation.tolist()
-    return obj
+    return {key: _to_json(getattr(cam, key)) for key in _CAMERA_SHAPES}
 
 
 def camera_from_json(obj, where: str, extra=frozenset()) -> PinholeCamera:
@@ -90,57 +91,33 @@ def camera_from_json(obj, where: str, extra=frozenset()) -> PinholeCamera:
     key, a missing key, a value of the wrong shape or a non-finite value is
     refused with ``SceneFormatError``.
     """
-    if not isinstance(obj, dict):
-        raise SceneFormatError(f"{where} must be an object")
     _check_keys(obj, _CAMERA_SHAPES.keys() | extra, where)
     values = {key: json_array(obj, key, where, shape) for key, shape in _CAMERA_SHAPES.items()}
-    try:
-        return PinholeCamera(
-            width=int(values["width"]),
-            height=int(values["height"]),
-            fx=float(values["fx"]),
-            fy=float(values["fy"]),
-            cx=float(values["cx"]),
-            cy=float(values["cy"]),
-            rotation=values["rotation"],
-            translation=values["translation"],
-        )
-    except InputError as exc:
-        raise SceneFormatError(f"invalid camera {where}: {exc}") from exc
+    for key in ("width", "height"):
+        values[key] = int(values[key])
+    return _build(PinholeCamera, where, values)
 
 
-def _parse_primitive(obj, index: int) -> Primitive:
-    where = f"primitives[{index}]"
+def _parse_material(obj, where: str) -> Material:
+    _check_keys(obj, _MATERIAL_SHAPES.keys(), where)
+    _require(obj, "albedo", where)
+    values = {key: json_array(obj, key, where, shape)
+              for key, shape in _MATERIAL_SHAPES.items() if key in obj}
+    return _build(Material, where, values)
+
+
+def _parse_primitive(obj, where: str) -> Primitive:
     if not isinstance(obj, dict):
         raise SceneFormatError(f"{where} must be an object")
     shape = _require(obj, "shape", where)
-    if shape not in _SHAPE_KEYS:
-        raise SceneFormatError(f"{where}: unknown shape '{shape}'")
-    _check_keys(obj, _SHAPE_KEYS[shape], where)
-    material = _parse_material(_require(obj, "material", where), where)
-    try:
-        if shape == "sphere":
-            return Sphere(
-                center=json_array(obj, "center", where, (3,)),
-                radius=float(json_array(obj, "radius", where)),
-                material=material,
-            )
-        if shape == "box":
-            return Box(
-                minimum=json_array(obj, "min", where, (3,)),
-                maximum=json_array(obj, "max", where, (3,)),
-                material=material,
-            )
-        return PlanePatch(
-            point=json_array(obj, "point", where, (3,)),
-            normal=json_array(obj, "normal", where, (3,)),
-            half_extent=float(json_array(obj, "half_extent", where)),
-            material=material,
-        )
-    except SceneFormatError:
-        raise
-    except Exception as exc:
-        raise SceneFormatError(f"invalid {where}: {exc}") from exc
+    if not isinstance(shape, str) or shape not in _PRIMITIVES:
+        raise SceneFormatError(f"{where}: unknown 'shape' {shape!r}")
+    cls, fields = _PRIMITIVES[shape]
+    _check_keys(obj, fields.keys() | {"shape", "material"}, where)
+    values = {attr: json_array(obj, key, where, value_shape)
+              for key, (attr, value_shape) in fields.items()}
+    values["material"] = _parse_material(_require(obj, "material", where), f"material of {where}")
+    return _build(cls, where, values)
 
 
 def parse_scene(text: str) -> SyntheticScene:
@@ -148,27 +125,19 @@ def parse_scene(text: str) -> SyntheticScene:
         root = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SceneFormatError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-    if not isinstance(root, dict):
-        raise SceneFormatError("scene file must contain a top-level object")
-    _check_keys(root, _TOP_KEYS, "scene")
+    _check_keys(root, _SCENE_SHAPES.keys() | {"cameras", "primitives"}, "scene")
     cameras_obj = _require(root, "cameras", "scene")
     primitives_obj = _require(root, "primitives", "scene")
     if not isinstance(cameras_obj, list) or not isinstance(primitives_obj, list):
         raise SceneFormatError("'cameras' and 'primitives' must be arrays")
-    cameras = [camera_from_json(c, f"cameras[{i}]") for i, c in enumerate(cameras_obj)]
-    primitives = [_parse_primitive(p, i) for i, p in enumerate(primitives_obj)]
-    try:
-        return SyntheticScene(
-            primitives=primitives,
-            background=_require(root, "background", "scene"),
-            cameras=cameras,
-            near=float(_require(root, "near", "scene")),
-            far=float(_require(root, "far", "scene")),
-        )
-    except SceneFormatError:
-        raise
-    except Exception as exc:
-        raise SceneFormatError(f"invalid scene: {exc}") from exc
+    values = {
+        "cameras": [camera_from_json(c, f"cameras[{i}]") for i, c in enumerate(cameras_obj)],
+        "primitives": [_parse_primitive(p, f"primitives[{i}]")
+                       for i, p in enumerate(primitives_obj)],
+    }
+    for key, shape in _SCENE_SHAPES.items():
+        values[key] = json_array(root, key, "scene", shape)
+    return _build(SyntheticScene, "scene", values)
 
 
 def load_scene(path) -> SyntheticScene:
@@ -182,60 +151,24 @@ def load_scene(path) -> SyntheticScene:
         raise
 
 
+def _primitive_to_json(prim: Primitive) -> dict:
+    for shape, (cls, fields) in _PRIMITIVES.items():
+        if isinstance(prim, cls):
+            obj = {"shape": shape}
+            obj.update((key, _to_json(getattr(prim, attr))) for key, (attr, _) in fields.items())
+            mat = prim.material
+            obj["material"] = {key: _to_json(getattr(mat, key)) for key in _MATERIAL_SHAPES
+                               if getattr(mat, key) is not None}
+            return obj
+    raise SceneFormatError(f"cannot serialize primitive type {type(prim).__name__}")
+
+
 def dump_scene(scene: SyntheticScene) -> str:
-    """Serialize a scene back to the JSON schema (inverse of parse_scene)."""
+    """Serialize a scene to the JSON schema; :func:`parse_scene` inverts it.
 
-    def material_obj(mat: Material):
-        obj = {"albedo": mat.albedo.tolist()}
-        if mat.checker_color is not None:
-            obj["checker_color"] = mat.checker_color.tolist()
-            obj["checker_cell"] = mat.checker_cell
-        if mat.specular_strength > 0:
-            obj["specular_strength"] = mat.specular_strength
-            obj["shininess"] = mat.shininess
-            obj["light_direction"] = mat.light_direction.tolist()
-        return obj
-
-    prims = []
-    for prim in scene.primitives:
-        if isinstance(prim, Sphere):
-            prims.append(
-                {
-                    "shape": "sphere",
-                    "center": prim.center.tolist(),
-                    "radius": prim.radius,
-                    "material": material_obj(prim.material),
-                }
-            )
-        elif isinstance(prim, Box):
-            prims.append(
-                {
-                    "shape": "box",
-                    "min": prim.minimum.tolist(),
-                    "max": prim.maximum.tolist(),
-                    "material": material_obj(prim.material),
-                }
-            )
-        elif isinstance(prim, PlanePatch):
-            prims.append(
-                {
-                    "shape": "plane",
-                    "point": prim.point.tolist(),
-                    "normal": prim.normal.tolist(),
-                    "half_extent": prim.half_extent,
-                    "material": material_obj(prim.material),
-                }
-            )
-        else:
-            raise SceneFormatError(f"cannot serialize primitive type {type(prim).__name__}")
-    cameras = [camera_to_json(cam) for cam in scene.cameras]
-    return json.dumps(
-        {
-            "background": scene.background.tolist(),
-            "near": scene.near,
-            "far": scene.far,
-            "cameras": cameras,
-            "primitives": prims,
-        },
-        indent=2,
-    )
+    Every material field that is not ``None`` is written.
+    """
+    obj = {key: _to_json(getattr(scene, key)) for key in _SCENE_SHAPES}
+    obj["cameras"] = [camera_to_json(cam) for cam in scene.cameras]
+    obj["primitives"] = [_primitive_to_json(prim) for prim in scene.primitives]
+    return json.dumps(obj, indent=2)

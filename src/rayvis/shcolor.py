@@ -74,8 +74,8 @@ class SHRegularizer:
 
     def __post_init__(self):
         pen = tuple(float(p) for p in self.degree_penalties)
-        if any(p < 0 for p in pen):
-            raise InputError("regularizer penalties must be nonnegative")
+        if not all(0 <= p < np.inf for p in pen):
+            raise InputError("regularizer penalties must be finite and nonnegative")
         object.__setattr__(self, "degree_penalties", pen)
 
     def diagonal(self, basis: SHBasis) -> np.ndarray:

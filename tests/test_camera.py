@@ -115,6 +115,11 @@ class TestCameraInvariants:
         with pytest.raises(InputError):
             Ray(np.zeros(3), np.array([np.nan, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_ray_origin_must_be_finite(self, bad):
+        with pytest.raises(InputError, match="origin"):
+            Ray(np.array([bad, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+
     def test_look_at_points_at_target(self):
         cam = look_at_camera(64, 64, 60, 60, 32, 32, (3, 1, -2), (0.5, 0, 0))
         uv, depth = project(cam, (0.5, 0, 0))

@@ -384,6 +384,12 @@ _FAULTS = {
     "scene.json-wrong_shape": (
         _SCENE, _edit_json(lambda s: s["cameras"][0].update(translation=[0.0, 1.0])),
         "synth", ["'translation'"]),
+    "scene.json-list_shape": (
+        _SCENE, _edit_json(lambda s: s["primitives"][0].update(shape=["sphere"])),
+        "synth", ["'shape'"]),
+    "scene.json-string_cell": (
+        _SCENE, _edit_json(lambda s: s["primitives"][0]["material"].update(checker_cell="big")),
+        "synth", ["'checker_cell'"]),
 }
 
 
@@ -428,7 +434,9 @@ class TestInputFaults:
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--batch", "-5", "batch_size"), ("--batch", "0", "batch_size"),
-        ("--lr", "-1", "learning_rate")])
+        ("--lr", "-1", "learning_rate"), ("--k", "1", "k_coarse"), ("--nw", "0", "n_working"),
+        ("--sh-degree", "7", "sh_degree"), ("--k-fine", "-1", "k_fine"),
+        ("--steps", "-3", "steps")])
     def test_optimize_bad_setting_exits_2_without_traceback(self, flag, value, field,
                                                             synth_dir, maps_dir, tmp_path):
         out = tmp_path / "opt"

@@ -242,6 +242,11 @@ class TestRegularizer:
         with pytest.raises(InputError):
             SHRegularizer((-0.1, 0.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_penalty_rejected(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            SHRegularizer((0.0, bad))
+
 
 def lstsq_fit(dirs, weights, colors, degree, penalties):
     """Oracle: the minimum-norm solution of the augmented least squares
