@@ -57,8 +57,11 @@ class PinholeCamera:
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        if not (self.width >= 1 and self.height >= 1):
-            raise InputError("image size must be at least 1x1")
+        for key in ("width", "height"):
+            size = getattr(self, key)
+            if not (float(size).is_integer() and size >= 1):
+                raise InputError(f"{key} must be a whole number of pixels, at least 1, not {size}")
+            object.__setattr__(self, key, int(size))
         r = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
         if not all(np.all(np.isfinite(a)) for a in ((self.fx, self.fy, self.cx, self.cy), r, t)):

@@ -85,7 +85,13 @@ def _load_cameras(data_dir) -> tuple:
     for i, entry in enumerate(meta["cameras"]):
         where = f"{path} cameras[{i}]"
         camera = scenefile.camera_from_json(entry, where, extra={"index"})
-        cameras[int(scenefile.json_array(entry, "index", where))] = camera
+        index = scenefile.json_array(entry, "index", where)
+        if not index.is_integer():
+            raise InputError(f"{where}: 'index' must be a whole number, not {index}")
+        index = int(index)
+        if index in cameras:
+            raise InputError(f"{where}: 'index' {index} repeats an earlier entry")
+        cameras[index] = camera
     return cameras, meta
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit as sigmoid
 
 from rayvis.counters import counters
 from rayvis.errors import InputError, IntervalOrderError
@@ -31,6 +30,18 @@ SIGMA_MIN_FRACTION = 1e-4
 DEFAULT_N_COMPONENTS = 2
 # an occlusion CDF at or above this has saturated: nothing behind is visible
 _SATURATION = 1.0 - 1e-12
+
+
+def sigmoid(x, out=None):
+    """The logistic ``1 / (1 + exp(-x))``, written through ``out`` (``out=x``
+    works in place). Below about -709 ``exp`` overflows to inf and the result
+    is exactly 0, without a warning."""
+    if out is None:
+        out = np.empty(np.shape(x))
+    with np.errstate(over="ignore"):
+        np.exp(np.negative(x, out=out), out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def softplus(x):

@@ -93,8 +93,6 @@ def camera_from_json(obj, where: str, extra=frozenset()) -> PinholeCamera:
     """
     _check_keys(obj, _CAMERA_SHAPES.keys() | extra, where)
     values = {key: json_array(obj, key, where, shape) for key, shape in _CAMERA_SHAPES.items()}
-    for key in ("width", "height"):
-        values[key] = int(values[key])
     return _build(PinholeCamera, where, values)
 
 

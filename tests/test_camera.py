@@ -94,6 +94,14 @@ class TestCameraInvariants:
             PinholeCamera(**{"width": 24, "height": 24, "fx": 10.0, "fy": 10.0,
                              "cx": 12.0, "cy": 12.0, **field})
 
+    @pytest.mark.parametrize("key", ["width", "height"])
+    def test_size_must_be_integral(self, key):
+        args = {"width": 24, "height": 24, "fx": 10.0, "fy": 10.0, "cx": 12.0, "cy": 12.0}
+        with pytest.raises(InputError, match=key):
+            PinholeCamera(**{**args, key: 24.9})
+        size = getattr(PinholeCamera(**{**args, key: np.float64(24.0)}), key)
+        assert type(size) is int and size == 24
+
     def test_project_unproject_round_trip(self):
         rng = np.random.default_rng(11)
         for _ in range(1000):

@@ -268,12 +268,23 @@ class TestNumericalFailure:
         assert (out / "state.npz").read_bytes() == before
 
 
-def _run_cli(*args):
+def _run_python(*args):
     src = str(Path(rayvis.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "rayvis.cli", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def _run_cli(*args):
+    return _run_python("-m", "rayvis.cli", *args)
+
+
+def test_cli_import_loads_no_scipy():
+    """NumPy is the only runtime dependency: SciPy serves the tests alone."""
+    proc = _run_python("-c", "import sys, rayvis.cli; "
+                       "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
+    assert proc.returncode == 0, proc.stderr
 
 
 def _keep(stop):
@@ -365,6 +376,13 @@ _FAULTS = {
     "cameras.json-wrong_shape": (
         _CAMS, _edit_json(lambda m: m["cameras"][1].update(rotation=[1.0, 0.0, 0.0])),
         "render", ["'rotation'"]),
+    "cameras.json-fractional_width": (
+        _CAMS, _edit_json(lambda m: m["cameras"][1].update(width=24.9)), "render", ["width"]),
+    "cameras.json-fractional_index": (
+        _CAMS, _edit_json(lambda m: m["cameras"][1].update(index=1.5)), "render", ["'index'"]),
+    "cameras.json-duplicate_index": (
+        _CAMS, _edit_json(lambda m: m["cameras"][2].update(index=m["cameras"][1]["index"])),
+        "render", ["cameras[2]", "'index'"]),
     "state.npz-truncated": (_STATE, _halve, "resume", []),
     "state.npz-bad_magic": (_STATE, _bad_magic, "resume", []),
     "state.npz-nan": (_STATE, _edit_state(lambda a: a["params_1"].fill(np.nan)), "resume",
@@ -384,6 +402,8 @@ _FAULTS = {
     "scene.json-wrong_shape": (
         _SCENE, _edit_json(lambda s: s["cameras"][0].update(translation=[0.0, 1.0])),
         "synth", ["'translation'"]),
+    "scene.json-fractional_width": (
+        _SCENE, _edit_json(lambda s: s["cameras"][0].update(width=24.9)), "synth", ["width"]),
     "scene.json-list_shape": (
         _SCENE, _edit_json(lambda s: s["primitives"][0].update(shape=["sphere"])),
         "synth", ["'shape'"]),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -19,6 +21,7 @@ from rayvis.raydist import (
     mixture_cdf_param_grads,
     occlusion_cdf,
     scatter_to_map,
+    sigmoid,
     visibility,
 )
 
@@ -62,6 +65,35 @@ class TestDecode:
         assert abs(mix.weights.sum() - 1.0) <= 1e-9
         assert np.all(mix.scales > 0)
         assert np.all((1.0 <= mix.means) & (mix.means <= 3.0))
+
+
+class TestSigmoid:
+    def test_within_4_ulp_of_expit(self):
+        rng = np.random.default_rng(7)
+        x = np.concatenate([rng.uniform(-750.0, 750.0, 200_000), rng.normal(0.0, 10.0, 200_000),
+                            rng.normal(0.0, 1.0, 200_000)])
+        want = expit(x)
+        normal = want >= np.finfo(np.float64).tiny
+        assert normal.mean() > 0.9
+        # positive floats are ordered like their bit patterns, so the integer
+        # difference counts the ulps between them
+        ulps = np.abs(sigmoid(x).view(np.int64) - want.view(np.int64))
+        assert ulps[normal].max() <= 4
+
+    def test_exact_at_limits(self):
+        x = np.array([0.0, np.inf, -np.inf, 1e300, -1e300])
+        assert np.array_equal(sigmoid(x), [0.5, 1.0, 0.0, 1.0, 0.0])
+
+    def test_in_place_returns_its_argument(self):
+        x = np.linspace(-800.0, 800.0, 101)
+        want = sigmoid(x)
+        assert sigmoid(x, out=x) is x
+        assert np.array_equal(x, want)
+
+    def test_overflow_raises_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sigmoid(np.array([-1e4, -710.0, -1e300])).sum() == 0.0
 
 
 class TestOcclusionCdf:
@@ -284,7 +316,7 @@ class TestReferenceBroadcast:
         mu, sig = rng.uniform(1.0, 5.0, n), rng.uniform(0.1, 1.0, n)
         w = rng.dirichlet(np.ones(n))
         z = rng.uniform(0.0, 6.0, m)
-        s = expit((z[..., None] - mu) / sig)
+        s = sigmoid((z[..., None] - mu) / sig)
         want = np.sum(w * s, -1)
         sp = s * (1.0 - s)
         want_grads = (-w * sp / sig, -w * sp * ((z[..., None] - mu) / sig) / sig, s)
