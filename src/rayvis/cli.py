@@ -184,7 +184,8 @@ def cmd_init(args) -> int:
 
 
 def _threads(args) -> dict:
-    """``--threads N`` as a RenderConfig keyword; without it the library default."""
+    """``--threads N`` as a RenderConfig or TrainConfig keyword; without it the
+    library default."""
     return {} if args.threads is None else {"threads": args.threads}
 
 
@@ -268,6 +269,7 @@ def cmd_optimize(args) -> int:
         eval_interval=args.eval_interval,
         consist_variant=args.consist_variant,
         consist_flow=args.consist_flow,
+        **_threads(args),
     )
     eval_views = _parse_view_list(args.eval_views)
     views = _load_render_views(args.data_dir, cameras, args.init_dir, exclude=eval_views)
@@ -487,6 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true")
     p.add_argument("--checkpoint-interval", type=int, default=None,
                    dest="checkpoint_interval")
+    p.add_argument("--threads", type=int, default=None,
+                   help="training and evaluation threads (default: every usable CPU)")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("eval", help="PSNR table between two image directories")

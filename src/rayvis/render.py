@@ -26,7 +26,8 @@ GIL in the large kernels, so the streams overlap; a render splits only as
 far as each stream's chunk keeps at least 4096 (ray, sample) pairs, since
 smaller chunks spend their gain on GIL hand-offs between the streams. Rays
 never interact, so the image and the counters are identical for every
-thread count.
+thread count. ``optim.train_step`` runs its fixed 128-ray chunks on the same
+stream runner, ``_run_streams``.
 """
 
 from __future__ import annotations
@@ -114,8 +115,10 @@ class RenderConfig:
             raise ConfigurationError(f"unknown sampling mode '{self.mode}'")
         if self.n_working < 1:
             raise ConfigurationError("n_working must be at least 1")
-        if self.threads < 1:
-            raise ConfigurationError("threads must be at least 1")
+        if not (float(self.threads).is_integer() and self.threads >= 1):
+            raise ConfigurationError(f"threads must be a whole number, at least 1, "
+                                     f"not {self.threads}")
+        object.__setattr__(self, "threads", int(self.threads))
         if not 0 <= self.sh_degree <= MAX_DEGREE:
             raise ConfigurationError(f"sh_degree must be in [0, {MAX_DEGREE}]")
         penalties = tuple(float(p) for p in self.sh_penalties)
@@ -530,31 +533,71 @@ def render_rays_backward(working: WorkingSet, state: ChunkState, config: RenderC
     g = [dt_a * a + dt_b * b for a, b in zip(d_a, d_b)]
     del d_a, d_b, sig, w
     # sum the (mu, sigma, w) gradients per cell of the stack, then chain through
-    # the decode once: it acts per pixel, so its chain rule is linear in them
+    # the decode once: it acts per pixel, so its chain rule is linear in them.
+    # Only the cells some entry hit are summed and decoded; every other cell's
+    # raw gradient is exactly 0, as decoding a zero gradient gives.
     shape = working.params.shape
-    g_map = scatter_to_map((shape[0] * shape[1],) + shape[2:], *np.divmod(cell, shape[2]), g)
-    g_map = g_map.reshape(shape)
-    g_map[..., 2, :] *= working.comps[:, None, None]     # padded components stay put
-    g_raw = decode_backward(working.params, working.near, working.far,
-                            g_map[..., 0, :], g_map[..., 1, :], g_map[..., 2, :])
+    hit = np.zeros(shape[0] * shape[1] * shape[2], dtype=bool)
+    hit[cell] = True
+    cells = np.flatnonzero(hit)
+    rank = np.cumsum(hit) - 1           # each hit cell's row among ``cells``
+    g_map = scatter_to_map((len(cells), 1) + shape[3:], rank[cell], 0, g)[:, 0]
+    g_map[:, 2] *= working.comps[cells // (shape[1] * shape[2])]   # padded components stay put
+    g_raw = np.zeros((hit.size,) + shape[3:])
+    g_raw[cells] = decode_backward(working.params.reshape(g_raw.shape)[cells], working.near,
+                                   working.far, g_map[:, 0], g_map[:, 1], g_map[:, 2])
+    g_raw = g_raw.reshape(shape)
     return {v.index: g_raw[j][tuple(map(slice, v.dmap.params.shape))]
             for j, v in enumerate(working.views)}
+
+
+def _run_streams(n_tasks: int, task, streams: int) -> None:
+    """Call ``task(i)`` for every ``i`` in ``range(n_tasks)`` on ``streams`` streams.
+
+    The caller and up to ``streams - 1`` helper threads pull the next index
+    from one shared queue, so which stream runs a task is left to timing:
+    tasks must write disjoint outputs. The first error raised in any stream
+    stops the queue and is re-raised once all streams have stopped.
+    """
+    indices = iter(range(n_tasks))
+    lock = threading.Lock()
+    errors = []
+
+    def drain():
+        while True:
+            with lock:
+                i = None if errors else next(indices, None)
+            if i is None:
+                return
+            try:
+                task(i)
+            except BaseException as exc:
+                with lock:
+                    errors.append(exc)
+                return
+
+    helpers = [threading.Thread(target=drain) for _ in range(min(streams, n_tasks) - 1)]
+    for helper in helpers:
+        helper.start()
+    drain()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
 
 
 def render_image(working: WorkingSet, config: RenderConfig) -> np.ndarray:
     """Render the query view; deterministic and parallelizable per pixel.
 
-    ``T`` streams share one queue of ray chunks: the caller and ``T - 1``
-    helper threads each pull the next chunk start, render that chunk and
-    write its rows. The chunk is ``ceil(128 / T)`` rays, so 128 rays are in
-    flight in total and the chunk temporaries take the same memory for every
-    thread count. ``T`` is ``config.threads``, lowered until each chunk holds
-    at least 4096 (ray, sample) pairs (``k_coarse``, plus ``k_fine`` in
+    ``T`` streams share one queue of ray chunks (see ``_run_streams``): the
+    caller and ``T - 1`` helper threads each pull the next chunk, render it
+    and write its rows. The chunk is ``ceil(128 / T)`` rays, so 128 rays are
+    in flight in total and the chunk temporaries take the same memory for
+    every thread count. ``T`` is ``config.threads``, lowered until each chunk
+    holds at least 4096 (ray, sample) pairs (``k_coarse``, plus ``k_fine`` in
     coarse-to-fine mode, per ray); a render below twice that runs on the
     caller alone, as with one thread. Every ray is rendered on its own, so
     the image and the counters are bit-identical for every thread count.
-    The first error raised in any stream stops the queue and is re-raised
-    once all streams have stopped.
     """
     cam = working.query_camera
     ys, xs = np.indices((cam.height, cam.width)) + 0.5
@@ -566,32 +609,12 @@ def render_image(working: WorkingSet, config: RenderConfig) -> np.ndarray:
     streams = max(1, min(config.threads, _RAYS_IN_FLIGHT,
                          _RAYS_IN_FLIGHT * samples // _MIN_STREAM_SAMPLES))
     chunk = -(-_RAYS_IN_FLIGHT // streams)
-    starts = iter(range(0, px.shape[0], chunk))
-    lock = threading.Lock()
-    errors = []
 
-    def drain():
-        while True:
-            with lock:
-                s = None if errors else next(starts, None)
-            if s is None:
-                return
-            try:
-                out[s:s + chunk] = render_rays(working, origins[s:s + chunk],
-                                               dirs[s:s + chunk], config).colors_out
-            except BaseException as exc:
-                with lock:
-                    errors.append(exc)
-                return
+    def render_chunk(i):
+        s = slice(i * chunk, (i + 1) * chunk)
+        out[s] = render_rays(working, origins[s], dirs[s], config).colors_out
 
-    helpers = [threading.Thread(target=drain) for _ in range(streams - 1)]
-    for helper in helpers:
-        helper.start()
-    drain()
-    for helper in helpers:
-        helper.join()
-    if errors:
-        raise errors[0]
+    _run_streams(-(-px.shape[0] // chunk), render_chunk, streams)
     return np.clip(out.reshape(cam.height, cam.width, 3), 0.0, 1.0)
 
 

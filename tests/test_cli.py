@@ -210,7 +210,11 @@ class TestOptimize:
         full = tmp_path / "full"
         assert main(["optimize", *common, "--out", str(full), "--steps", "8"]) == 0
         rerun = tmp_path / "rerun"
-        assert main(["optimize", *common, "--out", str(rerun), "--steps", "8"]) == 0
+        assert main(["optimize", *common, "--out", str(rerun), "--steps", "8",
+                     "--threads", "2"]) == 0
+        assert json.loads((full / "manifest.json").read_text())["config"]["threads"] == (
+            usable_cpus())
+        assert json.loads((rerun / "manifest.json").read_text())["config"]["threads"] == 2
         assert tree_bytes(full, skip=("manifest.json", "state.npz")) == tree_bytes(
             rerun, skip=("manifest.json", "state.npz")
         )
@@ -456,7 +460,7 @@ class TestInputFaults:
         ("--batch", "-5", "batch_size"), ("--batch", "0", "batch_size"),
         ("--lr", "-1", "learning_rate"), ("--k", "1", "k_coarse"), ("--nw", "0", "n_working"),
         ("--sh-degree", "7", "sh_degree"), ("--k-fine", "-1", "k_fine"),
-        ("--steps", "-3", "steps")])
+        ("--steps", "-3", "steps"), ("--threads", "0", "threads")])
     def test_optimize_bad_setting_exits_2_without_traceback(self, flag, value, field,
                                                             synth_dir, maps_dir, tmp_path):
         out = tmp_path / "opt"

@@ -1,7 +1,12 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from rayvis import optim, render
 from rayvis.camera import look_at_camera
+from rayvis.counters import counters
 from rayvis.errors import ConfigurationError, DimensionMismatchError, InputError, NumericalError
 from rayvis.optim import (
     OptimState,
@@ -286,9 +291,9 @@ def tiny_training_data(rng, n_views=4, size=10, near=1.0, far=5.0):
 
 
 class TestTrainStep:
-    def make(self, seed=0, **overrides):
+    def make(self, seed=0, size=10, **overrides):
         rng = np.random.default_rng(42)
-        data, _ = tiny_training_data(rng)
+        data, _ = tiny_training_data(rng, size=size)
         defaults = dict(batch_size=24, k_samples=16, n_working=3, sh_degree=1,
                         steps=10, seed=seed, background=(0.4, 0.4, 0.4))
         defaults.update(overrides)
@@ -355,17 +360,66 @@ class TestTrainStep:
         with pytest.raises(ConfigurationError):
             train_step(data, config, state, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("sampling_mode", ["uniform", "coarse_to_fine"])
-    def test_nan_images_raise_before_any_write(self, sampling_mode):
-        data, config, state = self.make(sampling_mode=sampling_mode, k_fine=6)
+    @pytest.mark.parametrize("overrides", [
+        dict(sampling_mode="uniform"),
+        dict(sampling_mode="coarse_to_fine", k_fine=6),
+        dict(consist_flow="symmetric", consist_variant="categorical"),
+    ], ids=["uniform", "coarse_to_fine", "symmetric_categorical"])
+    def test_thread_count_invariant(self, overrides, monkeypatch):
+        """Batch 300 is three 128-ray chunks, the last one short, on 1, 2 and
+        3 streams. Losses, maps, moments and counters must not depend on the
+        count. A short switch interval interleaves the streams often, so a
+        chunk lost, run twice or summed out of order would show."""
+        run_streams, streams = optim._run_streams, []
+
+        def recording_run_streams(n_tasks, task, n_streams):
+            streams.append((n_tasks, n_streams))
+            run_streams(n_tasks, task, n_streams)
+
+        monkeypatch.setattr(optim, "_run_streams", recording_run_streams)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for threads in (1, 2, 3):
+                data, config, state = self.make(seed=7, size=20, batch_size=300,
+                                                threads=threads, **overrides)
+                rng = np.random.default_rng(config.seed)
+                before = counters.snapshot()
+                reports = [train_step(data, config, state, rng) for _ in range(3)]
+                after = counters.snapshot()
+                runs.append((reports, {i: m.params for i, m in data.maps.items()},
+                             state.m, state.v,
+                             [getattr(after, f) - getattr(before, f) for f in vars(after)]))
+        finally:
+            sys.setswitchinterval(interval)
+        assert streams == [(3, threads) for threads in (1, 2, 3) for _ in range(3)]
+        (reports, *arrays, counts), rest = runs[0], runs[1:]
+        assert counts[0] > 0
+        for other_reports, *other_arrays, other_counts in rest:
+            assert other_reports == reports and other_counts == counts
+            for one, other in zip(arrays, other_arrays):
+                assert one.keys() == other.keys()
+                assert all(np.array_equal(one[i], other[i]) for i in one)
+
+    @pytest.mark.parametrize("sampling_mode, batch_size, threads, size", [
+        pytest.param("uniform", 24, 1, 10, id="uniform"),
+        pytest.param("coarse_to_fine", 24, 1, 10, id="coarse_to_fine"),
+        pytest.param("uniform", 300, 2, 20, id="uniform-batch300-threads2"),
+        pytest.param("coarse_to_fine", 300, 2, 20, id="coarse_to_fine-batch300-threads2")])
+    def test_nan_images_raise_before_any_write(self, sampling_mode, batch_size, threads, size):
+        data, config, state = self.make(sampling_mode=sampling_mode, k_fine=6, size=size,
+                                        batch_size=batch_size, threads=threads)
         rng = np.random.default_rng(config.seed)
         train_step(data, config, state, rng)
         maps = {i: m.params.copy() for i, m in data.maps.items()}
         moments = {i: (state.m[i].copy(), state.v[i].copy()) for i in state.m}
         for image in data.images.values():
             image[...] = np.nan
+        running = threading.active_count()
         with pytest.raises(NumericalError, match="non-finite loss"):
             train_step(data, config, state, rng)
+        assert threading.active_count() == running
         assert state.step == 1
         assert all(np.array_equal(data.maps[i].params, maps[i]) for i in maps)
         assert state.m.keys() == moments.keys()
@@ -396,6 +450,17 @@ class TestTrainConfig:
     def test_learning_rate_not_finite_and_positive(self, learning_rate):
         with pytest.raises(ConfigurationError, match="learning_rate"):
             TrainConfig(learning_rate=learning_rate)
+
+    @pytest.mark.parametrize("threads", [0, -2, 2.5, np.nan, np.inf])
+    def test_threads_not_a_whole_number_of_at_least_one(self, threads):
+        with pytest.raises(ConfigurationError, match="threads"):
+            TrainConfig(threads=threads)
+
+    def test_threads_default_to_usable_cpus_and_reach_rendering(self):
+        config = TrainConfig()
+        assert config.threads == render.usable_cpus()
+        assert TrainConfig(threads=3).render_config().threads == 3
+        assert type(TrainConfig(threads=2.0).threads) is int
 
 
 class TestOwnHitProbs:
@@ -509,18 +574,23 @@ class TestOptimizeScene:
             assert np.array_equal(before[i], data.maps[i].params)
         assert (tmp_path / "view_0000.nray").exists()
 
-    @pytest.mark.parametrize("sampling_mode", ["uniform", "coarse_to_fine"])
-    def test_resume_matches_uninterrupted(self, tmp_path, sampling_mode):
-        config_args = dict(steps=6, batch_size=16, k_samples=8, n_working=3,
+    @pytest.mark.parametrize("sampling_mode, batch_size, threads, size", [
+        pytest.param("uniform", 16, 1, 10, id="uniform"),
+        pytest.param("coarse_to_fine", 16, 1, 10, id="coarse_to_fine"),
+        pytest.param("uniform", 300, 2, 20, id="uniform-batch300-threads2"),
+        pytest.param("coarse_to_fine", 300, 2, 20, id="coarse_to_fine-batch300-threads2")])
+    def test_resume_matches_uninterrupted(self, tmp_path, sampling_mode, batch_size, threads,
+                                          size):
+        config_args = dict(steps=6, batch_size=batch_size, k_samples=8, n_working=3,
                            sh_degree=1, seed=5, eval_interval=0,
                            background=(0.4, 0.4, 0.4), sampling_mode=sampling_mode,
-                           k_fine=4)
+                           k_fine=4, threads=threads)
         rng = np.random.default_rng(12)
-        data_a, _ = tiny_training_data(rng)
+        data_a, _ = tiny_training_data(rng, size=size)
         state_a, _ = optimize_scene(data_a, TrainConfig(**config_args))
 
         rng = np.random.default_rng(12)
-        data_b, _ = tiny_training_data(rng)
+        data_b, _ = tiny_training_data(rng, size=size)
         half = dict(config_args)
         half["steps"] = 3
         from rayvis.optim import load_checkpoint
@@ -528,14 +598,17 @@ class TestOptimizeScene:
         state_b, _ = optimize_scene(data_b, TrainConfig(**half),
                                     out_dir=tmp_path / "ckpt")
         rng = np.random.default_rng(12)
-        data_c, _ = tiny_training_data(rng)
+        data_c, _ = tiny_training_data(rng, size=size)
         state_c = OptimState(learning_rate=TrainConfig(**config_args).learning_rate)
         start = load_checkpoint(tmp_path / "ckpt", data_c, state_c)
         assert start == 3
         state_c, _ = optimize_scene(data_c, TrainConfig(**config_args),
                                     state=state_c, start_step=start)
+        assert state_c.step == state_a.step == 6
         for i in data_a.maps:
             assert np.array_equal(data_a.maps[i].params, data_c.maps[i].params)
+            assert np.array_equal(state_a.m[i], state_c.m[i])
+            assert np.array_equal(state_a.v[i], state_c.v[i])
 
     @pytest.mark.parametrize("fault", [
         lambda a: a.update(params_0=np.full((1, 1, 3, 2), np.nan)),

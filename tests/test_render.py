@@ -309,6 +309,12 @@ class TestRenderConfig:
         with pytest.raises(ConfigurationError, match="threads"):
             RenderConfig(threads=threads)
 
+    @pytest.mark.parametrize("threads", [1.5, np.nan, np.inf])
+    def test_threads_not_whole(self, threads):
+        with pytest.raises(ConfigurationError, match="threads must be a whole number"):
+            RenderConfig(threads=threads)
+        assert type(RenderConfig(threads=2.0).threads) is int
+
     def test_threads_default_to_usable_cpus(self):
         assert usable_cpus() >= 1
         assert RenderConfig().threads == usable_cpus()
