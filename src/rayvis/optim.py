@@ -430,14 +430,19 @@ def train_step(
 
     l_render = l_consist = l_depth = 0.0
     grads: Dict[int, np.ndarray] = {}
+    # a map's first gradient array is taken over (each chunk owns its
+    # arrays) and the later ones are added into it in place
     for chunk_render, chunk_consist, chunk_grads in chunks:
         l_render += chunk_render
         l_consist += chunk_consist
         for idx, g in chunk_grads:
-            grads[idx] = grads.get(idx, 0) + g
+            if grads.setdefault(idx, g) is not g:
+                grads[idx] += g
     if config.lambda_depth > 0 and data.depths is not None:
         l_depth, depth_grad = depth_loss(data.maps[q], data.depths[q], pixels)
-        grads[q] = grads.get(q, 0) + config.lambda_depth * depth_grad
+        g = config.lambda_depth * depth_grad
+        if grads.setdefault(q, g) is not g:
+            grads[q] += g
 
     losses = (l_render, l_consist, l_depth)
     if not (np.all(np.isfinite(losses)) and all(np.all(np.isfinite(g)) for g in grads.values())):

@@ -164,17 +164,19 @@ def mixture_cdf_terms(mu, sig, w, z, keep: bool = True):
     broadcasts against their trailing shape. Returns ``t`` with the
     standardized depths ``x = (z - mu) / sigma`` and the component sigmoids
     ``s``, each (n, ...), which the gradients reuse. With ``keep=False``
-    the sigmoids overwrite ``x`` in place and only ``t`` is returned, as
-    ``(t, None, None)``. The components are summed by explicit adds, which
-    equal ``np.sum`` over a trailing axis bit for bit for n <= 7 (NumPy's
-    pairwise sum unrolls from 8 on). Counts nothing.
+    the sigmoids, then their weighted terms, overwrite ``x`` in place and
+    only ``t`` is returned, as ``(t, None, None)``. The components are
+    summed by explicit adds, which equal ``np.sum`` over a trailing axis bit
+    for bit for n <= 7 (NumPy's pairwise sum unrolls from 8 on). Counts
+    nothing.
     """
     x = np.asarray(z, dtype=np.float64) - mu
     x /= sig
     s = sigmoid(x, out=None if keep else x)
     t = w[0] * s[0]
     for i in range(1, len(s)):
-        t += w[i] * s[i]
+        # without a backward the weighted sigmoid overwrites its own column
+        t += np.multiply(w[i], s[i], out=None if keep else s[i, ...])
     return (t, x, s) if keep else (t, None, None)
 
 

@@ -20,14 +20,17 @@ work on contiguous per-component arrays.
 
 ``render_image`` renders on up to ``RenderConfig.threads`` streams, by
 default every CPU the process may use: the caller and its helper threads
-pull ray chunks from one shared queue, with 128 rays in flight in total, so
-the chunk memory does not grow with the thread count. NumPy releases the
-GIL in the large kernels, so the streams overlap; a render splits only as
-far as each stream's chunk keeps at least 4096 (ray, sample) pairs, since
-smaller chunks spend their gain on GIL hand-offs between the streams. Rays
-never interact, so the image and the counters are identical for every
-thread count. ``optim.train_step`` runs its fixed 128-ray chunks on the same
-stream runner, ``_run_streams``.
+pull ray chunks from one shared queue, with 128 rays in flight in total.
+A chunk's forward frees each per-entry temporary at its last use and builds
+the SH system in place; with 8 working views its traced peak is about
+0.9-1 KB per (ray, sample) pair, so the chunks in flight hold the same
+traced memory for every thread count (each thread's malloc arena may keep
+some of what it freed). NumPy releases the GIL in the large kernels, so the
+streams overlap; a render splits only as far as each stream's chunk keeps
+at least 4096 (ray, sample) pairs, since smaller chunks spend their gain on
+GIL hand-offs between the streams. Rays never interact, so the image and
+the counters are identical for every thread count. ``optim.train_step``
+runs its fixed 128-ray chunks on the same stream runner, ``_run_streams``.
 """
 
 from __future__ import annotations
@@ -165,7 +168,7 @@ class WorkingSet:
     sizes: np.ndarray       # (2, J): each view's own height and width
     comps: np.ndarray       # (J, n): True for the components a view really has
     params: np.ndarray      # (J, H, W, 3, n) raw parameters
-    decoded: np.ndarray     # (3, n, J*H*W): mu, sig, w by component and flat cell;
+    decoded: np.ndarray     # contiguous (3, n, J*H*W): mu, sig, w by component and cell;
                             # padding weighs 0
     images: np.ndarray      # (J, H, W, 3)
 
@@ -213,7 +216,8 @@ def select_working_views(
     params = _padded([view.dmap.params for view in chosen], _PAD_LOGIT)
     comps = np.arange(params.shape[-1]) < np.array([[v.dmap.n_components] for v in chosen])
     mu, sig, weights = (np.moveaxis(a, -1, 0) for a in decode_arrays(params, near, far))
-    decoded = np.stack([mu, sig, np.where(comps.T[:, :, None, None], weights, 0.0)])
+    decoded = np.empty((3,) + mu.shape)     # contiguous, so gathers need no copy of it
+    np.stack([mu, sig, np.where(comps.T[:, :, None, None], weights, 0.0)], out=decoded)
     cams = [view.camera for view in chosen]
     return WorkingSet(
         query_camera, chosen, float(near), float(far),
@@ -252,7 +256,8 @@ def _take(stack: np.ndarray, cells) -> np.ndarray:
 def _bilinear(stack: np.ndarray, view, h, w, u, v) -> np.ndarray:
     """Bilinear lookup at continuous image coordinates (pixel centers at +0.5)
     in grid ``view`` of a (J, H, W, ...) stack, clipped to that grid's own
-    ``h`` x ``w``; the weights broadcast over the trailing axes."""
+    ``h`` x ``w``; the weights broadcast over the trailing axes. Each row of
+    corners is blended in place, so at most three gathers are alive at once."""
     x = np.asarray(u, dtype=np.float64) - 0.5
     y = np.asarray(v, dtype=np.float64) - 0.5
     x0 = np.clip(np.floor(x).astype(np.int64), 0, w - 1)
@@ -262,11 +267,20 @@ def _bilinear(stack: np.ndarray, view, h, w, u, v) -> np.ndarray:
     trailing = (...,) + (None,) * (stack.ndim - 3)
     fx = np.clip(x - x0, 0.0, 1.0)[trailing]
     fy = np.clip(y - y0, 0.0, 1.0)[trailing]
+    del x, y
     first = view * stack.shape[1]       # the grid's first row in the stack
-    r0, r1 = (first + y0) * stack.shape[2], (first + y1) * stack.shape[2]
-    top = _take(stack, r0 + x0) * (1 - fx) + _take(stack, r0 + x1) * fx
-    bot = _take(stack, r1 + x0) * (1 - fx) + _take(stack, r1 + x1) * fx
-    return top * (1 - fy) + bot * fy
+    rows = []
+    for r, weight in ((y0, 1 - fy), (y1, fy)):
+        r = (first + r) * stack.shape[2]
+        left = _take(stack, r + x0)
+        left *= 1 - fx
+        right = _take(stack, r + x1)
+        right *= fx
+        left += right
+        left *= weight
+        rows.append(left)
+    rows[0] += rows[1]
+    return rows[0]
 
 
 def bilinear_sample(grid: np.ndarray, u, v) -> np.ndarray:
@@ -283,20 +297,28 @@ def _lookup(working: WorkingSet, points: np.ndarray, bilinear_params: bool):
 
     Returns (mu, sig, w), each (n, ..., J), then the view depth, the image
     coordinates (u, v), ``valid`` (in front of the view, inside its own
-    image) and the flat cell, each (..., J).
+    image) and the flat cell, each a contiguous (..., J) array. The
+    projection is freed before the gather, so only what is returned stays.
     """
-    pc = (points @ working.rot).reshape(points.shape[:-1] + working.trans.shape) + working.trans
-    z = pc[..., 2]
+    pc = (points @ working.rot).reshape(points.shape[:-1] + working.trans.shape)
+    pc += working.trans
+    z = pc[..., 2].copy()
     safe_z = np.where(z > 0, z, 1.0)
     fx, fy, cx, cy = working.intrinsics
-    u = fx * pc[..., 0] / safe_z + cx
-    v = fy * pc[..., 1] / safe_z + cy
+    u = pc[..., 0] * fx
+    u /= safe_z
+    u += cx
+    v = pc[..., 1] * fy
+    v /= safe_z
+    v += cy
+    del pc, safe_z
     h, w = working.sizes
     valid = (z > 0) & (u >= 0) & (u < w) & (v >= 0) & (v < h)
     view = np.arange(working.n_views)
-    ix = np.clip(np.floor(u).astype(np.int64), 0, w - 1)
-    iy = np.clip(np.floor(v).astype(np.int64), 0, h - 1)
-    cell = (view * working.params.shape[1] + iy) * working.params.shape[2] + ix
+    cell = np.clip(np.floor(v).astype(np.int64), 0, h - 1)
+    cell += view * working.params.shape[1]
+    cell *= working.params.shape[2]
+    cell += np.clip(np.floor(u).astype(np.int64), 0, w - 1)
     if bilinear_params:
         mu, sig, wt = decode_arrays(_bilinear(working.params, view, h, w, u, v),
                                     working.near, working.far)
@@ -347,15 +369,20 @@ def _chunk_forward(working: WorkingSet, origins, dirs, z, widths, config: Render
     npts = z.size
     points = origins[:, None, :] + z[..., None] * dirs[:, None, :]
     mu, sig, w, depth, (u, v), valid, cell = _lookup(working, points, config.bilinear_params)
+    if not with_colors:
+        del u, v
+    if not keep_state:
+        del cell
     cdf_a = mixture_cdf_terms(mu, sig, w, depth, keep_state)
-    cdf_b = mixture_cdf_terms(mu, sig, w, depth + widths[..., None], keep_state)
+    depth += widths[..., None]          # the bins' far ends
+    cdf_b = mixture_cdf_terms(mu, sig, w, depth, keep_state)
     del mu, sig, w, depth
     counters.add("cdf_evals", 2 * npts * working.n_views)
     t_a, t_b = cdf_a[0], cdf_b[0]
     vis = np.where(valid, 1.0 - t_a, 0.0)       # (B, K, J)
     alpha_raw, _ = interval_alpha(t_a, t_b)
     alpha_tilde = np.where(valid, np.clip(alpha_raw, 0.0, 1.0), 0.0)
-    h_w = np.where(valid, t_b - t_a, 0.0)
+    del alpha_raw
     denom = vis.sum(axis=-1)
     good = denom >= EPS_VISIBILITY
     safe = np.where(good, denom, 1.0)
@@ -364,25 +391,29 @@ def _chunk_forward(working: WorkingSet, origins, dirs, z, widths, config: Render
     out = ChunkState(z, widths, None, alpha_hat, h_hat, None, None, denom)
     if keep_state:
         out.valid, out.cell, out.cdf_a, out.cdf_b = valid, cell, cdf_a, cdf_b
-    del cdf_a, cdf_b, alpha_raw
     if not with_colors:
         return out
+    h_w = np.where(valid, t_b - t_a, 0.0)
+    del cdf_a, cdf_b, t_a, t_b, vis, alpha_tilde, good, safe, valid
 
     counters.add("color_samples", npts)
     active = np.any(h_w >= EPS_VISIBILITY, axis=-1)
     sample_colors = np.broadcast_to(background, z.shape + (3,)).copy()
     if np.any(active):
         counters.add("sh_fits", int(active.sum()))
-        offs = points[active][:, None, :] - working.centers                  # (M,J,3)
-        in_dirs = offs / np.maximum(np.linalg.norm(offs, axis=-1, keepdims=True), 1e-30)
+        weights, u, v = h_w[active], u[active], v[active]                     # (M,J)
+        del h_w
+        in_dirs = points[active][:, None, :] - working.centers               # (M,J,3)
+        in_dirs /= np.maximum(np.linalg.norm(in_dirs, axis=-1, keepdims=True), 1e-30)
         in_colors = _bilinear(working.images, np.arange(working.n_views), *working.sizes,
-                              u[active], v[active])                          # (M,J,3)
+                              u, v)                                          # (M,J,3)
+        del u, v
         q_dirs = dirs[np.nonzero(active)[0]]                                 # (M,3)
         kernel, border_degree, border = sh_dual_form(config.sh_degree, config.sh_penalties)
         colors_q, fit = sh_fit_batched(
-            in_dirs, h_w[active], in_colors, q_dirs, kernel,
+            in_dirs, weights, in_colors, q_dirs, kernel,
             sh_basis_values(border_degree, in_dirs)[..., border],
-            sh_basis_values(border_degree, q_dirs)[..., border],
+            sh_basis_values(border_degree, q_dirs)[..., border], keep=keep_state,
         )
         sample_colors[active] = colors_q
         if keep_state:
@@ -629,7 +660,7 @@ def render_pixel(working: WorkingSet, ray: Ray, config: RenderConfig):
 def hitting_probs(alphas) -> np.ndarray:
     """First-hit probabilities from ordered alphas: transmittance times alpha."""
     alphas = np.asarray(alphas, dtype=np.float64)
-    if np.any(alphas < 0) or np.any(alphas > 1):
+    if not np.all((alphas >= 0) & (alphas <= 1)):    # NaN fails both
         raise InputError("alphas must lie in [0, 1]")
     return _transmittance(alphas) * alphas
 
@@ -649,17 +680,19 @@ def query_visibility(working: WorkingSet, point) -> np.ndarray:
 
 def _point_sample(working: WorkingSet, point, direction, bin_width: float,
                   config: RenderConfig, with_colors: bool) -> ChunkState:
-    """One sample on a ray that starts at ``point``: depth 0, width ``bin_width``."""
+    """One sample on a ray that starts at ``point``: depth 0, width ``bin_width``,
+    which must be finite and positive."""
+    width = float(bin_width)
+    if not 0.0 < width < np.inf:
+        raise InputError(f"bin width must be finite and positive, not {bin_width}")
     origins = np.asarray(point, dtype=np.float64).reshape(1, 3)
     dirs = np.asarray(direction, dtype=np.float64).reshape(1, 3)
-    return _chunk_forward(working, origins, dirs, np.zeros((1, 1)),
-                          np.full((1, 1), float(bin_width)), config, with_colors=with_colors)
+    return _chunk_forward(working, origins, dirs, np.zeros((1, 1)), np.full((1, 1), width),
+                          config, with_colors=with_colors)
 
 
 def sample_alpha(working: WorkingSet, point, bin_width: float) -> float:
     """Visibility-weighted mean of the working views' interval opacities."""
-    if bin_width <= 0:
-        raise InputError("bin width must be positive")
     state = _point_sample(working, point, np.zeros(3), bin_width, RenderConfig(), False)
     return float(state.alpha_hat[0, 0])
 

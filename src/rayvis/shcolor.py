@@ -33,7 +33,7 @@ is eliminated through the SVD of ``diag(s) Y_b``, keeping the directions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -219,7 +219,8 @@ class DualFit:
     """Intermediates of :func:`sh_fit_batched`, kept for :func:`sh_fit_weight_grads`."""
 
     s: np.ndarray        # (M, J) square-root weights
-    kern: np.ndarray     # (M, J, J) kernel between input directions
+    kern: Optional[np.ndarray]  # (M, J, J) kernel between input directions;
+                                # None unless the fit was kept
     k_q: np.ndarray      # (M, J) kernel between input and query directions
     y_b: np.ndarray      # (M, J, n_b) border columns at the input directions
     colors: np.ndarray   # (M, J, 3)
@@ -227,24 +228,36 @@ class DualFit:
     g: np.ndarray        # (M, J + n_b) forward solution
 
 
-def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    out = np.full_like(x, coeffs[-1])
+def _horner(coeffs: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
+    if out is None:
+        out = np.empty_like(x)
+    out[...] = coeffs[-1]
     for c in coeffs[-2::-1]:
         out *= x
         out += c
     return out
 
 
-def _dual_system(dirs, weights, kernel, y_b):
-    """Square-root weights (M, J), kernel (M, J, J) and bordered system of each row."""
+def _dual_system(dirs, weights, kernel, y_b, keep: bool = False):
+    """Square-root weights (M, J), kernel (M, J, J) and bordered system of each row.
+
+    The kernel is evaluated straight into the system's top block, where the
+    weights then scale it in place; it is copied out first only with
+    ``keep`` (the backward needs it) and is None otherwise.
+    """
     m, j = weights.shape
     nb = y_b.shape[-1]
     s = np.sqrt(np.maximum(weights, 0.0))  # clamp rounding noise below zero
-    kern = _horner(kernel, np.matmul(dirs, np.swapaxes(dirs, -1, -2)))
-    sb = s[..., None] * y_b
-    top = s[:, :, None] * kern * s[:, None, :]
+    system = np.empty((m, j + nb, j + nb))
+    top, sb = system[:, :j, :j], system[:, :j, j:]
+    _horner(kernel, np.matmul(dirs, np.swapaxes(dirs, -1, -2)), out=top)
+    kern = top.copy() if keep else None
+    top *= s[:, :, None]
+    top *= s[:, None, :]
     top[:, np.arange(j), np.arange(j)] += 1.0
-    system = np.block([[top, sb], [np.swapaxes(sb, -1, -2), np.zeros((m, nb, nb))]])
+    np.multiply(s[..., None], y_b, out=sb)
+    system[:, j:, :j] = np.swapaxes(sb, -1, -2)
+    system[:, j:, j:] = 0.0
     return s, kern, system
 
 
@@ -283,7 +296,7 @@ def _eliminate(system: np.ndarray, rhs: np.ndarray, j: int) -> np.ndarray:
     return np.concatenate([x, y], axis=1)
 
 
-def sh_fit_batched(dirs, weights, colors, query, kernel, y_b, y_bq):
+def sh_fit_batched(dirs, weights, colors, query, kernel, y_b, y_bq, keep: bool = True):
     """Batched dual-form fits, each evaluated at its query direction.
 
     ``dirs``: (M, J, 3) unit input directions, ``weights``: (M, J)
@@ -291,12 +304,15 @@ def sh_fit_batched(dirs, weights, colors, query, kernel, y_b, y_bq):
     ``kernel``, ``y_b`` (M, J, n_b) and ``y_bq`` (M, n_b) from
     :func:`sh_dual_form` and :func:`sh_basis_values`. Returns
     ``(colors_q, fit)`` with colors_q (M, 3); ``fit`` is kept for the
-    backward pass.
+    backward pass, which needs ``keep``: without it ``fit.kern`` is None,
+    and no copy of the kernel matrix is made.
     """
     j = weights.shape[1]
-    s, kern, system = _dual_system(dirs, weights, kernel, y_b)
+    s, kern, system = _dual_system(dirs, weights, kernel, y_b, keep)
     k_q = _horner(kernel, np.matmul(dirs, query[:, :, None])[..., 0])
-    rhs = np.concatenate([s * k_q, y_bq], axis=-1)
+    rhs = np.empty(system.shape[:2])
+    np.multiply(s, k_q, out=rhs[:, :j])
+    rhs[:, j:] = y_bq
     g = _solve(system, rhs[..., None], j)[..., 0]
     colors_q = np.matmul((g[:, :j] * s)[:, None, :], colors)[:, 0, :]
     return colors_q, DualFit(s, kern, k_q, y_b, colors, system, g)

@@ -4,6 +4,7 @@ import pytest
 from rayvis.errors import DegenerateFitError, InputError
 from rayvis.shcolor import (
     DEFAULT_DEGREE_PENALTIES,
+    _dual_system,
     SHBasis,
     SHCoefficients,
     SHRegularizer,
@@ -333,3 +334,52 @@ class TestDualFit:
             step[:, j] = h
             slope = (objective(weights + step) - objective(weights - step)) / (2 * h)
             np.testing.assert_allclose(grads[:, j], slope, rtol=1e-4)
+
+
+def block_system(dirs, weights, kernel, y_b):
+    """Reference assembly of the bordered dual system: the kernel by Horner's
+    rule, then ``np.block`` over the separately built blocks."""
+    m, j = weights.shape
+    nb = y_b.shape[-1]
+    s = np.sqrt(np.maximum(weights, 0.0))
+    cos = np.matmul(dirs, np.swapaxes(dirs, -1, -2))
+    kern = np.full_like(cos, kernel[-1])
+    for c in kernel[-2::-1]:
+        kern = kern * cos + c
+    top = s[:, :, None] * kern * s[:, None, :]
+    top[:, np.arange(j), np.arange(j)] += 1.0
+    sb = s[..., None] * y_b
+    return s, kern, np.block([[top, sb], [np.swapaxes(sb, -1, -2), np.zeros((m, nb, nb))]])
+
+
+class TestDualSystem:
+    """The in-place assembly of ``_dual_system`` against ``np.block``."""
+
+    # border sizes n_b by degree 0..3: none, one column, and several
+    PENALTIES = {
+        "all_penalized": ((0.002, 0.001, 0.005, 0.01), (0, 0, 0, 0)),
+        "default": (DEFAULT_DEGREE_PENALTIES, (1, 1, 1, 1)),
+        "two_free_degrees": ((0.0, 0.0, 0.005, 0.01), (1, 4, 4, 4)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PENALTIES))
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_equals_block_assembly_bit_for_bit(self, degree, name):
+        penalties, n_b = self.PENALTIES[name]
+        rng = np.random.default_rng(7 * degree + len(name))
+        rows, j = 9, 8
+        dirs = random_directions(rng, rows * j).reshape(rows, j, 3)
+        weights = rng.uniform(0, 1, size=(rows, j))
+        weights[1, :3] = 0.0
+        weights[2, 4] = -1e-18      # rounding noise below zero is clamped
+        weights[3] = 0.0
+        kernel, border_degree, border = sh_dual_form(degree, penalties)
+        assert border.size == n_b[degree]
+        y_b = sh_basis_values(border_degree, dirs)[..., border]
+        want_s, want_kern, want = block_system(dirs, weights, kernel, y_b)
+        for keep in (False, True):
+            s, kern, system = _dual_system(dirs, weights, kernel, y_b, keep)
+            assert system.shape == want.shape == (rows, j + border.size, j + border.size)
+            assert system.tobytes() == want.tobytes()
+            assert s.tobytes() == want_s.tobytes()
+            assert (kern.tobytes() == want_kern.tobytes()) if keep else kern is None
