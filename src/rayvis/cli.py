@@ -3,8 +3,13 @@
 Directory conventions: a data directory (from ``synth``) holds
 ``images/view_NNNN.ppm``, ``depth/view_NNNN.nrdf`` and ``cameras.json``;
 map directories hold ``view_NNNN.nray``. Every command that writes files
-also writes a ``manifest.json`` next to them with the fully resolved
-configuration, enough to replay the run.
+also writes a ``manifest.json`` next to them, enough to replay the run: it
+holds every parsed option, overridden by the fields of the configs the
+command built, as resolved.
+
+An option that sets a ``TrainConfig`` or ``RenderConfig`` field stores its
+value under the field's name and has no default of its own, so the config
+holds the only default and the only check of each setting.
 
 Exit codes: 0 success, 1 usage error, 2 input/IO error, 3 numerical error.
 """
@@ -15,7 +20,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +28,7 @@ import numpy as np
 import rayvis
 from rayvis import imgio, optim, scenefile
 from rayvis.counters import counters
-from rayvis.errors import InputError, NumericalError, RayvisError
+from rayvis.errors import ConfigurationError, InputError, NumericalError, RayvisError
 from rayvis.raydist import (
     DensityProfile,
     DistributionMap,
@@ -41,8 +46,30 @@ from rayvis.render import (
 from rayvis.scene import perturb_depth, render_ground_truth
 
 
+def _sampling_mode(text):
+    """``uniform`` or ``c2f``, spelled as the configs spell the sampling modes."""
+    modes = {"uniform": "uniform", "c2f": "coarse_to_fine"}
+    if text not in modes:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: '{text}' (choose from 'uniform', 'c2f')")
+    return modes[text]
+
+
+def _view_list(text):
+    """Comma-separated view indices; empty entries are skipped."""
+    try:
+        return [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of view indices: "
+                                         f"'{text}'") from None
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse that exits with code 1 on usage errors."""
+    """argparse that exits with code 1 on usage errors, and that leaves an
+    option without a default of its own unset, so a config's default holds."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, argument_default=argparse.SUPPRESS, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -50,22 +77,29 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-@dataclass
-class RunManifest:
-    command: str
-    version: str
-    seed: int | None
-    config: dict
-    inputs: list
-    outputs: list
-    duration_seconds: float
+def _config(cls, args, **fixed):
+    """``cls`` built from the parsed options named after its fields, and ``fixed``."""
+    given = {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+    return cls(**{**given, **fixed})
 
 
-def _write_manifest(directory, command, seed, config, inputs, outputs, start):
-    """Write ``manifest.json``, with the package version and the seconds since ``start``."""
-    manifest = RunManifest(command, rayvis.__version__, seed, config, inputs, outputs,
-                           time.perf_counter() - start)
-    blob = json.dumps(asdict(manifest), indent=2, sort_keys=True).encode("utf-8")
+def _write_manifest(directory, args, inputs, outputs, start, *configs):
+    """Write ``manifest.json``: every parsed option, overridden by the fields of
+    ``configs`` as resolved, with the package version and the seconds since
+    ``start``."""
+    config = {key: value for key, value in vars(args).items() if key not in ("command", "func")}
+    for resolved in configs:
+        config.update(asdict(resolved))
+    manifest = {
+        "command": args.command,
+        "version": rayvis.__version__,
+        "seed": config.get("seed"),
+        "config": config,
+        "inputs": [str(path) for path in inputs],
+        "outputs": [str(path) for path in outputs],
+        "duration_seconds": time.perf_counter() - start,
+    }
+    blob = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False).encode("utf-8")
     imgio.atomic_write_bytes(Path(directory) / "manifest.json", blob)
 
 
@@ -137,7 +171,7 @@ def cmd_synth(args) -> int:
         dep_path = out / "depth" / imgio.view_name(idx, "nrdf")
         imgio.write_ppm(img_path, image)
         imgio.write_depth_map(dep_path, depth)
-        outputs += [str(img_path), str(dep_path)]
+        outputs += [img_path, dep_path]
         cam_entries.append({"index": idx, **scenefile.camera_to_json(camera)})
     meta = {
         "near": scene.near,
@@ -149,8 +183,7 @@ def cmd_synth(args) -> int:
     imgio.atomic_write_bytes(
         out / "cameras.json", json.dumps(meta, indent=2).encode("utf-8")
     )
-    _write_manifest(out, "synth", None, {"scene": str(args.scene)}, [str(args.scene)],
-                    outputs + [str(out / "cameras.json")], start)
+    _write_manifest(out, args, [args.scene], outputs + [out / "cameras.json"], start)
     print(f"wrote {len(cam_entries)} views to {out}")
     return 0
 
@@ -164,115 +197,60 @@ def cmd_init(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
     for idx, path in sorted(depths.items()):
-        depth = imgio.read_depth_map(path)
-        if args.noise > 0:
-            depth = perturb_depth(depth, args.noise, args.seed + idx)
+        depth = perturb_depth(imgio.read_depth_map(path), args.noise, args.seed + idx)
         dmap = optim.init_from_depth(depth, args.sigma_init, args.components, view=idx)
         map_path = out / imgio.view_name(idx, "nray")
         dmap.save(map_path)
-        outputs.append(str(map_path))
-    config = {
-        "sigma_init": args.sigma_init,
-        "components": args.components,
-        "noise": args.noise,
-        "data_dir": str(args.data_dir),
-    }
-    _write_manifest(out, "init", args.seed, config, [str(p) for p in depths.values()],
-                    outputs, start)
+        outputs.append(map_path)
+    _write_manifest(out, args, depths.values(), outputs, start)
     print(f"initialized {len(outputs)} maps in {out}")
     return 0
 
 
-def _threads(args) -> dict:
-    """``--threads N`` as a RenderConfig or TrainConfig keyword; without it the
-    library default."""
-    return {} if args.threads is None else {"threads": args.threads}
-
-
-def _render_config(args, background) -> RenderConfig:
-    mode = {"uniform": "uniform", "c2f": "coarse_to_fine"}[args.mode]
-    return RenderConfig(
-        k_coarse=args.k_coarse,
-        k_fine=args.k_fine,
-        mode=mode,
-        n_working=args.nw,
-        background=tuple(background),
-        sh_degree=args.sh_degree,
-        bilinear_params=args.bilinear_params,
-        **_threads(args),
-    )
-
-
 def _query_working_set(args, cap: bool):
-    """The working set of query view ``args.view`` with ``args.nw`` views, and
-    the cameras file's metadata. With ``cap`` a larger request is lowered to
-    the views available; without it, ``select_working_views`` refuses it."""
+    """The working set of query view ``args.view``, the render config of the
+    options with the cameras file's background, and the cameras file's
+    metadata. With ``cap`` a larger ``n_working`` is lowered to the views
+    available, in the config too; without it, ``select_working_views``
+    refuses it."""
     cameras, meta = _load_cameras(args.data_dir)
+    config = _config(RenderConfig, args, background=tuple(meta["background"]))
     if args.view not in cameras:
         raise InputError(f"no camera with index {args.view}")
     views = _load_render_views(args.data_dir, cameras, args.maps_dir, exclude=(args.view,))
-    nw = min(args.nw, len(views)) if cap else args.nw
+    if cap:
+        config = replace(config, n_working=min(config.n_working, len(views)))
     working = select_working_views(
-        views, cameras[args.view], nw, meta["near"], meta["far"], query_index=args.view
+        views, cameras[args.view], config.n_working, meta["near"], meta["far"],
+        query_index=args.view,
     )
-    return working, meta
+    return working, config, meta
 
 
 def cmd_render(args) -> int:
     start = time.perf_counter()
-    working, meta = _query_working_set(args, cap=False)
-    config = _render_config(args, meta["background"])
+    working, config, _ = _query_working_set(args, cap=False)
     image = render_image(working, config)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     imgio.write_ppm(out, image)
-    outputs = [str(out)]
+    outputs = [out]
     if args.float_out:
         imgio.write_float_image(args.float_out, image)
-        outputs.append(str(args.float_out))
+        outputs.append(args.float_out)
     if args.gt:
         value = psnr(image, imgio.read_ppm(args.gt))
         print(f"psnr {value:.4f}")
-    settings = {key: getattr(args, key) for key in (
-        "view", "mode", "k_coarse", "k_fine", "nw", "sh_degree", "bilinear_params")}
-    settings.update(threads=config.threads, maps_dir=str(args.maps_dir),
-                    data_dir=str(args.data_dir))
-    _write_manifest(out.parent, "render", None, settings,
-                    [str(args.data_dir), str(args.maps_dir)], outputs, start)
+    _write_manifest(out.parent, args, [args.data_dir, args.maps_dir], outputs, start, config)
     print(f"rendered view {args.view} -> {out}")
     return 0
-
-
-def _parse_view_list(text: str) -> list:
-    if not text:
-        return []
-    return [int(tok) for tok in text.split(",") if tok != ""]
 
 
 def cmd_optimize(args) -> int:
     start = time.perf_counter()
     cameras, meta = _load_cameras(args.data_dir)
-    config = optim.TrainConfig(
-        lambda_render=args.lambda_render,
-        lambda_consist=args.lambda_consist,
-        lambda_depth=args.lambda_depth,
-        batch_size=args.batch,
-        steps=args.steps,
-        seed=args.seed,
-        n_working=args.nw,
-        k_samples=args.k,
-        k_fine=args.k_fine,
-        learning_rate=args.lr,
-        sh_degree=args.sh_degree,
-        background=tuple(meta["background"]),
-        sampling_mode={"uniform": "uniform", "c2f": "coarse_to_fine"}[args.sampling_mode],
-        eval_interval=args.eval_interval,
-        consist_variant=args.consist_variant,
-        consist_flow=args.consist_flow,
-        **_threads(args),
-    )
-    eval_views = _parse_view_list(args.eval_views)
-    views = _load_render_views(args.data_dir, cameras, args.init_dir, exclude=eval_views)
+    config = _config(optim.TrainConfig, args, background=tuple(meta["background"]))
+    views = _load_render_views(args.data_dir, cameras, args.init_dir, exclude=args.eval_views)
     if len(views) < 2:
         raise InputError("optimization needs at least two initialized views")
     depth_paths = imgio.scan_views(Path(args.data_dir) / "depth", "nrdf")
@@ -291,7 +269,7 @@ def cmd_optimize(args) -> int:
     )
     images = imgio.scan_views(Path(args.data_dir) / "images", "ppm")
     holdout = {}
-    for idx in eval_views:
+    for idx in args.eval_views:
         if idx not in cameras or idx not in images:
             raise InputError(f"eval view {idx} not present in the data directory")
         holdout[idx] = (cameras[idx], imgio.read_ppm(images[idx]))
@@ -313,13 +291,8 @@ def cmd_optimize(args) -> int:
         start_step=start_step,
         checkpoint_interval=args.checkpoint_interval,
     )
-    cfg_dict = asdict(config)
-    cfg_dict["eval_views"] = eval_views
-    cfg_dict["init_dir"] = str(args.init_dir)
-    cfg_dict["data_dir"] = str(args.data_dir)
-    _write_manifest(out, "optimize", args.seed, cfg_dict,
-                    [str(args.data_dir), str(args.init_dir)],
-                    [str(out / imgio.view_name(i, "nray")) for i in sorted(data.maps)], start)
+    _write_manifest(out, args, [args.data_dir, args.init_dir],
+                    [out / imgio.view_name(i, "nray") for i in sorted(data.maps)], start, config)
     print(f"optimized {len(data.maps)} maps for {config.steps} steps -> {out}")
     return 0
 
@@ -351,17 +324,16 @@ def cmd_eval(args) -> int:
         csv_path = Path(args.csv)
         csv_path.parent.mkdir(parents=True, exist_ok=True)
         imgio.atomic_write_bytes(csv_path, ("\n".join(lines) + "\n").encode("utf-8"))
-        _write_manifest(csv_path.parent, "eval", None,
-                        {"rendered": str(args.rendered_dir), "gt": str(args.gt_dir)},
-                        [str(args.rendered_dir), str(args.gt_dir)], [str(csv_path)], start)
+        _write_manifest(csv_path.parent, args, [args.rendered_dir, args.gt_dir], [csv_path],
+                        start)
     return 0
 
 
 def cmd_bench(args) -> int:
     start = time.perf_counter()
-    working, meta = _query_working_set(args, cap=True)
-    nw = working.n_views
-    background = tuple(meta["background"])
+    if args.kr < 1:
+        raise ConfigurationError(f"kr must be at least 1, not {args.kr}")
+    working, config, meta = _query_working_set(args, cap=True)
     report = []
 
     def run(label, config):
@@ -380,16 +352,10 @@ def cmd_bench(args) -> int:
         )
         return image, dt, snap
 
-    uniform_cfg = RenderConfig(
-        k_coarse=args.k_uniform, mode="uniform", n_working=nw,
-        background=background, sh_degree=args.sh_degree, **_threads(args),
-    )
-    c2f_cfg = RenderConfig(
-        k_coarse=args.k_coarse, k_fine=args.k_fine, mode="coarse_to_fine",
-        n_working=nw, background=background, sh_degree=args.sh_degree,
-        **_threads(args),
-    )
-    img_u, time_u, snap_u = run(f"uniform k={args.k_uniform}", uniform_cfg)
+    # the uniform run takes --k-uniform samples; both runs share every other option
+    c2f_cfg = replace(config, mode="coarse_to_fine")
+    img_u, time_u, snap_u = run(f"uniform k={args.k_uniform}",
+                                replace(config, k_coarse=args.k_uniform, mode="uniform"))
     img_c, time_c, snap_c = run(f"coarse_to_fine k={args.k_coarse}+{args.k_fine}", c2f_cfg)
     report.append(
         f"mode_agreement_psnr_db={psnr(img_u, img_c):.3f} "
@@ -418,19 +384,24 @@ def cmd_bench(args) -> int:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         imgio.atomic_write_bytes(out, (text + "\n").encode("utf-8"))
-        settings = {"view": args.view, "k_uniform": args.k_uniform, "k_coarse": args.k_coarse,
-                    "k_fine": args.k_fine, "nw": nw, "kr": args.kr,
-                    "threads": uniform_cfg.threads}
-        _write_manifest(out.parent, "bench", None, settings,
-                        [str(args.data_dir), str(args.maps_dir)], [str(out)], start)
+        _write_manifest(out.parent, args, [args.data_dir, args.maps_dir], [out], start, c2f_cfg)
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rayvis", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # options of render, optimize and bench; the last three set config fields
+    shared = _Parser(add_help=False)
+    shared.add_argument("--data", required=True, dest="data_dir")
+    shared.add_argument("--nw", type=int, dest="n_working")
+    shared.add_argument("--sh-degree", type=int)
+    shared.add_argument("--threads", type=int, help="threads (default: every usable CPU)")
+    query = _Parser(add_help=False)
+    query.add_argument("--maps", required=True, dest="maps_dir")
+    query.add_argument("--view", type=int, required=True)
 
-    p = sub.add_parser("synth", parents=[], help="render ground-truth data from a scene file")
+    p = sub.add_parser("synth", help="render ground-truth data from a scene file")
     p.add_argument("scene", help="scene description (JSON)")
     p.add_argument("out_dir", help="output data directory")
     p.set_defaults(func=cmd_synth)
@@ -438,59 +409,44 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("init", help="initialize distribution maps from depth maps")
     p.add_argument("data_dir", help="data directory from synth")
     p.add_argument("out_dir", help="output map directory")
-    p.add_argument("--sigma-init", type=float, default=0.005, dest="sigma_init")
+    p.add_argument("--sigma-init", type=float, default=0.005)
     p.add_argument("--components", type=int, default=2)
     p.add_argument("--noise", type=float, default=0.0,
                    help="depth noise as a fraction of scene scale")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_init)
 
-    p = sub.add_parser("render", help="render a query view from maps and images")
-    p.add_argument("--data", required=True, dest="data_dir")
-    p.add_argument("--maps", required=True, dest="maps_dir")
-    p.add_argument("--view", type=int, required=True)
+    p = sub.add_parser("render", parents=[shared, query],
+                       help="render a query view from maps and images")
     p.add_argument("--out", required=True)
     p.add_argument("--gt", default=None, help="ground-truth PPM for PSNR")
-    p.add_argument("--float-out", default=None, dest="float_out")
-    p.add_argument("--mode", choices=["uniform", "c2f"], default="uniform")
-    p.add_argument("--k-coarse", type=int, default=64, dest="k_coarse")
-    p.add_argument("--k-fine", type=int, default=64, dest="k_fine")
-    p.add_argument("--nw", type=int, default=8)
-    p.add_argument("--sh-degree", type=int, default=3, dest="sh_degree")
-    p.add_argument("--bilinear-params", action="store_true", dest="bilinear_params")
-    p.add_argument("--threads", type=int, default=None,
-                   help="rendering threads (default: every usable CPU)")
+    p.add_argument("--float-out", default=None)
+    p.add_argument("--mode", type=_sampling_mode, metavar="{uniform,c2f}")
+    p.add_argument("--k-coarse", type=int)
+    p.add_argument("--k-fine", type=int)
+    p.add_argument("--bilinear-params", action="store_true")
     p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("optimize", help="optimize distribution maps on a scene")
-    p.add_argument("--data", required=True, dest="data_dir")
+    p = sub.add_parser("optimize", parents=[shared], help="optimize distribution maps on a scene")
     p.add_argument("--init", required=True, dest="init_dir")
     p.add_argument("--out", required=True, dest="out_dir")
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--batch", type=int, default=512)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--lambda-render", type=float, default=1.0, dest="lambda_render")
-    p.add_argument("--lambda-consist", type=float, default=0.25, dest="lambda_consist")
-    p.add_argument("--lambda-depth", type=float, default=0.1, dest="lambda_depth")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=64)
-    p.add_argument("--k-fine", type=int, default=16, dest="k_fine")
-    p.add_argument("--sampling-mode", choices=["uniform", "c2f"],
-                   default="uniform", dest="sampling_mode")
-    p.add_argument("--nw", type=int, default=8)
-    p.add_argument("--sh-degree", type=int, default=3, dest="sh_degree")
-    p.add_argument("--eval-views", default="", dest="eval_views",
+    p.add_argument("--steps", type=int)
+    p.add_argument("--batch", type=int, dest="batch_size")
+    p.add_argument("--lr", type=float, dest="learning_rate")
+    p.add_argument("--lambda-render", type=float)
+    p.add_argument("--lambda-consist", type=float)
+    p.add_argument("--lambda-depth", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--k", type=int, dest="k_samples")
+    p.add_argument("--k-fine", type=int)
+    p.add_argument("--sampling-mode", type=_sampling_mode, metavar="{uniform,c2f}")
+    p.add_argument("--eval-views", type=_view_list, default=[],
                    help="comma-separated held-out view indices")
-    p.add_argument("--eval-interval", type=int, default=500, dest="eval_interval")
-    p.add_argument("--consist-variant", choices=["binary", "categorical"],
-                   default="binary", dest="consist_variant")
-    p.add_argument("--consist-flow", choices=["stop_h", "symmetric"],
-                   default="stop_h", dest="consist_flow")
-    p.add_argument("--resume", action="store_true")
-    p.add_argument("--checkpoint-interval", type=int, default=None,
-                   dest="checkpoint_interval")
-    p.add_argument("--threads", type=int, default=None,
-                   help="training and evaluation threads (default: every usable CPU)")
+    p.add_argument("--eval-interval", type=int)
+    p.add_argument("--consist-variant", choices=["binary", "categorical"])
+    p.add_argument("--consist-flow", choices=["stop_h", "symmetric"])
+    p.add_argument("--resume", action="store_true", default=False)
+    p.add_argument("--checkpoint-interval", type=int, default=None)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("eval", help="PSNR table between two image directories")
@@ -499,18 +455,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("bench", help="counter and timing report for both render modes")
-    p.add_argument("--data", required=True, dest="data_dir")
-    p.add_argument("--maps", required=True, dest="maps_dir")
-    p.add_argument("--view", type=int, required=True)
-    p.add_argument("--k-uniform", type=int, default=128, dest="k_uniform")
-    p.add_argument("--k-coarse", type=int, default=32, dest="k_coarse")
-    p.add_argument("--k-fine", type=int, default=8, dest="k_fine")
-    p.add_argument("--nw", type=int, default=8)
-    p.add_argument("--sh-degree", type=int, default=3, dest="sh_degree")
+    p = sub.add_parser("bench", parents=[shared, query],
+                       help="counter and timing report for both render modes")
+    p.add_argument("--k-uniform", type=int, default=128)
+    p.add_argument("--k-coarse", type=int, default=32)
+    p.add_argument("--k-fine", type=int, default=8)
     p.add_argument("--kr", type=int, default=32)
-    p.add_argument("--threads", type=int, default=None,
-                   help="rendering threads (default: every usable CPU)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)
     return parser

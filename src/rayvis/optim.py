@@ -100,23 +100,24 @@ class TrainConfig:
     threads: int = field(default_factory=usable_cpus)
 
     def __post_init__(self):
-        if min(self.lambda_render, self.lambda_consist, self.lambda_depth) < 0:
-            raise ConfigurationError("loss weights must be nonnegative")
-        if self.steps < 0:
-            raise ConfigurationError("steps must be nonnegative")
+        for name in ("lambda_render", "lambda_consist", "lambda_depth"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ConfigurationError(f"{name} must be finite and nonnegative")
+        for name in ("steps", "seed", "eval_interval"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be nonnegative")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be at least 1")
         if not (0.0 < self.learning_rate < np.inf):
             raise ConfigurationError("learning_rate must be finite and positive")
         if not (0.0 < self.eps_prob < 0.5):
             raise ConfigurationError("eps_prob must lie in (0, 0.5)")
-        if self.sampling_mode not in ("uniform", "coarse_to_fine"):
-            raise ConfigurationError(f"unknown sampling mode '{self.sampling_mode}'")
         if self.consist_variant not in ("binary", "categorical"):
             raise ConfigurationError(f"unknown CE variant '{self.consist_variant}'")
         if self.consist_flow not in ("stop_h", "symmetric"):
             raise ConfigurationError(f"unknown gradient flow '{self.consist_flow}'")
-        # refuses the render settings before any step runs; stores threads as an int
+        # refuses the render settings, the sampling mode among them, before any
+        # step runs; stores threads as an int
         self.threads = self.render_config().threads
 
     def render_config(self) -> RenderConfig:
@@ -238,8 +239,11 @@ def init_from_depth(
     far sentinel decode to means within a tiny fraction of ``far``, leaving
     near-zero occlusion in front of it.
     """
-    if sigma_init <= SIGMA_MIN_FRACTION:
-        raise InputError(f"sigma_init must exceed the scale floor {SIGMA_MIN_FRACTION}")
+    if not SIGMA_MIN_FRACTION < sigma_init < np.inf:
+        raise InputError(f"sigma_init must be finite and exceed the scale floor "
+                         f"{SIGMA_MIN_FRACTION}, not {sigma_init}")
+    if n_components < 1:
+        raise InputError(f"n_components must be at least 1, not {n_components}")
     near, far = depth.near, depth.far
     span = far - near
     u = np.clip((depth.values - near) / span, _DECODE_CLIP, 1.0 - _DECODE_CLIP)
@@ -498,6 +502,8 @@ def optimize_scene(
     checkpointed there in the NRAY format along with a resumable state
     file and a metrics CSV.
     """
+    if checkpoint_interval is not None and checkpoint_interval < 0:
+        raise ConfigurationError("checkpoint_interval must be nonnegative")
     if state is None:
         state = config.optim_state()
     history = []

@@ -378,8 +378,10 @@ def perturb_depth(depth: DepthMap, noise_sigma: float, seed: int) -> DepthMap:
 
     ``noise_sigma = 0`` returns the values unchanged.
     """
-    if noise_sigma < 0:
-        raise InputError("noise sigma must be nonnegative")
+    if not 0.0 <= noise_sigma < np.inf:
+        raise InputError(f"noise sigma must be finite and nonnegative, not {noise_sigma}")
+    if seed < 0:
+        raise InputError(f"noise seed must be nonnegative, not {seed}")
     if noise_sigma == 0:
         return DepthMap(depth.values.copy(), depth.near, depth.far, depth.scene_scale)
     rng = np.random.default_rng(seed)

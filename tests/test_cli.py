@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -10,7 +11,7 @@ import pytest
 
 import rayvis
 from rayvis import optim, render
-from rayvis.cli import main
+from rayvis.cli import build_parser, main
 from rayvis.imgio import read_ppm, write_depth_map, write_ppm
 from rayvis.raydist import DistributionMap
 from rayvis.render import usable_cpus
@@ -417,6 +418,58 @@ _FAULTS = {
 }
 
 
+# each command with small settings, writing under ``out``
+_SETTING_COMMANDS = {
+    "init": lambda data, maps, out: ["init", data, out, "--noise", "0.02"],
+    "render": lambda data, maps, out: ["render", "--data", data, "--maps", maps, "--view", "0",
+                                       "--out", out / "x.ppm", "--k-coarse", "8", "--nw", "3"],
+    "optimize": lambda data, maps, out: ["optimize", "--data", data, "--init", maps,
+                                         "--out", out, "--steps", "1", "--eval-interval", "0",
+                                         "--nw", "3", "--k", "8"],
+    "bench": lambda data, maps, out: ["bench", "--data", data, "--maps", maps, "--view", "0",
+                                      "--k-uniform", "8", "--k-coarse", "4", "--k-fine", "2",
+                                      "--nw", "3", "--out", out / "report.txt"],
+}
+
+# (command, option, bad value, words the message must hold, exit code) for
+# the settings that test_optimize_bad_setting_exits_2_without_traceback does
+# not cover; a value the option's type or choices refuse is a usage error
+_BAD_SETTINGS = [
+    ("init", "--seed", "-1", ["seed"], 2),
+    ("init", "--noise", "-1", ["noise"], 2),
+    ("init", "--noise", "nan", ["noise"], 2),
+    ("init", "--noise", "inf", ["noise"], 2),
+    ("init", "--sigma-init", "nan", ["sigma_init"], 2),
+    ("init", "--sigma-init", "inf", ["sigma_init"], 2),
+    ("init", "--components", "-1", ["n_components"], 2),
+    ("init", "--components", "0", ["n_components"], 2),
+    ("optimize", "--checkpoint-interval", "-1", ["checkpoint_interval"], 2),
+    ("optimize", "--eval-views", "nan", ["--eval-views"], 1),
+    ("optimize", "--eval-views", "1.5", ["--eval-views"], 1),
+    ("optimize", "--eval-views", "a", ["--eval-views"], 1),
+    ("optimize", "--sampling-mode", "fast", ["--sampling-mode"], 1),
+    ("optimize", "--consist-flow", "both", ["--consist-flow"], 1),
+    ("render", "--mode", "fast", ["--mode"], 1),
+    ("render", "--k-fine", "-1", ["k_fine"], 2),
+    ("render", "--sh-degree", "4", ["sh_degree"], 2),
+    ("bench", "--kr", "-1", ["kr"], 2),
+    ("bench", "--kr", "0", ["kr"], 2),
+    ("bench", "--nw", "0", ["n_working"], 2),
+    ("bench", "--k-uniform", "1", ["k_coarse"], 2),
+    ("bench", "--threads", "1.5", ["--threads"], 1),
+]
+
+
+def _refused(capsys, argv, out, code, words):
+    """``main(argv)`` exits ``code`` with a message holding ``words``, without a
+    traceback and without writing a file under ``out``."""
+    capsys.readouterr()
+    assert main([str(arg) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and all(word in err for word in words), err
+    assert not [path for path in out.rglob("*") if path.is_file()]
+
+
 @pytest.fixture(scope="module")
 def checkpoint_dir(synth_dir, maps_dir, tmp_path_factory):
     """The output of a one-step optimization, with its state.npz."""
@@ -460,16 +513,71 @@ class TestInputFaults:
         ("--batch", "-5", "batch_size"), ("--batch", "0", "batch_size"),
         ("--lr", "-1", "learning_rate"), ("--k", "1", "k_coarse"), ("--nw", "0", "n_working"),
         ("--sh-degree", "7", "sh_degree"), ("--k-fine", "-1", "k_fine"),
-        ("--steps", "-3", "steps"), ("--threads", "0", "threads")])
+        ("--steps", "-3", "steps"), ("--threads", "0", "threads"), ("--seed", "-1", "seed"),
+        ("--lambda-render", "nan", "lambda_render"), ("--lambda-consist", "nan", "lambda_consist"),
+        ("--lambda-depth", "nan", "lambda_depth"), ("--lambda-depth", "inf", "lambda_depth"),
+        ("--eval-interval", "-1", "eval_interval")])
     def test_optimize_bad_setting_exits_2_without_traceback(self, flag, value, field,
-                                                            synth_dir, maps_dir, tmp_path):
-        out = tmp_path / "opt"
-        proc = _run_cli("optimize", "--data", str(synth_dir), "--init", str(maps_dir),
-                        "--out", str(out), "--steps", "1", "--eval-interval", "0",
-                        "--nw", "3", "--k", "8", flag, value)
-        assert proc.returncode == 2, proc.stderr
-        assert "Traceback" not in proc.stderr and field in proc.stderr
+                                                            synth_dir, maps_dir, tmp_path,
+                                                            capsys):
+        out = tmp_path / "out"
+        _refused(capsys, [*_SETTING_COMMANDS["optimize"](synth_dir, maps_dir, out), flag, value],
+                 out, 2, [field])
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value, words, code", _BAD_SETTINGS,
+                             ids=[f"{c}-{f}-{v}" for c, f, v, _, _ in _BAD_SETTINGS])
+    def test_bad_setting_refused_without_traceback(self, command, flag, value, words, code,
+                                                   synth_dir, maps_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        _refused(capsys, [*_SETTING_COMMANDS[command](synth_dir, maps_dir, out), flag, value],
+                 out, code, words)
+
+
+def _strict_json(text):
+    """``text`` parsed as JSON that holds no NaN or infinity."""
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+# each command with small settings, writing its manifest into ``out``; and
+# resolved config fields the manifest must record
+_MANIFEST_RUNS = {
+    "synth": (lambda scene, data, maps, out: ["synth", scene, out], {}),
+    "init": (lambda scene, data, maps, out: ["init", data, out, "--noise", "0.01"],
+             {"noise": 0.01, "seed": 0}),
+    "render": (lambda scene, data, maps, out: [*_SETTING_COMMANDS["render"](data, maps, out),
+                                               "--mode", "c2f", "--k-fine", "4"],
+               {"mode": "coarse_to_fine", "n_working": 3, "sh_degree": 3}),
+    "optimize": (lambda scene, data, maps, out: [*_SETTING_COMMANDS["optimize"](data, maps, out),
+                                                 "--batch", "16", "--sh-degree", "1"],
+                 {"batch_size": 16, "sampling_mode": "uniform", "seed": 0}),
+    "eval": (lambda scene, data, maps, out: ["eval", data / "images", data / "images",
+                                             "--csv", out / "psnr.csv"], {}),
+    "bench": (lambda scene, data, maps, out: [*_SETTING_COMMANDS["bench"](data, maps, out),
+                                              "--sh-degree", "1"],
+              {"sh_degree": 1, "n_working": 3}),
+}
+
+
+@pytest.mark.parametrize("command", list(_MANIFEST_RUNS))
+def test_manifest_records_every_option(command, small_scene_file, synth_dir, maps_dir,
+                                       tmp_path):
+    """Every option the command's parser defines is in the manifest, the
+    resolved config fields among them, and the manifest is strict JSON."""
+    out = tmp_path / "out"
+    argv, resolved = _MANIFEST_RUNS[command]
+    assert main([str(arg) for arg in argv(small_scene_file, synth_dir, maps_dir, out)]) == 0
+    manifest = _strict_json((out / "manifest.json").read_text())
+    subcommands = next(action for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    dests = {action.dest for action in subcommands.choices[command]._actions} - {"help"}
+    assert manifest["command"] == command
+    assert dests <= set(manifest["config"]), dests - set(manifest["config"])
+    assert {key: manifest["config"][key] for key in resolved} == resolved
+    if "seed" in resolved:
+        assert manifest["seed"] == resolved["seed"]
 
 
 class TestEval:

@@ -185,6 +185,18 @@ class TestInitFromDepth:
         with pytest.raises(InputError):
             init_from_depth(depth, 1e-5, 2)
 
+    @pytest.mark.parametrize("sigma_init", [np.nan, np.inf])
+    def test_sigma_not_finite(self, sigma_init):
+        depth = DepthMap(np.full((2, 2), 3.0), 1.0, 5.0, 4.0)
+        with pytest.raises(InputError, match="sigma_init"):
+            init_from_depth(depth, sigma_init, 2)
+
+    @pytest.mark.parametrize("n_components", [0, -1])
+    def test_components_below_one(self, n_components):
+        depth = DepthMap(np.full((2, 2), 3.0), 1.0, 5.0, 4.0)
+        with pytest.raises(InputError, match="n_components"):
+            init_from_depth(depth, 0.01, n_components)
+
 
 class TestAdamStep:
     def test_first_step_magnitude(self):
@@ -402,6 +414,14 @@ class TestTrainStep:
                 assert one.keys() == other.keys()
                 assert all(np.array_equal(one[i], other[i]) for i in one)
 
+    def test_negative_checkpoint_interval_refused_before_any_write(self, tmp_path):
+        data, _ = tiny_training_data(np.random.default_rng(11))
+        config = TrainConfig(steps=2, batch_size=16, k_samples=8, n_working=3,
+                             sh_degree=1, eval_interval=0)
+        with pytest.raises(ConfigurationError, match="checkpoint_interval"):
+            optimize_scene(data, config, out_dir=tmp_path / "out", checkpoint_interval=-1)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("sampling_mode, batch_size, threads, size", [
         pytest.param("uniform", 24, 1, 10, id="uniform"),
         pytest.param("coarse_to_fine", 24, 1, 10, id="coarse_to_fine"),
@@ -450,6 +470,17 @@ class TestTrainConfig:
     def test_learning_rate_not_finite_and_positive(self, learning_rate):
         with pytest.raises(ConfigurationError, match="learning_rate"):
             TrainConfig(learning_rate=learning_rate)
+
+    @pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["lambda_render", "lambda_consist", "lambda_depth"])
+    def test_loss_weight_not_finite_and_nonnegative(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["steps", "seed", "eval_interval"])
+    def test_count_below_zero(self, name):
+        with pytest.raises(ConfigurationError, match=name):
+            TrainConfig(**{name: -1})
 
     @pytest.mark.parametrize("threads", [0, -2, 2.5, np.nan, np.inf])
     def test_threads_not_a_whole_number_of_at_least_one(self, threads):
@@ -573,6 +604,14 @@ class TestOptimizeScene:
         for i in before:
             assert np.array_equal(before[i], data.maps[i].params)
         assert (tmp_path / "view_0000.nray").exists()
+
+    def test_negative_checkpoint_interval_refused_before_any_write(self, tmp_path):
+        data, _ = tiny_training_data(np.random.default_rng(11))
+        config = TrainConfig(steps=2, batch_size=16, k_samples=8, n_working=3,
+                             sh_degree=1, eval_interval=0)
+        with pytest.raises(ConfigurationError, match="checkpoint_interval"):
+            optimize_scene(data, config, out_dir=tmp_path / "out", checkpoint_interval=-1)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("sampling_mode, batch_size, threads, size", [
         pytest.param("uniform", 16, 1, 10, id="uniform"),

@@ -246,6 +246,18 @@ class TestPerturbDepth:
         with pytest.raises(InputError):
             perturb_depth(depths[0], -0.1, 0)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, ring_ground_truth, sigma):
+        _, depths = ring_ground_truth
+        with pytest.raises(InputError, match="noise sigma"):
+            perturb_depth(depths[0], sigma, 0)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.02])
+    def test_negative_seed_rejected(self, ring_ground_truth, sigma):
+        _, depths = ring_ground_truth
+        with pytest.raises(InputError, match="seed"):
+            perturb_depth(depths[0], sigma, -1)
+
 
 class TestSceneValidation:
     def test_needs_two_cameras(self):
