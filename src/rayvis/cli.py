@@ -190,6 +190,8 @@ def cmd_synth(args) -> int:
 
 def cmd_init(args) -> int:
     start = time.perf_counter()
+    if args.seed < 0:
+        raise InputError(f"noise seed must be nonnegative, not {args.seed}")
     depths = imgio.scan_views(Path(args.data_dir) / "depth", "nrdf")
     if not depths:
         raise InputError(f"no depth maps under {args.data_dir}/depth")
@@ -197,7 +199,7 @@ def cmd_init(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
     for idx, path in sorted(depths.items()):
-        depth = perturb_depth(imgio.read_depth_map(path), args.noise, args.seed + idx)
+        depth = perturb_depth(imgio.read_depth_map(path), args.noise, (args.seed, idx))
         dmap = optim.init_from_depth(depth, args.sigma_init, args.components, view=idx)
         map_path = out / imgio.view_name(idx, "nray")
         dmap.save(map_path)
@@ -413,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--components", type=int, default=2)
     p.add_argument("--noise", type=float, default=0.0,
                    help="depth noise as a fraction of scene scale")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="view i's noise stream is (seed, i)")
     p.set_defaults(func=cmd_init)
 
     p = sub.add_parser("render", parents=[shared, query],

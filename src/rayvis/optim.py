@@ -46,6 +46,7 @@ from rayvis.raydist import (
     scatter_to_map,
 )
 from rayvis.render import (
+    _CHUNK_RAYS,
     RenderConfig,
     RenderView,
     _run_streams,
@@ -59,9 +60,6 @@ from rayvis.render import (
 from rayvis.scene import DepthMap
 
 _DECODE_CLIP = 1e-7  # keeps the mean logit finite for depths at the far sentinel
-# rays per task of a training step; the step's sums depend on this, and never
-# on the thread count
-_CHUNK_RAYS = 128
 
 
 @dataclass

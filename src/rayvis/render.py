@@ -18,19 +18,18 @@ mixtures are component-major: the (3, n, J·H·W) stack gathers to
 (mu, sigma, w), each (n, ..., J), so the CDF kernel and its gradients
 work on contiguous per-component arrays.
 
-``render_image`` renders on up to ``RenderConfig.threads`` streams, by
-default every CPU the process may use: the caller and its helper threads
-pull ray chunks from one shared queue, with 128 rays in flight in total.
+``render_image`` cuts the image into chunks of at most 128 rays and 8192
+(ray, sample) pairs, whatever the thread count, and renders them on up to
+``RenderConfig.threads`` streams, by default every CPU the process may
+use: the caller and its helper threads pull chunks from one shared queue.
 A chunk's forward frees each per-entry temporary at its last use and builds
 the SH system in place; with 8 working views its traced peak is about
-0.9-1 KB per (ray, sample) pair, so the chunks in flight hold the same
-traced memory for every thread count (each thread's malloc arena may keep
-some of what it freed). NumPy releases the GIL in the large kernels, so the
-streams overlap; a render splits only as far as each stream's chunk keeps
-at least 4096 (ray, sample) pairs, since smaller chunks spend their gain on
-GIL hand-offs between the streams. Rays never interact, so the image and
-the counters are identical for every thread count. ``optim.train_step``
-runs its fixed 128-ray chunks on the same stream runner, ``_run_streams``.
+0.9-1 KB per (ray, sample) pair, so each stream holds at most about 8 MB
+traced (each thread's malloc arena may keep some of what it freed). NumPy
+releases the GIL in the large kernels, so the streams overlap. Rays never
+interact, so the image and the counters are identical for every thread
+count. ``optim.train_step`` runs its fixed 128-ray chunks on the same
+stream runner, ``_run_streams``.
 """
 
 from __future__ import annotations
@@ -76,16 +75,15 @@ _FINE_WIDTH_CAP = 0.5
 # raw value of padded cells: as a weight logit it decodes to about 1e-305,
 # which leaves the real weights bit-exact, before being set to exactly 0
 _PAD_LOGIT = -1e300
-# rays rendered at once over all threads of ``render_image``; a pass holds
-# rays x J (ray, view) pairs per sample, so this sets the peak chunk memory
-_RAYS_IN_FLIGHT = 128
-# fewest (ray, sample) pairs per chunk for which ``render_image`` adds a
-# stream: below it a chunk's NumPy calls are so short that the GIL hand-offs
-# between streams eat the gain. On a 2-CPU VM, coarse-to-fine 32 + 8 samples
-# in two 64-ray streams (2560 pairs each) were no faster than one 128-ray
-# stream and spread 3 to 7 times wider from run to run; 64-ray streams of
-# 128 uniform samples (8192 pairs) ran 1.8x faster than one stream.
-_MIN_STREAM_SAMPLES = 4096
+# most rays in one chunk of ``render_image`` and of ``optim.train_step``; a
+# training step's sums depend on it, and never on the thread count
+_CHUNK_RAYS = 128
+# most (ray, sample) pairs in one chunk of ``render_image``, which sets each
+# stream's peak memory: uniform k=128 gets 64-ray chunks of ~8 MB, under
+# glibc's trim threshold, so one stream stops re-faulting them; coarse-to-fine
+# 32 + 8 keeps 128-ray chunks, long enough for two streams to beat one
+_CHUNK_PAIRS = 8192
+_MAX_STREAMS = 128      # most streams of ``render_image``, whatever ``threads`` is
 
 
 def usable_cpus() -> int:
@@ -620,15 +618,14 @@ def _run_streams(n_tasks: int, task, streams: int) -> None:
 def render_image(working: WorkingSet, config: RenderConfig) -> np.ndarray:
     """Render the query view; deterministic and parallelizable per pixel.
 
-    ``T`` streams share one queue of ray chunks (see ``_run_streams``): the
-    caller and ``T - 1`` helper threads each pull the next chunk, render it
-    and write its rows. The chunk is ``ceil(128 / T)`` rays, so 128 rays are
-    in flight in total and the chunk temporaries take the same memory for
-    every thread count. ``T`` is ``config.threads``, lowered until each chunk
-    holds at least 4096 (ray, sample) pairs (``k_coarse``, plus ``k_fine`` in
-    coarse-to-fine mode, per ray); a render below twice that runs on the
-    caller alone, as with one thread. Every ray is rendered on its own, so
-    the image and the counters are bit-identical for every thread count.
+    A chunk is ``min(128, 8192 // S)`` rays (at least 1), S the samples per
+    ray: ``k_coarse``, plus ``k_fine`` in coarse-to-fine mode. It does not
+    depend on the thread count, so memory in flight grows with the streams.
+    ``T = min(config.threads, chunks, 128)`` streams share one queue of the
+    chunks (see ``_run_streams``): the caller and ``T - 1`` helper threads
+    each pull the next chunk, render it and write its rows. Every ray is
+    rendered on its own, so the image and the counters are bit-identical
+    for every thread count.
     """
     cam = working.query_camera
     ys, xs = np.indices((cam.height, cam.width)) + 0.5
@@ -637,15 +634,14 @@ def render_image(working: WorkingSet, config: RenderConfig) -> np.ndarray:
     origins = np.broadcast_to(cam.center, dirs.shape)
     out = np.empty((px.shape[0], 3))
     samples = config.k_coarse + (config.k_fine if config.mode == "coarse_to_fine" else 0)
-    streams = max(1, min(config.threads, _RAYS_IN_FLIGHT,
-                         _RAYS_IN_FLIGHT * samples // _MIN_STREAM_SAMPLES))
-    chunk = -(-_RAYS_IN_FLIGHT // streams)
+    chunk = max(1, min(_CHUNK_RAYS, _CHUNK_PAIRS // samples))
+    chunks = -(-px.shape[0] // chunk)
 
     def render_chunk(i):
         s = slice(i * chunk, (i + 1) * chunk)
         out[s] = render_rays(working, origins[s], dirs[s], config).colors_out
 
-    _run_streams(-(-px.shape[0] // chunk), render_chunk, streams)
+    _run_streams(chunks, render_chunk, min(config.threads, chunks, _MAX_STREAMS))
     return np.clip(out.reshape(cam.height, cam.width, 3), 0.0, 1.0)
 
 

@@ -373,14 +373,16 @@ def oracle_visibility(scene: SyntheticScene, view: int | PinholeCamera, point) -
     return 0
 
 
-def perturb_depth(depth: DepthMap, noise_sigma: float, seed: int) -> DepthMap:
+def perturb_depth(depth: DepthMap, noise_sigma: float, seed) -> DepthMap:
     """Add seeded Gaussian noise (std ``noise_sigma * scene_scale``) and clamp.
 
+    ``seed`` is a nonnegative int or a sequence of them, such as
+    ``(seed, view)``, which gives every view its own noise stream.
     ``noise_sigma = 0`` returns the values unchanged.
     """
     if not 0.0 <= noise_sigma < np.inf:
         raise InputError(f"noise sigma must be finite and nonnegative, not {noise_sigma}")
-    if seed < 0:
+    if np.any(np.asarray(seed) < 0):
         raise InputError(f"noise seed must be nonnegative, not {seed}")
     if noise_sigma == 0:
         return DepthMap(depth.values.copy(), depth.near, depth.far, depth.scene_scale)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import rayvis
-from rayvis import optim, render
+from rayvis import optim
 from rayvis.cli import build_parser, main
 from rayvis.imgio import read_ppm, write_depth_map, write_ppm
 from rayvis.raydist import DistributionMap
@@ -110,6 +110,35 @@ class TestInit:
         assert main(["init", str(synth_dir), str(b), *args]) == 0
         assert tree_bytes(a) == tree_bytes(b)
 
+    def test_neighbouring_seeds_uncorrelated(self, synth_dir, tmp_path):
+        """View i draws its noise from (seed, i), so the noise of ``--seed 7``
+        on view 1 is not the noise of ``--seed 8`` on view 0, as it was when
+        view i was seeded with seed + i."""
+        from rayvis.imgio import read_depth_map
+        from rayvis.raydist import decode_arrays
+
+        noise, hits = [], []
+        for seed, view in ((7, 1), (8, 0)):
+            out = tmp_path / str(seed)
+            assert main(["init", str(synth_dir), str(out), "--noise", "0.02",
+                         "--seed", str(seed)]) == 0
+            depth = read_depth_map(synth_dir / "depth" / f"view_{view:04d}.nrdf")
+            params = DistributionMap.load(out / f"view_{view:04d}.nray").params
+            noise.append(decode_arrays(params, depth.near, depth.far)[0][..., 0] - depth.values)
+            hits.append(depth.values < depth.far)
+        both = hits[0] & hits[1]
+        assert both.sum() > 50
+        assert abs(np.corrcoef(noise[0][both], noise[1][both])[0, 1]) < 0.5
+
+    def test_negative_seed_refused_before_any_map(self, synth_dir, tmp_path, capsys):
+        """``--seed -1`` exits 2 even when the first view is not view 0."""
+        data, out = tmp_path / "data", tmp_path / "maps"
+        shutil.copytree(synth_dir, data)
+        (data / "depth" / "view_0000.nrdf").unlink()
+        assert main(["init", str(data), str(out), "--noise", "0.02", "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not list(out.rglob("*.nray"))
+
     def test_single_component_valid(self, synth_dir, tmp_path):
         out = tmp_path / "nl1"
         assert main(["init", str(synth_dir), str(out), "--components", "1"]) == 0
@@ -160,8 +189,8 @@ class TestRender:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_threads_match_serial(self, synth_dir, maps_dir, tmp_path, monkeypatch):
-        monkeypatch.setattr(render, "_MIN_STREAM_SAMPLES", 1)    # split these small chunks
+    def test_threads_match_serial(self, synth_dir, maps_dir, tmp_path):
+        """Five chunks of at most 128 rays, on 1 and on 4 streams."""
         images = []
         for threads in ("1", "4"):
             out = tmp_path / f"t{threads}.ppm"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rayvis import render
-from rayvis.camera import generate_ray, look_at_camera
+from rayvis.camera import PinholeCamera, generate_ray, look_at_camera
 from rayvis.counters import counters
 from rayvis.errors import ConfigurationError, DimensionMismatchError, InputError
 from rayvis.optim import init_from_depth
@@ -602,8 +602,8 @@ class TestRenderImage:
         image = render_image(ws, config)
         assert psnr(image, images[0]) >= 25.0
 
-    def test_parallel_matches_serial(self, ring_scene, gt_views, monkeypatch):
-        monkeypatch.setattr(render, "_MIN_STREAM_SAMPLES", 1)    # split these small chunks
+    def test_parallel_matches_serial(self, ring_scene, gt_views):
+        """32 chunks of 128 rays on 1 and on 4 streams."""
         ws = working_set_for(ring_scene, gt_views, 0)
         serial = render_image(
             ws, RenderConfig(k_coarse=32, background=tuple(ring_scene.background), threads=1)
@@ -615,12 +615,11 @@ class TestRenderImage:
 
     @pytest.mark.parametrize("mode, bilinear", [
         ("uniform", False), ("coarse_to_fine", False), ("uniform", True)])
-    def test_thread_count_invariant(self, ring_scene, gt_views, monkeypatch, mode, bilinear):
-        """1, 2 and 3 streams render 128-, 64- and 43-ray chunks, the last one
-        ragged; the image and the counts must not depend on it. A short switch
-        interval interleaves the streams often, so a chunk lost or rendered
-        twice from the shared queue, or a lost counter update, would show."""
-        monkeypatch.setattr(render, "_MIN_STREAM_SAMPLES", 1)    # split these small chunks
+    def test_thread_count_invariant(self, ring_scene, gt_views, mode, bilinear):
+        """1, 2 and 3 streams share the same 32 chunks of 128 rays; the image
+        and the counts must not depend on the count. A short switch interval
+        interleaves the streams often, so a chunk lost or rendered twice from
+        the shared queue, or a lost counter update, would show."""
         ws = working_set_for(ring_scene, gt_views, 0)
         results = []
         interval = sys.getswitchinterval()
@@ -645,7 +644,6 @@ class TestRenderImage:
     def test_stream_error_is_raised(self, ring_scene, gt_views, monkeypatch, stream):
         """A chunk that fails on the calling thread or on a helper stops the
         queue, and ``render_image`` raises that error instead of hanging."""
-        monkeypatch.setattr(render, "_MIN_STREAM_SAMPLES", 1)    # split these small chunks
         ws = working_set_for(ring_scene, gt_views, 0, n_working=2)
         config = RenderConfig(k_coarse=4, background=tuple(ring_scene.background), threads=2)
         real = render.render_rays
@@ -675,31 +673,54 @@ class TestRenderImage:
         assert not runner.is_alive()
         assert str(result["error"]) == f"chunk failed on the {stream}"
         assert calls.count(stream == "caller") == 1
-        assert len(calls) < 32     # of 64 chunks: the queue stopped at the failure
+        assert len(calls) < 16     # of 32 chunks: the queue stopped at the failure
 
-    @pytest.mark.parametrize("mode, k_coarse, k_fine, threads, chunk", [
-        ("uniform", 64, 0, 2, 64),              # 64 rays x 64 samples per stream
-        ("uniform", 64, 0, 3, 64),              # a third stream would fall below
-        ("uniform", 32, 0, 2, 128),             # 64 x 32 is too small to split
-        ("coarse_to_fine", 32, 8, 2, 128),      # 64 x (32 + 8) too
-        ("coarse_to_fine", 48, 16, 2, 64),
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("mode, k_coarse, k_fine, chunk", [
+        ("uniform", 128, 0, 64),                # 8192 pairs
+        ("uniform", 256, 0, 32),
+        ("uniform", 64, 0, 128),                # 8192 pairs and 128 rays
+        ("uniform", 96, 0, 85),                 # the last chunk holds 16 rays
+        ("coarse_to_fine", 32, 8, 128),         # 128 rays: 5120 pairs
+        ("coarse_to_fine", 48, 16, 128),
     ])
-    def test_streams_keep_a_minimum_chunk(self, ring_scene, gt_views, monkeypatch,
-                                          mode, k_coarse, k_fine, threads, chunk):
-        """Streams are added only while each chunk keeps 4096 (ray, sample)
-        pairs; the chunk size shows how many streams share the 128 rays."""
+    def test_chunk_rule(self, ring_scene, gt_views, monkeypatch,
+                        mode, k_coarse, k_fine, threads, chunk):
+        """A chunk holds at most 128 rays and 8192 (ray, sample) pairs, the
+        same for every thread count; the 64 x 64 image is cut into such
+        chunks, on as many streams as there are threads."""
         ws = working_set_for(ring_scene, gt_views, 0, n_working=2)
         config = RenderConfig(k_coarse=k_coarse, k_fine=k_fine, mode=mode, threads=threads,
                               background=tuple(ring_scene.background))
-        real, sizes = render.render_rays, []
+        real, run_streams, sizes, streams = render.render_rays, render._run_streams, [], []
 
         def chunk_size(working, origins, *args, **kwargs):
             sizes.append(len(origins))
             return real(working, origins, *args, **kwargs)
 
+        def recording_run_streams(n_tasks, task, n_streams):
+            streams.append(n_streams)
+            run_streams(n_tasks, task, n_streams)
+
         monkeypatch.setattr(render, "render_rays", chunk_size)
+        monkeypatch.setattr(render, "_run_streams", recording_run_streams)
         render_image(ws, config)
-        assert max(sizes) == chunk
+        cuts = np.append(np.arange(0, 64 * 64, chunk), 64 * 64)
+        assert sorted(sizes) == sorted(np.diff(cuts)) and streams == [threads]
+
+    def test_stream_ceiling(self, ring_scene, gt_views, monkeypatch):
+        """However many threads are asked for, and however many chunks a large
+        image has, ``render_image`` starts at most 128 streams."""
+        ws = working_set_for(ring_scene, gt_views, 0, n_working=2)
+        cam = ws.query_camera
+        ws.query_camera = PinholeCamera(1024, 1024, 800.0, 800.0, 512.0, 512.0,
+                                        cam.rotation, cam.translation)
+        config = RenderConfig(k_coarse=64, threads=10**6)
+        calls = []
+        monkeypatch.setattr(render, "_run_streams",
+                            lambda n_tasks, task, streams: calls.append((n_tasks, streams)))
+        render_image(ws, config)
+        assert calls == [(1024 * 1024 // 128, 128)]
 
     @pytest.mark.parametrize("mode", ["uniform", "coarse_to_fine"])
     def test_value_only_path_matches_kept_path(self, ring_scene, gt_views, mode):
@@ -753,7 +774,9 @@ class TestChunkMemory:
     """Traced peak bytes of one ``render_rays`` chunk per (ray, sample) pair,
     on the ring with query view 1 and 8 working views: 64 rays x 128 uniform
     samples, and 128 rays x (32 + 8) coarse-to-fine samples, both from
-    pixel row 28 on.
+    pixel row 28 on. These are exactly the chunks ``render_image`` renders
+    in these modes, at every thread count, so each bound times the chunk's
+    pairs is one stream's traced peak.
 
     Measured with Python 3.11 and NumPy 2.4; another NumPy may allocate
     its temporaries differently. The old forward held every temporary to
