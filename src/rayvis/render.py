@@ -108,20 +108,17 @@ class RenderConfig:
     threads: int = field(default_factory=usable_cpus)
 
     def __post_init__(self):
-        if self.k_coarse < 2:
-            raise ConfigurationError("k_coarse must be at least 2")
-        if self.k_fine < 0:
-            raise ConfigurationError("k_fine must be nonnegative")
+        for name, low, high in (("k_coarse", 2, np.inf), ("k_fine", 0, np.inf),
+                                ("n_working", 1, np.inf), ("threads", 1, np.inf),
+                                ("sh_degree", 0, MAX_DEGREE)):
+            value = getattr(self, name)
+            if not (float(value).is_integer() and low <= value <= high):
+                bounds = f"at least {low}" if high == np.inf else f"in [{low}, {high}]"
+                raise ConfigurationError(f"{name} must be a whole number, {bounds}, "
+                                         f"not {value}")
+            object.__setattr__(self, name, int(value))
         if self.mode not in ("uniform", "coarse_to_fine"):
             raise ConfigurationError(f"unknown sampling mode '{self.mode}'")
-        if self.n_working < 1:
-            raise ConfigurationError("n_working must be at least 1")
-        if not (float(self.threads).is_integer() and self.threads >= 1):
-            raise ConfigurationError(f"threads must be a whole number, at least 1, "
-                                     f"not {self.threads}")
-        object.__setattr__(self, "threads", int(self.threads))
-        if not 0 <= self.sh_degree <= MAX_DEGREE:
-            raise ConfigurationError(f"sh_degree must be in [0, {MAX_DEGREE}]")
         penalties = tuple(float(p) for p in self.sh_penalties)
         if not all(0.0 <= p < np.inf for p in penalties):
             raise ConfigurationError("sh_penalties must be finite and nonnegative")
@@ -411,7 +408,7 @@ def _chunk_forward(working: WorkingSet, origins, dirs, z, widths, config: Render
         colors_q, fit = sh_fit_batched(
             in_dirs, weights, in_colors, q_dirs, kernel,
             sh_basis_values(border_degree, in_dirs)[..., border],
-            sh_basis_values(border_degree, q_dirs)[..., border], keep=keep_state,
+            sh_basis_values(border_degree, q_dirs)[..., border],
         )
         sample_colors[active] = colors_q
         if keep_state:

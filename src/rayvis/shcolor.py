@@ -24,10 +24,15 @@ size J + n_b::
          [(diag(s) Y_b)',        0          ]]
 
 and the color at ``q`` is ``sum_j g_j s_j c_j`` with
-``g = S^+ [s * K(q, d); y_b(q)]``. One rule picks each row's solve: LU on
-``S`` while the border is at most one nonzero column; otherwise the border
-is eliminated through the SVD of ``diag(s) Y_b``, keeping the directions
-``matrix_rank`` counts, since LU would square that matrix's condition.
+``g = S^+ [s * K(q, d); y_b(q)]``. The systems of a batch are stored batch
+last, (J + n_b, J + n_b, M), so each step of an elimination is one vector
+operation over all M rows. ``A = I + diag(s) K diag(s)`` has every
+eigenvalue at least 1, as ``K`` is positive semidefinite, so ``S = L D L'``
+without pivoting is stable while the border is at most one nonzero column:
+its pivots are at least 1 on ``A`` and the Schur complement
+``-b' A^-1 b`` on the border. Any other row eliminates the border through
+the SVD of ``diag(s) Y_b``, keeping the directions ``matrix_rank`` counts,
+since a factorization of ``S`` would square that matrix's condition.
 """
 
 from __future__ import annotations
@@ -58,8 +63,10 @@ class SHBasis:
     degree: int = MAX_DEGREE
 
     def __post_init__(self):
-        if not 0 <= self.degree <= MAX_DEGREE:
-            raise InputError(f"SH degree must be in [0, {MAX_DEGREE}]")
+        if not (float(self.degree).is_integer() and 0 <= self.degree <= MAX_DEGREE):
+            raise InputError(f"SH degree must be a whole number in [0, {MAX_DEGREE}], "
+                             f"not {self.degree}")
+        object.__setattr__(self, "degree", int(self.degree))
 
     @property
     def basis_size(self) -> int:
@@ -96,6 +103,9 @@ class SHCoefficients:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 2 or vals.shape[1] != 3 or not np.all(np.isfinite(vals)):
             raise InputError("coefficients must be a finite (basis, 3) array")
+        if vals.shape[0] not in [(d + 1) ** 2 for d in range(MAX_DEGREE + 1)]:
+            raise InputError(f"coefficients must have 1, 4, 9 or 16 rows, "
+                             f"not {vals.shape[0]}")
         object.__setattr__(self, "values", vals)
 
 
@@ -182,13 +192,15 @@ def sh_fit(
         raise DegenerateFitError("all weights zero and no regularization")
     kernel, _, border = sh_dual_form(basis.degree, reg.degree_penalties)
     y = sh_basis_values(basis.degree, dirs)
-    s, _, system = _dual_system(dirs[None], weights[None], kernel, y[None][..., border])
-    rhs = np.concatenate([s[0, :, None] * colors, np.zeros((border.size, 3))])
-    sol = _solve(system, rhs[None], len(samples))[0]
+    j = len(samples)
+    s, _, system = _dual_system(dirs.T[..., None], weights[:, None], kernel,
+                                y[:, border].T[..., None])
+    rhs = np.concatenate([s * colors, np.zeros((border.size, 3))])
+    sol = _solve(_factor(system, j), rhs[..., None])[..., 0]
     theta = np.zeros((basis.basis_size, 3))
-    theta[border] = sol[len(samples):]
+    theta[border] = sol[j:]
     pen = lam > 0
-    theta[pen] = y[:, pen].T @ (s[0, :, None] * sol[: len(samples)]) / lam[pen, None]
+    theta[pen] = y[:, pen].T @ (s * sol[:j]) / lam[pen, None]
     return SHCoefficients(theta)
 
 
@@ -214,64 +226,101 @@ def sh_dual_form(degree: int, penalties: Sequence[float]):
     return kernel, max(free, default=0), border
 
 
-@dataclass
-class DualFit:
-    """Intermediates of :func:`sh_fit_batched`, kept for :func:`sh_fit_weight_grads`."""
-
-    s: np.ndarray        # (M, J) square-root weights
-    kern: Optional[np.ndarray]  # (M, J, J) kernel between input directions;
-                                # None unless the fit was kept
-    k_q: np.ndarray      # (M, J) kernel between input and query directions
-    y_b: np.ndarray      # (M, J, n_b) border columns at the input directions
-    colors: np.ndarray   # (M, J, 3)
-    system: np.ndarray   # (M, J + n_b, J + n_b)
-    g: np.ndarray        # (M, J + n_b) forward solution
-
-
-def _horner(coeffs: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
-    if out is None:
-        out = np.empty_like(x)
-    out[...] = coeffs[-1]
+def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    out = np.full_like(x, coeffs[-1])
     for c in coeffs[-2::-1]:
         out *= x
         out += c
     return out
 
 
-def _dual_system(dirs, weights, kernel, y_b, keep: bool = False):
-    """Square-root weights (M, J), kernel (M, J, J) and bordered system of each row.
+def _dual_system(dirs, weights, kernel, y_b):
+    """Square-root weights, pair kernel and bordered system of each row, batch last.
 
-    The kernel is evaluated straight into the system's top block, where the
-    weights then scale it in place; it is copied out first only with
-    ``keep`` (the backward needs it) and is None otherwise.
+    ``dirs`` (3, J, M), ``weights`` (J, M) and ``y_b`` (n_b, J, M) give
+    ``(s, k_pairs, system)``: ``s`` (J, M), the kernel ``k_pairs``
+    (J(J-1)/2, M) over the view pairs ``np.tril_indices(J, -1)``, whose
+    cosines take three products each, and ``S`` (J + n_b, J + n_b, M). Only
+    the pairs run Horner's rule; the diagonal is ``K(1) s^2 + 1``.
     """
-    m, j = weights.shape
-    nb = y_b.shape[-1]
+    j, m = weights.shape
+    n = j + y_b.shape[0]
     s = np.sqrt(np.maximum(weights, 0.0))  # clamp rounding noise below zero
-    system = np.empty((m, j + nb, j + nb))
-    top, sb = system[:, :j, :j], system[:, :j, j:]
-    _horner(kernel, np.matmul(dirs, np.swapaxes(dirs, -1, -2)), out=top)
-    kern = top.copy() if keep else None
-    top *= s[:, :, None]
-    top *= s[:, None, :]
-    top[:, np.arange(j), np.arange(j)] += 1.0
-    np.multiply(s[..., None], y_b, out=sb)
-    system[:, j:, :j] = np.swapaxes(sb, -1, -2)
-    system[:, j:, j:] = 0.0
-    return s, kern, system
+    ia, ib = np.tril_indices(j, -1)
+    cos = dirs[0, ia] * dirs[0, ib]
+    cos += dirs[1, ia] * dirs[1, ib]
+    cos += dirs[2, ia] * dirs[2, ib]
+    k_pairs = _horner(kernel, cos)
+    system = np.empty((n, n, m))
+    off = s[ia] * k_pairs
+    off *= s[ib]
+    system[ia, ib] = off
+    system[ib, ia] = off
+    diag = s * _horner(kernel, np.ones(1))
+    diag *= s
+    diag += 1.0
+    system[np.arange(j), np.arange(j)] = diag
+    system[j:, :j] = s * y_b
+    system[:j, j:] = system[j:, :j].transpose(1, 0, 2)
+    system[j:, j:] = 0.0
+    return s, k_pairs, system
 
 
-def _solve(system: np.ndarray, rhs: np.ndarray, j: int) -> np.ndarray:
-    """``S^+ rhs`` for right-hand sides ``rhs`` (M, J + n_b, k), by the module's rule."""
-    if system.shape[-1] - j > 1:
-        return _eliminate(system, rhs, j)
-    zero = (system.shape[-1] == j + 1) & ~np.any(system[:, :j, j:], axis=(1, 2))
-    if not zero.any():
-        return np.linalg.solve(system, rhs)
-    out = np.empty_like(rhs)
-    out[~zero] = np.linalg.solve(system[~zero], rhs[~zero])
-    out[zero] = _eliminate(system[zero], rhs[zero], j)
-    return out
+@dataclass
+class _Factors:
+    """The bordered systems of a batch of fits, factored once for every solve.
+
+    With at most one border column, ``S = L D L'`` in place, batch last: the
+    strict lower triangle of ``ldl`` holds ``L``, its diagonal ``D`` and its
+    upper triangle still ``S``. An all-zero border column has a zero pivot,
+    whose reciprocal is stored as 0; those rows, and every row with more
+    than one border column, are ``rest``, solved by :func:`_eliminate` from
+    their systems kept batch first.
+    """
+
+    j: int
+    ldl: Optional[np.ndarray]    # (J + n_b, J + n_b, M); None when n_b > 1
+    inv_d: Optional[np.ndarray]  # (J + n_b, M) reciprocal pivots
+    rest: np.ndarray             # (R,) rows that _eliminate solves
+    rest_system: np.ndarray      # (R, J + n_b, J + n_b)
+
+
+def _factor(system: np.ndarray, j: int) -> _Factors:
+    """Factor the batch-last systems (J + n_b, J + n_b, M) in place."""
+    n, _, m = system.shape
+    if n - j > 1:
+        return _Factors(j, None, None, np.arange(m),
+                        np.ascontiguousarray(system.transpose(2, 0, 1)))
+    rest = np.flatnonzero(~system[j:, :j].any(axis=(0, 1))) if n > j else np.arange(0)
+    rest_system = np.ascontiguousarray(system[:, :, rest].transpose(2, 0, 1))
+    inv_d = np.zeros((n, m))
+    for k in range(n):
+        pivot = system[k, k]
+        np.divide(1.0, pivot, out=inv_d[k], where=pivot != 0.0)
+        col = system[k + 1:, k]
+        lcol = col * inv_d[k]
+        for i in range(k + 1, n):  # the trailing lower triangle, row by row
+            system[i, k + 1:i + 1] -= lcol[i - k - 1] * col[:i - k]
+        col[...] = lcol
+    return _Factors(j, system, inv_d, rest, rest_system)
+
+
+def _solve(factors: _Factors, rhs: np.ndarray) -> np.ndarray:
+    """``S^+ rhs`` for batch-last right-hand sides ``rhs`` (J + n_b, k, M)."""
+    x = rhs.copy()
+    ldl = factors.ldl
+    if ldl is not None:
+        n = ldl.shape[0]
+        for k in range(n - 1):
+            x[k + 1:] -= ldl[k + 1:, k, None] * x[k]
+        x *= factors.inv_d[:, None]
+        for k in range(n - 1, 0, -1):
+            x[:k] -= ldl[k, :k, None] * x[k]
+    if factors.rest.size:
+        rest = rhs[..., factors.rest].transpose(2, 0, 1)
+        x[..., factors.rest] = _eliminate(factors.rest_system, rest,
+                                          factors.j).transpose(1, 2, 0)
+    return x
 
 
 def _eliminate(system: np.ndarray, rhs: np.ndarray, j: int) -> np.ndarray:
@@ -296,26 +345,53 @@ def _eliminate(system: np.ndarray, rhs: np.ndarray, j: int) -> np.ndarray:
     return np.concatenate([x, y], axis=1)
 
 
-def sh_fit_batched(dirs, weights, colors, query, kernel, y_b, y_bq, keep: bool = True):
+@dataclass
+class DualFit:
+    """Intermediates of :func:`sh_fit_batched`, kept for :func:`sh_fit_weight_grads`.
+
+    Batch last, like the solver. The kernel is kept on the view pairs and the
+    system as its factors, so the backward's second solve is two triangular
+    sweeps.
+    """
+
+    s: np.ndarray        # (J, M) square-root weights
+    k_one: float         # K(1), the kernel's diagonal
+    k_pairs: np.ndarray  # (J(J-1)/2, M) kernel on the pairs np.tril_indices(J, -1)
+    k_q: np.ndarray      # (J, M) kernel between input and query directions
+    y_b: np.ndarray      # (n_b, J, M) border columns at the input directions
+    colors: np.ndarray   # (M, J, 3)
+    factors: _Factors    # of the bordered system
+    g: np.ndarray        # (J + n_b, M) forward solution
+
+
+def sh_fit_batched(dirs, weights, colors, query, kernel, y_b, y_bq):
     """Batched dual-form fits, each evaluated at its query direction.
 
     ``dirs``: (M, J, 3) unit input directions, ``weights``: (M, J)
     nonnegative, ``colors``: (M, J, 3), ``query``: (M, 3) unit directions,
     ``kernel``, ``y_b`` (M, J, n_b) and ``y_bq`` (M, n_b) from
     :func:`sh_dual_form` and :func:`sh_basis_values`. Returns
-    ``(colors_q, fit)`` with colors_q (M, 3); ``fit`` is kept for the
-    backward pass, which needs ``keep``: without it ``fit.kern`` is None,
-    and no copy of the kernel matrix is made.
+    ``(colors_q, fit)`` with colors_q (M, 3) and ``fit`` the batch-last
+    intermediates that the backward pass needs.
     """
     j = weights.shape[1]
-    s, kern, system = _dual_system(dirs, weights, kernel, y_b, keep)
-    k_q = _horner(kernel, np.matmul(dirs, query[:, :, None])[..., 0])
-    rhs = np.empty(system.shape[:2])
-    np.multiply(s, k_q, out=rhs[:, :j])
-    rhs[:, j:] = y_bq
-    g = _solve(system, rhs[..., None], j)[..., 0]
-    colors_q = np.matmul((g[:, :j] * s)[:, None, :], colors)[:, 0, :]
-    return colors_q, DualFit(s, kern, k_q, y_b, colors, system, g)
+    d = np.ascontiguousarray(dirs.transpose(2, 1, 0))
+    y_b = np.ascontiguousarray(y_b.transpose(2, 1, 0))
+    s, k_pairs, system = _dual_system(d, np.ascontiguousarray(weights.T), kernel, y_b)
+    q = query.T
+    cos = d[0] * q[0]
+    cos += d[1] * q[1]
+    cos += d[2] * q[2]
+    k_q = _horner(kernel, cos)
+    rhs = np.empty((system.shape[0], 1, s.shape[1]))
+    np.multiply(s, k_q, out=rhs[:j, 0])
+    rhs[j:, 0] = y_bq.T
+    factors = _factor(system, j)
+    g = _solve(factors, rhs)[:, 0]
+    colors_q = np.matmul((g[:j] * s).T[:, None, :], colors)[:, 0]
+    fit = DualFit(s, float(_horner(kernel, np.ones(1))[0]), k_pairs, k_q, y_b, colors,
+                  factors, g)
+    return colors_q, fit
 
 
 def sh_fit_weight_grads(fit: DualFit, dc: np.ndarray) -> np.ndarray:
@@ -324,17 +400,23 @@ def sh_fit_weight_grads(fit: DualFit, dc: np.ndarray) -> np.ndarray:
     ``d color / d w_j = (y_j . psi)(c_j - fitted_j)`` with ``psi`` the
     primal solve of the query basis row. Both factors come without a
     division by ``s``: ``y_j . psi = k_q - K (s g_J) - Y_b g_b``, and the
-    residual of the colors projected on ``dc`` follows from one more solve,
-    as the fit is linear in the colors.
+    residual of the colors projected on ``dc`` follows from one more solve
+    with the forward's factors, as the fit is linear in the colors.
     """
-    j = fit.s.shape[1]
+    j, m = fit.s.shape
+    ia, ib = np.tril_indices(j, -1)
+    kern = np.empty((j, j, m))
+    kern[ia, ib] = fit.k_pairs
+    kern[ib, ia] = fit.k_pairs
+    kern[np.arange(j), np.arange(j)] = fit.k_one
 
     def unweighted(x):
-        return (np.matmul(fit.kern, (fit.s * x[:, :j])[..., None])[..., 0]
-                + np.matmul(fit.y_b, x[:, j:, None])[..., 0])
+        return (np.sum(kern * (fit.s * x[:j]), axis=1)
+                + np.sum(fit.y_b * x[j:, None], axis=0))
 
-    e = np.matmul(fit.colors, dc[..., None])[..., 0]
-    rhs = np.concatenate([fit.s * e, np.zeros((e.shape[0], fit.y_b.shape[-1]))], axis=-1)
-    resid = e - unweighted(_solve(fit.system, rhs[..., None], j)[..., 0])
+    e = np.matmul(fit.colors, dc[..., None])[..., 0].T
+    rhs = np.zeros((j + fit.y_b.shape[0], 1, m))
+    np.multiply(fit.s, e, out=rhs[:j, 0])
+    resid = e - unweighted(_solve(fit.factors, rhs)[:, 0])
     ypsi = fit.k_q - unweighted(fit.g)
-    return ypsi * resid
+    return (ypsi * resid).T

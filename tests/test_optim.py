@@ -487,6 +487,14 @@ class TestTrainConfig:
         with pytest.raises(ConfigurationError, match="threads"):
             TrainConfig(threads=threads)
 
+    @pytest.mark.parametrize("name, field, value", [
+        ("k_samples", "k_coarse", 16.5), ("k_fine", "k_fine", 4.5),
+        ("n_working", "n_working", 2.5), ("sh_degree", "sh_degree", 1.5)])
+    def test_render_counts_not_whole(self, name, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be a whole number"):
+            TrainConfig(**{name: value})
+        assert type(getattr(TrainConfig(**{name: 3.0}).render_config(), field)) is int
+
     def test_threads_default_to_usable_cpus_and_reach_rendering(self):
         config = TrainConfig()
         assert config.threads == render.usable_cpus()

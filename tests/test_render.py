@@ -323,6 +323,19 @@ class TestRenderConfig:
             RenderConfig(threads=threads)
         assert type(RenderConfig(threads=2.0).threads) is int
 
+    @pytest.mark.parametrize("name, value", [
+        ("k_coarse", 32.5), ("k_coarse", np.nan), ("k_fine", 7.5), ("k_fine", np.inf),
+        ("n_working", 7.5), ("sh_degree", 1.5), ("sh_degree", np.nan)])
+    def test_counts_not_whole(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"{name} must be a whole number"):
+            RenderConfig(**{name: value})
+
+    def test_whole_float_counts_stored_as_ints(self):
+        names = ("k_coarse", "k_fine", "n_working", "sh_degree")
+        config = RenderConfig(k_coarse=32.0, k_fine=8.0, n_working=7.0, sh_degree=2.0)
+        assert [getattr(config, name) for name in names] == [32, 8, 7, 2]
+        assert all(type(getattr(config, name)) is int for name in names)
+
     def test_threads_default_to_usable_cpus(self):
         assert usable_cpus() >= 1
         assert RenderConfig().threads == usable_cpus()
@@ -331,8 +344,9 @@ class TestRenderConfig:
 class TestBorderPenalties:
     def test_near_rank_deficient_border_renders(self, ring_scene, ring_ground_truth):
         """With degree 2 unpenalized, some rows' weighted border columns span
-        singular values from about 1e-2 down to 1e-11: LU on the bordered
-        system meets a zero pivot there, so those rows must be eliminated."""
+        singular values from about 1e-2 down to 1e-11: a factorization of the
+        bordered system meets a zero pivot there, so those rows must be
+        eliminated."""
         images, depths = ring_ground_truth
         views = [RenderView(i, cam, init_from_depth(depths[i], 0.01, 2, view=i), images[i])
                  for i, cam in enumerate(ring_scene.cameras)]
@@ -372,7 +386,7 @@ class TestBackwardFiniteDifferences:
 
         ws = select_working_views(views, qcam, 8, 1.0, 5.0)
         state = render_rays(ws, origins, dirs, config, keep_state=True)
-        assert state.sh.system.shape[1:] == (9, 9)
+        assert state.sh.factors.ldl.shape[:2] == (9, 9)
         grads = render_rays_backward(ws, state, config, weights)
         checked = 0
         for view in views:

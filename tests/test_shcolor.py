@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from rayvis import shcolor
 from rayvis.errors import DegenerateFitError, InputError
 from rayvis.shcolor import (
     DEFAULT_DEGREE_PENALTIES,
     _dual_system,
+    _eliminate,
+    _factor,
+    _solve,
     SHBasis,
     SHCoefficients,
     SHRegularizer,
@@ -90,6 +94,19 @@ class TestShEval:
             SHBasis(4)
         assert SHBasis(0).basis_size == 1
         assert SHBasis(3).basis_size == 16
+
+    @pytest.mark.parametrize("degree", [1.5, np.nan, np.inf])
+    def test_degree_not_whole_rejected(self, degree):
+        with pytest.raises(InputError, match="whole number"):
+            SHBasis(degree)
+        assert type(SHBasis(2.0).basis_size) is int
+
+    @pytest.mark.parametrize("rows", [0, 2, 5, 25])
+    def test_coefficient_rows_not_a_basis_size_rejected(self, rows):
+        with pytest.raises(InputError, match="1, 4, 9 or 16 rows"):
+            SHCoefficients(np.zeros((rows, 3)))
+        with pytest.raises(InputError):
+            sh_color(SHCoefficients(np.zeros((rows, 3))), (0, 0, 1))
 
 
 class TestShFit:
@@ -325,7 +342,7 @@ class TestDualFit:
                                       self.BORDER_PENALTIES)[0] * dc, axis=-1)
 
         _, fit = dual_colors(dirs, weights, colors, query, degree, self.BORDER_PENALTIES)
-        assert fit.y_b.shape[-1] == 5   # more than one border column: eliminated
+        assert fit.y_b.shape[0] == 5    # more than one border column: eliminated
         grads = sh_fit_weight_grads(fit, dc)
         assert np.max(np.abs(grads[:, 2])) < 1e-12
         h = 1e-6
@@ -336,24 +353,62 @@ class TestDualFit:
             np.testing.assert_allclose(grads[:, j], slope, rtol=1e-4)
 
 
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_weight_grads_on_default_penalty_rows(self, degree):
+        """The default penalties leave one border column, the constant, so the
+        backward's second solve runs on the kept LDL' factors."""
+        rng = np.random.default_rng(70 + degree)
+        rows, j = 6, 8
+        dirs = random_directions(rng, rows * j).reshape(rows, j, 3)
+        query = random_directions(rng, rows)
+        colors = rng.uniform(0, 1, size=(rows, j, 3))
+        weights = rng.uniform(0.05, 1.0, size=(rows, j))
+        dc = rng.normal(size=(rows, 3))
+
+        def objective(w):
+            return np.sum(dual_colors(dirs, w, colors, query, degree,
+                                      DEFAULT_DEGREE_PENALTIES)[0] * dc, axis=-1)
+
+        _, fit = dual_colors(dirs, weights, colors, query, degree, DEFAULT_DEGREE_PENALTIES)
+        assert fit.y_b.shape[0] == 1 and fit.factors.rest.size == 0
+        grads = sh_fit_weight_grads(fit, dc)
+        h = 1e-6
+        for view in range(j):
+            step = np.zeros_like(weights)
+            step[:, view] = h
+            slope = (objective(weights + step) - objective(weights - step)) / (2 * h)
+            np.testing.assert_allclose(grads[:, view], slope, rtol=1e-4, atol=1e-8)
+
+
+def batch_last(dirs, weights, y_b):
+    """The (M, J, 3), (M, J) and (M, J, n_b) inputs in the solver's layout."""
+    return tuple(np.ascontiguousarray(a.T) for a in (dirs, weights, y_b))
+
+
 def block_system(dirs, weights, kernel, y_b):
-    """Reference assembly of the bordered dual system: the kernel by Horner's
-    rule, then ``np.block`` over the separately built blocks."""
+    """Reference assembly of the bordered dual system, batch first: the cosines
+    and the kernel by Horner's rule on every (a, b), ``K(1)`` on the
+    diagonal, the lower triangle mirrored, then ``np.block`` over the
+    separately built blocks."""
     m, j = weights.shape
     nb = y_b.shape[-1]
     s = np.sqrt(np.maximum(weights, 0.0))
-    cos = np.matmul(dirs, np.swapaxes(dirs, -1, -2))
+    x, y, z = dirs[..., 0], dirs[..., 1], dirs[..., 2]
+    cos = (x[:, :, None] * x[:, None, :] + y[:, :, None] * y[:, None, :]
+           + z[:, :, None] * z[:, None, :])
+    cos[:, np.arange(j), np.arange(j)] = 1.0
     kern = np.full_like(cos, kernel[-1])
     for c in kernel[-2::-1]:
         kern = kern * cos + c
     top = s[:, :, None] * kern * s[:, None, :]
+    top = np.where(np.tri(j, dtype=bool), top, np.swapaxes(top, -1, -2))
     top[:, np.arange(j), np.arange(j)] += 1.0
     sb = s[..., None] * y_b
     return s, kern, np.block([[top, sb], [np.swapaxes(sb, -1, -2), np.zeros((m, nb, nb))]])
 
 
 class TestDualSystem:
-    """The in-place assembly of ``_dual_system`` against ``np.block``."""
+    """The batch-last assembly of ``_dual_system`` against ``np.block``."""
 
     # border sizes n_b by degree 0..3: none, one column, and several
     PENALTIES = {
@@ -377,9 +432,79 @@ class TestDualSystem:
         assert border.size == n_b[degree]
         y_b = sh_basis_values(border_degree, dirs)[..., border]
         want_s, want_kern, want = block_system(dirs, weights, kernel, y_b)
-        for keep in (False, True):
-            s, kern, system = _dual_system(dirs, weights, kernel, y_b, keep)
-            assert system.shape == want.shape == (rows, j + border.size, j + border.size)
-            assert system.tobytes() == want.tobytes()
-            assert s.tobytes() == want_s.tobytes()
-            assert (kern.tobytes() == want_kern.tobytes()) if keep else kern is None
+        d, w, yb = batch_last(dirs, weights, y_b)
+        s, k_pairs, system = _dual_system(d, w, kernel, yb)
+        n = j + border.size
+        assert system.shape == (n, n, rows)
+        assert system.tobytes() == np.ascontiguousarray(want.transpose(1, 2, 0)).tobytes()
+        assert s.tobytes() == np.ascontiguousarray(want_s.T).tobytes()
+        ia, ib = np.tril_indices(j, -1)
+        assert k_pairs.shape == (j * (j - 1) // 2, rows)
+        assert k_pairs.tobytes() == np.ascontiguousarray(want_kern[:, ia, ib].T).tobytes()
+        k_one = want_kern[0, 0, 0]  # K(1)
+        np.testing.assert_array_equal(want[:, np.arange(j), np.arange(j)],
+                                      want_s * k_one * want_s + 1.0)
+
+
+def bordered_rows(rng, rows, j, n_b):
+    """Batch-last systems of random rows with n_b (0 or 1) border columns,
+    rows 1 and 2 with every weight zero or 1e-12, row 3 with one zero weight."""
+    penalties = (0.002, 0.001, 0.005, 0.01) if n_b == 0 else DEFAULT_DEGREE_PENALTIES
+    kernel, border_degree, border = sh_dual_form(3, penalties)
+    assert border.size == n_b
+    dirs = random_directions(rng, rows * j).reshape(rows, j, 3)
+    weights = rng.uniform(0, 1, size=(rows, j))
+    weights[1] = 0.0
+    weights[2] = 1e-12
+    weights[3, 0] = 0.0
+    y_b = sh_basis_values(border_degree, dirs)[..., border]
+    d, w, yb = batch_last(dirs, weights, y_b)
+    return _dual_system(d, w, kernel, yb)[2], weights
+
+
+class TestSolver:
+    """The kept LDL' factors of ``_factor`` and their sweeps in ``_solve``."""
+
+    @pytest.mark.parametrize("n_b", [0, 1])
+    @pytest.mark.parametrize("j", [1, 3, 8, 20])
+    def test_matches_dense_solve(self, j, n_b, monkeypatch):
+        rng = np.random.default_rng(100 * j + n_b)
+        rows = 6
+        system, weights = bordered_rows(rng, rows, j, n_b)
+        dense = system.transpose(2, 0, 1).copy()
+        rhs = rng.normal(size=(j + n_b, 2, rows))
+        eliminated = []
+
+        def spy(sys_rows, rhs_rows, j_):
+            eliminated.append(sys_rows.shape[0])
+            return _eliminate(sys_rows, rhs_rows, j_)
+
+        monkeypatch.setattr(shcolor, "_eliminate", spy)
+        got = _solve(_factor(system, j), rhs)
+        # an all-zero border column reaches _eliminate; nothing else does
+        zero = ~weights.any(axis=1) if n_b else np.zeros(rows, dtype=bool)
+        assert eliminated == ([zero.sum()] if zero.any() else [])
+        for m in range(rows):
+            if zero[m]:
+                want = np.linalg.lstsq(dense[m], rhs[..., m], rcond=None)[0]
+            else:
+                want = np.linalg.solve(dense[m], rhs[..., m])
+            assert np.max(np.abs(got[..., m] - want)) <= 1e-12 * np.max(np.abs(want)), m
+
+    @pytest.mark.parametrize("n_b", [0, 1])
+    def test_kept_factors_resolve_like_a_fresh_solve(self, n_b):
+        rng = np.random.default_rng(40 + n_b)
+        rows, j = 7, 8
+        penalties = (0.002, 0.001, 0.005, 0.01) if n_b == 0 else DEFAULT_DEGREE_PENALTIES
+        dirs = random_directions(rng, rows * j).reshape(rows, j, 3)
+        weights = rng.uniform(0, 1, size=(rows, j))
+        weights[1] = 0.0
+        colors = rng.uniform(0, 1, size=(rows, j, 3))
+        query = random_directions(rng, rows)
+        kernel, border_degree, border = sh_dual_form(3, penalties)
+        y_b = sh_basis_values(border_degree, dirs)[..., border]
+        _, fit = dual_colors(dirs, weights, colors, query, 3, penalties)
+        rhs = rng.normal(size=(j + n_b, 1, rows))
+        d, w, yb = batch_last(dirs, weights, y_b)
+        fresh = _solve(_factor(_dual_system(d, w, kernel, yb)[2], j), rhs)
+        assert _solve(fit.factors, rhs).tobytes() == fresh.tobytes()
