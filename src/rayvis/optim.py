@@ -15,12 +15,15 @@ The maps are the only trainable parameters; Adam updates them densely.
 A step's ray batch runs as fixed 128-ray chunks, in pixel order, on up to
 ``TrainConfig.threads`` streams (by default every usable CPU). Each chunk
 renders its rays, takes its share of the render and consistency losses and
-runs its own backward; the caller then adds the chunks' losses and
-gradients in chunk order. The chunking never depends on the thread count,
-so a step is bit-identical for every count. It did change the order of
-those sums once against the single-pass step it replaced: after 40 steps
-of the benchmark's ``train`` configuration, by about 2e-12 relative on the
-losses and 2e-8 on the maps.
+runs its own backward, which returns the (mu, sigma, w) gradient rows of the
+working-set cells it hit. The caller adds the chunks' losses and rows in
+chunk order, the rows into one gradient stack that is decoded to the raw
+parameters once per step (``view_grads``). The chunking never depends on
+the thread count, so a step is bit-identical for every count. Decoding once
+per step instead of once per chunk changed the order of the gradient sums
+at the ulp level: after 40 steps of the benchmark's ``train``
+configuration the maps differ from per-chunk decoding by at most 1.1e-9
+relative.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from rayvis.render import (
     _CHUNK_RAYS,
     RenderConfig,
     RenderView,
+    WorkingSet,
     _run_streams,
     render_image,
     render_rays,
@@ -359,6 +363,27 @@ def _draw_batch(rng: np.random.Generator, data: SceneData, config: TrainConfig):
     return q, np.stack([flat // camera.width, flat % camera.width], axis=1)
 
 
+def view_grads(working: WorkingSet, parts) -> Dict[int, np.ndarray]:
+    """Raw-parameter gradients of every working view from backward rows.
+
+    ``parts`` holds ``(cells, rows)`` pairs as :func:`render_rays_backward`
+    returns them. Their rows are added, in order, into one zeroed
+    (J·H·W, 3, n) stack of (mu, sigma, w) gradients, which is chained
+    through the decode once. The decode acts per cell and is linear in the
+    gradients, and a cell no part hit decodes to exactly 0, so this equals
+    decoding the hit cells alone. Returns ``{view_index: (H, W, 3, n)
+    gradient}``, views of the one decoded stack cut to each map's shape.
+    """
+    shape = working.params.shape
+    stack = np.zeros((shape[0] * shape[1] * shape[2],) + shape[3:])
+    for cells, rows in parts:
+        stack[cells] += rows
+    g_raw = decode_backward(working.params.reshape(stack.shape), working.near, working.far,
+                            stack[:, 0], stack[:, 1], stack[:, 2]).reshape(shape)
+    return {v.index: g_raw[j][tuple(map(slice, v.dmap.params.shape))]
+            for j, v in enumerate(working.views)}
+
+
 def train_step(
     data: SceneData,
     config: TrainConfig,
@@ -371,11 +396,14 @@ def train_step(
     may be shorter). Each chunk is one task on the stream runner of
     ``render_image``, on up to ``config.threads`` streams: it renders its
     rays, takes its share of the render and consistency losses and runs its
-    backward, and its forward state is freed once its gradients are out. The
-    caller then adds the chunks' loss values and per-view gradients in chunk
-    order, so the step is bit-identical for every thread count. The depth
-    loss, the finiteness check and the Adam step run once per batch, so an
-    error leaves the maps, the moments and the step count as they were.
+    backward, and its forward state is freed once its gradients are out. A
+    chunk returns the (mu, sigma, w) gradient rows of the working-set cells
+    it hit, and the query view's own-hit gradient map. The caller then adds
+    the loss values, the rows (by ``view_grads``, which decodes the stack
+    once) and the own-hit maps in chunk order, so the step is bit-identical
+    for every thread count. The depth loss, the finiteness check and the
+    Adam step run once per batch, so an error leaves the maps, the moments
+    and the step count as they were.
     """
     refs = data.reference_indices()
     if len(refs) < 2:
@@ -404,7 +432,7 @@ def train_step(
             # gradients flow only through the fine evaluations
             fwd, kept = out.fine, out.fine_keep
         l_render, g_render = render_loss(out.colors_out, gt[s])
-        l_consist, grads = 0.0, []
+        l_consist, rows, own = 0.0, None, None
         if fwd is not None:
             px = pixels[s][kept]
             h_tilde, back = own_hit_probs(
@@ -420,26 +448,25 @@ def train_step(
             if config.lambda_render > 0 or dh_extra is not None:
                 if config.lambda_render == 0:
                     dc_o = np.zeros_like(dc_o)
-                grads += render_rays_backward(working, fwd, rcfg, dc_o, dh_extra).items()
+                rows = render_rays_backward(working, fwd, rcfg, dc_o, dh_extra)
             if config.lambda_consist > 0:
-                grads.append((q, own_hit_probs_backward(
+                own = own_hit_probs_backward(
                     data.maps[q], px, back, config.lambda_consist * g_tilde,
                     data.near, data.far,
-                )))
-        chunks[c] = (l_render, l_consist, grads)
+                )
+        chunks[c] = (l_render, l_consist, rows, own)
 
     _run_streams(len(chunks), run_chunk, rcfg.threads)
 
     l_render = l_consist = l_depth = 0.0
-    grads: Dict[int, np.ndarray] = {}
-    # a map's first gradient array is taken over (each chunk owns its
-    # arrays) and the later ones are added into it in place
-    for chunk_render, chunk_consist, chunk_grads in chunks:
+    grads = view_grads(working, [rows for _, _, rows, _ in chunks if rows is not None])
+    # the query view is not in its working set: its own-hit maps, one per
+    # chunk, add up on their own, the first taken over in place
+    for chunk_render, chunk_consist, _, own in chunks:
         l_render += chunk_render
         l_consist += chunk_consist
-        for idx, g in chunk_grads:
-            if grads.setdefault(idx, g) is not g:
-                grads[idx] += g
+        if own is not None and grads.setdefault(q, own) is not own:
+            grads[q] += own
     if config.lambda_depth > 0 and data.depths is not None:
         l_depth, depth_grad = depth_loss(data.maps[q], data.depths[q], pixels)
         g = config.lambda_depth * depth_grad

@@ -55,12 +55,24 @@ def inv_softplus(y):
     return np.where(y > 30, y, np.log(np.expm1(np.minimum(y, 30.0))))
 
 
-def softmax(x, axis=-1):
+def _component_sum(x):
+    """Sum over the last (component) axis by explicit adds in component order,
+    the rule of :func:`mixture_cdf_terms`; (..., n) -> (..., 1)."""
+    out = x[..., :1].copy()
+    for i in range(1, x.shape[-1]):
+        out += x[..., i:i + 1]
+    return out
+
+
+def softmax(x):
+    """Softmax over the last axis, the components."""
+    top = x[..., :1].copy()
+    for i in range(1, x.shape[-1]):
+        np.maximum(top, x[..., i:i + 1], out=top)
     # the clamp keeps extreme logit gaps from underflowing to an exact
     # zero weight, so decoding stays a total function
-    shifted = np.maximum(x - np.max(x, axis=axis, keepdims=True), -700.0)
-    ex = np.exp(shifted)
-    return ex / np.sum(ex, axis=axis, keepdims=True)
+    ex = np.exp(np.maximum(x - top, -700.0))
+    return ex / _component_sum(ex)
 
 
 def logit(p):
@@ -140,7 +152,7 @@ def decode_arrays(params: np.ndarray, near: float, far: float):
     span = far - near
     mu = near + span * sigmoid(params[..., 0, :])
     sig = SIGMA_MIN_FRACTION * span + softplus(params[..., 1, :])
-    w = softmax(params[..., 2, :], axis=-1)
+    w = softmax(params[..., 2, :])
     return mu, sig, w
 
 
@@ -148,11 +160,11 @@ def decode_backward(params: np.ndarray, near: float, far: float, gmu, gsig, gw):
     """Pull gradients w.r.t. (mu, sigma, w) back to the raw layout (..., 3, n)."""
     span = far - near
     sm = sigmoid(params[..., 0, :])
-    w = softmax(params[..., 2, :], axis=-1)
+    w = softmax(params[..., 2, :])
     out = np.empty_like(params)
     out[..., 0, :] = gmu * span * sm * (1.0 - sm)
     out[..., 1, :] = gsig * sigmoid(params[..., 1, :])
-    inner = np.sum(gw * w, axis=-1, keepdims=True)
+    inner = _component_sum(gw * w)
     out[..., 2, :] = w * (gw - inner)
     return out
 

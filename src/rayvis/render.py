@@ -47,7 +47,6 @@ from rayvis.errors import ConfigurationError, DimensionMismatchError, InputError
 from rayvis.raydist import (
     DistributionMap,
     decode_arrays,
-    decode_backward,
     interval_alpha,
     mixture_cdf,
     mixture_cdf_grads,
@@ -498,12 +497,17 @@ def render_rays(working: WorkingSet, origins, dirs, config: RenderConfig,
 def render_rays_backward(working: WorkingSet, state: ChunkState, config: RenderConfig,
                          dc_o: np.ndarray, dh_extra: Optional[np.ndarray] = None):
     """Pull output-color (and optional hitting-probability) gradients back
-    to the raw distribution parameters of every working view.
+    to the decoded (mu, sigma, w) parameters of the working set's stack.
 
     ``state`` must come from a :func:`render_rays` call with
     ``keep_state=True``: the returned state in uniform mode, its ``fine``
-    state in coarse-to-fine mode. Returns ``{view_index: (H, W, 3, n) gradient}``.
-    Only the nearest-pixel lookup path is differentiable.
+    state in coarse-to-fine mode. Returns ``(cells, rows)``: the strictly
+    increasing flat cells of the (J, H, W) stack that some sample hit, and
+    each one's summed (mu, sigma, w) gradient, ``(len(cells), 3, n)``, with
+    padded components zeroed. Nothing stack-sized is allocated and nothing
+    is decoded: ``optim.view_grads`` adds a step's rows and chains them to
+    the raw parameters once. Only the nearest-pixel lookup path is
+    differentiable.
     """
     if config.bilinear_params:
         raise ConfigurationError("gradients require nearest-pixel parameter lookups")
@@ -536,45 +540,50 @@ def render_rays_backward(working: WorkingSet, state: ChunkState, config: RenderC
     t_a, t_b = _take(state.cdf_a[0], sel), _take(state.cdf_b[0], sel)
     vis = 1.0 - t_a
     alpha_raw, saturated = interval_alpha(t_a, t_b)
+    del t_a
     denom = np.take(state.denom, rs)
     good = denom >= EPS_VISIBILITY
     safe = np.where(good, denom, 1.0)
+    del denom
     d_ah = np.take(d_alpha_hat, rs)
     d_alpha = np.where(good, d_ah * vis / safe, 0.0)
     d_vis = np.where(good, d_ah * (np.clip(alpha_raw, 0.0, 1.0) - np.take(alpha_hat, rs))
                      / safe, 0.0)
+    del rs, good, safe, d_ah
     inv = np.where(saturated, 1.0, vis)
+    del vis
     d_alpha = np.where(saturated | (alpha_raw < 0) | (alpha_raw > 1), 0.0, d_alpha)
+    del saturated, alpha_raw
     dh_w = np.take(dh_w, sel)
     dt_b = d_alpha / inv + dh_w
     dt_a = d_alpha * (t_b - 1.0) / (inv * inv) - d_vis - dh_w
+    del t_b, d_alpha, d_vis, inv, dh_w
 
     cell = _take(state.cell, sel)
     sig, w = np.take(working.decoded[1:], cell, axis=2)
-    # mixture CDF gradients from the forward's stored x and component
-    # sigmoids, gathered as (n, M) columns
-    d_a, d_b = (mixture_cdf_grads(sig, w, *(np.take(a.reshape(len(a), -1), sel, axis=1)
+    def scaled_grads(dt, cdf):
+        """Mixture CDF gradients at one bin end from the forward's stored x and
+        component sigmoids, gathered as (n, M) columns, scaled by ``dt`` in place."""
+        grads = mixture_cdf_grads(sig, w, *(np.take(a.reshape(len(a), -1), sel, axis=1)
                                             for a in cdf[1:]))
-                for cdf in (state.cdf_a, state.cdf_b))
-    g = [dt_a * a + dt_b * b for a, b in zip(d_a, d_b)]
-    del d_a, d_b, sig, w
-    # sum the (mu, sigma, w) gradients per cell of the stack, then chain through
-    # the decode once: it acts per pixel, so its chain rule is linear in them.
-    # Only the cells some entry hit are summed and decoded; every other cell's
-    # raw gradient is exactly 0, as decoding a zero gradient gives.
+        for g in grads:
+            g *= dt
+        return grads
+
+    g = scaled_grads(dt_a, state.cdf_a)
+    for total, far_end in zip(g, scaled_grads(dt_b, state.cdf_b)):
+        total += far_end
+    del sel, sig, w, dt_a, dt_b
+    # sum the (mu, sigma, w) gradients per hit cell of the stack, in entry order
     shape = working.params.shape
     hit = np.zeros(shape[0] * shape[1] * shape[2], dtype=bool)
     hit[cell] = True
     cells = np.flatnonzero(hit)
-    rank = np.cumsum(hit) - 1           # each hit cell's row among ``cells``
-    g_map = scatter_to_map((len(cells), 1) + shape[3:], rank[cell], 0, g)[:, 0]
-    g_map[:, 2] *= working.comps[cells // (shape[1] * shape[2])]   # padded components stay put
-    g_raw = np.zeros((hit.size,) + shape[3:])
-    g_raw[cells] = decode_backward(working.params.reshape(g_raw.shape)[cells], working.near,
-                                   working.far, g_map[:, 0], g_map[:, 1], g_map[:, 2])
-    g_raw = g_raw.reshape(shape)
-    return {v.index: g_raw[j][tuple(map(slice, v.dmap.params.shape))]
-            for j, v in enumerate(working.views)}
+    rank = np.cumsum(hit)
+    rank -= 1                           # each hit cell's row among ``cells``
+    rows = scatter_to_map((len(cells), 1) + shape[3:], rank[cell], 0, g)[:, 0]
+    rows[:, 2] *= working.comps[cells // (shape[1] * shape[2])]   # padded components stay put
+    return cells, rows
 
 
 def _run_streams(n_tasks: int, task, streams: int) -> None:

@@ -38,6 +38,7 @@ since a factorization of ``S`` would square that matrix's condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -217,12 +218,21 @@ def sh_dual_form(degree: int, penalties: Sequence[float]):
     coefficients (lowest first) of ``K`` in the direction cosine, and the
     indices of the unpenalized basis columns within
     ``sh_basis_values(border_degree, ...)``. Missing penalties are zero.
+    Computed once per (degree, penalties), so the arrays are shared and
+    read-only.
     """
-    pen = [float(penalties[ell]) if ell < len(penalties) else 0.0 for ell in range(degree + 1)]
+    return _dual_form(degree, tuple(float(p) for p in penalties))
+
+
+@lru_cache(maxsize=64)
+def _dual_form(degree: int, penalties: tuple):
+    pen = [penalties[ell] if ell < len(penalties) else 0.0 for ell in range(degree + 1)]
     legendre = [(2 * ell + 1) / (4.0 * np.pi * p) if p > 0 else 0.0 for ell, p in enumerate(pen)]
     kernel = np.polynomial.legendre.leg2poly(legendre)
     free = [ell for ell, p in enumerate(pen) if p == 0]
     border = np.array([i for ell in free for i in range(ell * ell, (ell + 1) ** 2)], dtype=np.int64)
+    kernel.setflags(write=False)
+    border.setflags(write=False)
     return kernel, max(free, default=0), border
 
 

@@ -26,6 +26,7 @@ from rayvis.optim import (
     own_hit_probs_backward,
     render_loss,
     train_step,
+    view_grads,
 )
 from rayvis.raydist import (
     DensityProfile,
@@ -248,7 +249,7 @@ class TestCriterion2Gradients:
                     )
                     return float(np.sum(st.h_hat * u))
 
-            grads = render_rays_backward(ws, state, config, dc_o, dh)
+            grads = view_grads(ws, [render_rays_backward(ws, state, config, dc_o, dh)])
             base = objective()
             for view in views:
                 g = grads[view.index]

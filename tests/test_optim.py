@@ -21,8 +21,10 @@ from rayvis.optim import (
     own_hit_probs_backward,
     render_loss,
     train_step,
+    view_grads,
 )
-from rayvis.raydist import DistributionMap, decode, decode_arrays
+from rayvis.raydist import DistributionMap, decode, decode_arrays, decode_backward
+from rayvis.render import render_rays, render_rays_backward, select_working_views
 from rayvis.scene import DepthMap
 
 
@@ -458,6 +460,62 @@ class TestTrainStep:
             finals.append({i: m.params.copy() for i, m in data.maps.items()})
         for i in finals[0]:
             assert np.array_equal(finals[0][i], finals[1][i])
+
+
+class TestViewGrads:
+    """A step adds its chunks' backward rows into one stack and decodes it
+    once; the reference decodes each chunk on its own and adds the maps, so
+    the two differ only in the order of the sums."""
+
+    @staticmethod
+    def per_chunk_decoded(ws, parts):
+        shape = ws.params.shape
+        flat = ws.params.reshape((-1,) + shape[3:])
+        total = {}
+        for cells, rows in parts:
+            g_raw = np.zeros(flat.shape)
+            g_raw[cells] = decode_backward(flat[cells], ws.near, ws.far,
+                                           rows[:, 0], rows[:, 1], rows[:, 2])
+            g_raw = g_raw.reshape(shape)
+            for j, v in enumerate(ws.views):
+                g = g_raw[j][tuple(map(slice, v.dmap.params.shape))]
+                total[v.index] = total[v.index] + g if v.index in total else g
+        return total
+
+    @pytest.mark.parametrize("mode", ["uniform", "coarse_to_fine"])
+    def test_one_decode_matches_per_chunk_decodes(self, mode):
+        """300 rays are three chunks of the step, the last one short."""
+        data, config, _ = TestTrainStep().make(seed=5, size=20, batch_size=300,
+                                               sampling_mode=mode, k_fine=6)
+        rng = np.random.default_rng(config.seed)
+        q, pixels = optim._draw_batch(rng, data, config)
+        camera = data.cameras[q]
+        views = [v for v in data.render_views() if v.index != q]
+        ws = select_working_views(views, camera, config.n_working, data.near, data.far,
+                                  query_index=q)
+        rcfg = config.render_config()
+        dirs, _ = camera.rays_for_pixels(pixels[:, ::-1] + 0.5)
+        origins = np.broadcast_to(camera.center, dirs.shape)
+        parts = []
+        for c in range(3):
+            s = slice(c * 128, (c + 1) * 128)
+            out = render_rays(ws, origins[s], dirs[s], rcfg, keep_state=True)
+            fwd = out if out.fine_keep is None else out.fine
+            n = len(fwd.z)
+            cells, rows = render_rays_backward(ws, fwd, rcfg, rng.normal(size=(n, 3)),
+                                               rng.normal(size=fwd.h_hat.shape))
+            assert np.all(np.diff(cells) > 0)
+            assert rows.shape == (len(cells), 3, ws.params.shape[-1])
+            parts.append((cells, rows))
+        assert sum(len(cells) for cells, _ in parts) > len(np.unique(
+            np.concatenate([cells for cells, _ in parts])))    # the chunks share cells
+        got = view_grads(ws, parts)
+        want = self.per_chunk_decoded(ws, parts)
+        assert got.keys() == want.keys() == {v.index for v in ws.views}
+        for i, g in got.items():
+            assert g.shape == data.maps[i].params.shape
+            np.testing.assert_allclose(g, want[i], rtol=1e-12, atol=0)
+        assert any(np.any(g != 0) for g in got.values())
 
 
 class TestTrainConfig:

@@ -13,6 +13,8 @@ from rayvis.raydist import (
     RawRayParams,
     SIGMA_MIN_FRACTION,
     decode,
+    decode_arrays,
+    decode_backward,
     density_visibility_oracle,
     grad_cdf,
     hit_prob_interval,
@@ -22,6 +24,8 @@ from rayvis.raydist import (
     occlusion_cdf,
     scatter_to_map,
     sigmoid,
+    softmax,
+    softplus,
     visibility,
 )
 
@@ -94,6 +98,63 @@ class TestSigmoid:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert sigmoid(np.array([-1e4, -710.0, -1e300])).sum() == 0.0
+
+
+class TestComponentSums:
+    """The decode reduces over the component axis by explicit adds in
+    component order. That equals NumPy's ``max``/``sum`` reduce bit for bit
+    up to 7 components; from 8 on NumPy sums pairwise, a few ulp apart."""
+
+    @staticmethod
+    def numpy_softmax(x):
+        ex = np.exp(np.maximum(x - np.max(x, axis=-1, keepdims=True), -700.0))
+        return ex / np.sum(ex, axis=-1, keepdims=True)
+
+    def numpy_decode(self, params, near, far):
+        span = far - near
+        return (near + span * sigmoid(params[..., 0, :]),
+                SIGMA_MIN_FRACTION * span + softplus(params[..., 1, :]),
+                self.numpy_softmax(params[..., 2, :]))
+
+    def numpy_decode_backward(self, params, near, far, gmu, gsig, gw):
+        span = far - near
+        sm = sigmoid(params[..., 0, :])
+        w = self.numpy_softmax(params[..., 2, :])
+        out = np.empty_like(params)
+        out[..., 0, :] = gmu * span * sm * (1.0 - sm)
+        out[..., 1, :] = gsig * sigmoid(params[..., 1, :])
+        out[..., 2, :] = w * (gw - np.sum(gw * w, axis=-1, keepdims=True))
+        return out
+
+    def draw(self, n):
+        rng = np.random.default_rng(70 + n)
+        params = rng.normal(0.0, 3.0, size=(4000, 3, n))
+        params[:50, 2, 0] = 800.0           # logit gaps past the -700 clamp
+        return params, rng.normal(size=(3, 4000, n))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_bit_identical_up_to_seven_components(self, n):
+        params, grads = self.draw(n)
+        assert np.array_equal(softmax(params[:, 2]), self.numpy_softmax(params[:, 2]))
+        for ours, numpy_ in zip(decode_arrays(params, 1.0, 5.0),
+                                self.numpy_decode(params, 1.0, 5.0)):
+            assert np.array_equal(ours, numpy_)
+        assert np.array_equal(decode_backward(params, 1.0, 5.0, *grads),
+                              self.numpy_decode_backward(params, 1.0, 5.0, *grads))
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_within_a_few_ulp_from_eight_components(self, n):
+        params, grads = self.draw(n)
+        eps = np.finfo(np.float64).eps
+        w = self.numpy_softmax(params[:, 2])
+        np.testing.assert_allclose(softmax(params[:, 2]), w, rtol=4 * eps, atol=0)
+        ours = decode_backward(params, 1.0, 5.0, *grads)
+        numpy_ = self.numpy_decode_backward(params, 1.0, 5.0, *grads)
+        assert np.array_equal(ours[:, :2], numpy_[:, :2])
+        # the weight row is w * (gw - sum(gw * w)): bound by the ulps of its terms
+        gw = grads[2]
+        scale = w * (np.abs(gw) + np.sum(np.abs(gw * w), axis=-1, keepdims=True))
+        assert np.all(np.abs(ours[:, 2] - numpy_[:, 2]) <= 8 * eps * scale)
 
 
 class TestOcclusionCdf:
