@@ -15,15 +15,14 @@ The maps are the only trainable parameters; Adam updates them densely.
 A step's ray batch runs as fixed 128-ray chunks, in pixel order, on up to
 ``TrainConfig.threads`` streams (by default every usable CPU). Each chunk
 renders its rays, takes its share of the render and consistency losses and
-runs its own backward, which returns the (mu, sigma, w) gradient rows of the
-working-set cells it hit. The caller adds the chunks' losses and rows in
-chunk order, the rows into one gradient stack that is decoded to the raw
-parameters once per step (``view_grads``). The chunking never depends on
-the thread count, so a step is bit-identical for every count. Decoding once
-per step instead of once per chunk changed the order of the gradient sums
-at the ulp level: after 40 steps of the benchmark's ``train``
-configuration the maps differ from per-chunk decoding by at most 1.1e-9
-relative.
+runs its own backward. Every backward returns ``(cells, rows)``: the flat
+cells of a parameter stack it touched and their summed (mu, sigma, w)
+gradient rows. The caller adds the chunks' losses in chunk order, and
+``map_grads`` adds each stack's rows in the same order and decodes them to
+the raw parameters once per step: once for the working set's stack and
+once for the pseudo query view's own map (own-hit rows, then depth rows).
+The chunking never depends on the thread count, so a step is bit-identical
+for every count.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from rayvis.raydist import (
     inv_softplus,
     logit,
     mixture_cdf_param_grads,
-    scatter_to_map,
+    rows_by_cell,
 )
 from rayvis.render import (
     _CHUNK_RAYS,
@@ -205,27 +204,26 @@ def consistency_loss(h_tilde, h, eps_prob: float = 1e-5, variant: str = "binary"
     raise ConfigurationError(f"unknown CE variant '{variant}'")
 
 
-def depth_loss(dmap: DistributionMap, depth: DepthMap, pixels: np.ndarray):
+def depth_loss(dmap: DistributionMap, depth: DepthMap, pixels: np.ndarray,
+               near: float, far: float):
     """Squared error of the first component mean against the depth map.
 
-    ``pixels`` is an (N, 2) array of (row, column) indices. Returns the
-    loss and a dense gradient array over the map's raw parameters.
+    ``pixels`` is an (N, 2) array of (row, column) indices. The map decodes
+    with the step's ``(near, far)``, not the depth map's own range, since its
+    gradient is chained through the decode with that range. Returns the
+    loss and ``(cells, rows)``: the (mu, sigma, w) gradient rows of the
+    map's flat pixels, as :func:`map_grads` takes them.
     """
     values = depth.values
     if values.shape != (dmap.height, dmap.width):
         raise DimensionMismatchError("depth map does not match the distribution map")
     pixels = np.asarray(pixels, dtype=np.int64)
     iy, ix = pixels[:, 0], pixels[:, 1]
-    near, far = depth.near, depth.far
-    raw = dmap.params[iy, ix]                      # (N, 3, n)
-    mu, _, _ = decode_arrays(raw, near, far)
-    target = values[iy, ix]
-    diff = mu[:, 0] - target
-    value = float(np.sum(diff**2))
-    gmu = np.zeros_like(mu)
-    gmu[:, 0] = 2.0 * diff
-    graw = decode_backward(raw, near, far, gmu, np.zeros_like(mu), np.zeros_like(mu))
-    return value, scatter_to_map(dmap.params.shape, iy, ix, graw)
+    mu, _, _ = decode_arrays(dmap.params[iy, ix], near, far)
+    diff = mu[:, 0] - values[iy, ix]
+    grad = np.zeros((len(pixels), 3, dmap.n_components))
+    grad[:, 0, 0] = 2.0 * diff
+    return float(np.sum(diff**2)), rows_by_cell(values.size, iy * dmap.width + ix, grad)
 
 
 def init_from_depth(
@@ -325,31 +323,27 @@ def own_hit_probs(dmap: DistributionMap, zfac: np.ndarray, pixels: np.ndarray,
     ``z``/``widths`` are euclidean ray parameters of the pseudo query rays;
     they convert to view depths through ``zfac``, the z factor of each
     pixel's ray from ``PinholeCamera.rays_for_pixels``. Returns the
-    probabilities plus what the backward pass needs.
+    probabilities plus the (mu, sigma, w) derivatives the backward needs.
     """
     z_view = z * zfac[:, None]
     z_view_end = (z + widths) * zfac[:, None]
-    raw = dmap.params[pixels[:, 0], pixels[:, 1]]          # (B, 3, n)
-    mu, sig, w = decode_arrays(raw, near, far)
-    mu_b = mu[:, None, :]
-    sig_b = sig[:, None, :]
-    w_b = w[:, None, :]
-    t_a, dmu_a, dsig_a, dw_a = mixture_cdf_param_grads(mu_b, sig_b, w_b, z_view)
-    t_b, dmu_b2, dsig_b2, dw_b2 = mixture_cdf_param_grads(mu_b, sig_b, w_b, z_view_end)
-    h_tilde = t_b - t_a
-    back = (raw, (dmu_b2 - dmu_a, dsig_b2 - dsig_a, dw_b2 - dw_a))
-    return h_tilde, back
+    mixture = [a[:, None, :] for a in                       # (B, 1, n) each
+               decode_arrays(dmap.params[pixels[:, 0], pixels[:, 1]], near, far)]
+    t_a, dmu_a, dsig_a, dw_a = mixture_cdf_param_grads(*mixture, z_view)
+    t_b, dmu_b, dsig_b, dw_b = mixture_cdf_param_grads(*mixture, z_view_end)
+    return t_b - t_a, (dmu_b - dmu_a, dsig_b - dsig_a, dw_b - dw_a)
 
 
-def own_hit_probs_backward(dmap: DistributionMap, pixels: np.ndarray, back, g_h_tilde,
-                           near: float, far: float) -> np.ndarray:
-    """Scatter hitting-probability gradients into a dense map gradient."""
-    raw, (dmu, dsig, dw) = back
-    gmu = np.sum(g_h_tilde[..., None] * dmu, axis=1)
-    gsig = np.sum(g_h_tilde[..., None] * dsig, axis=1)
-    gw = np.sum(g_h_tilde[..., None] * dw, axis=1)
-    graw = decode_backward(raw, near, far, gmu, gsig, gw)
-    return scatter_to_map(dmap.params.shape, pixels[:, 0], pixels[:, 1], graw)
+def own_hit_probs_backward(dmap: DistributionMap, pixels: np.ndarray, back, g_h_tilde):
+    """Pull hitting-probability gradients back to the rays' (mu, sigma, w).
+
+    Returns ``(cells, rows)``: the map's flat pixels and each one's summed
+    (mu, sigma, w) gradient over the rays at it, as :func:`map_grads` takes
+    them. Nothing is decoded.
+    """
+    gmu, gsig, gw = (np.sum(g_h_tilde[..., None] * d, axis=1) for d in back)
+    return rows_by_cell(dmap.height * dmap.width, pixels[:, 0] * dmap.width + pixels[:, 1],
+                        (gmu.T, gsig.T, gw.T))
 
 
 def _draw_batch(rng: np.random.Generator, data: SceneData, config: TrainConfig):
@@ -363,23 +357,30 @@ def _draw_batch(rng: np.random.Generator, data: SceneData, config: TrainConfig):
     return q, np.stack([flat // camera.width, flat % camera.width], axis=1)
 
 
-def view_grads(working: WorkingSet, parts) -> Dict[int, np.ndarray]:
-    """Raw-parameter gradients of every working view from backward rows.
+def map_grads(params: np.ndarray, near: float, far: float, parts) -> np.ndarray:
+    """Raw-parameter gradient of a (..., 3, n) parameter stack from backward rows.
 
-    ``parts`` holds ``(cells, rows)`` pairs as :func:`render_rays_backward`
-    returns them. Their rows are added, in order, into one zeroed
-    (J·H·W, 3, n) stack of (mu, sigma, w) gradients, which is chained
-    through the decode once. The decode acts per cell and is linear in the
-    gradients, and a cell no part hit decodes to exactly 0, so this equals
-    decoding the hit cells alone. Returns ``{view_index: (H, W, 3, n)
-    gradient}``, views of the one decoded stack cut to each map's shape.
+    ``parts`` holds ``(cells, rows)`` pairs, cells flat over the leading
+    axes, as :func:`render_rays_backward`, :func:`own_hit_probs_backward`
+    and :func:`depth_loss` return them. Their rows are added, in order, into
+    one zeroed stack of (mu, sigma, w) gradients, chained through the decode
+    with ``(near, far)`` once. The decode acts per cell and is linear in the
+    gradients, so this equals decoding each part on its own up to the order
+    of the sums; a cell no part names gets exactly 0.
     """
-    shape = working.params.shape
-    stack = np.zeros((shape[0] * shape[1] * shape[2],) + shape[3:])
+    flat = params.reshape((-1,) + params.shape[-2:])
+    stack = np.zeros(flat.shape)
     for cells, rows in parts:
         stack[cells] += rows
-    g_raw = decode_backward(working.params.reshape(stack.shape), working.near, working.far,
-                            stack[:, 0], stack[:, 1], stack[:, 2]).reshape(shape)
+    return decode_backward(flat, near, far, stack[:, 0], stack[:, 1],
+                           stack[:, 2]).reshape(params.shape)
+
+
+def view_grads(working: WorkingSet, parts) -> Dict[int, np.ndarray]:
+    """Raw-parameter gradients of every working view: :func:`map_grads` of
+    the working set's (J, H, W, 3, n) stack, cut to each map's shape.
+    Returns ``{view_index: (H, W, 3, n) gradient}``."""
+    g_raw = map_grads(working.params, working.near, working.far, parts)
     return {v.index: g_raw[j][tuple(map(slice, v.dmap.params.shape))]
             for j, v in enumerate(working.views)}
 
@@ -398,12 +399,14 @@ def train_step(
     rays, takes its share of the render and consistency losses and runs its
     backward, and its forward state is freed once its gradients are out. A
     chunk returns the (mu, sigma, w) gradient rows of the working-set cells
-    it hit, and the query view's own-hit gradient map. The caller then adds
-    the loss values, the rows (by ``view_grads``, which decodes the stack
-    once) and the own-hit maps in chunk order, so the step is bit-identical
-    for every thread count. The depth loss, the finiteness check and the
-    Adam step run once per batch, so an error leaves the maps, the moments
-    and the step count as they were.
+    it hit and of the query view's own pixels. The caller adds the loss
+    values in chunk order, and :func:`map_grads` adds the rows in chunk
+    order and decodes them once per stack: the working set's, and the query
+    map's, whose own-hit rows are followed by the ``lambda_depth``-weighted
+    rows of the depth loss. So the step is bit-identical for every thread
+    count. The depth loss, the finiteness check and the Adam step run once
+    per batch, so an error leaves the maps, the moments and the step count
+    as they were.
     """
     refs = data.reference_indices()
     if len(refs) < 2:
@@ -451,27 +454,24 @@ def train_step(
                 rows = render_rays_backward(working, fwd, rcfg, dc_o, dh_extra)
             if config.lambda_consist > 0:
                 own = own_hit_probs_backward(
-                    data.maps[q], px, back, config.lambda_consist * g_tilde,
-                    data.near, data.far,
+                    data.maps[q], px, back, config.lambda_consist * g_tilde
                 )
         chunks[c] = (l_render, l_consist, rows, own)
 
     _run_streams(len(chunks), run_chunk, rcfg.threads)
 
-    l_render = l_consist = l_depth = 0.0
-    grads = view_grads(working, [rows for _, _, rows, _ in chunks if rows is not None])
-    # the query view is not in its working set: its own-hit maps, one per
-    # chunk, add up on their own, the first taken over in place
-    for chunk_render, chunk_consist, _, own in chunks:
-        l_render += chunk_render
-        l_consist += chunk_consist
-        if own is not None and grads.setdefault(q, own) is not own:
-            grads[q] += own
+    renders, consists, view_parts, own_parts = zip(*chunks)
+    l_render, l_consist, l_depth = sum(renders), sum(consists), 0.0
+    grads = view_grads(working, [part for part in view_parts if part is not None])
+    # the query view is not in its working set: its own-hit rows, then the
+    # weighted depth rows, make up its own stack
+    own = [part for part in own_parts if part is not None]
     if config.lambda_depth > 0 and data.depths is not None:
-        l_depth, depth_grad = depth_loss(data.maps[q], data.depths[q], pixels)
-        g = config.lambda_depth * depth_grad
-        if grads.setdefault(q, g) is not g:
-            grads[q] += g
+        l_depth, (cells, rows) = depth_loss(data.maps[q], data.depths[q], pixels,
+                                            data.near, data.far)
+        own.append((cells, config.lambda_depth * rows))
+    if own:
+        grads[q] = map_grads(data.maps[q].params, data.near, data.far, own)
 
     losses = (l_render, l_consist, l_depth)
     if not (np.all(np.isfinite(losses)) and all(np.all(np.isfinite(g)) for g in grads.values())):

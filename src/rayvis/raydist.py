@@ -278,23 +278,26 @@ def interval_alpha(t0, t1):
     return np.where(saturated, 1.0, (t1 - t0) / np.where(saturated, 1.0, 1.0 - t0)), saturated
 
 
-def scatter_to_map(shape, iy, ix, values):
-    """Sum per-sample values into a zero (H, W, 3, n) map at pixels (iy, ix).
-
-    ``values`` is an (N, 3, n) array, or component-major: one (n, N) block
-    per parameter row, as the mixture gradients come. One ``np.bincount``
-    per (row, component) column: the same sums in the same order as
-    ``np.add.at``, several times faster.
+def rows_by_cell(n_cells: int, cell, values):
+    """Sum per-entry (3, n) rows by the flat cell in ``range(n_cells)`` each
+    entry names. ``values`` is (N, 3, n), or component-major: one (n, N)
+    block per parameter row, as the mixture gradients come. Returns
+    ``(cells, rows)``: the strictly increasing cells named and their summed
+    rows, (len(cells), 3, n). One ``np.bincount`` per (row, component)
+    column: the same sums in the same order as ``np.add.at``, several times
+    faster.
     """
-    n_pix = shape[0] * shape[1]
-    flat = iy * shape[1] + ix
+    hit = np.zeros(n_cells, dtype=bool)
+    hit[cell] = True
+    cells = np.flatnonzero(hit)
+    rank = np.cumsum(hit)[cell] - 1     # each entry's row among ``cells``
     if isinstance(values, np.ndarray):
         values = values.transpose(1, 2, 0)
-    out = np.empty((n_pix,) + tuple(shape[2:]))
+    rows = np.empty((len(cells), len(values), len(values[0])))
     for r, block in enumerate(values):
         for c, column in enumerate(block):
-            out[:, r, c] = np.bincount(flat, weights=column, minlength=n_pix)
-    return out.reshape(shape)
+            rows[:, r, c] = np.bincount(rank, weights=column, minlength=len(cells))
+    return cells, rows
 
 
 def grad_cdf(raw: RawRayParams, z, depth_range) -> np.ndarray:

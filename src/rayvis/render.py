@@ -51,7 +51,7 @@ from rayvis.raydist import (
     mixture_cdf,
     mixture_cdf_grads,
     mixture_cdf_terms,
-    scatter_to_map,
+    rows_by_cell,
 )
 from rayvis.shcolor import (
     DEFAULT_DEGREE_PENALTIES,
@@ -575,14 +575,9 @@ def render_rays_backward(working: WorkingSet, state: ChunkState, config: RenderC
         total += far_end
     del sel, sig, w, dt_a, dt_b
     # sum the (mu, sigma, w) gradients per hit cell of the stack, in entry order
-    shape = working.params.shape
-    hit = np.zeros(shape[0] * shape[1] * shape[2], dtype=bool)
-    hit[cell] = True
-    cells = np.flatnonzero(hit)
-    rank = np.cumsum(hit)
-    rank -= 1                           # each hit cell's row among ``cells``
-    rows = scatter_to_map((len(cells), 1) + shape[3:], rank[cell], 0, g)[:, 0]
-    rows[:, 2] *= working.comps[cells // (shape[1] * shape[2])]   # padded components stay put
+    n_views, height, width = working.params.shape[:3]
+    cells, rows = rows_by_cell(n_views * height * width, cell, g)
+    rows[:, 2] *= working.comps[cells // (height * width)]   # padded components stay put
     return cells, rows
 
 

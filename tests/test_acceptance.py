@@ -22,6 +22,7 @@ from rayvis.optim import (
     depth_loss,
     evaluate_holdout,
     init_from_depth,
+    map_grads,
     own_hit_probs,
     own_hit_probs_backward,
     render_loss,
@@ -282,7 +283,8 @@ class TestCriterion2Gradients:
             zfac = cam.rays_for_pixels(pixels[:, ::-1] + 0.5)[1]
             h_tilde, back = own_hit_probs(dmap, zfac, pixels, z, widths, 1.0, 5.0)
             _, g_tilde, _ = consistency_loss(h_tilde, target)
-            grad = own_hit_probs_backward(dmap, pixels, back, g_tilde, 1.0, 5.0)
+            grad = map_grads(dmap.params, 1.0, 5.0,
+                             [own_hit_probs_backward(dmap, pixels, back, g_tilde)])
 
             def consist_objective():
                 h, _ = own_hit_probs(dmap, zfac, pixels, z, widths, 1.0, 5.0)
@@ -307,10 +309,11 @@ class TestCriterion2Gradients:
             dmap = DistributionMap(0, crng.normal(0, 1.0, size=(4, 4, 3, 2)))
             depth = DepthMap(crng.uniform(1.5, 4.5, size=(4, 4)), 1.0, 5.0, 4.0)
             pixels = np.array([[crng.integers(4), crng.integers(4)]])
-            _, grad = depth_loss(dmap, depth, pixels)
+            _, part = depth_loss(dmap, depth, pixels, 1.0, 5.0)
+            grad = map_grads(dmap.params, 1.0, 5.0, [part])
 
             def depth_objective():
-                return depth_loss(dmap, depth, pixels)[0]
+                return depth_loss(dmap, depth, pixels, 1.0, 5.0)[0]
 
             for idx in np.argwhere(np.abs(grad) > self.GATE)[:3]:
                 idx = tuple(idx)
@@ -553,7 +556,8 @@ class TestCriterion6Optimization:
         for _ in range(200):
             h_tilde, back = own_hit_probs(dmap, own_zfac, pixels, z, widths, near, far)
             _, g_tilde, _ = consistency_loss(h_tilde, h_target)
-            grad = own_hit_probs_backward(dmap, pixels, back, g_tilde, near, far)
+            grad = map_grads(dmap.params, near, far,
+                             [own_hit_probs_backward(dmap, pixels, back, g_tilde)])
             adam_step(state, {0: dmap.params}, {0: grad})
         h_tilde, _ = own_hit_probs(dmap, own_zfac, pixels, z, widths, near, far)
         tv = 0.5 * float(np.abs(h_tilde - h_target).sum())

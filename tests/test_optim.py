@@ -16,6 +16,7 @@ from rayvis.optim import (
     consistency_loss,
     depth_loss,
     init_from_depth,
+    map_grads,
     optimize_scene,
     own_hit_probs,
     own_hit_probs_backward,
@@ -109,7 +110,7 @@ class TestDepthLoss:
                            depth.near, depth.far, depth.scene_scale)
         dmap = init_from_depth(shifted, 0.01, 2)
         pixels = np.array([[0, 0], [3, 4]])
-        value, _ = depth_loss(dmap, depth, pixels)
+        value, _ = depth_loss(dmap, depth, pixels, depth.near, depth.far)
         expected = sum(
             (shifted.values[tuple(p)] - depth.values[tuple(p)]) ** 2 for p in pixels
         )
@@ -120,7 +121,8 @@ class TestDepthLoss:
         depth = toy_depth_map(rng)
         dmap = init_from_depth(depth, 0.01, 2)
         pixels = np.array([[1, 1], [2, 5], [0, 3]])
-        value, grad = depth_loss(dmap, depth, pixels)
+        value, part = depth_loss(dmap, depth, pixels, depth.near, depth.far)
+        grad = map_grads(dmap.params, depth.near, depth.far, [part])
         assert value < 1e-12
         assert np.max(np.abs(grad)) < 1e-5
 
@@ -129,21 +131,42 @@ class TestDepthLoss:
         depth = toy_depth_map(rng)
         dmap = DistributionMap(0, rng.normal(size=(6, 6, 3, 2)))
         pixels = np.array([[2, 2], [4, 1]])
-        _, grad = depth_loss(dmap, depth, pixels)
+        self.check_finite_differences(dmap, depth, pixels, depth.near, depth.far)
+
+    @staticmethod
+    def check_finite_differences(dmap, depth, pixels, near, far):
+        _, part = depth_loss(dmap, depth, pixels, near, far)
+        grad = map_grads(dmap.params, near, far, [part])
         eps = 1e-5
         checked = 0
         for idx in np.argwhere(np.abs(grad) > 1e-6):
             idx = tuple(idx)
             old = dmap.params[idx]
             dmap.params[idx] = old + eps
-            plus, _ = depth_loss(dmap, depth, pixels)
+            plus, _ = depth_loss(dmap, depth, pixels, near, far)
             dmap.params[idx] = old - eps
-            minus, _ = depth_loss(dmap, depth, pixels)
+            minus, _ = depth_loss(dmap, depth, pixels, near, far)
             dmap.params[idx] = old
             fd = (plus - minus) / (2 * eps)
             assert abs(grad[idx] - fd) / max(abs(fd), 1e-9) < 1e-4
             checked += 1
         assert checked >= 2
+
+    def test_decodes_with_the_given_range_not_the_header_range(self):
+        """A depth map read from an NRDF file carries its range rounded to f32;
+        the loss decodes the map with the step's range all the same."""
+        rng = np.random.default_rng(6)
+        near, far = 1.2, 5.4
+        values = rng.uniform(near + 0.2, far - 0.2, size=(6, 6))
+        depth = DepthMap(values, float(np.float32(near)), float(np.float32(far)), far - near)
+        assert (depth.near, depth.far) != (near, far)
+        dmap = DistributionMap(0, rng.normal(size=(6, 6, 3, 2)))
+        pixels = np.array([[2, 2], [4, 1], [0, 5]])
+        value, _ = depth_loss(dmap, depth, pixels, near, far)
+        mu = decode_arrays(dmap.params[pixels[:, 0], pixels[:, 1]], near, far)[0][:, 0]
+        assert value == float(np.sum((mu - values[pixels[:, 0], pixels[:, 1]]) ** 2))
+        assert value != depth_loss(dmap, depth, pixels, depth.near, depth.far)[0]
+        self.check_finite_differences(dmap, depth, pixels, near, far)
 
 
 class TestInitFromDepth:
@@ -517,6 +540,67 @@ class TestViewGrads:
             np.testing.assert_allclose(g, want[i], rtol=1e-12, atol=0)
         assert any(np.any(g != 0) for g in got.values())
 
+    @staticmethod
+    def capture_step(monkeypatch, data, config):
+        """Run one step; return its query view, the own-hit backward calls in
+        chunk order, the gradients Adam got and the maps it was given."""
+        calls, taken = [], {}
+        backward, adam = optim.own_hit_probs_backward, optim.adam_step
+
+        def recording_backward(dmap, pixels, back, g_h_tilde):
+            calls.append((pixels, back, g_h_tilde))
+            return backward(dmap, pixels, back, g_h_tilde)
+
+        def recording_adam(state, params, grads):
+            taken.update(grads=dict(grads), params={i: p.copy() for i, p in params.items()})
+            adam(state, params, grads)
+
+        monkeypatch.setattr(optim, "own_hit_probs_backward", recording_backward)
+        monkeypatch.setattr(optim, "adam_step", recording_adam)
+        q = optim._draw_batch(np.random.default_rng(config.seed), data, config)[0]
+        train_step(data, config, OptimState(), np.random.default_rng(config.seed))
+        return q, calls, taken["grads"], taken["params"]
+
+    @staticmethod
+    def dense_decoded(params, near, far, pixels, gmu, gsig, gw):
+        """Decode per-ray (mu, sigma, w) gradients and scatter them into a
+        zeroed map, the own-hit and depth rule of per-chunk decoding."""
+        raw = params[pixels[:, 0], pixels[:, 1]]
+        dense = np.zeros(params.shape)
+        np.add.at(dense, (pixels[:, 0], pixels[:, 1]),
+                  decode_backward(raw, near, far, gmu, gsig, gw))
+        return dense
+
+    @pytest.mark.parametrize("mode", ["uniform", "coarse_to_fine"])
+    def test_query_view_gradient_matches_per_chunk_decodes(self, mode, monkeypatch):
+        """The query map's one decode of its own-hit and depth rows equals
+        decoding each chunk's own-hit rays and the depth rays on their own."""
+        data, config, _ = TestTrainStep().make(seed=5, size=20, batch_size=300,
+                                               sampling_mode=mode, k_fine=6, threads=1)
+        q, calls, grads, params = self.capture_step(monkeypatch, data, config)
+        assert len(calls) == 3
+        p, near, far = params[q], data.near, data.far
+        want = None
+        for pixels, back, g in calls:
+            own = self.dense_decoded(p, near, far, pixels,
+                                     *(np.sum(g[..., None] * d, axis=1) for d in back))
+            want = own if want is None else want + own
+        pixels = optim._draw_batch(np.random.default_rng(config.seed), data, config)[1]
+        mu = decode_arrays(p[pixels[:, 0], pixels[:, 1]], near, far)[0]
+        gmu = np.zeros_like(mu)
+        gmu[:, 0] = 2.0 * (mu[:, 0] - data.depths[q].values[pixels[:, 0], pixels[:, 1]])
+        zero = np.zeros_like(mu)
+        want += config.lambda_depth * self.dense_decoded(p, near, far, pixels, gmu, zero, zero)
+        assert np.any(want != 0)
+        np.testing.assert_allclose(grads[q], want, rtol=1e-12, atol=0)
+
+    def test_query_view_without_own_hit_or_depth_gets_no_gradient(self, monkeypatch):
+        data, config, _ = TestTrainStep().make(seed=5, size=20, batch_size=300,
+                                               lambda_consist=0.0, threads=1)
+        data.depths = None
+        q, calls, grads, _ = self.capture_step(monkeypatch, data, config)
+        assert calls == [] and q not in grads and grads
+
 
 class TestTrainConfig:
     @pytest.mark.parametrize("batch_size", [0, -5])
@@ -595,7 +679,8 @@ class TestOwnHitProbs:
         h_tilde, back = own_hit_probs(dmap, zfac, pixels, z, widths,
                                       data.near, data.far)
         g_out = rng.normal(size=h_tilde.shape)
-        grad = own_hit_probs_backward(dmap, pixels, back, g_out, data.near, data.far)
+        grad = map_grads(dmap.params, data.near, data.far,
+                         [own_hit_probs_backward(dmap, pixels, back, g_out)])
 
         def objective():
             h, _ = own_hit_probs(dmap, zfac, pixels, z, widths, data.near, data.far)
@@ -615,6 +700,23 @@ class TestOwnHitProbs:
             assert abs(grad[idx] - fd) / max(abs(fd), 1e-8) < 1e-4
             checked += 1
         assert checked >= 5
+
+    def test_backward_sums_rays_at_a_repeated_pixel(self):
+        rng = np.random.default_rng(12)
+        data, _ = tiny_training_data(rng)
+        dmap = data.maps[0]
+        pixels = np.array([[4, 4], [5, 2], [4, 4]])
+        z = np.linspace(data.near, data.far, 7)[:6][None, :].repeat(3, axis=0)
+        widths = np.full((3, 6), (data.far - data.near) / 6)
+        zfac = rng.uniform(0.9, 1.0, size=3)
+        _, back = own_hit_probs(dmap, zfac, pixels, z, widths, data.near, data.far)
+        g_out = rng.normal(size=(3, 6))
+        cells, rows = own_hit_probs_backward(dmap, pixels, back, g_out)
+        assert np.array_equal(cells, [4 * 10 + 4, 5 * 10 + 2])
+        single = [own_hit_probs_backward(dmap, pixels[i:i + 1], [d[i:i + 1] for d in back],
+                                         g_out[i:i + 1])[1][0] for i in range(3)]
+        assert np.array_equal(rows[0], single[0] + single[2])
+        assert np.array_equal(rows[1], single[1])
 
 
 class TestMemorization:
@@ -647,7 +749,8 @@ class TestMemorization:
         for step in range(200):
             h_tilde, back = own_hit_probs(dmap, own_zfac, pixels, z, widths, near, far)
             value, g_tilde, _ = consistency_loss(h_tilde, h_target)
-            grad = own_hit_probs_backward(dmap, pixels, back, g_tilde, near, far)
+            grad = map_grads(dmap.params, near, far,
+                             [own_hit_probs_backward(dmap, pixels, back, g_tilde)])
             adam_step(state, {0: dmap.params}, {0: grad})
             history.append(np.abs(h_tilde - h_target).mean())
         h_tilde, _ = own_hit_probs(dmap, own_zfac, pixels, z, widths, near, far)

@@ -22,7 +22,7 @@ from rayvis.raydist import (
     mixture_cdf,
     mixture_cdf_param_grads,
     occlusion_cdf,
-    scatter_to_map,
+    rows_by_cell,
     sigmoid,
     softmax,
     softplus,
@@ -397,20 +397,25 @@ class TestReferenceBroadcast:
                 assert np.array_equal(got[i], single)
 
 
-class TestScatterToMap:
+class TestRowsByCell:
     def test_matches_add_at_reference(self):
+        """300 entries on 35 cells repeat cells; 2 of the cells are never named."""
         rng = np.random.default_rng(11)
-        shape = (5, 7, 3, 2)
-        iy, ix = rng.integers(0, 5, 300), rng.integers(0, 7, 300)
+        cell = rng.choice(np.delete(np.arange(35), [4, 20]), 300)
         values = rng.normal(size=(300, 3, 2))
-        want = np.zeros(shape)
-        np.add.at(want.reshape(35, 3, 2), iy * 7 + ix, values)
-        assert np.array_equal(scatter_to_map(shape, iy, ix, values), want)
+        want = np.zeros((35, 3, 2))
+        np.add.at(want, cell, values)
+        want_cells = np.unique(cell)
+        assert len(want_cells) == 33 and len(cell) > len(want_cells)
+        component_major = tuple(values[:, r].T for r in range(3))   # (n, N) per row
+        for layout in (values, component_major):
+            cells, rows = rows_by_cell(35, cell, layout)
+            assert np.array_equal(cells, want_cells)
+            assert np.array_equal(rows, want[want_cells])
 
-    def test_no_samples_give_zero_map(self):
-        empty = np.zeros(0, dtype=np.int64)
-        out = scatter_to_map((3, 4, 3, 1), empty, empty, np.zeros((0, 3, 1)))
-        assert out.shape == (3, 4, 3, 1) and not out.any()
+    def test_no_entries_give_no_rows(self):
+        cells, rows = rows_by_cell(12, np.zeros(0, dtype=np.int64), np.zeros((0, 3, 1)))
+        assert cells.shape == (0,) and rows.shape == (0, 3, 1)
 
 
 class TestDistributionMapFormat:
