@@ -195,16 +195,22 @@ def cmd_init(args) -> int:
     depths = imgio.scan_views(Path(args.data_dir) / "depth", "nrdf")
     if not depths:
         raise InputError(f"no depth maps under {args.data_dir}/depth")
+    # encode with the depth range that every reader decodes with: the
+    # cameras file's, not the depth header's f32-rounded copy of it
+    _, meta = _load_cameras(args.data_dir)
+    near, far = float(meta["near"]), float(meta["far"])
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
     for idx, path in sorted(depths.items()):
-        depth = perturb_depth(imgio.read_depth_map(path), args.noise, (args.seed, idx))
+        depth = replace(imgio.read_depth_map(path), near=near, far=far)
+        depth = perturb_depth(depth, args.noise, (args.seed, idx))
         dmap = optim.init_from_depth(depth, args.sigma_init, args.components, view=idx)
         map_path = out / imgio.view_name(idx, "nray")
         dmap.save(map_path)
         outputs.append(map_path)
-    _write_manifest(out, args, depths.values(), outputs, start)
+    _write_manifest(out, args, [*depths.values(), Path(args.data_dir) / "cameras.json"],
+                    outputs, start)
     print(f"initialized {len(outputs)} maps in {out}")
     return 0
 

@@ -21,15 +21,21 @@ work on contiguous per-component arrays.
 ``render_image`` cuts the image into chunks of at most 128 rays and 8192
 (ray, sample) pairs, whatever the thread count, and renders them on up to
 ``RenderConfig.threads`` streams, by default every CPU the process may
-use: the caller and its helper threads pull chunks from one shared queue.
+use: the caller and its helper threads pull tasks from one shared queue.
+A task is one chunk, except in coarse-to-fine mode, where it holds
+``max(chunk, 3072 // k_fine)`` rays (384 at 32 + 8): the coarse pass runs
+chunk by chunk and keeps only the hitting probabilities, then fine
+placement, the fine pass and its SH fits run once over the task, so the
+fine path makes a third as many small NumPy calls per ray. Each such call
+hands the GIL over, and with several streams every handoff is contended.
 A chunk's forward frees each per-entry temporary at its last use and builds
 the SH system in place; with 8 working views its traced peak is about
-0.9-1 KB per (ray, sample) pair, so each stream holds at most about 8 MB
-traced (each thread's malloc arena may keep some of what it freed). NumPy
-releases the GIL in the large kernels, so the streams overlap. Rays never
-interact, so the image and the counters are identical for every thread
-count. ``optim.train_step`` runs its fixed 128-ray chunks on the same
-stream runner, ``_run_streams``.
+0.9-1 KB per (ray, sample) pair, and a 32 + 8 task's about 6 MB, so each
+stream holds at most about 8 MB traced (each thread's malloc arena may keep
+some of what it freed). NumPy releases the GIL in the large kernels, so the
+streams overlap. Rays never interact, so the image and the counters are
+identical for every thread count. ``optim.train_step`` runs its fixed
+128-ray chunks on the same stream runner, ``_run_streams``.
 """
 
 from __future__ import annotations
@@ -79,9 +85,13 @@ _PAD_LOGIT = -1e300
 _CHUNK_RAYS = 128
 # most (ray, sample) pairs in one chunk of ``render_image``, which sets each
 # stream's peak memory: uniform k=128 gets 64-ray chunks of ~8 MB, under
-# glibc's trim threshold, so one stream stops re-faulting them; coarse-to-fine
-# 32 + 8 keeps 128-ray chunks, long enough for two streams to beat one
+# glibc's trim threshold, so one stream stops re-faulting them; the coarse
+# passes of coarse-to-fine 32 + 8 keep 128-ray chunks
 _CHUNK_PAIRS = 8192
+# fine samples per task of a coarse-to-fine ``render_image`` (384 rays at
+# 32 + 8): the fine pass and its SH fits run once over a task, a third as
+# many small NumPy calls, each a GIL handoff, per ray as once per 128-ray chunk
+_FINE_PAIRS = 3072
 _MAX_STREAMS = 128      # most streams of ``render_image``, whatever ``threads`` is
 
 
@@ -395,23 +405,28 @@ def _chunk_forward(working: WorkingSet, origins, dirs, z, widths, config: Render
     sample_colors = np.broadcast_to(background, z.shape + (3,)).copy()
     if np.any(active):
         counters.add("sh_fits", int(active.sum()))
-        weights, u, v = h_w[active], u[active], v[active]                     # (M,J)
+        # the fit's weights and input directions are built batch last, as the
+        # solver works on them: (J, M) and (3, J, M), passed as transposed views
+        picked = active.reshape(-1)
+        weights = np.compress(picked, h_w.reshape(-1, working.n_views).T, axis=1)
         del h_w
-        in_dirs = points[active][:, None, :] - working.centers               # (M,J,3)
-        in_dirs /= np.maximum(np.linalg.norm(in_dirs, axis=-1, keepdims=True), 1e-30)
         in_colors = _bilinear(working.images, np.arange(working.n_views), *working.sizes,
-                              u, v)                                          # (M,J,3)
+                              u[active], v[active])                          # (M,J,3)
         del u, v
+        in_dirs = np.compress(picked, points.reshape(-1, 3).T, axis=1)[:, None, :]
+        in_dirs = np.subtract(in_dirs, working.centers.T[:, :, None], order="C")  # (3,J,M)
+        in_dirs /= np.maximum(np.linalg.norm(in_dirs, axis=0, keepdims=True), 1e-30)
         q_dirs = dirs[np.nonzero(active)[0]]                                 # (M,3)
         kernel, border_degree, border = sh_dual_form(config.sh_degree, config.sh_penalties)
         colors_q, fit = sh_fit_batched(
-            in_dirs, weights, in_colors, q_dirs, kernel,
-            sh_basis_values(border_degree, in_dirs)[..., border],
+            in_dirs.T, weights.T, in_colors, q_dirs, kernel,
+            sh_basis_values(border_degree, in_dirs.T)[..., border],
             sh_basis_values(border_degree, q_dirs)[..., border],
         )
         sample_colors[active] = colors_q
         if keep_state:
             out.sh = fit
+        del fit
 
     h_sum = h_hat.sum(axis=-1)
     out.colors_out = (np.matmul(h_hat[:, None, :], sample_colors)[:, 0, :]
@@ -453,14 +468,22 @@ def _fine_depths(z_coarse, widths_coarse, h_hat, k_fine: int, far: float):
     return z_fine, widths_fine, keep
 
 
+def _chunk_rays(config: RenderConfig) -> int:
+    """Rays of one chunk: at most 128 rays and 8192 (ray, sample) pairs, at least 1."""
+    samples = config.k_coarse + (config.k_fine if config.mode == "coarse_to_fine" else 0)
+    return max(1, min(_CHUNK_RAYS, _CHUNK_PAIRS // samples))
+
+
 def render_rays(working: WorkingSet, origins, dirs, config: RenderConfig,
                 keep_state: bool = False):
     """Render a batch of rays; returns the final ChunkState (uniform or fine).
 
-    In coarse-to-fine mode the returned state covers every ray, ``fine_keep``
-    marks the rays that got fine samples, and with ``keep_state=True``
-    ``fine`` holds the fine pass's own state over those rays (None when no
-    ray was kept). Sample placement is constant w.r.t. the parameters.
+    In coarse-to-fine mode the coarse pass runs in slices of one chunk of
+    ``render_image`` and the fine pass once over every kept ray. The
+    returned state covers every ray, ``fine_keep`` marks the rays that got
+    fine samples, and with ``keep_state=True`` ``fine`` holds the fine
+    pass's own state over those rays (None when no ray was kept). Sample
+    placement is constant w.r.t. the parameters.
     """
     origins = np.asarray(origins, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
@@ -471,9 +494,15 @@ def render_rays(working: WorkingSet, origins, dirs, config: RenderConfig,
     if config.mode == "uniform":
         return _chunk_forward(working, origins, dirs, z, widths, config,
                               keep_state=keep_state)
-    # coarse pass: alphas only, no color fits
-    coarse = _chunk_forward(working, origins, dirs, z, widths, config, with_colors=False)
-    z_f, w_f, keep = _fine_depths(z, widths, coarse.h_hat, config.k_fine, working.far)
+    # coarse pass: alphas only, no color fits, in slices of one chunk of rays
+    # as ``render_image`` cuts them; each slice keeps only its hitting probabilities
+    h_hat = np.empty((n, k))
+    chunk = _chunk_rays(config)
+    for start in range(0, n, chunk):
+        s = slice(start, start + chunk)
+        h_hat[s] = _chunk_forward(working, origins[s], dirs[s], z[s], widths[s], config,
+                                  with_colors=False).h_hat
+    z_f, w_f, keep = _fine_depths(z, widths, h_hat, config.k_fine, working.far)
     # rays without fine samples keep zero depths and alphas and the background
     k = config.k_fine
     background = np.asarray(config.background, dtype=np.float64)
@@ -577,7 +606,8 @@ def render_rays_backward(working: WorkingSet, state: ChunkState, config: RenderC
     # sum the (mu, sigma, w) gradients per hit cell of the stack, in entry order
     n_views, height, width = working.params.shape[:3]
     cells, rows = rows_by_cell(n_views * height * width, cell, g)
-    rows[:, 2] *= working.comps[cells // (height * width)]   # padded components stay put
+    if not working.comps.all():                # padded components stay put
+        rows[:, 2] *= working.comps[cells // (height * width)]
     return cells, rows
 
 
@@ -620,11 +650,13 @@ def render_image(working: WorkingSet, config: RenderConfig) -> np.ndarray:
     """Render the query view; deterministic and parallelizable per pixel.
 
     A chunk is ``min(128, 8192 // S)`` rays (at least 1), S the samples per
-    ray: ``k_coarse``, plus ``k_fine`` in coarse-to-fine mode. It does not
-    depend on the thread count, so memory in flight grows with the streams.
-    ``T = min(config.threads, chunks, 128)`` streams share one queue of the
-    chunks (see ``_run_streams``): the caller and ``T - 1`` helper threads
-    each pull the next chunk, render it and write its rows. Every ray is
+    ray: ``k_coarse``, plus ``k_fine`` in coarse-to-fine mode. A task is one
+    chunk, or in coarse-to-fine mode ``max(chunk, 3072 // k_fine)`` rays,
+    whose coarse pass ``render_rays`` runs chunk by chunk. Neither depends
+    on the thread count, so memory in flight grows with the streams.
+    ``T = min(config.threads, tasks, 128)`` streams share one queue of the
+    tasks (see ``_run_streams``): the caller and ``T - 1`` helper threads
+    each pull the next task, render it and write its rows. Every ray is
     rendered on its own, so the image and the counters are bit-identical
     for every thread count.
     """
@@ -634,15 +666,16 @@ def render_image(working: WorkingSet, config: RenderConfig) -> np.ndarray:
     dirs, _ = cam.rays_for_pixels(px)
     origins = np.broadcast_to(cam.center, dirs.shape)
     out = np.empty((px.shape[0], 3))
-    samples = config.k_coarse + (config.k_fine if config.mode == "coarse_to_fine" else 0)
-    chunk = max(1, min(_CHUNK_RAYS, _CHUNK_PAIRS // samples))
-    chunks = -(-px.shape[0] // chunk)
+    task = _chunk_rays(config)
+    if config.mode == "coarse_to_fine" and config.k_fine:
+        task = max(task, _FINE_PAIRS // config.k_fine)
+    tasks = -(-px.shape[0] // task)
 
-    def render_chunk(i):
-        s = slice(i * chunk, (i + 1) * chunk)
+    def render_task(i):
+        s = slice(i * task, (i + 1) * task)
         out[s] = render_rays(working, origins[s], dirs[s], config).colors_out
 
-    _run_streams(chunks, render_chunk, min(config.threads, chunks, _MAX_STREAMS))
+    _run_streams(tasks, render_task, min(config.threads, tasks, _MAX_STREAMS))
     return np.clip(out.reshape(cam.height, cam.width, 3), 0.0, 1.0)
 
 

@@ -255,17 +255,20 @@ def _dual_system(dirs, weights, kernel, y_b):
     """
     j, m = weights.shape
     n = j + y_b.shape[0]
-    s = np.sqrt(np.maximum(weights, 0.0))  # clamp rounding noise below zero
+    s = np.maximum(weights, 0.0)  # clamp rounding noise below zero
+    np.sqrt(s, out=s)
     ia, ib = np.tril_indices(j, -1)
     cos = dirs[0, ia] * dirs[0, ib]
     cos += dirs[1, ia] * dirs[1, ib]
     cos += dirs[2, ia] * dirs[2, ib]
     k_pairs = _horner(kernel, cos)
-    system = np.empty((n, n, m))
+    del cos
     off = s[ia] * k_pairs
     off *= s[ib]
+    system = np.empty((n, n, m))    # once the products' temporary is freed: a lower peak
     system[ia, ib] = off
     system[ib, ia] = off
+    del off
     diag = s * _horner(kernel, np.ones(1))
     diag *= s
     diag += 1.0
@@ -393,6 +396,7 @@ def sh_fit_batched(dirs, weights, colors, query, kernel, y_b, y_bq):
     cos += d[1] * q[1]
     cos += d[2] * q[2]
     k_q = _horner(kernel, cos)
+    del d, cos
     rhs = np.empty((system.shape[0], 1, s.shape[1]))
     np.multiply(s, k_q, out=rhs[:j, 0])
     rhs[j:, 0] = y_bq.T

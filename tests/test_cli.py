@@ -103,6 +103,30 @@ class TestInit:
         # maps are stored as f32, so allow that rounding on top of 1e-6 span
         assert np.max(np.abs(mu[..., 0] - depth.values)) < 1e-4 * (depth.far - depth.near)
 
+    def test_encoded_with_the_cameras_range(self, synth_dir, maps_dir):
+        """``init`` encodes with the cameras file's (near, far), the range every
+        reader decodes with, not the depth header's f32-rounded copy of it.
+        Decoded with that range, the first means of the hit pixels then miss
+        the depths only by the maps' f32 storage: half an f32 ulp of each raw
+        mean times d mu / d raw. The header's range would add its rounding,
+        up to 1e-7 here, even where a raw mean is stored exactly."""
+        from rayvis.imgio import read_depth_map
+        from rayvis.raydist import decode_arrays, sigmoid
+
+        meta = json.loads((synth_dir / "cameras.json").read_text())
+        near, far = meta["near"], meta["far"]
+        for view in range(6):
+            depth = read_depth_map(synth_dir / "depth" / f"view_{view:04d}.nrdf")
+            assert (depth.near, depth.far) != (near, far)    # the header is f32
+            params = DistributionMap.load(maps_dir / f"view_{view:04d}.nray").params
+            raw = params[..., 0, 0]
+            mu = decode_arrays(params, near, far)[0][..., 0]
+            hit = depth.values < depth.far
+            slope = (far - near) * sigmoid(raw) * (1.0 - sigmoid(raw))
+            storage = slope * np.spacing(np.abs(raw).astype(np.float32)) / 2
+            assert hit.sum() > 50
+            assert np.all(np.abs(mu - depth.values)[hit] <= storage[hit] + 1e-12)
+
     def test_noisy_init_reproducible(self, synth_dir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         args = ["--noise", "0.02", "--seed", "7"]

@@ -1,5 +1,6 @@
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -585,6 +586,19 @@ class TestRenderPixel:
         assert np.all(z_f >= lo - 1e-9) and np.all(z_f <= hi + 1e-9)
 
 
+# (mode, k_coarse, k_fine, rays per chunk, rays per task of ``render_image``)
+_CHUNK_RULE = [
+    ("uniform", 128, 0, 64, 64),                # 8192 pairs
+    ("uniform", 256, 0, 32, 32),
+    ("uniform", 64, 0, 128, 128),               # 8192 pairs and 128 rays
+    ("uniform", 96, 0, 85, 85),                 # the last chunk holds 16 rays
+    ("coarse_to_fine", 32, 8, 128, 384),        # 3072 fine pairs; the last task 256
+    ("coarse_to_fine", 48, 16, 128, 192),       # the last task 64
+    ("coarse_to_fine", 64, 64, 64, 64),         # 3072 // 64 is below the chunk
+    ("coarse_to_fine", 128, 0, 64, 64),         # no fine pass: tasks are chunks
+]
+
+
 class TestRenderImage:
     def test_empty_scene_renders_background(self, ring_scene):
         """End to end on a scene with no geometry: depth maps are all far
@@ -690,37 +704,76 @@ class TestRenderImage:
         assert len(calls) < 16     # of 32 chunks: the queue stopped at the failure
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    @pytest.mark.parametrize("mode, k_coarse, k_fine, chunk", [
-        ("uniform", 128, 0, 64),                # 8192 pairs
-        ("uniform", 256, 0, 32),
-        ("uniform", 64, 0, 128),                # 8192 pairs and 128 rays
-        ("uniform", 96, 0, 85),                 # the last chunk holds 16 rays
-        ("coarse_to_fine", 32, 8, 128),         # 128 rays: 5120 pairs
-        ("coarse_to_fine", 48, 16, 128),
-    ])
+    @pytest.mark.parametrize("mode, k_coarse, k_fine, chunk, task", _CHUNK_RULE,
+                             ids=["-".join(map(str, row[:4])) for row in _CHUNK_RULE])
     def test_chunk_rule(self, ring_scene, gt_views, monkeypatch,
-                        mode, k_coarse, k_fine, threads, chunk):
-        """A chunk holds at most 128 rays and 8192 (ray, sample) pairs, the
-        same for every thread count; the 64 x 64 image is cut into such
-        chunks, on as many streams as there are threads."""
+                        mode, k_coarse, k_fine, chunk, task, threads):
+        """A chunk holds at most 128 rays and 8192 (ray, sample) pairs. The
+        64 x 64 image is cut into tasks, the same for every thread count, on
+        as many streams as there are threads: a task is one chunk, or
+        coarse-to-fine ``max(chunk, 3072 // k_fine)`` rays, whose coarse pass
+        runs chunk by chunk and whose fine pass runs once."""
         ws = working_set_for(ring_scene, gt_views, 0, n_working=2)
         config = RenderConfig(k_coarse=k_coarse, k_fine=k_fine, mode=mode, threads=threads,
                               background=tuple(ring_scene.background))
-        real, run_streams, sizes, streams = render.render_rays, render._run_streams, [], []
+        real_rays, real_forward, run_streams = (render.render_rays, render._chunk_forward,
+                                                render._run_streams)
+        sizes, coarse, streams = [], [], []
 
-        def chunk_size(working, origins, *args, **kwargs):
+        def task_size(working, origins, *args, **kwargs):
             sizes.append(len(origins))
-            return real(working, origins, *args, **kwargs)
+            return real_rays(working, origins, *args, **kwargs)
 
-        def recording_run_streams(n_tasks, task, n_streams):
+        def coarse_size(working, origins, *args, with_colors=True, **kwargs):
+            if not with_colors:
+                coarse.append(len(origins))
+            return real_forward(working, origins, *args, with_colors=with_colors, **kwargs)
+
+        def recording_run_streams(n_tasks, run, n_streams):
             streams.append(n_streams)
-            run_streams(n_tasks, task, n_streams)
+            run_streams(n_tasks, run, n_streams)
 
-        monkeypatch.setattr(render, "render_rays", chunk_size)
+        monkeypatch.setattr(render, "render_rays", task_size)
+        monkeypatch.setattr(render, "_chunk_forward", coarse_size)
         monkeypatch.setattr(render, "_run_streams", recording_run_streams)
         render_image(ws, config)
-        cuts = np.append(np.arange(0, 64 * 64, chunk), 64 * 64)
-        assert sorted(sizes) == sorted(np.diff(cuts)) and streams == [threads]
+
+        def cut(n, size):
+            return list(np.diff(np.append(np.arange(0, n, size), n)))
+
+        tasks = cut(64 * 64, task)
+        assert sorted(sizes) == sorted(tasks) and streams == [threads]
+        slices = [s for t in tasks for s in cut(t, chunk)] if mode == "coarse_to_fine" else []
+        assert sorted(coarse) == sorted(slices)
+
+    @pytest.mark.parametrize("k_coarse, k_fine", [(32, 8), (48, 16), (8, 3), (16, 0)])
+    def test_tasks_match_chunk_by_chunk(self, ring_scene, gt_views, k_coarse, k_fine):
+        """Coarse-to-fine tasks of several chunks render the image and count
+        the CDF evaluations, SH fits and color samples of ``render_rays``
+        called chunk by chunk, bit for bit, on 1, 2 and 3 streams."""
+        ws = working_set_for(ring_scene, gt_views, 0, n_working=4)
+        config = RenderConfig(k_coarse=k_coarse, k_fine=k_fine, mode="coarse_to_fine",
+                              background=tuple(ring_scene.background))
+        cam = ws.query_camera
+        ys, xs = np.indices((cam.height, cam.width)) + 0.5
+        dirs, _ = cam.rays_for_pixels(np.stack([xs, ys], axis=-1).reshape(-1, 2))
+        origins = np.broadcast_to(cam.center, dirs.shape)
+        chunk = min(128, 8192 // (k_coarse + k_fine))
+
+        def counts():
+            snap = counters.snapshot()
+            return snap.cdf_evals, snap.sh_fits, snap.color_samples
+
+        counters.reset()
+        colors = [render_rays(ws, origins[s:s + chunk], dirs[s:s + chunk], config).colors_out
+                  for s in range(0, len(dirs), chunk)]
+        reference = np.clip(np.concatenate(colors).reshape(cam.height, cam.width, 3), 0.0, 1.0)
+        expected = counts()
+        assert expected[0] > 0 and (expected[1] > 0) == (k_fine > 0)
+        for threads in (1, 2, 3):
+            counters.reset()
+            image = render_image(ws, replace(config, threads=threads))
+            assert np.array_equal(image, reference) and counts() == expected
 
     def test_stream_ceiling(self, ring_scene, gt_views, monkeypatch):
         """However many threads are asked for, and however many chunks a large
@@ -785,12 +838,14 @@ class TestRenderImage:
 
 
 class TestChunkMemory:
-    """Traced peak bytes of one ``render_rays`` chunk per (ray, sample) pair,
-    on the ring with query view 1 and 8 working views: 64 rays x 128 uniform
-    samples, and 128 rays x (32 + 8) coarse-to-fine samples, both from
-    pixel row 28 on. These are exactly the chunks ``render_image`` renders
-    in these modes, at every thread count, so each bound times the chunk's
-    pairs is one stream's traced peak.
+    """Traced peak bytes of one ``render_rays`` call per (ray, sample) pair,
+    on the ring with query view 1 and 8 working views, from pixel row 28
+    on: 64 rays x 128 uniform samples, and 128 and 384 rays x (32 + 8)
+    coarse-to-fine samples. The first is the chunk ``render_image`` renders
+    uniformly and the third the task it renders at 32 + 8, at every thread
+    count, so each bound times the call's pairs is one stream's traced
+    peak. The second is one coarse slice with its fine pass: what a
+    training chunk renders.
 
     Measured with Python 3.11 and NumPy 2.4; another NumPy may allocate
     its temporaries differently. The old forward held every temporary to
@@ -798,14 +853,19 @@ class TestChunkMemory:
     contiguous (so each ``np.take`` copied all of it) and assembled the SH
     system with ``np.block``: 1587 bytes per pair uniform, 1114
     coarse-to-fine. Freeing each temporary at its last use and building
-    the SH system in place brought them to 880 and 602. Each bound is the
-    new value plus 10%, so two more float64 per (ray, sample, view) entry
-    alive at the peak fail it.
+    the SH system in place brought them to 880 and 602. The bounds of
+    these two are those values plus 10%, so two more float64 per (ray,
+    sample, view) entry alive at the peak fail them. The 384-ray task
+    peaks in its fine pass's SH system at 397 bytes per pair (about 2.1 KB
+    per fine sample), after the system's kernel cosines and off-diagonal
+    products were freed at their last use and its directions and weights
+    were built batch last; its bound is that plus 10%.
     """
 
     @pytest.mark.parametrize("mode, rays, samples, bound", [
         ("uniform", 64, 128, 968),
         ("coarse_to_fine", 128, 40, 662),
+        ("coarse_to_fine", 384, 40, 437),
     ])
     def test_peak_bytes_per_pair(self, ring_scene, gt_views, mode, rays, samples, bound):
         import tracemalloc
