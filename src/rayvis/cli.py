@@ -11,7 +11,8 @@ An option that sets a ``TrainConfig`` or ``RenderConfig`` field stores its
 value under the field's name and has no default of its own, so the config
 holds the only default and the only check of each setting.
 
-Exit codes: 0 success, 1 usage error, 2 input/IO error, 3 numerical error.
+Exit codes: 0 success, 1 usage error, 2 input/IO error (running out of memory
+included), 3 numerical error.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from rayvis.raydist import (
     visibility,
 )
 from rayvis.render import (
+    MAX_SAMPLES,
     RenderConfig,
     RenderView,
     psnr,
@@ -200,12 +202,13 @@ def cmd_init(args) -> int:
     _, meta = _load_cameras(args.data_dir)
     near, far = float(meta["near"]), float(meta["far"])
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     outputs = []
     for idx, path in sorted(depths.items()):
         depth = replace(imgio.read_depth_map(path), near=near, far=far)
         depth = perturb_depth(depth, args.noise, (args.seed, idx))
         dmap = optim.init_from_depth(depth, args.sigma_init, args.components, view=idx)
+        # only now: a refused setting leaves no output directory
+        out.mkdir(parents=True, exist_ok=True)
         map_path = out / imgio.view_name(idx, "nray")
         dmap.save(map_path)
         outputs.append(map_path)
@@ -283,8 +286,8 @@ def cmd_optimize(args) -> int:
         holdout[idx] = (cameras[idx], imgio.read_ppm(images[idx]))
         _check_size(images[idx], holdout[idx][1].shape, cameras[idx])
 
+    # optimize_scene's checkpoints create the directory, after its checks
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     state = config.optim_state()
     start_step = 0
     if args.resume:
@@ -339,8 +342,8 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     start = time.perf_counter()
-    if args.kr < 1:
-        raise ConfigurationError(f"kr must be at least 1, not {args.kr}")
+    if not 1 <= args.kr <= MAX_SAMPLES:
+        raise ConfigurationError(f"kr must be in [1, {MAX_SAMPLES}], not {args.kr}")
     working, config, meta = _query_working_set(args, cap=True)
     report = []
 
@@ -487,6 +490,9 @@ def main(argv=None) -> int:
         return 3
     except (RayvisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {args.command}: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

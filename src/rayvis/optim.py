@@ -17,12 +17,15 @@ A step's ray batch runs as fixed 128-ray chunks, in pixel order, on up to
 renders its rays, takes its share of the render and consistency losses and
 runs its own backward. Every backward returns ``(cells, rows)``: the flat
 cells of a parameter stack it touched and their summed (mu, sigma, w)
-gradient rows. The caller adds the chunks' losses in chunk order, and
-``map_grads`` adds each stack's rows in the same order and decodes them to
-the raw parameters once per step: once for the working set's stack and
-once for the pseudo query view's own map (own-hit rows, then depth rows).
-The chunking never depends on the thread count, so a step is bit-identical
-for every count.
+gradient rows. The caller adds the chunks' losses in chunk order. Then one
+task per reference map runs on the same streams: ``map_grads`` adds that
+map's rows in chunk order and decodes them to the raw parameters once (a
+working view cuts its slice of each chunk's rows; the pseudo query view
+takes its own-hit rows, then its depth rows), and ``_adam_update`` computes
+the map's Adam moments and new parameters into new arrays. Nothing is
+written until every task has finished and every map's gradient and update
+are finite. Neither the chunks nor the tasks depend on the thread count, so
+a step is bit-identical for every count.
 """
 
 from __future__ import annotations
@@ -38,13 +41,17 @@ from rayvis.camera import PinholeCamera
 from rayvis.errors import ConfigurationError, DimensionMismatchError, InputError, NumericalError
 from rayvis.imgio import atomic_write_bytes, atomic_writer, view_name
 from rayvis.raydist import (
+    MAX_COMPONENTS,
     DistributionMap,
     SIGMA_MIN_FRACTION,
     decode_arrays,
     decode_backward,
+    decode_stack,
     inv_softplus,
     logit,
-    mixture_cdf_param_grads,
+    mixture_cdf_grads,
+    mixture_cdf_param_grads,  # noqa: F401  (perfbench/tracing.py traces it under this name)
+    mixture_cdf_terms,
     rows_by_cell,
 )
 from rayvis.render import (
@@ -242,8 +249,8 @@ def init_from_depth(
     if not SIGMA_MIN_FRACTION < sigma_init < np.inf:
         raise InputError(f"sigma_init must be finite and exceed the scale floor "
                          f"{SIGMA_MIN_FRACTION}, not {sigma_init}")
-    if n_components < 1:
-        raise InputError(f"n_components must be at least 1, not {n_components}")
+    if not 1 <= n_components <= MAX_COMPONENTS:
+        raise InputError(f"n_components must be in [1, {MAX_COMPONENTS}], not {n_components}")
     near, far = depth.near, depth.far
     span = far - near
     u = np.clip((depth.values - near) / span, _DECODE_CLIP, 1.0 - _DECODE_CLIP)
@@ -256,6 +263,48 @@ def init_from_depth(
     return DistributionMap(view=view, params=params)
 
 
+def _adam_update(state: OptimState, key, p: np.ndarray, g: Optional[np.ndarray],
+                 lr: float, t: int):
+    """Map ``key``'s Adam update at step ``t``, as new arrays: its moments,
+    its new parameters and whether all three are finite. ``g`` None is a zero
+    gradient. Nothing is written, so maps may update concurrently. The
+    operations and their order are Adam's textbook ones,
+    ``m = b1·m + ((1-b1)·g)``, ``v = b2·v + ((1-b2)·g)·g`` and
+    ``p - lr·m̂ / (sqrt(v̂) + eps)``, through two reused temporaries."""
+    b1, b2 = state.betas
+    if g is None:
+        g = np.zeros_like(p)
+    m = np.multiply(state.m[key], b1) if key in state.m else np.zeros_like(p)
+    v = np.multiply(state.v[key], b2) if key in state.v else np.zeros_like(p)
+    tmp = np.multiply(g, 1 - b1)
+    m += tmp
+    np.multiply(g, 1 - b2, out=tmp)
+    tmp *= g
+    v += tmp
+    np.divide(m, 1 - b1**t, out=tmp)
+    tmp *= lr
+    den = np.divide(v, 1 - b2**t)
+    np.sqrt(den, out=den)
+    den += state.eps
+    tmp /= den
+    new = np.subtract(p, tmp, out=den)
+    finite = all(np.all(np.isfinite(a)) for a in (m, v, new))
+    return m, v, new, finite
+
+
+def _commit(state: OptimState, params: Dict[int, np.ndarray], updates, t: int) -> None:
+    """Write every map's update from :func:`_adam_update`, the parameters in
+    place, and step ``t``; or, if any update is not finite, raise
+    ``NumericalError`` naming the first such map and write nothing."""
+    for key, (_, _, _, finite) in updates.items():
+        if not finite:
+            raise NumericalError(f"step {t}: non-finite Adam update for map {key}")
+    for key, (m, v, new, _) in updates.items():
+        state.m[key], state.v[key] = m, v
+        params[key][...] = new
+    state.step = t
+
+
 def adam_step(
     state: OptimState,
     params: Dict[int, np.ndarray],
@@ -263,36 +312,20 @@ def adam_step(
 ) -> None:
     """One Adam update with bias correction, applied in place to ``params``.
 
-    Every map's new moments and parameters are computed first and written
-    only if all are finite; otherwise ``NumericalError`` is raised and the
-    maps, the moments and the step count are left as they were.
+    A map without an entry in ``grads`` gets a zero gradient. This is the
+    per-map update and the commit of ``train_step``, run map by map: every
+    map's new moments and parameters are computed first and written only if
+    all are finite; otherwise ``NumericalError`` is raised and the maps, the
+    moments and the step count are left as they were.
     """
-    lr = state.current_lr()
-    t = state.step + 1
-    b1, b2 = state.betas
+    lr, t = state.current_lr(), state.step + 1
     updates = {}
     for key, p in params.items():
         g = grads.get(key)
-        if g is None:
-            g = np.zeros_like(p)
-        if g.shape != p.shape:
+        if g is not None and g.shape != p.shape:
             raise DimensionMismatchError(f"gradient shape mismatch for map {key}")
-        m = state.m[key].copy() if key in state.m else np.zeros_like(p)
-        v = state.v[key].copy() if key in state.v else np.zeros_like(p)
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        m_hat = m / (1 - b1**t)
-        v_hat = v / (1 - b2**t)
-        step = lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        updates[key] = (m, v, step)
-        if not all(np.all(np.isfinite(a)) for a in (m, v, p - step)):
-            raise NumericalError(f"step {t}: non-finite Adam update for map {key}")
-    for key, (m, v, step) in updates.items():
-        state.m[key], state.v[key] = m, v
-        params[key] -= step
-    state.step = t
+        updates[key] = _adam_update(state, key, p, g, lr, t)
+    _commit(state, params, updates, t)
 
 
 @dataclass
@@ -320,18 +353,24 @@ def own_hit_probs(dmap: DistributionMap, zfac: np.ndarray, pixels: np.ndarray,
                   z: np.ndarray, widths: np.ndarray, near: float, far: float):
     """Hitting probabilities of the view's own rays over the sample bins.
 
-    ``z``/``widths`` are euclidean ray parameters of the pseudo query rays;
-    they convert to view depths through ``zfac``, the z factor of each
-    pixel's ray from ``PinholeCamera.rays_for_pixels``. Returns the
-    probabilities plus the (mu, sigma, w) derivatives the backward needs.
+    ``z``/``widths`` are (B, K) euclidean ray parameters of the pseudo query
+    rays; they convert to view depths through ``zfac``, the z factor of each
+    pixel's ray from ``PinholeCamera.rays_for_pixels``. Returns the (B, K)
+    probabilities plus the (mu, sigma, w) derivatives the backward needs,
+    component-major and sample-major like the mixture kernel's own arrays:
+    each (n, K, B), so the backward's sum over the samples runs along a
+    middle axis, one sample after another.
     """
-    z_view = z * zfac[:, None]
-    z_view_end = (z + widths) * zfac[:, None]
-    mixture = [a[:, None, :] for a in                       # (B, 1, n) each
-               decode_arrays(dmap.params[pixels[:, 0], pixels[:, 1]], near, far)]
-    t_a, dmu_a, dsig_a, dw_a = mixture_cdf_param_grads(*mixture, z_view)
-    t_b, dmu_b, dsig_b, dw_b = mixture_cdf_param_grads(*mixture, z_view_end)
-    return t_b - t_a, (dmu_b - dmu_a, dsig_b - dsig_a, dw_b - dw_a)
+    mu, sig, w = decode_stack(dmap.params[pixels[:, 0], pixels[:, 1]], near, far)[:, :, None]
+    z_start = np.multiply(z.T, zfac, order="C")                 # (K, B) view depths
+    z_end = np.add(z.T, widths.T, order="C")
+    z_end *= zfac
+    t_a, x, s = mixture_cdf_terms(mu, sig, w, z_start)
+    back = mixture_cdf_grads(sig, w, x, s)
+    t_b, x, s = mixture_cdf_terms(mu, sig, w, z_end)
+    for total, far_end in zip(back, mixture_cdf_grads(sig, w, x, s)):
+        np.subtract(far_end, total, out=total)
+    return np.ascontiguousarray((t_b - t_a).T), back
 
 
 def own_hit_probs_backward(dmap: DistributionMap, pixels: np.ndarray, back, g_h_tilde):
@@ -341,9 +380,9 @@ def own_hit_probs_backward(dmap: DistributionMap, pixels: np.ndarray, back, g_h_
     (mu, sigma, w) gradient over the rays at it, as :func:`map_grads` takes
     them. Nothing is decoded.
     """
-    gmu, gsig, gw = (np.sum(g_h_tilde[..., None] * d, axis=1) for d in back)
+    g = np.ascontiguousarray(g_h_tilde.T)
     return rows_by_cell(dmap.height * dmap.width, pixels[:, 0] * dmap.width + pixels[:, 1],
-                        (gmu.T, gsig.T, gw.T))
+                        [np.sum(g * d, axis=1) for d in back])
 
 
 def _draw_batch(rng: np.random.Generator, data: SceneData, config: TrainConfig):
@@ -376,13 +415,25 @@ def map_grads(params: np.ndarray, near: float, far: float, parts) -> np.ndarray:
                            stack[:, 2]).reshape(params.shape)
 
 
+def view_grad(working: WorkingSet, j: int, parts) -> np.ndarray:
+    """Raw-parameter gradient of working view ``j``, cut to its map's shape:
+    :func:`map_grads` of its (H, W, 3, n) grid of the working set's stack,
+    from each part's slice that falls in that grid. A part's cells strictly
+    increase, so two binary searches find its slice."""
+    size = working.params.shape[1] * working.params.shape[2]
+    own = []
+    for cells, rows in parts:
+        lo, hi = np.searchsorted(cells, (j * size, (j + 1) * size))
+        own.append((cells[lo:hi] - j * size, rows[lo:hi]))
+    g_raw = map_grads(working.params[j], working.near, working.far, own)
+    return g_raw[tuple(map(slice, working.views[j].dmap.params.shape))]
+
+
 def view_grads(working: WorkingSet, parts) -> Dict[int, np.ndarray]:
-    """Raw-parameter gradients of every working view: :func:`map_grads` of
-    the working set's (J, H, W, 3, n) stack, cut to each map's shape.
-    Returns ``{view_index: (H, W, 3, n) gradient}``."""
-    g_raw = map_grads(working.params, working.near, working.far, parts)
-    return {v.index: g_raw[j][tuple(map(slice, v.dmap.params.shape))]
-            for j, v in enumerate(working.views)}
+    """:func:`view_grad` of every working view: ``{view_index: (H, W, 3, n)
+    gradient}``. Each cell sums the same rows in the same order as one
+    decode of the whole (J, H, W, 3, n) stack would."""
+    return {v.index: view_grad(working, j, parts) for j, v in enumerate(working.views)}
 
 
 def train_step(
@@ -400,13 +451,18 @@ def train_step(
     backward, and its forward state is freed once its gradients are out. A
     chunk returns the (mu, sigma, w) gradient rows of the working-set cells
     it hit and of the query view's own pixels. The caller adds the loss
-    values in chunk order, and :func:`map_grads` adds the rows in chunk
-    order and decodes them once per stack: the working set's, and the query
-    map's, whose own-hit rows are followed by the ``lambda_depth``-weighted
-    rows of the depth loss. So the step is bit-identical for every thread
-    count. The depth loss, the finiteness check and the Adam step run once
-    per batch, so an error leaves the maps, the moments and the step count
-    as they were.
+    values in chunk order and takes the depth loss once per batch.
+
+    Then every reference map is one task on the same runner. A working view
+    sums its slice of each chunk's rows in chunk order and decodes them once
+    (:func:`view_grad`); the query map sums its own-hit rows, then the
+    ``lambda_depth``-weighted depth rows (:func:`map_grads`); any other map
+    has a zero gradient. The task checks the gradient for finiteness and
+    computes the map's Adam moments and new parameters into new arrays. So
+    the step is bit-identical for every thread count. Only once every task
+    has finished does one commit write the moments, the parameters (in
+    place) and the step count; a non-finite loss, gradient or update raises
+    ``NumericalError`` instead and leaves them all as they were.
     """
     refs = data.reference_indices()
     if len(refs) < 2:
@@ -462,7 +518,7 @@ def train_step(
 
     renders, consists, view_parts, own_parts = zip(*chunks)
     l_render, l_consist, l_depth = sum(renders), sum(consists), 0.0
-    grads = view_grads(working, [part for part in view_parts if part is not None])
+    view_parts = [part for part in view_parts if part is not None]
     # the query view is not in its working set: its own-hit rows, then the
     # weighted depth rows, make up its own stack
     own = [part for part in own_parts if part is not None]
@@ -470,15 +526,31 @@ def train_step(
         l_depth, (cells, rows) = depth_loss(data.maps[q], data.depths[q], pixels,
                                             data.near, data.far)
         own.append((cells, config.lambda_depth * rows))
-    if own:
-        grads[q] = map_grads(data.maps[q].params, data.near, data.far, own)
 
-    losses = (l_render, l_consist, l_depth)
-    if not (np.all(np.isfinite(losses)) and all(np.all(np.isfinite(g)) for g in grads.values())):
-        raise NumericalError(f"step {state.step + 1}: non-finite loss or gradient "
+    t = state.step + 1
+    failure = NumericalError(f"step {t}: non-finite loss or gradient "
                              f"(losses {l_render}, {l_consist}, {l_depth})")
+    if not np.all(np.isfinite((l_render, l_consist, l_depth))):
+        raise failure
+    slots = {v.index: j for j, v in enumerate(working.views)}
     params = {i: data.maps[i].params for i in refs}
-    adam_step(state, params, grads)
+    lr = state.current_lr()
+    updates = [None] * len(refs)        # stays None for a non-finite gradient
+
+    def run_map(r):
+        key = refs[r]
+        g = None
+        if key in slots:
+            g = view_grad(working, slots[key], view_parts)
+        elif key == q and own:
+            g = map_grads(params[q], data.near, data.far, own)
+        if g is None or np.all(np.isfinite(g)):
+            updates[r] = _adam_update(state, key, params[key], g, lr, t)
+
+    _run_streams(len(refs), run_map, rcfg.threads)
+    if any(update is None for update in updates):
+        raise failure
+    _commit(state, params, dict(zip(refs, updates)), t)
 
     total = (
         config.lambda_render * l_render

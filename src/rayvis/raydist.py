@@ -28,6 +28,9 @@ NRAY = (b"NRAY", "IIIII")  # magic; version, view, height, width, components
 NRAY_VERSION = 1
 SIGMA_MIN_FRACTION = 1e-4
 DEFAULT_N_COMPONENTS = 2
+# most mixture components per ray: each adds about 4 MB to a full render
+# chunk (8192 ray samples) with 8 working views
+MAX_COMPONENTS = 16
 # an occlusion CDF at or above this has saturated: nothing behind is visible
 _SATURATION = 1.0 - 1e-12
 
@@ -44,8 +47,8 @@ def sigmoid(x, out=None):
     return np.divide(1.0, out, out=out)
 
 
-def softplus(x):
-    return np.logaddexp(0.0, x)
+def softplus(x, out=None):
+    return np.logaddexp(0.0, x, out=out)
 
 
 def inv_softplus(y):
@@ -64,15 +67,19 @@ def _component_sum(x):
     return out
 
 
-def softmax(x):
-    """Softmax over the last axis, the components."""
+def softmax(x, out=None):
+    """Softmax over the last axis, the components, written through ``out``
+    (``out=x`` works in place)."""
     top = x[..., :1].copy()
     for i in range(1, x.shape[-1]):
         np.maximum(top, x[..., i:i + 1], out=top)
+    ex = np.subtract(x, top, out=out)
     # the clamp keeps extreme logit gaps from underflowing to an exact
     # zero weight, so decoding stays a total function
-    ex = np.exp(np.maximum(x - top, -700.0))
-    return ex / _component_sum(ex)
+    np.maximum(ex, -700.0, out=ex)
+    np.exp(ex, out=ex)
+    ex /= _component_sum(ex)
+    return ex
 
 
 def logit(p):
@@ -147,13 +154,32 @@ def decode(raw: RawRayParams, depth_range) -> MixtureOfLogistics:
     return MixtureOfLogistics(mu, sig, w)
 
 
-def decode_arrays(params: np.ndarray, near: float, far: float):
-    """Vectorized decode of raw parameters (..., 3, n) -> (mu, sigma, w)."""
+def decode_stack(params: np.ndarray, near: float, far: float, comps=None) -> np.ndarray:
+    """The one decode: raw parameters (..., 3, n) into a new contiguous
+    component-major array (3, n, ...) of mu, sigma and w, by component, then
+    by the leading axes of ``params``. Where ``comps``, which broadcasts
+    against (..., n), is False, the weight is exactly 0: a padded component
+    weighs nothing. The raw values are copied in once and decoded in place."""
     span = far - near
-    mu = near + span * sigmoid(params[..., 0, :])
-    sig = SIGMA_MIN_FRACTION * span + softplus(params[..., 1, :])
-    w = softmax(params[..., 2, :])
-    return mu, sig, w
+    out = np.empty((3, params.shape[-1]) + params.shape[:-2])
+    np.copyto(out, np.moveaxis(params, (-2, -1), (0, 1)))
+    mu, sig, w = out
+    sigmoid(mu, out=mu)
+    mu *= span
+    mu += near
+    softplus(sig, out=sig)
+    sig += SIGMA_MIN_FRACTION * span
+    w = np.moveaxis(w, 0, -1)
+    softmax(w, out=w)
+    if comps is not None:
+        w *= comps
+    return out
+
+
+def decode_arrays(params: np.ndarray, near: float, far: float):
+    """Vectorized decode of raw parameters (..., 3, n) -> (mu, sigma, w),
+    each (..., n): views of :func:`decode_stack`."""
+    return tuple(np.moveaxis(decode_stack(params, near, far), 1, -1))
 
 
 def decode_backward(params: np.ndarray, near: float, far: float, gmu, gsig, gw):
@@ -328,9 +354,10 @@ class DistributionMap:
 
     def __post_init__(self):
         self.params = np.asarray(self.params, dtype=np.float64)
-        if self.params.ndim != 4 or self.params.shape[2] != 3 or 0 in self.params.shape:
-            raise InputError("distribution map parameters must have shape (H, W, 3, n) "
-                             f"with H, W, n >= 1, not {self.params.shape}")
+        if (self.params.ndim != 4 or self.params.shape[2] != 3 or 0 in self.params.shape
+                or self.params.shape[3] > MAX_COMPONENTS):
+            raise InputError("distribution map parameters must have shape (H, W, 3, n) with "
+                             f"H, W, n >= 1 and n <= {MAX_COMPONENTS}, not {self.params.shape}")
 
     @property
     def height(self) -> int:

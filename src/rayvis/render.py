@@ -35,7 +35,8 @@ stream holds at most about 8 MB traced (each thread's malloc arena may keep
 some of what it freed). NumPy releases the GIL in the large kernels, so the
 streams overlap. Rays never interact, so the image and the counters are
 identical for every thread count. ``optim.train_step`` runs its fixed
-128-ray chunks on the same stream runner, ``_run_streams``.
+128-ray chunks, then one task per map, on the same stream runner,
+``_run_streams``.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ from rayvis.counters import counters
 from rayvis.errors import ConfigurationError, DimensionMismatchError, InputError
 from rayvis.raydist import (
     DistributionMap,
-    decode_arrays,
+    decode_arrays,  # noqa: F401  (perfbench/tracing.py traces it under this name)
+    decode_stack,
     interval_alpha,
     mixture_cdf,
     mixture_cdf_grads,
@@ -88,6 +90,9 @@ _CHUNK_RAYS = 128
 # glibc's trim threshold, so one stream stops re-faulting them; the coarse
 # passes of coarse-to-fine 32 + 8 keep 128-ray chunks
 _CHUNK_PAIRS = 8192
+# most samples per ray, k_coarse plus k_fine in coarse-to-fine mode: a
+# one-ray chunk then still keeps to the pair budget
+MAX_SAMPLES = _CHUNK_PAIRS
 # fine samples per task of a coarse-to-fine ``render_image`` (384 rays at
 # 32 + 8): the fine pass and its SH fits run once over a task, a third as
 # many small NumPy calls, each a GIL handoff, per ray as once per 128-ray chunk
@@ -117,7 +122,7 @@ class RenderConfig:
     threads: int = field(default_factory=usable_cpus)
 
     def __post_init__(self):
-        for name, low, high in (("k_coarse", 2, np.inf), ("k_fine", 0, np.inf),
+        for name, low, high in (("k_coarse", 2, MAX_SAMPLES), ("k_fine", 0, MAX_SAMPLES),
                                 ("n_working", 1, np.inf), ("threads", 1, np.inf),
                                 ("sh_degree", 0, MAX_DEGREE)):
             value = getattr(self, name)
@@ -128,6 +133,9 @@ class RenderConfig:
             object.__setattr__(self, name, int(value))
         if self.mode not in ("uniform", "coarse_to_fine"):
             raise ConfigurationError(f"unknown sampling mode '{self.mode}'")
+        if self.mode == "coarse_to_fine" and self.k_coarse + self.k_fine > MAX_SAMPLES:
+            raise ConfigurationError(f"k_coarse + k_fine must be at most {MAX_SAMPLES} samples "
+                                     f"per ray, not {self.k_coarse} + {self.k_fine}")
         penalties = tuple(float(p) for p in self.sh_penalties)
         if not all(0.0 <= p < np.inf for p in penalties):
             raise ConfigurationError("sh_penalties must be finite and nonnegative")
@@ -219,9 +227,7 @@ def select_working_views(
     chosen = [view for _, _, view in candidates[:n_working]]
     params = _padded([view.dmap.params for view in chosen], _PAD_LOGIT)
     comps = np.arange(params.shape[-1]) < np.array([[v.dmap.n_components] for v in chosen])
-    mu, sig, weights = (np.moveaxis(a, -1, 0) for a in decode_arrays(params, near, far))
-    decoded = np.empty((3,) + mu.shape)     # contiguous, so gathers need no copy of it
-    np.stack([mu, sig, np.where(comps.T[:, :, None, None], weights, 0.0)], out=decoded)
+    decoded = decode_stack(params, near, far, comps[:, None, None, :])
     cams = [view.camera for view in chosen]
     return WorkingSet(
         query_camera, chosen, float(near), float(far),
@@ -324,9 +330,8 @@ def _lookup(working: WorkingSet, points: np.ndarray, bilinear_params: bool):
     cell *= working.params.shape[2]
     cell += np.clip(np.floor(u).astype(np.int64), 0, w - 1)
     if bilinear_params:
-        mu, sig, wt = decode_arrays(_bilinear(working.params, view, h, w, u, v),
-                                    working.near, working.far)
-        mu, sig, wt = (np.moveaxis(a, -1, 0) for a in (mu, sig, np.where(working.comps, wt, 0.0)))
+        mu, sig, wt = decode_stack(_bilinear(working.params, view, h, w, u, v),
+                                   working.near, working.far, working.comps)
     else:
         mu, sig, wt = np.take(working.decoded, cell, axis=2)
     return mu, sig, wt, z, (u, v), valid, cell
@@ -534,8 +539,8 @@ def render_rays_backward(working: WorkingSet, state: ChunkState, config: RenderC
     increasing flat cells of the (J, H, W) stack that some sample hit, and
     each one's summed (mu, sigma, w) gradient, ``(len(cells), 3, n)``, with
     padded components zeroed. Nothing stack-sized is allocated and nothing
-    is decoded: ``optim.view_grads`` adds a step's rows and chains them to
-    the raw parameters once. Only the nearest-pixel lookup path is
+    is decoded: ``optim.view_grad`` adds a step's rows of one view and chains
+    them to the raw parameters once. Only the nearest-pixel lookup path is
     differentiable.
     """
     if config.bilinear_params:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import rayvis
-from rayvis import optim
+from rayvis import cli, optim
 from rayvis.cli import build_parser, main
 from rayvis.imgio import read_ppm, write_depth_map, write_ppm
 from rayvis.raydist import DistributionMap
@@ -496,6 +496,7 @@ _BAD_SETTINGS = [
     ("init", "--sigma-init", "inf", ["sigma_init"], 2),
     ("init", "--components", "-1", ["n_components"], 2),
     ("init", "--components", "0", ["n_components"], 2),
+    ("init", "--components", "17", ["n_components"], 2),
     ("optimize", "--checkpoint-interval", "-1", ["checkpoint_interval"], 2),
     ("optimize", "--eval-views", "nan", ["--eval-views"], 1),
     ("optimize", "--eval-views", "1.5", ["--eval-views"], 1),
@@ -504,23 +505,29 @@ _BAD_SETTINGS = [
     ("optimize", "--consist-flow", "both", ["--consist-flow"], 1),
     ("render", "--mode", "fast", ["--mode"], 1),
     ("render", "--k-fine", "-1", ["k_fine"], 2),
+    ("render", "--k-coarse", "8193", ["k_coarse"], 2),
+    ("render", "--k-fine", "8193", ["k_fine"], 2),
     ("render", "--sh-degree", "4", ["sh_degree"], 2),
     ("bench", "--kr", "-1", ["kr"], 2),
     ("bench", "--kr", "0", ["kr"], 2),
+    ("bench", "--kr", "8193", ["kr"], 2),
+    ("bench", "--k-coarse", "8193", ["k_coarse"], 2),
+    ("bench", "--k-fine", "8189", ["k_coarse + k_fine"], 2),
     ("bench", "--nw", "0", ["n_working"], 2),
     ("bench", "--k-uniform", "1", ["k_coarse"], 2),
+    ("bench", "--k-uniform", "8193", ["k_coarse"], 2),
     ("bench", "--threads", "1.5", ["--threads"], 1),
 ]
 
 
 def _refused(capsys, argv, out, code, words):
     """``main(argv)`` exits ``code`` with a message holding ``words``, without a
-    traceback and without writing a file under ``out``."""
+    traceback and without creating ``out``."""
     capsys.readouterr()
     assert main([str(arg) for arg in argv]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err and all(word in err for word in words), err
-    assert not [path for path in out.rglob("*") if path.is_file()]
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -567,6 +574,7 @@ class TestInputFaults:
         ("--lr", "-1", "learning_rate"), ("--k", "1", "k_coarse"), ("--nw", "0", "n_working"),
         ("--sh-degree", "7", "sh_degree"), ("--k-fine", "-1", "k_fine"),
         ("--steps", "-3", "steps"), ("--threads", "0", "threads"), ("--seed", "-1", "seed"),
+        ("--k", "8193", "k_coarse"), ("--k-fine", "8193", "k_fine"),
         ("--lambda-render", "nan", "lambda_render"), ("--lambda-consist", "nan", "lambda_consist"),
         ("--lambda-depth", "nan", "lambda_depth"), ("--lambda-depth", "inf", "lambda_depth"),
         ("--eval-interval", "-1", "eval_interval")])
@@ -585,6 +593,22 @@ class TestInputFaults:
         out = tmp_path / "out"
         _refused(capsys, [*_SETTING_COMMANDS[command](synth_dir, maps_dir, out), flag, value],
                  out, code, words)
+
+
+@pytest.mark.parametrize("command, owner, name", [
+    ("init", optim, "init_from_depth"), ("render", cli, "render_image"),
+    ("optimize", optim, "optimize_scene"), ("bench", cli, "render_image")])
+def test_out_of_memory_exits_2_naming_the_command(command, owner, name, synth_dir, maps_dir,
+                                                  tmp_path, capsys, monkeypatch):
+    """A MemoryError that escapes a command, as NumPy raises for an array the
+    host will not allocate, exits 2 with a message naming the command."""
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(owner, name, refuse)
+    out = tmp_path / "out"
+    _refused(capsys, _SETTING_COMMANDS[command](synth_dir, maps_dir, out), out, 2,
+             [f"error: {command}: out of memory", "7.28 TiB"])
 
 
 def _strict_json(text):

@@ -223,6 +223,16 @@ class TestInitFromDepth:
             init_from_depth(depth, 0.01, n_components)
 
 
+    def test_components_above_the_bound(self):
+        """17 components are refused before the (H, W, 3, n) map is allocated."""
+        depth = DepthMap(np.full((2, 2), 3.0), 1.0, 5.0, 4.0)
+        with pytest.raises(InputError, match=r"n_components must be in \[1, 16\], not 17"):
+            init_from_depth(depth, 0.01, 17)
+        assert init_from_depth(depth, 0.01, 16).n_components == 16
+        with pytest.raises(InputError, match="n <= 16"):
+            DistributionMap(0, np.zeros((2, 2, 3, 17)))
+
+
 class TestAdamStep:
     def test_first_step_magnitude(self):
         state = OptimState(learning_rate=1e-3)
@@ -404,9 +414,10 @@ class TestTrainStep:
     ], ids=["uniform", "coarse_to_fine", "symmetric_categorical"])
     def test_thread_count_invariant(self, overrides, monkeypatch):
         """Batch 300 is three 128-ray chunks, the last one short, on 1, 2 and
-        3 streams. Losses, maps, moments and counters must not depend on the
-        count. A short switch interval interleaves the streams often, so a
-        chunk lost, run twice or summed out of order would show."""
+        3 streams, then one task per map. Losses, maps, moments and counters
+        must not depend on the count. A short switch interval interleaves the
+        streams often, so a chunk or map lost, run twice or summed out of
+        order would show."""
         run_streams, streams = optim._run_streams, []
 
         def recording_run_streams(n_tasks, task, n_streams):
@@ -430,7 +441,9 @@ class TestTrainStep:
                              [getattr(after, f) - getattr(before, f) for f in vars(after)]))
         finally:
             sys.setswitchinterval(interval)
-        assert streams == [(3, threads) for threads in (1, 2, 3) for _ in range(3)]
+        n_maps = len(data.maps)
+        assert streams == [call for threads in (1, 2, 3) for _ in range(3)
+                           for call in ((3, threads), (n_maps, threads))]
         (reports, *arrays, counts), rest = runs[0], runs[1:]
         assert counts[0] > 0
         for other_reports, *other_arrays, other_counts in rest:
@@ -543,23 +556,25 @@ class TestViewGrads:
     @staticmethod
     def capture_step(monkeypatch, data, config):
         """Run one step; return its query view, the own-hit backward calls in
-        chunk order, the gradients Adam got and the maps it was given."""
-        calls, taken = [], {}
-        backward, adam = optim.own_hit_probs_backward, optim.adam_step
+        chunk order, and the gradient (None for none) and parameters that
+        each map's Adam update was given."""
+        calls, grads, params = [], {}, {}
+        backward, update = optim.own_hit_probs_backward, optim._adam_update
 
         def recording_backward(dmap, pixels, back, g_h_tilde):
             calls.append((pixels, back, g_h_tilde))
             return backward(dmap, pixels, back, g_h_tilde)
 
-        def recording_adam(state, params, grads):
-            taken.update(grads=dict(grads), params={i: p.copy() for i, p in params.items()})
-            adam(state, params, grads)
+        def recording_update(state, key, p, g, lr, t):
+            grads[key], params[key] = g, p.copy()
+            return update(state, key, p, g, lr, t)
 
         monkeypatch.setattr(optim, "own_hit_probs_backward", recording_backward)
-        monkeypatch.setattr(optim, "adam_step", recording_adam)
+        monkeypatch.setattr(optim, "_adam_update", recording_update)
         q = optim._draw_batch(np.random.default_rng(config.seed), data, config)[0]
         train_step(data, config, OptimState(), np.random.default_rng(config.seed))
-        return q, calls, taken["grads"], taken["params"]
+        assert grads.keys() == params.keys() == data.maps.keys()
+        return q, calls, grads, params
 
     @staticmethod
     def dense_decoded(params, near, far, pixels, gmu, gsig, gw):
@@ -582,8 +597,8 @@ class TestViewGrads:
         p, near, far = params[q], data.near, data.far
         want = None
         for pixels, back, g in calls:
-            own = self.dense_decoded(p, near, far, pixels,
-                                     *(np.sum(g[..., None] * d, axis=1) for d in back))
+            own = self.dense_decoded(p, near, far, pixels,    # back is (n, K, B)
+                                     *(np.sum(g.T * d, axis=1).T for d in back))
             want = own if want is None else want + own
         pixels = optim._draw_batch(np.random.default_rng(config.seed), data, config)[1]
         mu = decode_arrays(p[pixels[:, 0], pixels[:, 1]], near, far)[0]
@@ -599,7 +614,108 @@ class TestViewGrads:
                                                lambda_consist=0.0, threads=1)
         data.depths = None
         q, calls, grads, _ = self.capture_step(monkeypatch, data, config)
-        assert calls == [] and q not in grads and grads
+        assert calls == [] and grads[q] is None
+        assert any(g is not None for g in grads.values())
+
+
+class TestStepTail:
+    """After its chunks, a step runs one task per map on the stream runner:
+    the map's gradient, its finiteness and its Adam update. One commit then
+    writes every map, or nothing."""
+
+    @staticmethod
+    def snapshot(data, state):
+        return ({i: m.params.copy() for i, m in data.maps.items()},
+                {i: m.copy() for i, m in state.m.items()},
+                {i: v.copy() for i, v in state.v.items()}, state.step)
+
+    @staticmethod
+    def assert_same(got, want):
+        *got_arrays, got_step = got
+        *want_arrays, want_step = want
+        assert got_step == want_step
+        for one, other in zip(got_arrays, want_arrays):
+            assert one.keys() == other.keys()
+            assert all(np.array_equal(one[i], other[i], equal_nan=True) for i in one)
+
+    @staticmethod
+    def two_steps(threads, monkeypatch=None):
+        """Two steps of a 300-ray batch, so the second has moments to decay.
+        With ``monkeypatch``, the second step's working set and backward
+        outputs are recorded, in call order. Returns the data, the state, the
+        second step's query view, the state before that step and the records."""
+        data, config, state = TestTrainStep().make(seed=5, size=20, batch_size=300,
+                                                   threads=threads)
+        rng = np.random.default_rng(config.seed)
+        train_step(data, config, state, rng)
+        peek = np.random.default_rng()
+        peek.bit_generator.state = rng.bit_generator.state
+        q = optim._draw_batch(peek, data, config)[0]
+        before = TestStepTail.snapshot(data, state)
+        recorded = {name: [] for name in ("select_working_views", "render_rays_backward",
+                                          "own_hit_probs_backward", "depth_loss")}
+        for name, calls in recorded.items() if monkeypatch else ():
+            def record(*args, fn=getattr(optim, name), calls=calls, **kwargs):
+                calls.append(fn(*args, **kwargs))
+                return calls[-1]
+            monkeypatch.setattr(optim, name, record)
+        train_step(data, config, state, rng)
+        return data, config, state, q, before, recorded
+
+    def test_tail_equals_view_grads_and_adam_step(self, monkeypatch):
+        """The recorded parts of one step, summed by view_grads and map_grads
+        and applied by adam_step, give that step's maps and moments bit for
+        bit, on 1 and on 3 streams."""
+        data3, _, state3, _, _, _ = self.two_steps(3)
+        data, config, state, q, before, recorded = self.two_steps(1, monkeypatch)
+        (working,) = recorded["select_working_views"]
+        (_, (cells, rows)), = recorded["depth_loss"]
+        assert len(recorded["render_rays_backward"]) == len(recorded["own_hit_probs_backward"]) == 3
+        params, m, v, step = before
+        grads = view_grads(working, recorded["render_rays_backward"])
+        grads[q] = map_grads(params[q], data.near, data.far, recorded["own_hit_probs_backward"]
+                             + [(cells, config.lambda_depth * rows)])
+        reference = OptimState(m=dict(m), v=dict(v), step=step,
+                               learning_rate=config.learning_rate)
+        params = {i: p.copy() for i, p in params.items()}
+        adam_step(reference, params, grads)
+        want = (params, reference.m, reference.v, reference.step)
+        self.assert_same(self.snapshot(data, state), want)
+        self.assert_same(self.snapshot(data3, state3), want)
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("fault", ["working_view", "query_view", "update"])
+    def test_non_finite_map_task_writes_nothing(self, fault, threads, monkeypatch):
+        """A NaN that enters one map's task, through a working view's rows, the
+        query view's own-hit rows or two maps' Adam moments, raises the step's
+        message once every task is done, naming the first such map in view
+        order for an update. No map, moment or step count is written, and no
+        helper thread outlives the step."""
+        data, config, state = TestTrainStep().make(seed=7, size=20, batch_size=300,
+                                                   threads=threads)
+        rng = np.random.default_rng(config.seed)
+        train_step(data, config, state, rng)
+        refs = sorted(data.maps)
+        message = "non-finite loss or gradient"
+        if fault == "update":
+            for key in refs[1::2]:
+                state.m[key][0, 0, 0, 0] = np.nan
+            message = f"non-finite Adam update for map {refs[1]}$"
+        else:
+            name = "render_rays_backward" if fault == "working_view" else "own_hit_probs_backward"
+
+            def poisoned(*args, fn=getattr(optim, name)):
+                cells, rows = fn(*args)
+                rows[0, 0] = np.nan         # the mean row of the part's first cell
+                return cells, rows
+
+            monkeypatch.setattr(optim, name, poisoned)
+        before = self.snapshot(data, state)
+        running = threading.active_count()
+        with pytest.raises(NumericalError, match=message):
+            train_step(data, config, state, rng)
+        assert threading.active_count() == running
+        self.assert_same(self.snapshot(data, state), before)
 
 
 class TestTrainConfig:
@@ -636,6 +752,16 @@ class TestTrainConfig:
         with pytest.raises(ConfigurationError, match=f"{field} must be a whole number"):
             TrainConfig(**{name: value})
         assert type(getattr(TrainConfig(**{name: 3.0}).render_config(), field)) is int
+
+    def test_samples_per_ray_beyond_the_pair_budget(self):
+        """The render config bounds the samples per ray; no size allocates."""
+        with pytest.raises(ConfigurationError, match="k_coarse"):
+            TrainConfig(k_samples=10**12)
+        with pytest.raises(ConfigurationError, match="k_coarse"):
+            TrainConfig(k_samples=8193)
+        with pytest.raises(ConfigurationError, match=r"k_coarse \+ k_fine"):
+            TrainConfig(k_samples=8000, k_fine=193, sampling_mode="coarse_to_fine")
+        assert TrainConfig(k_samples=8192).render_config().k_coarse == 8192
 
     def test_threads_default_to_usable_cpus_and_reach_rendering(self):
         config = TrainConfig()
@@ -713,7 +839,8 @@ class TestOwnHitProbs:
         g_out = rng.normal(size=(3, 6))
         cells, rows = own_hit_probs_backward(dmap, pixels, back, g_out)
         assert np.array_equal(cells, [4 * 10 + 4, 5 * 10 + 2])
-        single = [own_hit_probs_backward(dmap, pixels[i:i + 1], [d[i:i + 1] for d in back],
+        # back is component-major, (n, K, B): ray i is the last axis's entry i
+        single = [own_hit_probs_backward(dmap, pixels[i:i + 1], [d[..., i:i + 1] for d in back],
                                          g_out[i:i + 1])[1][0] for i in range(3)]
         assert np.array_equal(rows[0], single[0] + single[2])
         assert np.array_equal(rows[1], single[1])

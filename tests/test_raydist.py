@@ -15,6 +15,7 @@ from rayvis.raydist import (
     decode,
     decode_arrays,
     decode_backward,
+    decode_stack,
     density_visibility_oracle,
     grad_cdf,
     hit_prob_interval,
@@ -141,6 +142,30 @@ class TestComponentSums:
             assert np.array_equal(ours, numpy_)
         assert np.array_equal(decode_backward(params, 1.0, 5.0, *grads),
                               self.numpy_decode_backward(params, 1.0, 5.0, *grads))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_decode_stack_is_decode_arrays_and_padding_weighs_zero(self, n):
+        """The component-major stack holds the decode bit for bit. Grids 1 and
+        2 pad their last component, as a working set pads a view with fewer
+        components: its weight is exactly 0, and the real weights equal the
+        softmax of the real logits alone."""
+        params = self.draw(n + 1)[0].reshape(4, 1000, 3, n + 1)
+        plain = decode_stack(params, 1.0, 5.0)
+        assert plain.shape == (3, n + 1, 4, 1000) and plain.flags.c_contiguous
+        for got, ours, numpy_ in zip(plain, decode_arrays(params, 1.0, 5.0),
+                                     self.numpy_decode(params, 1.0, 5.0)):
+            assert np.array_equal(got, np.moveaxis(ours, -1, 0))
+            assert np.array_equal(got, np.moveaxis(numpy_, -1, 0))
+        params[1:3, :, :, n] = -1e300
+        comps = np.ones((4, n + 1), dtype=bool)
+        comps[1:3, n] = False
+        padded = decode_stack(params, 1.0, 5.0, comps[:, None, :])
+        w = padded[2]
+        assert np.all(w[n, 1:3] == 0.0) and np.all(w[n, [0, 3]] > 0.0)
+        assert np.array_equal(padded[:2, :n], plain[:2, :n])
+        assert np.array_equal(w[:n, 1:3],
+                              np.moveaxis(self.numpy_softmax(params[1:3, :, 2, :n]), -1, 0))
+        assert np.array_equal(w[:, [0, 3]], plain[2][:, [0, 3]])
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_within_a_few_ulp_from_eight_components(self, n):

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -330,6 +331,22 @@ class TestRenderConfig:
     def test_counts_not_whole(self, name, value):
         with pytest.raises(ConfigurationError, match=f"{name} must be a whole number"):
             RenderConfig(**{name: value})
+
+    @pytest.mark.parametrize("overrides, words", [
+        (dict(k_coarse=8193), "k_coarse must be a whole number, in [2, 8192]"),
+        (dict(k_coarse=10**12), "k_coarse"),
+        (dict(k_fine=8193), "k_fine must be a whole number, in [0, 8192]"),
+        (dict(mode="coarse_to_fine", k_coarse=8000, k_fine=193), "k_coarse + k_fine"),
+    ], ids=["k_coarse", "k_coarse_huge", "k_fine", "coarse_plus_fine"])
+    def test_samples_per_ray_beyond_the_pair_budget(self, overrides, words):
+        """A ray takes at most 8192 samples, so that a one-ray chunk keeps to
+        the chunk's pair budget; the config refuses more before anything is
+        allocated."""
+        with pytest.raises(ConfigurationError, match=re.escape(words)):
+            RenderConfig(**overrides)
+        config = RenderConfig(mode="coarse_to_fine", k_coarse=8000, k_fine=192)
+        assert render._chunk_rays(config) == 1
+        assert RenderConfig(k_coarse=8192, k_fine=8192).k_fine == 8192   # unused in uniform mode
 
     def test_whole_float_counts_stored_as_ints(self):
         names = ("k_coarse", "k_fine", "n_working", "sh_degree")
