@@ -288,10 +288,10 @@ def cmd_optimize(args) -> int:
 
     # optimize_scene's checkpoints create the directory, after its checks
     out = Path(args.out_dir)
-    state = config.optim_state()
-    start_step = 0
+    state = optim.OptimState()
+    start_step, metrics = 0, []
     if args.resume:
-        start_step = optim.load_checkpoint(out, data, state)
+        start_step, metrics = optim.load_checkpoint(out, data, state)
         print(f"resuming from step {start_step}")
     state, _ = optim.optimize_scene(
         data,
@@ -301,6 +301,7 @@ def cmd_optimize(args) -> int:
         state=state,
         start_step=start_step,
         checkpoint_interval=args.checkpoint_interval,
+        metrics=metrics,
     )
     _write_manifest(out, args, [args.data_dir, args.init_dir],
                     [out / imgio.view_name(i, "nray") for i in sorted(data.maps)], start, config)

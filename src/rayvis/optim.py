@@ -10,7 +10,10 @@ losses with analytic gradients:
   renderer, which is how rendered geometry gets memorized into the maps;
 * depth: squared error of the first component mean against a depth map.
 
-The maps are the only trainable parameters; Adam updates them densely.
+The maps are the only trainable parameters; Adam updates them densely
+with the constants ``ADAM_BETAS`` and ``ADAM_EPS``, at ``TrainConfig.learning_rate``
+halved every ``LR_HALVE_EVERY`` steps. ``OptimState`` holds only what a run
+accumulates: each map's moments and the number of completed steps.
 
 A step's ray batch runs as fixed 128-ray chunks, in pixel order, on up to
 ``TrainConfig.threads`` streams (by default every usable CPU). Each chunk
@@ -83,6 +86,17 @@ class LossReport:
     total: float
 
 
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+LR_HALVE_EVERY = 100_000    # steps
+EPS_PROB = 1e-5             # the consistency loss's clamp of rendered probabilities
+
+# TrainConfig field -> the RenderConfig field it fills
+_RENDER_FIELDS = {"k_samples": "k_coarse", "k_fine": "k_fine", "sampling_mode": "mode",
+                  "n_working": "n_working", "background": "background",
+                  "sh_degree": "sh_degree", "threads": "threads"}
+
+
 @dataclass
 class TrainConfig:
     lambda_render: float = 1.0
@@ -91,13 +105,9 @@ class TrainConfig:
     batch_size: int = 512
     steps: int = 2000
     seed: int = 0
-    eps_prob: float = 1e-5
     n_working: int = 8
     k_samples: int = 64
     learning_rate: float = 1e-4
-    halve_every: int = 100_000
-    betas: tuple = (0.9, 0.999)
-    adam_eps: float = 1e-8
     sh_degree: int = 3
     background: tuple = (0.0, 0.0, 0.0)
     sampling_mode: str = "uniform"       # or "coarse_to_fine"
@@ -118,52 +128,36 @@ class TrainConfig:
             raise ConfigurationError("batch_size must be at least 1")
         if not (0.0 < self.learning_rate < np.inf):
             raise ConfigurationError("learning_rate must be finite and positive")
-        if not (0.0 < self.eps_prob < 0.5):
-            raise ConfigurationError("eps_prob must lie in (0, 0.5)")
         if self.consist_variant not in ("binary", "categorical"):
             raise ConfigurationError(f"unknown CE variant '{self.consist_variant}'")
         if self.consist_flow not in ("stop_h", "symmetric"):
             raise ConfigurationError(f"unknown gradient flow '{self.consist_flow}'")
-        # refuses the render settings, the sampling mode among them, before any
-        # step runs; stores threads as an int
-        self.threads = self.render_config().threads
+        # the render config checks the render settings before any step runs and
+        # stores threads as an int; its message names this config's fields
+        try:
+            self.threads = self.render_config().threads
+        except ConfigurationError as exc:
+            names, sep, rest = str(exc).partition(" must ")
+            mine = {theirs: mine for mine, theirs in _RENDER_FIELDS.items()}
+            names = " + ".join(mine.get(name, name) for name in names.split(" + "))
+            raise ConfigurationError(names + sep + rest) from None
 
     def render_config(self) -> RenderConfig:
-        return RenderConfig(
-            k_coarse=self.k_samples,
-            k_fine=self.k_fine,
-            mode=self.sampling_mode,
-            n_working=self.n_working,
-            background=self.background,
-            sh_degree=self.sh_degree,
-            threads=self.threads,
-        )
+        return RenderConfig(**{theirs: getattr(self, mine)
+                               for mine, theirs in _RENDER_FIELDS.items()})
 
-    def optim_state(self) -> "OptimState":
-        """A fresh optimizer state with this run's learning-rate schedule and Adam settings."""
-        return OptimState(
-            learning_rate=self.learning_rate,
-            halve_every=self.halve_every,
-            betas=self.betas,
-            eps=self.adam_eps,
-        )
+    def current_lr(self, step: int) -> float:
+        """The learning rate of the step after ``step`` completed steps."""
+        return self.learning_rate * 0.5 ** (step // LR_HALVE_EVERY)
 
 
 @dataclass
 class OptimState:
-    """Adam moments per map plus the step count and learning-rate schedule."""
+    """Adam moments per map and the number of completed steps."""
 
     m: Dict[int, np.ndarray] = field(default_factory=dict)
     v: Dict[int, np.ndarray] = field(default_factory=dict)
     step: int = 0
-    learning_rate: float = 1e-4
-    halve_every: int = 100_000
-    betas: tuple = (0.9, 0.999)
-    eps: float = 1e-8
-
-    def current_lr(self) -> float:
-        halvings = self.step // max(self.halve_every, 1)
-        return self.learning_rate * 0.5**halvings
 
 
 def render_loss(rendered: np.ndarray, ground_truth: np.ndarray):
@@ -176,7 +170,7 @@ def render_loss(rendered: np.ndarray, ground_truth: np.ndarray):
     return float(np.sum(diff**2)), 2.0 * diff
 
 
-def consistency_loss(h_tilde, h, eps_prob: float = 1e-5, variant: str = "binary"):
+def consistency_loss(h_tilde, h, eps_prob: float = EPS_PROB, variant: str = "binary"):
     """Cross entropy between a ray's own hitting probabilities and rendered ones.
 
     ``h_tilde`` acts as the target distribution taken from the ray's own
@@ -228,8 +222,8 @@ def depth_loss(dmap: DistributionMap, depth: DepthMap, pixels: np.ndarray,
     iy, ix = pixels[:, 0], pixels[:, 1]
     mu, _, _ = decode_arrays(dmap.params[iy, ix], near, far)
     diff = mu[:, 0] - values[iy, ix]
-    grad = np.zeros((len(pixels), 3, dmap.n_components))
-    grad[:, 0, 0] = 2.0 * diff
+    grad = np.zeros((3, dmap.n_components, len(pixels)))     # component-major
+    grad[0, 0] = 2.0 * diff
     return float(np.sum(diff**2)), rows_by_cell(values.size, iy * dmap.width + ix, grad)
 
 
@@ -270,8 +264,9 @@ def _adam_update(state: OptimState, key, p: np.ndarray, g: Optional[np.ndarray],
     gradient. Nothing is written, so maps may update concurrently. The
     operations and their order are Adam's textbook ones,
     ``m = b1·m + ((1-b1)·g)``, ``v = b2·v + ((1-b2)·g)·g`` and
-    ``p - lr·m̂ / (sqrt(v̂) + eps)``, through two reused temporaries."""
-    b1, b2 = state.betas
+    ``p - lr·m̂ / (sqrt(v̂) + eps)``, through two reused temporaries, with
+    ``ADAM_BETAS`` and ``ADAM_EPS``."""
+    b1, b2 = ADAM_BETAS
     if g is None:
         g = np.zeros_like(p)
     m = np.multiply(state.m[key], b1) if key in state.m else np.zeros_like(p)
@@ -285,7 +280,7 @@ def _adam_update(state: OptimState, key, p: np.ndarray, g: Optional[np.ndarray],
     tmp *= lr
     den = np.divide(v, 1 - b2**t)
     np.sqrt(den, out=den)
-    den += state.eps
+    den += ADAM_EPS
     tmp /= den
     new = np.subtract(p, tmp, out=den)
     finite = all(np.all(np.isfinite(a)) for a in (m, v, new))
@@ -305,12 +300,9 @@ def _commit(state: OptimState, params: Dict[int, np.ndarray], updates, t: int) -
     state.step = t
 
 
-def adam_step(
-    state: OptimState,
-    params: Dict[int, np.ndarray],
-    grads: Dict[int, np.ndarray],
-) -> None:
-    """One Adam update with bias correction, applied in place to ``params``.
+def adam_step(state: OptimState, params: Dict[int, np.ndarray], grads: Dict[int, np.ndarray],
+              lr: float) -> None:
+    """One bias-corrected Adam update at rate ``lr``, in place on ``params``.
 
     A map without an entry in ``grads`` gets a zero gradient. This is the
     per-map update and the commit of ``train_step``, run map by map: every
@@ -318,7 +310,7 @@ def adam_step(
     all are finite; otherwise ``NumericalError`` is raised and the maps, the
     moments and the step count are left as they were.
     """
-    lr, t = state.current_lr(), state.step + 1
+    t = state.step + 1
     updates = {}
     for key, p in params.items():
         g = grads.get(key)
@@ -429,13 +421,6 @@ def view_grad(working: WorkingSet, j: int, parts) -> np.ndarray:
     return g_raw[tuple(map(slice, working.views[j].dmap.params.shape))]
 
 
-def view_grads(working: WorkingSet, parts) -> Dict[int, np.ndarray]:
-    """:func:`view_grad` of every working view: ``{view_index: (H, W, 3, n)
-    gradient}``. Each cell sums the same rows in the same order as one
-    decode of the whole (J, H, W, 3, n) stack would."""
-    return {v.index: view_grad(working, j, parts) for j, v in enumerate(working.views)}
-
-
 def train_step(
     data: SceneData,
     config: TrainConfig,
@@ -498,7 +483,7 @@ def train_step(
                 data.maps[q], zfac[s][kept], px, fwd.z, fwd.widths, data.near, data.far
             )
             l_consist, g_tilde, g_h = consistency_loss(
-                h_tilde, fwd.h_hat, config.eps_prob, config.consist_variant
+                h_tilde, fwd.h_hat, variant=config.consist_variant
             )
             dc_o = config.lambda_render * g_render[kept]
             dh_extra = (
@@ -534,7 +519,7 @@ def train_step(
         raise failure
     slots = {v.index: j for j, v in enumerate(working.views)}
     params = {i: data.maps[i].params for i in refs}
-    lr = state.current_lr()
+    lr = config.current_lr(state.step)
     updates = [None] * len(refs)        # stays None for a non-finite gradient
 
     def run_map(r):
@@ -591,52 +576,51 @@ def optimize_scene(
     state: Optional[OptimState] = None,
     start_step: int = 0,
     checkpoint_interval: Optional[int] = None,
+    metrics=(),
 ):
-    """Run the training loop; returns (state, history of (step, report, psnr)).
+    """Run the training loop; returns (state, history of (report, psnr)).
 
     ``holdout`` maps view indices to (camera, image) pairs evaluated every
-    ``eval_interval`` steps. When ``out_dir`` is given, maps are
-    checkpointed there in the NRAY format along with a resumable state
-    file and a metrics CSV.
+    ``eval_interval`` steps, each adding a row to ``metrics``, the rows of
+    the ``start_step`` completed steps. When ``out_dir`` is given, each
+    checkpoint writes there by :func:`save_checkpoint`.
     """
     if checkpoint_interval is not None and checkpoint_interval < 0:
         raise ConfigurationError("checkpoint_interval must be nonnegative")
     if state is None:
-        state = config.optim_state()
+        state = OptimState()
     history = []
     rng = np.random.default_rng(config.seed)
     # replay the RNG stream consumed by completed steps so resume is exact
-    for _ in range(start_step):
+    for _ in range(min(start_step, config.steps)):
         _draw_batch(rng, data, config)
-    metrics_rows = []
+    metrics = list(metrics)
     for step in range(start_step, config.steps):
         report = train_step(data, config, state, rng)
         entry = None
         if config.eval_interval and (step + 1) % config.eval_interval == 0:
             entry = evaluate_holdout(data, holdout or {}, config)
+            metrics.append((report.step, report.render_loss, report.consistency_loss,
+                            report.depth_loss, entry))
         history.append((report, entry))
-        if entry is not None:
-            metrics_rows.append(
-                f"{report.step},{report.render_loss:.9g},{report.consistency_loss:.9g},"
-                f"{report.depth_loss:.9g},{entry:.6f}"
-            )
         if out_dir is not None and checkpoint_interval and (step + 1) % checkpoint_interval == 0:
-            save_checkpoint(out_dir, data, state)
+            save_checkpoint(out_dir, data, state, metrics)
     if out_dir is not None:
-        save_checkpoint(out_dir, data, state)
-        header = "step,render_loss,consist_loss,depth_loss,psnr"
-        atomic_write_bytes(Path(out_dir) / "metrics.csv",
-                           ("\n".join([header] + metrics_rows) + "\n").encode("utf-8"))
+        save_checkpoint(out_dir, data, state, metrics)
     return state, history
 
 
-def save_checkpoint(out_dir, data: SceneData, state: OptimState):
-    """Write NRAY maps plus an exact-resume state file, each atomically."""
+def save_checkpoint(out_dir, data: SceneData, state: OptimState, metrics=()):
+    """Write NRAY maps, an exact-resume state file and ``metrics.csv``, each
+    atomically. ``metrics`` holds (step, render, consistency, depth, psnr)
+    rows; the state file keeps them as an (n, 5) f64 array."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for idx in data.reference_indices():
         data.maps[idx].save(out / view_name(idx, "nray"))
     arrays = {"step": np.array(state.step)}
+    if metrics:
+        arrays["metrics"] = np.array(metrics, dtype=np.float64)
     for idx in data.reference_indices():
         arrays[f"params_{idx}"] = data.maps[idx].params
         if idx in state.m:
@@ -644,13 +628,19 @@ def save_checkpoint(out_dir, data: SceneData, state: OptimState):
             arrays[f"v_{idx}"] = state.v[idx]
     with atomic_writer(out / "state.npz") as f:
         np.savez(f, **arrays)
+    lines = ["step,render_loss,consist_loss,depth_loss,psnr"]
+    lines += [f"{int(step)},{render:.9g},{consist:.9g},{depth:.9g},{value:.6f}"
+              for step, render, consist, depth, value in metrics]
+    atomic_write_bytes(out / "metrics.csv", ("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def load_checkpoint(out_dir, data: SceneData, state: OptimState) -> int:
-    """Restore exact f64 parameters and moments; returns the completed step.
+def load_checkpoint(out_dir, data: SceneData, state: OptimState):
+    """Restore exact f64 parameters and moments; returns the completed step
+    and its metrics rows, as :func:`optimize_scene` takes them.
 
-    Every array is checked for its map's shape and for finiteness before
-    any map is written.
+    The step must be a whole number of at least 0. Every array is checked
+    for its map's shape and for finiteness, and the rows for their steps
+    (increasing, in [1, step]) and finite losses, before any map is written.
     """
     path = Path(out_dir) / "state.npz"
     if not path.exists():
@@ -658,9 +648,18 @@ def load_checkpoint(out_dir, data: SceneData, state: OptimState) -> int:
     try:
         with np.load(path) as blob:
             arrays = {key: blob[key] for key in blob.files}
-        step = int(arrays["step"])
+        step = arrays["step"]
+        step = float(step) if step.shape == () else np.nan
+        metrics = np.asarray(arrays.get("metrics", np.zeros((0, 5))), dtype=np.float64)
     except (OSError, EOFError, TypeError, ValueError, KeyError, zipfile.BadZipFile) as exc:
         raise InputError(f"{path}: unreadable checkpoint: {exc!r}") from None
+    if not (step >= 0 and step.is_integer()):
+        raise InputError(f"{path}: step must be a whole number >= 0, not {arrays['step']}")
+    steps = metrics[:, 0] if metrics.ndim == 2 and metrics.shape[1] == 5 else np.full(1, np.nan)
+    if not (np.all(steps == np.floor(steps)) and np.all(np.diff(steps) > 0)
+            and np.all((steps >= 1) & (steps <= step)) and np.all(np.isfinite(metrics[:, 1:4]))):
+        raise InputError(f"{path}: metrics must be (step, 3 finite losses, psnr) rows, "
+                         f"the steps whole and increasing in [1, {int(step)}]")
     restored = {}
     for idx in data.reference_indices():
         if f"params_{idx}" not in arrays:
@@ -679,5 +678,5 @@ def load_checkpoint(out_dir, data: SceneData, state: OptimState) -> int:
         data.maps[idx].params[...] = params
         if moments:
             state.m[idx], state.v[idx] = moments
-    state.step = step
-    return step
+    state.step = int(step)
+    return state.step, [(int(row[0]), *row[1:]) for row in metrics.tolist()]

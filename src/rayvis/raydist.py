@@ -306,8 +306,8 @@ def interval_alpha(t0, t1):
 
 def rows_by_cell(n_cells: int, cell, values):
     """Sum per-entry (3, n) rows by the flat cell in ``range(n_cells)`` each
-    entry names. ``values`` is (N, 3, n), or component-major: one (n, N)
-    block per parameter row, as the mixture gradients come. Returns
+    entry names. ``values`` is component-major, as the mixture gradients
+    come: one (n, N) block per parameter row, three in all. Returns
     ``(cells, rows)``: the strictly increasing cells named and their summed
     rows, (len(cells), 3, n). One ``np.bincount`` per (row, component)
     column: the same sums in the same order as ``np.add.at``, several times
@@ -317,8 +317,6 @@ def rows_by_cell(n_cells: int, cell, values):
     hit[cell] = True
     cells = np.flatnonzero(hit)
     rank = np.cumsum(hit)[cell] - 1     # each entry's row among ``cells``
-    if isinstance(values, np.ndarray):
-        values = values.transpose(1, 2, 0)
     rows = np.empty((len(cells), len(values), len(values[0])))
     for r, block in enumerate(values):
         for c, column in enumerate(block):

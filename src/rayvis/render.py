@@ -132,7 +132,7 @@ class RenderConfig:
                                          f"not {value}")
             object.__setattr__(self, name, int(value))
         if self.mode not in ("uniform", "coarse_to_fine"):
-            raise ConfigurationError(f"unknown sampling mode '{self.mode}'")
+            raise ConfigurationError(f"mode must be uniform or coarse_to_fine, not '{self.mode}'")
         if self.mode == "coarse_to_fine" and self.k_coarse + self.k_fine > MAX_SAMPLES:
             raise ConfigurationError(f"k_coarse + k_fine must be at most {MAX_SAMPLES} samples "
                                      f"per ray, not {self.k_coarse} + {self.k_fine}")

@@ -27,7 +27,7 @@ from rayvis.optim import (
     own_hit_probs_backward,
     render_loss,
     train_step,
-    view_grads,
+    view_grad,
 )
 from rayvis.raydist import (
     DensityProfile,
@@ -250,7 +250,8 @@ class TestCriterion2Gradients:
                     )
                     return float(np.sum(st.h_hat * u))
 
-            grads = view_grads(ws, [render_rays_backward(ws, state, config, dc_o, dh)])
+            parts = [render_rays_backward(ws, state, config, dc_o, dh)]
+            grads = {v.index: view_grad(ws, j, parts) for j, v in enumerate(ws.views)}
             base = objective()
             for view in views:
                 g = grads[view.index]
@@ -512,7 +513,7 @@ class TestCriterion6Optimization:
             lambda_render=1.0, lambda_consist=0.25, lambda_depth=0.1,
             learning_rate=2e-3, sh_degree=2, k_samples=48,
         )
-        state = OptimState(learning_rate=config.learning_rate)
+        state = OptimState()
         rng = np.random.default_rng(config.seed)
         init_psnr = evaluate_holdout(data, holdout, config, k_eval=64)
         consist = []
@@ -552,13 +553,13 @@ class TestCriterion6Optimization:
                                0.05, 2)
         pixels = np.array([[0, 0]])
         own_zfac = cam.rays_for_pixels(pixels[:, ::-1] + 0.5)[1]
-        state = OptimState(learning_rate=2e-2)
+        state = OptimState()
         for _ in range(200):
             h_tilde, back = own_hit_probs(dmap, own_zfac, pixels, z, widths, near, far)
             _, g_tilde, _ = consistency_loss(h_tilde, h_target)
             grad = map_grads(dmap.params, near, far,
                              [own_hit_probs_backward(dmap, pixels, back, g_tilde)])
-            adam_step(state, {0: dmap.params}, {0: grad})
+            adam_step(state, {0: dmap.params}, {0: grad}, 2e-2)
         h_tilde, _ = own_hit_probs(dmap, own_zfac, pixels, z, widths, near, far)
         tv = 0.5 * float(np.abs(h_tilde - h_target).sum())
         assert tv < 0.05

@@ -277,8 +277,10 @@ class TestOptimize:
         assert main(["optimize", *common, "--out", str(resumed), "--steps", "4"]) == 0
         assert main(["optimize", *common, "--out", str(resumed), "--steps", "8",
                      "--resume"]) == 0
-        for path in sorted(full.glob("view_*.nray")):
-            assert (resumed / path.name).read_bytes() == path.read_bytes()
+        # the resumed directory is the uninterrupted one, metrics rows included
+        assert tree_bytes(full, skip=("manifest.json",)) == tree_bytes(
+            resumed, skip=("manifest.json",))
+        assert len((resumed / "metrics.csv").read_text().splitlines()) == 3
 
     def test_metrics_csv_schema(self, synth_dir, maps_dir, tmp_path):
         out = tmp_path / "metrics_run"
@@ -445,6 +447,13 @@ _FAULTS = {
     "state.npz-bad_magic": (_STATE, _bad_magic, "resume", []),
     "state.npz-nan": (_STATE, _edit_state(lambda a: a["params_1"].fill(np.nan)), "resume",
                       ["non-finite"]),
+    "state.npz-negative_step": (
+        _STATE, _edit_state(lambda a: a.update(step=np.array(-1))), "resume", ["step"]),
+    "state.npz-fractional_step": (
+        _STATE, _edit_state(lambda a: a.update(step=np.array(0.5))), "resume", ["step"]),
+    "state.npz-metrics_after_step": (
+        _STATE, _edit_state(lambda a: a.update(metrics=np.array([[2.0, 1.0, 1.0, 1.0, 20.0]]))),
+        "resume", ["metrics"]),
     "state.npz-wrong_shape": (
         _STATE, _edit_state(lambda a: a.update(params_1=np.zeros((2, 2, 3, 2)))), "resume",
         ["params_1"]),
@@ -571,10 +580,10 @@ class TestInputFaults:
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--batch", "-5", "batch_size"), ("--batch", "0", "batch_size"),
-        ("--lr", "-1", "learning_rate"), ("--k", "1", "k_coarse"), ("--nw", "0", "n_working"),
+        ("--lr", "-1", "learning_rate"), ("--k", "1", "k_samples"), ("--nw", "0", "n_working"),
         ("--sh-degree", "7", "sh_degree"), ("--k-fine", "-1", "k_fine"),
         ("--steps", "-3", "steps"), ("--threads", "0", "threads"), ("--seed", "-1", "seed"),
-        ("--k", "8193", "k_coarse"), ("--k-fine", "8193", "k_fine"),
+        ("--k", "8193", "k_samples"), ("--k-fine", "8193", "k_fine"),
         ("--lambda-render", "nan", "lambda_render"), ("--lambda-consist", "nan", "lambda_consist"),
         ("--lambda-depth", "nan", "lambda_depth"), ("--lambda-depth", "inf", "lambda_depth"),
         ("--eval-interval", "-1", "eval_interval")])

@@ -22,7 +22,7 @@ from rayvis.optim import (
     own_hit_probs_backward,
     render_loss,
     train_step,
-    view_grads,
+    view_grad,
 )
 from rayvis.raydist import DistributionMap, decode, decode_arrays, decode_backward
 from rayvis.render import render_rays, render_rays_backward, select_working_views
@@ -235,16 +235,16 @@ class TestInitFromDepth:
 
 class TestAdamStep:
     def test_first_step_magnitude(self):
-        state = OptimState(learning_rate=1e-3)
+        state = OptimState()
         params = {0: np.array([1.0])}
-        adam_step(state, params, {0: np.array([1.0])})
+        adam_step(state, params, {0: np.array([1.0])}, 1e-3)
         assert params[0][0] == pytest.approx(1.0 - 1e-3, abs=1e-9)
 
     def test_zero_gradient_is_identity(self):
-        state = OptimState(learning_rate=1e-2)
+        state = OptimState()
         params = {0: np.array([1.0, -2.0])}
         for _ in range(10):
-            adam_step(state, params, {0: np.zeros(2)})
+            adam_step(state, params, {0: np.zeros(2)}, 1e-2)
         np.testing.assert_allclose(params[0], [1.0, -2.0], atol=0)
 
     def test_matches_independent_implementation(self):
@@ -254,10 +254,11 @@ class TestAdamStep:
         start = rng.normal(size=shape)
         grads = [rng.normal(size=shape) for _ in range(100)]
 
-        state = OptimState(learning_rate=3e-3, betas=(0.9, 0.999), eps=1e-8)
+        assert optim.ADAM_BETAS == (0.9, 0.999) and optim.ADAM_EPS == 1e-8
+        state = OptimState()
         params = {0: start.copy()}
         for g in grads:
-            adam_step(state, params, {0: g})
+            adam_step(state, params, {0: g}, 3e-3)
 
         theta = start.copy()
         m = np.zeros(shape)
@@ -271,40 +272,37 @@ class TestAdamStep:
         np.testing.assert_allclose(params[0], theta, atol=1e-10)
 
     def test_learning_rate_halving_schedule(self):
-        state = OptimState(learning_rate=1.0, halve_every=2)
-        params = {0: np.array([0.0])}
+        """Two steps either side of each of the first two halvings: a unit
+        gradient on unit moments moves a parameter by the step's learning rate."""
+        period = optim.LR_HALVE_EVERY
+        config = TrainConfig(learning_rate=1.0)
         deltas = []
-        prev = 0.0
-        for _ in range(6):
-            adam_step(state, params, {0: np.array([1.0])})
-            deltas.append(params[0][0] - prev)
-            prev = params[0][0]
-        # steps 1-2 at lr 1, steps 3-4 at lr 0.5, steps 5-6 at lr 0.25
-        assert abs(deltas[0]) == pytest.approx(1.0, rel=1e-6)
-        assert abs(deltas[2]) == pytest.approx(0.5, rel=0.02)
-        assert abs(deltas[4]) == pytest.approx(0.25, rel=0.02)
+        for start in (period - 2, 2 * period - 2):
+            state = OptimState(m={0: np.array([1.0])}, v={0: np.array([1.0])}, step=start)
+            params = {0: np.array([0.0])}
+            for _ in range(4):
+                prev = params[0][0]
+                adam_step(state, params, {0: np.array([1.0])}, config.current_lr(state.step))
+                deltas.append(prev - params[0][0])
+        # the steps before each halving at lr 1 and 0.5, the ones after at 0.5 and 0.25
+        np.testing.assert_allclose(deltas, [1, 1, 0.5, 0.5, 0.5, 0.5, 0.25, 0.25], rtol=1e-6)
+        assert config.current_lr(period - 1) == 1.0 and config.current_lr(period) == 0.5
 
     def test_shape_mismatch(self):
         state = OptimState()
         with pytest.raises(DimensionMismatchError):
-            adam_step(state, {0: np.zeros(3)}, {0: np.zeros(4)})
-
-    def test_reversed_betas_accepted(self):
-        state = OptimState(learning_rate=1e-3, betas=(0.999, 0.9))
-        params = {0: np.array([0.0])}
-        adam_step(state, params, {0: np.array([1.0])})
-        assert np.isfinite(params[0][0])
+            adam_step(state, {0: np.zeros(3)}, {0: np.zeros(4)}, 1e-3)
 
     def test_non_finite_update_writes_nothing(self):
-        state = OptimState(learning_rate=1e-3)
+        state = OptimState()
         params = {0: np.array([1.0, 2.0]), 1: np.array([3.0])}
-        adam_step(state, params, {0: np.array([0.5, -0.5]), 1: np.array([1.0])})
+        adam_step(state, params, {0: np.array([0.5, -0.5]), 1: np.array([1.0])}, 1e-3)
         before = ({k: p.copy() for k, p in params.items()},
                   {k: m.copy() for k, m in state.m.items()},
                   {k: v.copy() for k, v in state.v.items()})
         # map 0 would update finitely; map 1's infinite gradient must stop both
         with pytest.raises(NumericalError, match="map 1"), np.errstate(invalid="ignore"):
-            adam_step(state, params, {0: np.array([0.1, 0.2]), 1: np.array([np.inf])})
+            adam_step(state, params, {0: np.array([0.1, 0.2]), 1: np.array([np.inf])}, 1e-3)
         assert state.step == 1
         for now, then in zip((params, state.m, state.v), before):
             assert now.keys() == then.keys()
@@ -345,8 +343,7 @@ class TestTrainStep:
                         steps=10, seed=seed, background=(0.4, 0.4, 0.4))
         defaults.update(overrides)
         config = TrainConfig(**defaults)
-        state = OptimState(learning_rate=config.learning_rate)
-        return data, config, state
+        return data, config, OptimState()
 
     def test_deterministic_given_seed(self):
         reports = []
@@ -388,12 +385,23 @@ class TestTrainStep:
         for i in runs[0]:
             assert np.array_equal(runs[0][i], runs[1][i])
 
+    def test_first_step_moves_by_the_config_learning_rate(self):
+        """A fresh state trains at the config's rate: Adam's first step moves
+        every parameter with a gradient well above ADAM_EPS by that rate."""
+        data, config, state = self.make(learning_rate=2e-3)
+        before = {i: m.params.copy() for i, m in data.maps.items()}
+        train_step(data, config, state, np.random.default_rng(config.seed))
+        moves = np.concatenate([np.abs(data.maps[i].params - p).ravel()
+                                for i, p in before.items()])
+        assert state.step == 1
+        assert moves.max() == pytest.approx(2e-3, rel=1e-6)
+
     def test_zero_consist_weight_ignores_clamp_setting(self):
         """With the consistency weight at zero, knobs that only affect the
-        consistency term cannot change the resulting maps."""
+        consistency term, here its variant, cannot change the resulting maps."""
         runs = []
-        for eps_prob in (1e-5, 1e-2):
-            data, config, state = self.make(lambda_consist=0.0, eps_prob=eps_prob)
+        for variant in ("binary", "categorical"):
+            data, config, state = self.make(lambda_consist=0.0, consist_variant=variant)
             rng = np.random.default_rng(4)
             for _ in range(3):
                 train_step(data, config, state, rng)
@@ -545,7 +553,7 @@ class TestViewGrads:
             parts.append((cells, rows))
         assert sum(len(cells) for cells, _ in parts) > len(np.unique(
             np.concatenate([cells for cells, _ in parts])))    # the chunks share cells
-        got = view_grads(ws, parts)
+        got = {v.index: view_grad(ws, j, parts) for j, v in enumerate(ws.views)}
         want = self.per_chunk_decoded(ws, parts)
         assert got.keys() == want.keys() == {v.index for v in ws.views}
         for i, g in got.items():
@@ -663,7 +671,7 @@ class TestStepTail:
         return data, config, state, q, before, recorded
 
     def test_tail_equals_view_grads_and_adam_step(self, monkeypatch):
-        """The recorded parts of one step, summed by view_grads and map_grads
+        """The recorded parts of one step, summed by view_grad and map_grads
         and applied by adam_step, give that step's maps and moments bit for
         bit, on 1 and on 3 streams."""
         data3, _, state3, _, _, _ = self.two_steps(3)
@@ -672,13 +680,13 @@ class TestStepTail:
         (_, (cells, rows)), = recorded["depth_loss"]
         assert len(recorded["render_rays_backward"]) == len(recorded["own_hit_probs_backward"]) == 3
         params, m, v, step = before
-        grads = view_grads(working, recorded["render_rays_backward"])
+        grads = {v.index: view_grad(working, j, recorded["render_rays_backward"])
+                 for j, v in enumerate(working.views)}
         grads[q] = map_grads(params[q], data.near, data.far, recorded["own_hit_probs_backward"]
                              + [(cells, config.lambda_depth * rows)])
-        reference = OptimState(m=dict(m), v=dict(v), step=step,
-                               learning_rate=config.learning_rate)
+        reference = OptimState(m=dict(m), v=dict(v), step=step)
         params = {i: p.copy() for i, p in params.items()}
-        adam_step(reference, params, grads)
+        adam_step(reference, params, grads, config.current_lr(step))
         want = (params, reference.m, reference.v, reference.step)
         self.assert_same(self.snapshot(data, state), want)
         self.assert_same(self.snapshot(data3, state3), want)
@@ -749,17 +757,17 @@ class TestTrainConfig:
         ("k_samples", "k_coarse", 16.5), ("k_fine", "k_fine", 4.5),
         ("n_working", "n_working", 2.5), ("sh_degree", "sh_degree", 1.5)])
     def test_render_counts_not_whole(self, name, field, value):
-        with pytest.raises(ConfigurationError, match=f"{field} must be a whole number"):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be a whole number"):
             TrainConfig(**{name: value})
         assert type(getattr(TrainConfig(**{name: 3.0}).render_config(), field)) is int
 
     def test_samples_per_ray_beyond_the_pair_budget(self):
         """The render config bounds the samples per ray; no size allocates."""
-        with pytest.raises(ConfigurationError, match="k_coarse"):
+        with pytest.raises(ConfigurationError, match="^k_samples must"):
             TrainConfig(k_samples=10**12)
-        with pytest.raises(ConfigurationError, match="k_coarse"):
+        with pytest.raises(ConfigurationError, match="^k_samples must"):
             TrainConfig(k_samples=8193)
-        with pytest.raises(ConfigurationError, match=r"k_coarse \+ k_fine"):
+        with pytest.raises(ConfigurationError, match=r"^k_samples \+ k_fine must"):
             TrainConfig(k_samples=8000, k_fine=193, sampling_mode="coarse_to_fine")
         assert TrainConfig(k_samples=8192).render_config().k_coarse == 8192
 
@@ -871,14 +879,14 @@ class TestMemorization:
         )
         pixels = np.array([[0, 0]])
         own_zfac = camera.rays_for_pixels(pixels[:, ::-1] + 0.5)[1]
-        state = OptimState(learning_rate=2e-2)
+        state = OptimState()
         history = []
         for step in range(200):
             h_tilde, back = own_hit_probs(dmap, own_zfac, pixels, z, widths, near, far)
             value, g_tilde, _ = consistency_loss(h_tilde, h_target)
             grad = map_grads(dmap.params, near, far,
                              [own_hit_probs_backward(dmap, pixels, back, g_tilde)])
-            adam_step(state, {0: dmap.params}, {0: grad})
+            adam_step(state, {0: dmap.params}, {0: grad}, 2e-2)
             history.append(np.abs(h_tilde - h_target).mean())
         h_tilde, _ = own_hit_probs(dmap, own_zfac, pixels, z, widths, near, far)
         tv = 0.5 * np.abs(h_tilde - h_target).sum()
@@ -934,9 +942,9 @@ class TestOptimizeScene:
                                     out_dir=tmp_path / "ckpt")
         rng = np.random.default_rng(12)
         data_c, _ = tiny_training_data(rng, size=size)
-        state_c = OptimState(learning_rate=TrainConfig(**config_args).learning_rate)
-        start = load_checkpoint(tmp_path / "ckpt", data_c, state_c)
-        assert start == 3
+        state_c = OptimState()
+        start, metrics = load_checkpoint(tmp_path / "ckpt", data_c, state_c)
+        assert start == 3 and metrics == []
         state_c, _ = optimize_scene(data_c, TrainConfig(**config_args),
                                     state=state_c, start_step=start)
         assert state_c.step == state_a.step == 6
@@ -974,6 +982,45 @@ class TestOptimizeScene:
         for i in before:
             assert np.array_equal(before[i], fresh.maps[i].params)
         assert state.m == {} and state.step == 0
+
+    def test_resume_past_the_last_step_runs_nothing(self, tmp_path):
+        """A checkpoint's step beyond ``steps`` replays no batch draws."""
+        data, _ = tiny_training_data(np.random.default_rng(11))
+        config = TrainConfig(steps=2, batch_size=16, k_samples=8, n_working=3,
+                             sh_degree=1, eval_interval=0)
+        state, history = optimize_scene(data, config, state=OptimState(step=10**15),
+                                        start_step=10**15)
+        assert history == [] and state.step == 10**15
+
+    def test_interrupted_run_keeps_its_metrics_rows(self, tmp_path, monkeypatch):
+        """Every checkpoint writes metrics.csv and keeps its rows in state.npz,
+        so a run stopped after one resumes to the uninterrupted run's bytes."""
+        from rayvis.optim import load_checkpoint
+
+        config = TrainConfig(steps=4, batch_size=16, k_samples=8, n_working=3,
+                             sh_degree=1, seed=5, eval_interval=1)
+        data, _ = tiny_training_data(np.random.default_rng(12))
+        optimize_scene(data, config, out_dir=tmp_path / "full")
+        step = optim.train_step
+
+        def stop_after_three(data, config, state, rng):
+            if state.step == 3:
+                raise KeyboardInterrupt
+            return step(data, config, state, rng)
+
+        monkeypatch.setattr(optim, "train_step", stop_after_three)
+        data, _ = tiny_training_data(np.random.default_rng(12))
+        with pytest.raises(KeyboardInterrupt):
+            optimize_scene(data, config, out_dir=tmp_path / "cut", checkpoint_interval=2)
+        monkeypatch.undo()
+        assert len((tmp_path / "cut" / "metrics.csv").read_text().splitlines()) == 3
+        data, state = tiny_training_data(np.random.default_rng(12))[0], OptimState()
+        start, metrics = load_checkpoint(tmp_path / "cut", data, state)
+        assert start == 2 and [row[0] for row in metrics] == [1, 2]
+        optimize_scene(data, config, out_dir=tmp_path / "cut", state=state, start_step=start,
+                       metrics=metrics)
+        for path in sorted((tmp_path / "full").iterdir()):
+            assert (tmp_path / "cut" / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_losses_trend_down_with_gt_init(self):
         rng = np.random.default_rng(13)

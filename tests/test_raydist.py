@@ -433,13 +433,13 @@ class TestRowsByCell:
         want_cells = np.unique(cell)
         assert len(want_cells) == 33 and len(cell) > len(want_cells)
         component_major = tuple(values[:, r].T for r in range(3))   # (n, N) per row
-        for layout in (values, component_major):
+        for layout in (component_major, values.transpose(1, 2, 0)):
             cells, rows = rows_by_cell(35, cell, layout)
             assert np.array_equal(cells, want_cells)
             assert np.array_equal(rows, want[want_cells])
 
     def test_no_entries_give_no_rows(self):
-        cells, rows = rows_by_cell(12, np.zeros(0, dtype=np.int64), np.zeros((0, 3, 1)))
+        cells, rows = rows_by_cell(12, np.zeros(0, dtype=np.int64), np.zeros((3, 1, 0)))
         assert cells.shape == (0,) and rows.shape == (0, 3, 1)
 
 

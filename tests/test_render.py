@@ -10,7 +10,7 @@ from rayvis import render
 from rayvis.camera import PinholeCamera, generate_ray, look_at_camera
 from rayvis.counters import counters
 from rayvis.errors import ConfigurationError, DimensionMismatchError, InputError
-from rayvis.optim import init_from_depth, view_grads
+from rayvis.optim import init_from_depth, view_grad
 from rayvis.raydist import DistributionMap
 from rayvis.render import (
     RenderConfig,
@@ -405,7 +405,8 @@ class TestBackwardFiniteDifferences:
         ws = select_working_views(views, qcam, 8, 1.0, 5.0)
         state = render_rays(ws, origins, dirs, config, keep_state=True)
         assert state.sh.factors.ldl.shape[:2] == (9, 9)
-        grads = view_grads(ws, [render_rays_backward(ws, state, config, weights)])
+        parts = [render_rays_backward(ws, state, config, weights)]
+        grads = {v.index: view_grad(ws, j, parts) for j, v in enumerate(ws.views)}
         checked = 0
         for view in views:
             params, g = view.dmap.params, grads[view.index]
