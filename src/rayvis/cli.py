@@ -288,24 +288,24 @@ def cmd_optimize(args) -> int:
 
     # optimize_scene's checkpoints create the directory, after its checks
     out = Path(args.out_dir)
-    state = optim.OptimState()
-    start_step, metrics = 0, []
+    state, metrics = optim.OptimState(), []
     if args.resume:
-        start_step, metrics = optim.load_checkpoint(out, data, state)
-        print(f"resuming from step {start_step}")
+        metrics = optim.load_checkpoint(out, data, state, config)
+        print(f"resuming from step {state.step}")
+    resumed = state.step
     state, _ = optim.optimize_scene(
         data,
         config,
         holdout=holdout,
         out_dir=out,
         state=state,
-        start_step=start_step,
         checkpoint_interval=args.checkpoint_interval,
         metrics=metrics,
     )
     _write_manifest(out, args, [args.data_dir, args.init_dir],
                     [out / imgio.view_name(i, "nray") for i in sorted(data.maps)], start, config)
-    print(f"optimized {len(data.maps)} maps for {config.steps} steps -> {out}")
+    print(f"optimized {len(data.maps)} maps for {state.step - resumed} steps, "
+          f"to step {state.step} -> {out}")
     return 0
 
 

@@ -15,26 +15,28 @@ with the constants ``ADAM_BETAS`` and ``ADAM_EPS``, at ``TrainConfig.learning_ra
 halved every ``LR_HALVE_EVERY`` steps. ``OptimState`` holds only what a run
 accumulates: each map's moments and the number of completed steps.
 
-A step's ray batch runs as fixed 128-ray chunks, in pixel order, on up to
-``TrainConfig.threads`` streams (by default every usable CPU). Each chunk
-renders its rays, takes its share of the render and consistency losses and
-runs its own backward. Every backward returns ``(cells, rows)``: the flat
-cells of a parameter stack it touched and their summed (mu, sigma, w)
-gradient rows. The caller adds the chunks' losses in chunk order. Then one
-task per reference map runs on the same streams: ``map_grads`` adds that
-map's rows in chunk order and decodes them to the raw parameters once (a
-working view cuts its slice of each chunk's rows; the pseudo query view
-takes its own-hit rows, then its depth rows), and ``_adam_update`` computes
-the map's Adam moments and new parameters into new arrays. Nothing is
-written until every task has finished and every map's gradient and update
-are finite. Neither the chunks nor the tasks depend on the thread count, so
-a step is bit-identical for every count.
+A step's ray batch is cut, in pixel order, into the chunks of
+``render_image`` (at most 128 rays and 8192 (ray, sample) pairs), run on
+up to ``TrainConfig.threads`` streams. Each chunk renders its rays, takes
+its share of the render and consistency losses and runs its own backward.
+Every backward returns ``(cells, rows)``: the flat cells of a parameter
+stack it touched and their summed (mu, sigma, w) gradient rows. The caller
+adds the chunks' losses in chunk order. Then one task per reference map
+runs on the same streams: ``map_grads`` adds that map's rows in chunk
+order and decodes them to the raw parameters once (a working view cuts its
+slice of each chunk's rows; the pseudo query view takes its own-hit rows,
+then its depth rows), and ``_adam_update`` computes the map's Adam moments
+and new parameters into new arrays. Nothing is written until every task
+has finished and every map's gradient and update are finite. Neither the
+chunks nor the tasks depend on the thread count, so a step is
+bit-identical for every count.
 """
 
 from __future__ import annotations
 
+import json
 import zipfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -58,10 +60,10 @@ from rayvis.raydist import (
     rows_by_cell,
 )
 from rayvis.render import (
-    _CHUNK_RAYS,
     RenderConfig,
     RenderView,
     WorkingSet,
+    _chunk_rays,
     _run_streams,
     render_image,
     render_rays,
@@ -429,14 +431,15 @@ def train_step(
 ) -> LossReport:
     """One optimization step on a pseudo query view; deterministic per seed.
 
-    The batch is split, in pixel order, into chunks of 128 rays (the last one
-    may be shorter). Each chunk is one task on the stream runner of
-    ``render_image``, on up to ``config.threads`` streams: it renders its
-    rays, takes its share of the render and consistency losses and runs its
-    backward, and its forward state is freed once its gradients are out. A
-    chunk returns the (mu, sigma, w) gradient rows of the working-set cells
-    it hit and of the query view's own pixels. The caller adds the loss
-    values in chunk order and takes the depth loss once per batch.
+    The batch is split, in pixel order, into the chunks of ``render_image``
+    (``render._chunk_rays``). Each chunk is one task on its stream runner,
+    on up to ``config.threads`` streams: it renders its rays, takes its
+    share of the render and consistency losses and runs its backward (in
+    coarse-to-fine mode, through the rays with fine samples), and its
+    forward state is freed once its gradients are out. A chunk returns the
+    (mu, sigma, w) gradient rows of the working-set cells it hit and of the
+    query view's own pixels. The caller adds the loss values in chunk order
+    and takes the depth loss once per batch.
 
     Then every reference map is one task on the same runner. A working view
     sums its slice of each chunk's rows in chunk order and decodes them once
@@ -461,42 +464,32 @@ def train_step(
     )
     rcfg = config.render_config()
 
-    px_centers = pixels[:, ::-1].astype(np.float64) + 0.5
-    dirs, zfac = camera.rays_for_pixels(px_centers)
+    dirs, zfac = camera.rays_for_pixels(pixels[:, ::-1] + 0.5)
     origins = np.broadcast_to(camera.center, dirs.shape)
     gt = data.images[q][pixels[:, 0], pixels[:, 1]]
-    chunks = [None] * -(-len(pixels) // _CHUNK_RAYS)
+    size = _chunk_rays(rcfg)
+    chunks = [None] * -(-len(pixels) // size)
 
     def run_chunk(c):
-        s = slice(c * _CHUNK_RAYS, (c + 1) * _CHUNK_RAYS)
-        out = render_rays(working, origins[s], dirs[s], rcfg, keep_state=True)
-        if out.fine_keep is None:
-            fwd, kept = out, np.ones(len(out.colors_out), dtype=bool)
-        else:
-            # gradients flow only through the fine evaluations
-            fwd, kept = out.fine, out.fine_keep
-        l_render, g_render = render_loss(out.colors_out, gt[s])
+        s = slice(c * size, (c + 1) * size)
+        colors, fwd, kept = render_rays(working, origins[s], dirs[s], rcfg, keep_state=True)
+        l_render, g_render = render_loss(colors, gt[s])
         l_consist, rows, own = 0.0, None, None
         if fwd is not None:
             px = pixels[s][kept]
-            h_tilde, back = own_hit_probs(
-                data.maps[q], zfac[s][kept], px, fwd.z, fwd.widths, data.near, data.far
-            )
-            l_consist, g_tilde, g_h = consistency_loss(
-                h_tilde, fwd.h_hat, variant=config.consist_variant
-            )
+            h_tilde, back = own_hit_probs(data.maps[q], zfac[s][kept], px, fwd.z, fwd.widths,
+                                          data.near, data.far)
+            l_consist, g_tilde, g_h = consistency_loss(h_tilde, fwd.h_hat,
+                                                       variant=config.consist_variant)
             dc_o = config.lambda_render * g_render[kept]
-            dh_extra = (
-                config.lambda_consist * g_h if config.consist_flow == "symmetric" else None
-            )
+            dh_extra = config.lambda_consist * g_h if config.consist_flow == "symmetric" else None
             if config.lambda_render > 0 or dh_extra is not None:
                 if config.lambda_render == 0:
                     dc_o = np.zeros_like(dc_o)
                 rows = render_rays_backward(working, fwd, rcfg, dc_o, dh_extra)
             if config.lambda_consist > 0:
-                own = own_hit_probs_backward(
-                    data.maps[q], px, back, config.lambda_consist * g_tilde
-                )
+                own = own_hit_probs_backward(data.maps[q], px, back,
+                                             config.lambda_consist * g_tilde)
         chunks[c] = (l_render, l_consist, rows, own)
 
     _run_streams(len(chunks), run_chunk, rcfg.threads)
@@ -574,16 +567,16 @@ def optimize_scene(
     holdout: Optional[Dict[int, tuple]] = None,
     out_dir=None,
     state: Optional[OptimState] = None,
-    start_step: int = 0,
     checkpoint_interval: Optional[int] = None,
     metrics=(),
 ):
     """Run the training loop; returns (state, history of (report, psnr)).
 
-    ``holdout`` maps view indices to (camera, image) pairs evaluated every
-    ``eval_interval`` steps, each adding a row to ``metrics``, the rows of
-    the ``start_step`` completed steps. When ``out_dir`` is given, each
-    checkpoint writes there by :func:`save_checkpoint`.
+    The run goes on from ``state.step`` to ``config.steps``. ``holdout`` maps
+    view indices to (camera, image) pairs evaluated every ``eval_interval``
+    steps, each adding a row to ``metrics``, the rows of the completed
+    steps. When ``out_dir`` is given, each checkpoint writes there by
+    :func:`save_checkpoint`.
     """
     if checkpoint_interval is not None and checkpoint_interval < 0:
         raise ConfigurationError("checkpoint_interval must be nonnegative")
@@ -592,10 +585,10 @@ def optimize_scene(
     history = []
     rng = np.random.default_rng(config.seed)
     # replay the RNG stream consumed by completed steps so resume is exact
-    for _ in range(min(start_step, config.steps)):
+    for _ in range(min(state.step, config.steps)):
         _draw_batch(rng, data, config)
     metrics = list(metrics)
-    for step in range(start_step, config.steps):
+    for step in range(state.step, config.steps):
         report = train_step(data, config, state, rng)
         entry = None
         if config.eval_interval and (step + 1) % config.eval_interval == 0:
@@ -604,21 +597,28 @@ def optimize_scene(
                             report.depth_loss, entry))
         history.append((report, entry))
         if out_dir is not None and checkpoint_interval and (step + 1) % checkpoint_interval == 0:
-            save_checkpoint(out_dir, data, state, metrics)
+            save_checkpoint(out_dir, data, state, config, metrics)
     if out_dir is not None:
-        save_checkpoint(out_dir, data, state, metrics)
+        save_checkpoint(out_dir, data, state, config, metrics)
     return state, history
 
 
-def save_checkpoint(out_dir, data: SceneData, state: OptimState, metrics=()):
+def _settings(config: TrainConfig) -> dict:
+    """The fields a run resumes under, as read back from JSON: all but ``steps``
+    and ``threads``, the two that change neither a step nor a metrics row."""
+    return json.loads(json.dumps({f.name: getattr(config, f.name) for f in fields(config)
+                                  if f.name not in ("steps", "threads")}, default=float))
+
+
+def save_checkpoint(out_dir, data: SceneData, state: OptimState, config: TrainConfig, metrics=()):
     """Write NRAY maps, an exact-resume state file and ``metrics.csv``, each
-    atomically. ``metrics`` holds (step, render, consistency, depth, psnr)
-    rows; the state file keeps them as an (n, 5) f64 array."""
+    atomically. The state file keeps ``metrics``, (step, render, consistency,
+    depth, psnr) rows, as an (n, 5) f64 array, and the run's settings as JSON."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for idx in data.reference_indices():
         data.maps[idx].save(out / view_name(idx, "nray"))
-    arrays = {"step": np.array(state.step)}
+    arrays = {"step": np.array(state.step), "settings": np.array(json.dumps(_settings(config)))}
     if metrics:
         arrays["metrics"] = np.array(metrics, dtype=np.float64)
     for idx in data.reference_indices():
@@ -634,13 +634,14 @@ def save_checkpoint(out_dir, data: SceneData, state: OptimState, metrics=()):
     atomic_write_bytes(out / "metrics.csv", ("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def load_checkpoint(out_dir, data: SceneData, state: OptimState):
-    """Restore exact f64 parameters and moments; returns the completed step
-    and its metrics rows, as :func:`optimize_scene` takes them.
+def load_checkpoint(out_dir, data: SceneData, state: OptimState, config: TrainConfig):
+    """Restore exact f64 parameters, moments and step into ``data`` and
+    ``state``; returns the metrics rows, as :func:`optimize_scene` takes them.
 
-    The step must be a whole number of at least 0. Every array is checked
-    for its map's shape and for finiteness, and the rows for their steps
-    (increasing, in [1, step]) and finite losses, before any map is written.
+    The checkpoint must record ``config``'s settings (:func:`_settings`) and
+    a whole step of at least 0. Every array is checked for its map's shape
+    and for finiteness, and the rows for their steps (increasing, in
+    [1, step]) and finite losses, before any map is written.
     """
     path = Path(out_dir) / "state.npz"
     if not path.exists():
@@ -651,8 +652,14 @@ def load_checkpoint(out_dir, data: SceneData, state: OptimState):
         step = arrays["step"]
         step = float(step) if step.shape == () else np.nan
         metrics = np.asarray(arrays.get("metrics", np.zeros((0, 5))), dtype=np.float64)
+        saved = dict(json.loads(str(arrays["settings"])))
     except (OSError, EOFError, TypeError, ValueError, KeyError, zipfile.BadZipFile) as exc:
         raise InputError(f"{path}: unreadable checkpoint: {exc!r}") from None
+    mine = _settings(config)
+    for name in dict.fromkeys([*mine, *saved]):
+        if saved.get(name) != mine.get(name):
+            raise InputError(f"{path}: checkpoint was written with {name}={saved.get(name)!r}, "
+                             f"this run has {name}={mine.get(name)!r}")
     if not (step >= 0 and step.is_integer()):
         raise InputError(f"{path}: step must be a whole number >= 0, not {arrays['step']}")
     steps = metrics[:, 0] if metrics.ndim == 2 and metrics.shape[1] == 5 else np.full(1, np.nan)
@@ -679,4 +686,4 @@ def load_checkpoint(out_dir, data: SceneData, state: OptimState):
         if moments:
             state.m[idx], state.v[idx] = moments
     state.step = int(step)
-    return state.step, [(int(row[0]), *row[1:]) for row in metrics.tolist()]
+    return [(int(row[0]), *row[1:]) for row in metrics.tolist()]

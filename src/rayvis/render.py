@@ -34,9 +34,9 @@ the SH system in place; with 8 working views its traced peak is about
 stream holds at most about 8 MB traced (each thread's malloc arena may keep
 some of what it freed). NumPy releases the GIL in the large kernels, so the
 streams overlap. Rays never interact, so the image and the counters are
-identical for every thread count. ``optim.train_step`` runs its fixed
-128-ray chunks, then one task per map, on the same stream runner,
-``_run_streams``.
+identical for every thread count. ``optim.train_step`` cuts its batch by
+the same chunk rule and runs its chunks, then one task per map, on the
+same stream runner, ``_run_streams``, which starts at most 128 streams.
 """
 
 from __future__ import annotations
@@ -82,22 +82,22 @@ _FINE_WIDTH_CAP = 0.5
 # raw value of padded cells: as a weight logit it decodes to about 1e-305,
 # which leaves the real weights bit-exact, before being set to exactly 0
 _PAD_LOGIT = -1e300
-# most rays in one chunk of ``render_image`` and of ``optim.train_step``; a
-# training step's sums depend on it, and never on the thread count
+# most rays in one chunk (``_chunk_rays``) of ``render_image`` and of
+# ``optim.train_step``; a step's sums depend on it, never on the thread count
 _CHUNK_RAYS = 128
-# most (ray, sample) pairs in one chunk of ``render_image``, which sets each
-# stream's peak memory: uniform k=128 gets 64-ray chunks of ~8 MB, under
-# glibc's trim threshold, so one stream stops re-faulting them; the coarse
-# passes of coarse-to-fine 32 + 8 keep 128-ray chunks
+# most (ray, sample) pairs in one chunk, which sets each stream's peak
+# memory: uniform k=128 gets 64-ray chunks of ~8 MB, under glibc's trim
+# threshold, so one stream stops re-faulting them; the coarse passes of
+# coarse-to-fine 32 + 8 and the training chunks at k=48 keep 128 rays
 _CHUNK_PAIRS = 8192
 # most samples per ray, k_coarse plus k_fine in coarse-to-fine mode: a
-# one-ray chunk then still keeps to the pair budget
+# one-ray chunk, rendered or trained, then still keeps to the pair budget
 MAX_SAMPLES = _CHUNK_PAIRS
 # fine samples per task of a coarse-to-fine ``render_image`` (384 rays at
 # 32 + 8): the fine pass and its SH fits run once over a task, a third as
 # many small NumPy calls, each a GIL handoff, per ray as once per 128-ray chunk
 _FINE_PAIRS = 3072
-_MAX_STREAMS = 128      # most streams of ``render_image``, whatever ``threads`` is
+_MAX_STREAMS = 128      # most streams of ``_run_streams``, whatever it is asked for
 
 
 def usable_cpus() -> int:
@@ -363,8 +363,6 @@ class ChunkState:
     cell: Optional[np.ndarray] = None
     cdf_a: Optional[tuple] = None
     cdf_b: Optional[tuple] = None
-    fine_keep: Optional[np.ndarray] = None
-    fine: Optional["ChunkState"] = None
 
 
 def _chunk_forward(working: WorkingSet, origins, dirs, z, widths, config: RenderConfig,
@@ -481,14 +479,13 @@ def _chunk_rays(config: RenderConfig) -> int:
 
 def render_rays(working: WorkingSet, origins, dirs, config: RenderConfig,
                 keep_state: bool = False):
-    """Render a batch of rays; returns the final ChunkState (uniform or fine).
-
-    In coarse-to-fine mode the coarse pass runs in slices of one chunk of
-    ``render_image`` and the fine pass once over every kept ray. The
-    returned state covers every ray, ``fine_keep`` marks the rays that got
-    fine samples, and with ``keep_state=True`` ``fine`` holds the fine
-    pass's own state over those rays (None when no ray was kept). Sample
-    placement is constant w.r.t. the parameters.
+    """Render a batch of rays; returns ``(colors, state, kept)``: every ray's
+    composited color, and the ChunkState of the rays that ran the color pass
+    and their mask. Those are all rays in uniform mode; in coarse-to-fine
+    mode the coarse pass runs chunk by chunk, the rays with fine samples run
+    the fine pass, and the rest render as the background (``state`` is None
+    if none was kept). Gradients flow only through ``state``, which is what
+    :func:`render_rays_backward` takes; sample placement is constant.
     """
     origins = np.asarray(origins, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
@@ -497,10 +494,10 @@ def render_rays(working: WorkingSet, origins, dirs, config: RenderConfig,
     z = np.broadcast_to(working.near + step * np.arange(k), (n, k)).copy()
     widths = np.full((n, k), step)
     if config.mode == "uniform":
-        return _chunk_forward(working, origins, dirs, z, widths, config,
-                              keep_state=keep_state)
-    # coarse pass: alphas only, no color fits, in slices of one chunk of rays
-    # as ``render_image`` cuts them; each slice keeps only its hitting probabilities
+        state = _chunk_forward(working, origins, dirs, z, widths, config,
+                               keep_state=keep_state)
+        return state.colors_out, state, np.ones(n, dtype=bool)
+    # coarse pass, chunk by chunk: alphas only, no color fits; keep the hitting probabilities
     h_hat = np.empty((n, k))
     chunk = _chunk_rays(config)
     for start in range(0, n, chunk):
@@ -508,24 +505,13 @@ def render_rays(working: WorkingSet, origins, dirs, config: RenderConfig,
         h_hat[s] = _chunk_forward(working, origins[s], dirs[s], z[s], widths[s], config,
                                   with_colors=False).h_hat
     z_f, w_f, keep = _fine_depths(z, widths, h_hat, config.k_fine, working.far)
-    # rays without fine samples keep zero depths and alphas and the background
-    k = config.k_fine
-    background = np.asarray(config.background, dtype=np.float64)
-    state = ChunkState(
-        z=np.zeros((n, k)), widths=np.zeros((n, k)),
-        colors_out=np.broadcast_to(background, (n, 3)).copy(),
-        alpha_hat=np.zeros((n, k)), h_hat=np.zeros((n, k)),
-        sample_colors=np.broadcast_to(background, (n, k, 3)).copy(),
-        active=None, denom=None, fine_keep=keep,
-    )
-    if np.any(keep):
-        fine = _chunk_forward(working, origins[keep], dirs[keep], z_f, w_f, config,
-                              keep_state=keep_state)
-        for name in ("z", "widths", "colors_out", "alpha_hat", "h_hat", "sample_colors"):
-            getattr(state, name)[keep] = getattr(fine, name)
-        if keep_state:
-            state.fine = fine
-    return state
+    colors = np.broadcast_to(np.asarray(config.background, dtype=np.float64), (n, 3)).copy()
+    if not np.any(keep):
+        return colors, None, keep
+    fine = _chunk_forward(working, origins[keep], dirs[keep], z_f, w_f, config,
+                          keep_state=keep_state)
+    colors[keep] = fine.colors_out
+    return colors, fine, keep
 
 
 def render_rays_backward(working: WorkingSet, state: ChunkState, config: RenderConfig,
@@ -533,15 +519,14 @@ def render_rays_backward(working: WorkingSet, state: ChunkState, config: RenderC
     """Pull output-color (and optional hitting-probability) gradients back
     to the decoded (mu, sigma, w) parameters of the working set's stack.
 
-    ``state`` must come from a :func:`render_rays` call with
-    ``keep_state=True``: the returned state in uniform mode, its ``fine``
-    state in coarse-to-fine mode. Returns ``(cells, rows)``: the strictly
-    increasing flat cells of the (J, H, W) stack that some sample hit, and
-    each one's summed (mu, sigma, w) gradient, ``(len(cells), 3, n)``, with
-    padded components zeroed. Nothing stack-sized is allocated and nothing
-    is decoded: ``optim.view_grad`` adds a step's rows of one view and chains
-    them to the raw parameters once. Only the nearest-pixel lookup path is
-    differentiable.
+    ``state`` is one of :func:`render_rays`, recorded with
+    ``keep_state=True``, and ``dc_o`` and ``dh_extra`` cover its rays.
+    Returns ``(cells, rows)``: the strictly increasing flat cells of the
+    (J, H, W) stack that some sample hit, and each one's summed (mu, sigma,
+    w) gradient, ``(len(cells), 3, n)``, with padded components zeroed.
+    Nothing stack-sized is allocated and nothing is decoded:
+    ``optim.view_grad`` adds a step's rows of one view and chains them to
+    the raw parameters once. Only nearest-pixel lookups are differentiable.
     """
     if config.bilinear_params:
         raise ConfigurationError("gradients require nearest-pixel parameter lookups")
@@ -619,9 +604,9 @@ def render_rays_backward(working: WorkingSet, state: ChunkState, config: RenderC
 def _run_streams(n_tasks: int, task, streams: int) -> None:
     """Call ``task(i)`` for every ``i`` in ``range(n_tasks)`` on ``streams`` streams.
 
-    The caller and up to ``streams - 1`` helper threads pull the next index
-    from one shared queue, so which stream runs a task is left to timing:
-    tasks must write disjoint outputs. The first error raised in any stream
+    The caller and up to ``min(streams, n_tasks, 128) - 1`` helper threads
+    pull the next index from one shared queue, so which stream runs a task
+    is left to timing: tasks must write disjoint outputs. The first error raised in any stream
     stops the queue and is re-raised once all streams have stopped.
     """
     indices = iter(range(n_tasks))
@@ -641,7 +626,8 @@ def _run_streams(n_tasks: int, task, streams: int) -> None:
                     errors.append(exc)
                 return
 
-    helpers = [threading.Thread(target=drain) for _ in range(min(streams, n_tasks) - 1)]
+    helpers = [threading.Thread(target=drain)
+               for _ in range(min(streams, n_tasks, _MAX_STREAMS) - 1)]
     for helper in helpers:
         helper.start()
     drain()
@@ -660,7 +646,7 @@ def render_image(working: WorkingSet, config: RenderConfig) -> np.ndarray:
     whose coarse pass ``render_rays`` runs chunk by chunk. Neither depends
     on the thread count, so memory in flight grows with the streams.
     ``T = min(config.threads, tasks, 128)`` streams share one queue of the
-    tasks (see ``_run_streams``): the caller and ``T - 1`` helper threads
+    tasks (``_run_streams``): the caller and ``T - 1`` helper threads
     each pull the next task, render it and write its rows. Every ray is
     rendered on its own, so the image and the counters are bit-identical
     for every thread count.
@@ -678,18 +664,22 @@ def render_image(working: WorkingSet, config: RenderConfig) -> np.ndarray:
 
     def render_task(i):
         s = slice(i * task, (i + 1) * task)
-        out[s] = render_rays(working, origins[s], dirs[s], config).colors_out
+        out[s] = render_rays(working, origins[s], dirs[s], config)[0]
 
-    _run_streams(tasks, render_task, min(config.threads, tasks, _MAX_STREAMS))
+    _run_streams(tasks, render_task, config.threads)
     return np.clip(out.reshape(cam.height, cam.width, 3), 0.0, 1.0)
 
 
 def render_pixel(working: WorkingSet, ray: Ray, config: RenderConfig):
     """Render a single query ray; returns (color, SampleSet)."""
-    state = render_rays(working, ray.origin[None, :], ray.direction[None, :], config)
-    samples = SampleSet(state.z[0], state.widths[0], state.alpha_hat[0], state.h_hat[0],
-                        state.sample_colors[0])
-    return np.clip(state.colors_out[0], 0.0, 1.0), samples
+    colors, state, kept = render_rays(working, ray.origin[None], ray.direction[None], config)
+    if kept[0]:
+        samples = SampleSet(state.z[0], state.widths[0], state.alpha_hat[0], state.h_hat[0],
+                            state.sample_colors[0])
+    else:   # a coarse-to-fine ray without fine samples: zero alphas, background colors
+        samples = SampleSet(*np.zeros((4, config.k_fine)),
+                            np.zeros((config.k_fine, 3)) + config.background)
+    return np.clip(colors[0], 0.0, 1.0), samples
 
 
 def hitting_probs(alphas) -> np.ndarray:

@@ -223,28 +223,28 @@ class TestCriterion2Gradients:
             px = crng.uniform(1.5, 4.5, size=(2, 2))
             dirs, _ = qcam.rays_for_pixels(px)
             origins = np.broadcast_to(qcam.center, dirs.shape)
-            state = render_rays(ws, origins, dirs, config, keep_state=True)
+            colors, state, _ = render_rays(ws, origins, dirs, config, keep_state=True)
             gt = crng.uniform(0, 1, size=(2, 3))
             if case % 2 == 0:
                 # render-loss objective exercises c_o and the color chain
-                value, g = render_loss(state.colors_out, gt)
+                value, g = render_loss(colors, gt)
                 dc_o, dh = g, None
 
                 def objective():
-                    st = render_rays(
+                    rendered, _, _ = render_rays(
                         select_working_views(views, qcam, 3, 1.0, 5.0),
                         origins, dirs, config,
                     )
-                    return render_loss(st.colors_out, gt)[0]
+                    return render_loss(rendered, gt)[0]
             else:
                 # a random linear functional of the hitting probabilities
                 # exercises the alpha blending chain in isolation
                 u = crng.normal(size=state.h_hat.shape)
-                dc_o = np.zeros_like(state.colors_out)
+                dc_o = np.zeros_like(colors)
                 dh = u
 
                 def objective():
-                    st = render_rays(
+                    _, st, _ = render_rays(
                         select_working_views(views, qcam, 3, 1.0, 5.0),
                         origins, dirs, config,
                     )

@@ -282,6 +282,44 @@ class TestOptimize:
             resumed, skip=("manifest.json",))
         assert len((resumed / "metrics.csv").read_text().splitlines()) == 3
 
+    def test_resume_at_the_target_runs_nothing(self, synth_dir, maps_dir, tmp_path, capsys):
+        """``--resume --steps 1`` from a step-2 checkpoint runs no step and
+        says so, and ``state.npz`` stays at step 2."""
+        out = tmp_path / "run"
+        common = ["optimize", "--data", str(synth_dir), "--init", str(maps_dir),
+                  "--out", str(out), "--batch", "16", "--k", "8", "--nw", "3",
+                  "--sh-degree", "1", "--eval-interval", "0"]
+        capsys.readouterr()
+        assert main([*common, "--steps", "2"]) == 0
+        assert "for 2 steps, to step 2 ->" in capsys.readouterr().out
+        assert main([*common, "--steps", "1", "--resume"]) == 0
+        assert "for 0 steps, to step 2 ->" in capsys.readouterr().out
+        with np.load(out / "state.npz") as blob:
+            assert int(blob["step"]) == 2
+
+    def test_resume_refuses_other_settings(self, synth_dir, maps_dir, tmp_path, capsys):
+        """A checkpoint resumes only under the settings that wrote it, the
+        step count and the thread count aside: another batch, ``--k`` and
+        seed exit 2 naming the first field that differs and write nothing,
+        while another thread count resumes to the bytes of a straight run."""
+        common = ["optimize", "--data", str(synth_dir), "--init", str(maps_dir),
+                  "--nw", "3", "--sh-degree", "1", "--eval-interval", "0"]
+        first = ["--batch", "64", "--k", "16", "--seed", "0"]
+        out = tmp_path / "run"
+        assert main([*common, *first, "--out", str(out), "--steps", "2", "--threads", "1"]) == 0
+        before = tree_bytes(out)
+        capsys.readouterr()
+        assert main([*common, "--out", str(out), "--steps", "4", "--batch", "128", "--k", "24",
+                     "--seed", "5", "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "batch_size=64" in err and "batch_size=128" in err
+        assert tree_bytes(out) == before
+        assert main([*common, *first, "--out", str(out), "--steps", "3", "--threads", "2",
+                     "--resume"]) == 0
+        straight = tmp_path / "straight"
+        assert main([*common, *first, "--out", str(straight), "--steps", "3"]) == 0
+        assert tree_bytes(out) == tree_bytes(straight)
+
     def test_metrics_csv_schema(self, synth_dir, maps_dir, tmp_path):
         out = tmp_path / "metrics_run"
         assert main([
@@ -454,6 +492,8 @@ _FAULTS = {
     "state.npz-metrics_after_step": (
         _STATE, _edit_state(lambda a: a.update(metrics=np.array([[2.0, 1.0, 1.0, 1.0, 20.0]]))),
         "resume", ["metrics"]),
+    "state.npz-no_settings": (
+        _STATE, _edit_state(lambda a: a.pop("settings")), "resume", ["settings"]),
     "state.npz-wrong_shape": (
         _STATE, _edit_state(lambda a: a.update(params_1=np.zeros((2, 2, 3, 2)))), "resume",
         ["params_1"]),

@@ -460,6 +460,64 @@ class TestTrainStep:
                 assert one.keys() == other.keys()
                 assert all(np.array_equal(one[i], other[i]) for i in one)
 
+    @pytest.mark.parametrize("overrides", [
+        dict(k_samples=96),
+        dict(k_samples=80, sampling_mode="coarse_to_fine", k_fine=16),
+    ], ids=["uniform-96", "coarse_to_fine-80+16"])
+    def test_chunks_follow_the_render_chunk_rule(self, overrides, monkeypatch):
+        """A step cuts its batch as ``render_image`` cuts an image: at most 128
+        rays and 8192 (ray, sample) pairs per chunk. At 96 samples per ray a
+        300-ray batch is chunks of 85, 85, 85 and 45 rays, and the step is
+        bit-identical on 1 and 2 threads."""
+        real, sizes = optim.render_rays, []
+
+        def recording_render_rays(working, origins, *args, **kwargs):
+            sizes.append(len(origins))
+            return real(working, origins, *args, **kwargs)
+
+        monkeypatch.setattr(optim, "render_rays", recording_render_rays)
+        runs = []
+        for threads in (1, 2):
+            data, config, state = self.make(seed=7, size=20, batch_size=300,
+                                            threads=threads, **overrides)
+            rng = np.random.default_rng(config.seed)
+            reports = [train_step(data, config, state, rng) for _ in range(2)]
+            runs.append((reports, {i: m.params for i, m in data.maps.items()},
+                         state.m, state.v))
+        assert sorted(sizes) == sorted([85, 85, 85, 45] * 4)
+        (reports, *arrays), (other_reports, *other_arrays) = runs
+        assert reports == other_reports
+        for one, other in zip(arrays, other_arrays):
+            assert one.keys() == other.keys()
+            assert all(np.array_equal(one[i], other[i]) for i in one)
+
+    def test_large_k_step_keeps_to_the_pair_budget(self):
+        """At ``k_samples=1024`` a 128-ray step on the 32 x 32 two-sphere ring
+        renders 8-ray chunks of 8192 (ray, sample) pairs, so its traced peak
+        on one thread stays under 40 MB: 22 MB measured with Python 3.11 and
+        NumPy 2.4, against 291 MB when every training chunk held 128 rays."""
+        import tracemalloc
+
+        from rayvis.scene import render_ground_truth
+        from rayvis.scenes import two_spheres
+
+        ring = two_spheres(width=32, height=32)
+        images, depths, maps = {}, {}, {}
+        for i, cam in enumerate(ring.cameras):
+            images[i], depths[i] = render_ground_truth(ring, cam)
+            maps[i] = init_from_depth(depths[i], 0.005, 2, view=i)
+        data = SceneData(dict(enumerate(ring.cameras)), images, maps, depths,
+                         ring.near, ring.far)
+        config = TrainConfig(batch_size=128, k_samples=1024, threads=1,
+                             background=tuple(ring.background))
+        tracemalloc.start()
+        try:
+            train_step(data, config, OptimState(), np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
     def test_negative_checkpoint_interval_refused_before_any_write(self, tmp_path):
         data, _ = tiny_training_data(np.random.default_rng(11))
         config = TrainConfig(steps=2, batch_size=16, k_samples=8, n_working=3,
@@ -543,8 +601,7 @@ class TestViewGrads:
         parts = []
         for c in range(3):
             s = slice(c * 128, (c + 1) * 128)
-            out = render_rays(ws, origins[s], dirs[s], rcfg, keep_state=True)
-            fwd = out if out.fine_keep is None else out.fine
+            _, fwd, _ = render_rays(ws, origins[s], dirs[s], rcfg, keep_state=True)
             n = len(fwd.z)
             cells, rows = render_rays_backward(ws, fwd, rcfg, rng.normal(size=(n, 3)),
                                                rng.normal(size=fwd.h_hat.shape))
@@ -943,10 +1000,9 @@ class TestOptimizeScene:
         rng = np.random.default_rng(12)
         data_c, _ = tiny_training_data(rng, size=size)
         state_c = OptimState()
-        start, metrics = load_checkpoint(tmp_path / "ckpt", data_c, state_c)
-        assert start == 3 and metrics == []
-        state_c, _ = optimize_scene(data_c, TrainConfig(**config_args),
-                                    state=state_c, start_step=start)
+        metrics = load_checkpoint(tmp_path / "ckpt", data_c, state_c, TrainConfig(**config_args))
+        assert state_c.step == 3 and metrics == []
+        state_c, _ = optimize_scene(data_c, TrainConfig(**config_args), state=state_c)
         assert state_c.step == state_a.step == 6
         for i in data_a.maps:
             assert np.array_equal(data_a.maps[i].params, data_c.maps[i].params)
@@ -978,7 +1034,7 @@ class TestOptimizeScene:
         before = {i: m.params.copy() for i, m in fresh.maps.items()}
         state = OptimState()
         with pytest.raises(InputError):
-            load_checkpoint(tmp_path, fresh, state)
+            load_checkpoint(tmp_path, fresh, state, config)
         for i in before:
             assert np.array_equal(before[i], fresh.maps[i].params)
         assert state.m == {} and state.step == 0
@@ -988,8 +1044,7 @@ class TestOptimizeScene:
         data, _ = tiny_training_data(np.random.default_rng(11))
         config = TrainConfig(steps=2, batch_size=16, k_samples=8, n_working=3,
                              sh_degree=1, eval_interval=0)
-        state, history = optimize_scene(data, config, state=OptimState(step=10**15),
-                                        start_step=10**15)
+        state, history = optimize_scene(data, config, state=OptimState(step=10**15))
         assert history == [] and state.step == 10**15
 
     def test_interrupted_run_keeps_its_metrics_rows(self, tmp_path, monkeypatch):
@@ -1015,10 +1070,9 @@ class TestOptimizeScene:
         monkeypatch.undo()
         assert len((tmp_path / "cut" / "metrics.csv").read_text().splitlines()) == 3
         data, state = tiny_training_data(np.random.default_rng(12))[0], OptimState()
-        start, metrics = load_checkpoint(tmp_path / "cut", data, state)
-        assert start == 2 and [row[0] for row in metrics] == [1, 2]
-        optimize_scene(data, config, out_dir=tmp_path / "cut", state=state, start_step=start,
-                       metrics=metrics)
+        metrics = load_checkpoint(tmp_path / "cut", data, state, config)
+        assert state.step == 2 and [row[0] for row in metrics] == [1, 2]
+        optimize_scene(data, config, out_dir=tmp_path / "cut", state=state, metrics=metrics)
         for path in sorted((tmp_path / "full").iterdir()):
             assert (tmp_path / "cut" / path.name).read_bytes() == path.read_bytes(), path.name
 

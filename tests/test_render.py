@@ -2,6 +2,7 @@ import re
 import sys
 import threading
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,6 +42,26 @@ def working_set_for(ring_scene, gt_views, query_index, n_working=8):
         ring_scene.far,
         query_index=query_index,
     )
+
+
+def unstarted_threads(monkeypatch):
+    """Give the stream runner a ``threading.Thread`` stand-in that starts
+    nothing; returns the list of the stand-ins it constructs."""
+    made = []
+
+    class Unstarted:
+        def __init__(self, target):
+            made.append(self)
+
+        def start(self):
+            pass
+
+        def join(self):
+            pass
+
+    monkeypatch.setattr(render, "threading",
+                        SimpleNamespace(Thread=Unstarted, Lock=threading.Lock))
+    return made
 
 
 class TestSelectWorkingViews:
@@ -400,10 +421,10 @@ class TestBackwardFiniteDifferences:
 
         def objective():
             ws = select_working_views(views, qcam, 8, 1.0, 5.0)
-            return float(np.sum(render_rays(ws, origins, dirs, config).colors_out * weights))
+            return float(np.sum(render_rays(ws, origins, dirs, config)[0] * weights))
 
         ws = select_working_views(views, qcam, 8, 1.0, 5.0)
-        state = render_rays(ws, origins, dirs, config, keep_state=True)
+        _, state, _ = render_rays(ws, origins, dirs, config, keep_state=True)
         assert state.sh.factors.ldl.shape[:2] == (9, 9)
         parts = [render_rays_backward(ws, state, config, weights)]
         grads = {v.index: view_grad(ws, j, parts) for j, v in enumerate(ws.views)}
@@ -444,12 +465,12 @@ class TestBilinearGather:
         cam = ws.query_camera
         dirs, _ = cam.rays_for_pixels(np.array([[1.5, 1.5], [2.2, 2.7], [2.5, 1.0]]))
         origins = np.broadcast_to(cam.center, dirs.shape)
-        states = [
+        results = [
             render_rays(ws, origins, dirs, RenderConfig(k_coarse=16, bilinear_params=b))
             for b in (False, True)
         ]
-        np.testing.assert_allclose(states[0].h_hat, states[1].h_hat, atol=1e-12)
-        np.testing.assert_allclose(states[0].colors_out, states[1].colors_out, atol=1e-12)
+        np.testing.assert_allclose(results[0][1].h_hat, results[1][1].h_hat, atol=1e-12)
+        np.testing.assert_allclose(results[0][0], results[1][0], atol=1e-12)
 
 
 class TestHittingProbs:
@@ -783,7 +804,7 @@ class TestRenderImage:
             return snap.cdf_evals, snap.sh_fits, snap.color_samples
 
         counters.reset()
-        colors = [render_rays(ws, origins[s:s + chunk], dirs[s:s + chunk], config).colors_out
+        colors = [render_rays(ws, origins[s:s + chunk], dirs[s:s + chunk], config)[0]
                   for s in range(0, len(dirs), chunk)]
         reference = np.clip(np.concatenate(colors).reshape(cam.height, cam.width, 3), 0.0, 1.0)
         expected = counts()
@@ -795,17 +816,32 @@ class TestRenderImage:
 
     def test_stream_ceiling(self, ring_scene, gt_views, monkeypatch):
         """However many threads are asked for, and however many chunks a large
-        image has, ``render_image`` starts at most 128 streams."""
+        image has, ``render_image`` starts at most 128 streams: the caller and
+        127 helper threads (stubs that start nothing, so the caller renders
+        every chunk, here with a stand-in for ``render_rays``)."""
         ws = working_set_for(ring_scene, gt_views, 0, n_working=2)
         cam = ws.query_camera
         ws.query_camera = PinholeCamera(1024, 1024, 800.0, 800.0, 512.0, 512.0,
                                         cam.rotation, cam.translation)
         config = RenderConfig(k_coarse=64, threads=10**6)
-        calls = []
-        monkeypatch.setattr(render, "_run_streams",
-                            lambda n_tasks, task, streams: calls.append((n_tasks, streams)))
+        helpers, sizes = unstarted_threads(monkeypatch), []
+
+        def blank(working, origins, dirs, config):
+            sizes.append(len(origins))
+            return np.zeros((len(origins), 3)), None, None
+
+        monkeypatch.setattr(render, "render_rays", blank)
         render_image(ws, config)
-        assert calls == [(1024 * 1024 // 128, 128)]
+        assert len(helpers) == 127 and sizes == [128] * (1024 * 1024 // 128)
+
+    def test_run_streams_ceiling(self, monkeypatch):
+        """The stream runner caps the streams itself, so training's chunks and
+        map tasks get the ceiling too: 1000 tasks asked on 10**6 streams
+        construct 127 helper threads (stubs that start nothing), and the
+        caller runs every task."""
+        helpers, ran = unstarted_threads(monkeypatch), []
+        render._run_streams(1000, ran.append, 10**6)
+        assert len(helpers) == 127 and ran == list(range(1000))
 
     @pytest.mark.parametrize("mode", ["uniform", "coarse_to_fine"])
     def test_value_only_path_matches_kept_path(self, ring_scene, gt_views, mode):
@@ -818,10 +854,11 @@ class TestRenderImage:
         origins = np.broadcast_to(cam.center, dirs.shape)
         config = RenderConfig(k_coarse=32, k_fine=8, mode=mode,
                               background=tuple(ring_scene.background))
-        value_only = render_rays(ws, origins, dirs, config)
-        kept = render_rays(ws, origins, dirs, config, keep_state=True)
-        assert value_only.cdf_a is None and (kept.fine or kept).cdf_a is not None
+        colors, value_only, rays = render_rays(ws, origins, dirs, config)
+        kept_colors, kept, kept_rays = render_rays(ws, origins, dirs, config, keep_state=True)
+        assert value_only.cdf_a is None and kept.cdf_a is not None
         assert np.any(kept.h_hat > 0.01)
+        assert np.array_equal(colors, kept_colors) and np.array_equal(rays, kept_rays)
         for name in ("colors_out", "h_hat", "alpha_hat"):
             assert np.array_equal(getattr(value_only, name), getattr(kept, name))
 
@@ -846,13 +883,13 @@ class TestRenderImage:
         px = np.stack([xs, ys], -1).reshape(-1, 2)
         dirs, _ = cam.rays_for_pixels(px)
         origins = np.broadcast_to(cam.center, dirs.shape)
-        state = render_rays(
+        colors, state, _ = render_rays(
             ws, origins, dirs,
             RenderConfig(k_coarse=64, background=tuple(ring_scene.background)),
         )
         mass = state.h_hat.sum(axis=-1)
         assert np.all(mass <= 1 + 1e-9)
-        assert np.all(state.colors_out >= -1e-12)
+        assert np.all(colors >= -1e-12)
 
 
 class TestChunkMemory:
@@ -918,8 +955,8 @@ class TestChunkMemory:
         cam = ring_scene.cameras[1]
         px = np.stack(np.divmod(np.arange(28 * 64 + 24, 28 * 64 + 40), 64)[::-1], axis=1) + 0.5
         dirs, _ = cam.rays_for_pixels(px)
-        state = render_rays(ws, np.broadcast_to(cam.center, dirs.shape), dirs, config,
-                            keep_state=True)
+        _, state, _ = render_rays(ws, np.broadcast_to(cam.center, dirs.shape), dirs, config,
+                                  keep_state=True)
         dc_o = np.random.default_rng(3).normal(size=(16, 3))
         tracemalloc.start()
         try:
