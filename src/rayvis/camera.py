@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from rayvis.errors import BehindCameraError, InputError, PixelBoundsError
+from rayvis.errors import BehindCameraError, InputError, PixelBoundsError, bounded
 
 _ROT_TOL = 1e-9
 
@@ -58,16 +58,15 @@ class PinholeCamera:
 
     def __post_init__(self):
         for key in ("width", "height"):
-            size = getattr(self, key)
-            if not (float(size).is_integer() and size >= 1):
-                raise InputError(f"{key} must be a whole number of pixels, at least 1, not {size}")
-            object.__setattr__(self, key, int(size))
+            object.__setattr__(self, key, bounded(key, getattr(self, key), 1, whole=True,
+                                                  error=InputError))
+        for key, low in (("fx", 0), ("fy", 0), ("cx", -np.inf), ("cy", -np.inf)):
+            object.__setattr__(self, key, bounded(key, getattr(self, key), low, above=True,
+                                                  error=InputError))
         r = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        if not all(np.all(np.isfinite(a)) for a in ((self.fx, self.fy, self.cx, self.cy), r, t)):
-            raise InputError("intrinsics and pose must be finite")
-        if not (self.fx > 0 and self.fy > 0):
-            raise InputError("focal lengths must be positive")
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
+            raise InputError("pose must be finite")
         if not np.linalg.norm(r.T @ r - np.eye(3)) < _ROT_TOL:
             raise InputError("rotation is not orthonormal")
         if np.linalg.det(r) < 0:

@@ -29,7 +29,7 @@ import numpy as np
 import rayvis
 from rayvis import imgio, optim, scenefile
 from rayvis.counters import counters
-from rayvis.errors import ConfigurationError, InputError, NumericalError, RayvisError
+from rayvis.errors import InputError, NumericalError, RayvisError, bounded
 from rayvis.raydist import (
     DensityProfile,
     DistributionMap,
@@ -121,10 +121,8 @@ def _load_cameras(data_dir) -> tuple:
     for i, entry in enumerate(meta["cameras"]):
         where = f"{path} cameras[{i}]"
         camera = scenefile.camera_from_json(entry, where, extra={"index"})
-        index = scenefile.json_array(entry, "index", where)
-        if not index.is_integer():
-            raise InputError(f"{where}: 'index' must be a whole number, not {index}")
-        index = int(index)
+        index = bounded(f"{where}: 'index'", scenefile.json_array(entry, "index", where),
+                        -np.inf, whole=True, error=InputError)
         if index in cameras:
             raise InputError(f"{where}: 'index' {index} repeats an earlier entry")
         cameras[index] = camera
@@ -150,6 +148,8 @@ def _load_render_views(data_dir, cameras, maps_dir, exclude=()) -> list:
         if idx not in images:
             raise InputError(f"no image for view {idx} in {data_dir}")
         dmap = DistributionMap.load(map_path)
+        if dmap.view != idx:
+            raise InputError(f"{map_path}: the header names view {dmap.view}, not {idx}")
         image = imgio.read_ppm(images[idx])
         _check_size(map_path, dmap.params.shape, cameras[idx])
         _check_size(images[idx], image.shape, cameras[idx])
@@ -192,8 +192,6 @@ def cmd_synth(args) -> int:
 
 def cmd_init(args) -> int:
     start = time.perf_counter()
-    if args.seed < 0:
-        raise InputError(f"noise seed must be nonnegative, not {args.seed}")
     depths = imgio.scan_views(Path(args.data_dir) / "depth", "nrdf")
     if not depths:
         raise InputError(f"no depth maps under {args.data_dir}/depth")
@@ -343,8 +341,7 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     start = time.perf_counter()
-    if not 1 <= args.kr <= MAX_SAMPLES:
-        raise ConfigurationError(f"kr must be in [1, {MAX_SAMPLES}], not {args.kr}")
+    bounded("kr", args.kr, 1, MAX_SAMPLES, whole=True)
     working, config, meta = _query_working_set(args, cap=True)
     report = []
 

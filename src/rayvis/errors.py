@@ -3,7 +3,11 @@
 The CLI maps these onto exit codes: usage errors exit 1, ``InputError``
 (bad inputs, bad files, mismatched dimensions) exits 2, and
 ``NumericalError`` (singular systems, failed optimizations) exits 3.
+:func:`bounded` is the one check of a scalar setting.
 """
+
+import math
+import numbers
 
 
 class RayvisError(Exception):
@@ -51,3 +55,25 @@ class NumericalError(RayvisError):
 
 class DegenerateFitError(NumericalError):
     """Least-squares system is singular and unregularized."""
+
+
+def bounded(name, value, low, high=math.inf, whole=False, above=False,
+            error=ConfigurationError):
+    """``value`` if it lies in ``[low, high]``, or in ``(low, high]`` when
+    ``above``: with ``whole`` as ``int(value)``, exact beyond 2**53, for a
+    whole number; otherwise as a finite float. Anything else (a fraction, NaN,
+    ±inf, a string, None, a value out of bounds) raises ``error`` naming
+    ``name``, the bounds and the value."""
+    try:
+        number = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:       # an int beyond the floats
+        number = math.inf
+    if whole and (isinstance(value, numbers.Integral) or number.is_integer()):
+        number = int(value)
+    if not ((isinstance(number, int) if whole else math.isfinite(number))
+            and (low < number if above else low <= number) and number <= high):
+        kind = "a whole number" if whole else "finite"
+        left = "(" if above or low == -math.inf else "["
+        right = ")" if high == math.inf else "]"
+        raise error(f"{name} must be {kind}, in {left}{low}, {high}{right}, not {value}")
+    return number

@@ -43,7 +43,8 @@ from typing import Dict, Optional
 import numpy as np
 
 from rayvis.camera import PinholeCamera
-from rayvis.errors import ConfigurationError, DimensionMismatchError, InputError, NumericalError
+from rayvis.errors import (ConfigurationError, DimensionMismatchError, InputError, NumericalError,
+                           bounded)
 from rayvis.imgio import atomic_write_bytes, atomic_writer, view_name
 from rayvis.raydist import (
     MAX_COMPONENTS,
@@ -121,15 +122,11 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("lambda_render", "lambda_consist", "lambda_depth"):
-            if not 0.0 <= getattr(self, name) < np.inf:
-                raise ConfigurationError(f"{name} must be finite and nonnegative")
+            setattr(self, name, bounded(name, getattr(self, name), 0))
+        self.learning_rate = bounded("learning_rate", self.learning_rate, 0, above=True)
+        self.batch_size = bounded("batch_size", self.batch_size, 1, whole=True)
         for name in ("steps", "seed", "eval_interval"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be nonnegative")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be at least 1")
-        if not (0.0 < self.learning_rate < np.inf):
-            raise ConfigurationError("learning_rate must be finite and positive")
+            setattr(self, name, bounded(name, getattr(self, name), 0, whole=True))
         if self.consist_variant not in ("binary", "categorical"):
             raise ConfigurationError(f"unknown CE variant '{self.consist_variant}'")
         if self.consist_flow not in ("stop_h", "symmetric"):
@@ -242,11 +239,10 @@ def init_from_depth(
     far sentinel decode to means within a tiny fraction of ``far``, leaving
     near-zero occlusion in front of it.
     """
-    if not SIGMA_MIN_FRACTION < sigma_init < np.inf:
-        raise InputError(f"sigma_init must be finite and exceed the scale floor "
-                         f"{SIGMA_MIN_FRACTION}, not {sigma_init}")
-    if not 1 <= n_components <= MAX_COMPONENTS:
-        raise InputError(f"n_components must be in [1, {MAX_COMPONENTS}], not {n_components}")
+    sigma_init = bounded("sigma_init", sigma_init, SIGMA_MIN_FRACTION, above=True,
+                         error=InputError)
+    n_components = bounded("n_components", n_components, 1, MAX_COMPONENTS, whole=True,
+                           error=InputError)
     near, far = depth.near, depth.far
     span = far - near
     u = np.clip((depth.values - near) / span, _DECODE_CLIP, 1.0 - _DECODE_CLIP)
@@ -484,8 +480,6 @@ def train_step(
             dc_o = config.lambda_render * g_render[kept]
             dh_extra = config.lambda_consist * g_h if config.consist_flow == "symmetric" else None
             if config.lambda_render > 0 or dh_extra is not None:
-                if config.lambda_render == 0:
-                    dc_o = np.zeros_like(dc_o)
                 rows = render_rays_backward(working, fwd, rcfg, dc_o, dh_extra)
             if config.lambda_consist > 0:
                 own = own_hit_probs_backward(data.maps[q], px, back,
@@ -578,8 +572,8 @@ def optimize_scene(
     steps. When ``out_dir`` is given, each checkpoint writes there by
     :func:`save_checkpoint`.
     """
-    if checkpoint_interval is not None and checkpoint_interval < 0:
-        raise ConfigurationError("checkpoint_interval must be nonnegative")
+    if checkpoint_interval is not None:
+        checkpoint_interval = bounded("checkpoint_interval", checkpoint_interval, 0, whole=True)
     if state is None:
         state = OptimState()
     history = []
@@ -649,8 +643,7 @@ def load_checkpoint(out_dir, data: SceneData, state: OptimState, config: TrainCo
     try:
         with np.load(path) as blob:
             arrays = {key: blob[key] for key in blob.files}
-        step = arrays["step"]
-        step = float(step) if step.shape == () else np.nan
+        step = arrays["step"][()] if arrays["step"].shape == () else arrays["step"]
         metrics = np.asarray(arrays.get("metrics", np.zeros((0, 5))), dtype=np.float64)
         saved = dict(json.loads(str(arrays["settings"])))
     except (OSError, EOFError, TypeError, ValueError, KeyError, zipfile.BadZipFile) as exc:
@@ -660,13 +653,12 @@ def load_checkpoint(out_dir, data: SceneData, state: OptimState, config: TrainCo
         if saved.get(name) != mine.get(name):
             raise InputError(f"{path}: checkpoint was written with {name}={saved.get(name)!r}, "
                              f"this run has {name}={mine.get(name)!r}")
-    if not (step >= 0 and step.is_integer()):
-        raise InputError(f"{path}: step must be a whole number >= 0, not {arrays['step']}")
+    step = bounded(f"{path}: step", step, 0, whole=True, error=InputError)
     steps = metrics[:, 0] if metrics.ndim == 2 and metrics.shape[1] == 5 else np.full(1, np.nan)
     if not (np.all(steps == np.floor(steps)) and np.all(np.diff(steps) > 0)
             and np.all((steps >= 1) & (steps <= step)) and np.all(np.isfinite(metrics[:, 1:4]))):
         raise InputError(f"{path}: metrics must be (step, 3 finite losses, psnr) rows, "
-                         f"the steps whole and increasing in [1, {int(step)}]")
+                         f"the steps whole and increasing in [1, {step}]")
     restored = {}
     for idx in data.reference_indices():
         if f"params_{idx}" not in arrays:
@@ -685,5 +677,5 @@ def load_checkpoint(out_dir, data: SceneData, state: OptimState, config: TrainCo
         data.maps[idx].params[...] = params
         if moments:
             state.m[idx], state.v[idx] = moments
-    state.step = int(step)
+    state.step = step
     return [(int(row[0]), *row[1:]) for row in metrics.tolist()]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rayvis.counters import counters
-from rayvis.errors import InputError, IntervalOrderError
+from rayvis.errors import InputError, IntervalOrderError, bounded
 from rayvis.imgio import read_record, write_record
 
 NRAY = (b"NRAY", "IIIII")  # magic; version, view, height, width, components
@@ -147,9 +147,8 @@ class MixtureOfLogistics:
 
 def decode(raw: RawRayParams, depth_range) -> MixtureOfLogistics:
     """Deterministic reparameterization from raw values to a valid mixture."""
-    near, far = float(depth_range[0]), float(depth_range[1])
-    if not near < far:
-        raise InputError("need near < far")
+    near = float(depth_range[0])
+    far = bounded("far", depth_range[1], near, above=True, error=InputError)
     mu, sig, w = decode_arrays(raw.as_array(), near, far)
     return MixtureOfLogistics(mu, sig, w)
 
@@ -330,9 +329,8 @@ def grad_cdf(raw: RawRayParams, z, depth_range) -> np.ndarray:
     Order matches the canonical layout: means, then scales, then weight
     logits.
     """
-    near, far = float(depth_range[0]), float(depth_range[1])
-    if not near < far:
-        raise InputError("need near < far")
+    near = float(depth_range[0])
+    far = bounded("far", depth_range[1], near, above=True, error=InputError)
     params = raw.as_array()
     mu, sig, w = decode_arrays(params, near, far)
     _, dmu, dsig, dw = mixture_cdf_param_grads(mu, sig, w, np.asarray(z, dtype=np.float64))

@@ -50,7 +50,7 @@ import numpy as np
 
 from rayvis.camera import PinholeCamera, Ray
 from rayvis.counters import counters
-from rayvis.errors import ConfigurationError, DimensionMismatchError, InputError
+from rayvis.errors import ConfigurationError, DimensionMismatchError, InputError, bounded
 from rayvis.raydist import (
     DistributionMap,
     decode_arrays,  # noqa: F401  (perfbench/tracing.py traces it under this name)
@@ -125,21 +125,14 @@ class RenderConfig:
         for name, low, high in (("k_coarse", 2, MAX_SAMPLES), ("k_fine", 0, MAX_SAMPLES),
                                 ("n_working", 1, np.inf), ("threads", 1, np.inf),
                                 ("sh_degree", 0, MAX_DEGREE)):
-            value = getattr(self, name)
-            if not (float(value).is_integer() and low <= value <= high):
-                bounds = f"at least {low}" if high == np.inf else f"in [{low}, {high}]"
-                raise ConfigurationError(f"{name} must be a whole number, {bounds}, "
-                                         f"not {value}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, bounded(name, getattr(self, name), low, high,
+                                                   whole=True))
         if self.mode not in ("uniform", "coarse_to_fine"):
             raise ConfigurationError(f"mode must be uniform or coarse_to_fine, not '{self.mode}'")
-        if self.mode == "coarse_to_fine" and self.k_coarse + self.k_fine > MAX_SAMPLES:
-            raise ConfigurationError(f"k_coarse + k_fine must be at most {MAX_SAMPLES} samples "
-                                     f"per ray, not {self.k_coarse} + {self.k_fine}")
-        penalties = tuple(float(p) for p in self.sh_penalties)
-        if not all(0.0 <= p < np.inf for p in penalties):
-            raise ConfigurationError("sh_penalties must be finite and nonnegative")
-        object.__setattr__(self, "sh_penalties", penalties)
+        if self.mode == "coarse_to_fine":   # samples per ray
+            bounded("k_coarse + k_fine", self.k_coarse + self.k_fine, 2, MAX_SAMPLES, whole=True)
+        object.__setattr__(self, "sh_penalties",
+                           tuple(bounded("sh_penalties", p, 0) for p in self.sh_penalties))
 
 
 @dataclass
@@ -220,10 +213,7 @@ def select_working_views(
          if v.index != query_index and not _same_camera(v.camera, query_camera)),
         key=lambda item: item[:2],
     )
-    if not 1 <= n_working <= len(candidates):
-        raise ConfigurationError(
-            f"requested {n_working} working views; 1 to {len(candidates)} are available"
-        )
+    n_working = bounded("n_working", n_working, 1, len(candidates), whole=True)
     chosen = [view for _, _, view in candidates[:n_working]]
     params = _padded([view.dmap.params for view in chosen], _PAD_LOGIT)
     comps = np.arange(params.shape[-1]) < np.array([[v.dmap.n_components] for v in chosen])
@@ -707,9 +697,7 @@ def _point_sample(working: WorkingSet, point, direction, bin_width: float,
                   config: RenderConfig, with_colors: bool) -> ChunkState:
     """One sample on a ray that starts at ``point``: depth 0, width ``bin_width``,
     which must be finite and positive."""
-    width = float(bin_width)
-    if not 0.0 < width < np.inf:
-        raise InputError(f"bin width must be finite and positive, not {bin_width}")
+    width = bounded("bin width", bin_width, 0, above=True, error=InputError)
     origins = np.asarray(point, dtype=np.float64).reshape(1, 3)
     dirs = np.asarray(direction, dtype=np.float64).reshape(1, 3)
     return _chunk_forward(working, origins, dirs, np.zeros((1, 1)), np.full((1, 1), width),

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from rayvis.camera import PinholeCamera, Ray
-from rayvis.errors import BehindCameraError, InputError
+from rayvis.errors import BehindCameraError, InputError, bounded
 
 _MIN_HIT_DEPTH = 1e-6
 
@@ -48,13 +48,13 @@ class Material:
             other = np.asarray(self.checker_color, dtype=np.float64)
             if other.shape != (3,) or not np.all((other >= 0) & (other <= 1)):
                 raise InputError("checker color must be an RGB triple in [0, 1]")
-            if not 0 < self.checker_cell < np.inf:
-                raise InputError("checker cell size must be finite and positive")
+            object.__setattr__(self, "checker_cell", bounded(
+                "checker_cell", self.checker_cell, 0, above=True, error=InputError))
             object.__setattr__(self, "checker_color", other)
-        if not (0.0 <= self.specular_strength <= 1.0):
-            raise InputError("specular strength must lie in [0, 1]")
-        if not 0 < self.shininess < np.inf:
-            raise InputError("shininess exponent must be finite and positive")
+        object.__setattr__(self, "specular_strength", bounded(
+            "specular_strength", self.specular_strength, 0, 1, error=InputError))
+        object.__setattr__(self, "shininess", bounded(
+            "shininess", self.shininess, 0, above=True, error=InputError))
         light = np.asarray(self.light_direction, dtype=np.float64)
         n = np.linalg.norm(light)
         if not 0 < n < np.inf:
@@ -111,8 +111,7 @@ class Sphere(Primitive):
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=np.float64)
-        if self.radius <= 0:
-            raise InputError("sphere radius must be positive")
+        self.radius = bounded("radius", self.radius, 0, above=True, error=InputError)
 
     def intersect_rays(self, origins, directions):
         oc = origins - self.center
@@ -191,8 +190,8 @@ class PlanePatch(Primitive):
         if nn == 0:
             raise InputError("plane normal must be nonzero")
         self.normal = n / nn
-        if self.half_extent <= 0:
-            raise InputError("plane half extent must be positive")
+        self.half_extent = bounded("half_extent", self.half_extent, 0, above=True,
+                                   error=InputError)
         # deterministic tangent basis
         helper = np.array([1.0, 0.0, 0.0])
         if abs(self.normal[0]) > 0.9:
@@ -249,16 +248,16 @@ class SyntheticScene:
     ):
         if len(cameras) < 2:
             raise InputError("a scene needs at least two reference cameras")
-        if not (0 < near < far):
-            raise InputError("need 0 < near < far")
+        near = bounded("near", near, 0, above=True, error=InputError)
+        far = bounded("far", far, near, above=True, error=InputError)
         bg = np.asarray(background, dtype=np.float64)
         if bg.shape != (3,) or np.any(bg < 0) or np.any(bg > 1):
             raise InputError("background must be an RGB triple in [0, 1]")
         self.primitives = list(primitives)
         self.background = bg
         self.cameras = list(cameras)
-        self.near = float(near)
-        self.far = float(far)
+        self.near = near
+        self.far = far
         self._validate_bounds()
 
     def _validate_bounds(self):
@@ -380,10 +379,9 @@ def perturb_depth(depth: DepthMap, noise_sigma: float, seed) -> DepthMap:
     ``(seed, view)``, which gives every view its own noise stream.
     ``noise_sigma = 0`` returns the values unchanged.
     """
-    if not 0.0 <= noise_sigma < np.inf:
-        raise InputError(f"noise sigma must be finite and nonnegative, not {noise_sigma}")
-    if np.any(np.asarray(seed) < 0):
-        raise InputError(f"noise seed must be nonnegative, not {seed}")
+    noise_sigma = bounded("noise sigma", noise_sigma, 0, error=InputError)
+    seed = [bounded("noise seed", s, 0, whole=True, error=InputError)
+            for s in (seed if np.ndim(seed) else [seed])]
     if noise_sigma == 0:
         return DepthMap(depth.values.copy(), depth.near, depth.far, depth.scene_scale)
     rng = np.random.default_rng(seed)

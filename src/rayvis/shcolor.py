@@ -43,7 +43,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from rayvis.errors import DegenerateFitError, InputError
+from rayvis.errors import DegenerateFitError, InputError, bounded
 
 MAX_DEGREE = 3
 DEFAULT_DEGREE_PENALTIES = (0.0, 0.001, 0.005, 0.01)
@@ -64,10 +64,8 @@ class SHBasis:
     degree: int = MAX_DEGREE
 
     def __post_init__(self):
-        if not (float(self.degree).is_integer() and 0 <= self.degree <= MAX_DEGREE):
-            raise InputError(f"SH degree must be a whole number in [0, {MAX_DEGREE}], "
-                             f"not {self.degree}")
-        object.__setattr__(self, "degree", int(self.degree))
+        object.__setattr__(self, "degree", bounded("degree", self.degree, 0, MAX_DEGREE,
+                                                   whole=True, error=InputError))
 
     @property
     def basis_size(self) -> int:
@@ -81,10 +79,9 @@ class SHRegularizer:
     degree_penalties: Sequence[float] = DEFAULT_DEGREE_PENALTIES
 
     def __post_init__(self):
-        pen = tuple(float(p) for p in self.degree_penalties)
-        if not all(0 <= p < np.inf for p in pen):
-            raise InputError("regularizer penalties must be finite and nonnegative")
-        object.__setattr__(self, "degree_penalties", pen)
+        object.__setattr__(self, "degree_penalties",
+                           tuple(bounded("degree_penalties", p, 0, error=InputError)
+                                 for p in self.degree_penalties))
 
     def diagonal(self, basis: SHBasis) -> np.ndarray:
         diag = np.zeros(basis.basis_size)
@@ -125,8 +122,7 @@ class WeightedColorSample:
         c = np.asarray(self.color, dtype=np.float64).reshape(3)
         if not np.all(np.isfinite(c)):
             raise InputError("sample color must be finite")
-        if not (np.isfinite(self.weight) and self.weight >= 0):
-            raise InputError("sample weight must be nonnegative")
+        object.__setattr__(self, "weight", bounded("weight", self.weight, 0, error=InputError))
         object.__setattr__(self, "direction", d)
         object.__setattr__(self, "color", c)
 

@@ -12,7 +12,7 @@ import pytest
 import rayvis
 from rayvis import cli, optim
 from rayvis.cli import build_parser, main
-from rayvis.imgio import read_ppm, write_depth_map, write_ppm
+from rayvis.imgio import encode_ppm, read_float_image, read_ppm, write_depth_map, write_ppm
 from rayvis.raydist import DistributionMap
 from rayvis.render import usable_cpus
 from rayvis.scene import DepthMap
@@ -190,6 +190,25 @@ class TestRender:
         assert out.exists()
         manifest = json.loads((out.parent / "manifest.json").read_text())
         assert manifest["config"]["threads"] == usable_cpus()
+
+    def test_float_out_holds_the_rendered_image(self, synth_dir, maps_dir, tmp_path,
+                                                monkeypatch):
+        """``--float-out`` writes the rendered image as NRIF, to f32 precision;
+        the PPM holds the same image in 8 bits."""
+        rendered = []
+
+        def keep(*args, render_image=cli.render_image):
+            rendered.append(render_image(*args))
+            return rendered[-1]
+
+        monkeypatch.setattr(cli, "render_image", keep)
+        out, nrif = tmp_path / "x.ppm", tmp_path / "x.nrif"
+        assert main(["render", "--data", str(synth_dir), "--maps", str(maps_dir), "--view", "0",
+                     "--out", str(out), "--float-out", str(nrif), "--k-coarse", "16",
+                     "--nw", "3"]) == 0
+        assert np.array_equal(read_float_image(nrif), rendered[0].astype(np.float32))
+        assert out.read_bytes() == encode_ppm(rendered[0])
+        assert str(nrif) in json.loads((tmp_path / "manifest.json").read_text())["outputs"]
 
     def test_modes_and_flags(self, synth_dir, maps_dir, tmp_path):
         out = tmp_path / "c2f.ppm"
@@ -466,6 +485,9 @@ _FAULTS = {
     "nray-wrong_shape": (_NRAY, lambda p: DistributionMap(1, np.zeros((12, 12, 3, 2))).save(p),
                          "render", []),
     "nray-zero_components": (_NRAY, _zero_component_map, "render", []),
+    "nray-other_view": (
+        _NRAY, lambda p: DistributionMap(2, DistributionMap.load(p).params).save(p), "render",
+        ["view 2"]),
     "cameras.json-truncated": (_CAMS, _halve, "render", []),
     "cameras.json-missing_key": (
         _CAMS, _edit_json(lambda m: m["cameras"][1].pop("fx")), "render", ["'fx'"]),

@@ -42,6 +42,12 @@ class TestPpm:
         out = read_ppm(path)
         np.testing.assert_allclose(out[0, 0], [1.0, 0.0, 0.50196078], atol=1e-8)
 
+    def test_comment_line_in_header(self, tmp_path):
+        path = tmp_path / "img.ppm"
+        path.write_bytes(b"P6\n# written by hand\n2 1\n# max value\n255\n"
+                         b"\x00\x80\xff\xff\x00\x00")
+        np.testing.assert_array_equal(read_ppm(path) * 255.0, [[[0, 128, 255], [255, 0, 0]]])
+
     def test_rejects_non_ppm(self, tmp_path):
         path = tmp_path / "img.ppm"
         path.write_bytes(b"P5\n1 1\n255\n\xff")

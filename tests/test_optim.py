@@ -226,7 +226,8 @@ class TestInitFromDepth:
     def test_components_above_the_bound(self):
         """17 components are refused before the (H, W, 3, n) map is allocated."""
         depth = DepthMap(np.full((2, 2), 3.0), 1.0, 5.0, 4.0)
-        with pytest.raises(InputError, match=r"n_components must be in \[1, 16\], not 17"):
+        with pytest.raises(InputError,
+                           match=r"n_components must be a whole number, in \[1, 16\], not 17"):
             init_from_depth(depth, 0.01, 17)
         assert init_from_depth(depth, 0.01, 16).n_components == 16
         with pytest.raises(InputError, match="n <= 16"):
@@ -396,6 +397,26 @@ class TestTrainStep:
         assert state.step == 1
         assert moves.max() == pytest.approx(2e-3, rel=1e-6)
 
+    def test_zero_render_weight_is_a_zero_render_gradient(self, monkeypatch):
+        """With the render weight at zero, the symmetric flow's consistency
+        gradient alone runs the backward: the maps and Adam moments equal those
+        of steps whose render loss gradient is zero."""
+        runs = []
+        for zero_gradient in (False, True):
+            if zero_gradient:
+                monkeypatch.setattr(optim, "render_loss", lambda rendered, gt, f=render_loss:
+                                    (f(rendered, gt)[0], np.zeros_like(rendered)))
+            data, config, state = self.make(lambda_render=0.0, consist_flow="symmetric")
+            before = {i: m.params.copy() for i, m in data.maps.items()}
+            rng = np.random.default_rng(5)
+            for _ in range(3):
+                train_step(data, config, state, rng)
+            assert any(not np.array_equal(before[i], m.params) for i, m in data.maps.items())
+            runs.append(({i: m.params.copy() for i, m in data.maps.items()}, state.m, state.v))
+        for got, want in zip(*runs):
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[i], want[i]) for i in got)
+
     def test_zero_consist_weight_ignores_clamp_setting(self):
         """With the consistency weight at zero, knobs that only affect the
         consistency term, here its variant, cannot change the resulting maps."""
@@ -517,14 +538,6 @@ class TestTrainStep:
         finally:
             tracemalloc.stop()
         assert peak < 40e6
-
-    def test_negative_checkpoint_interval_refused_before_any_write(self, tmp_path):
-        data, _ = tiny_training_data(np.random.default_rng(11))
-        config = TrainConfig(steps=2, batch_size=16, k_samples=8, n_working=3,
-                             sh_degree=1, eval_interval=0)
-        with pytest.raises(ConfigurationError, match="checkpoint_interval"):
-            optimize_scene(data, config, out_dir=tmp_path / "out", checkpoint_interval=-1)
-        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("sampling_mode, batch_size, threads, size", [
         pytest.param("uniform", 24, 1, 10, id="uniform"),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rayvis import render
-from rayvis.camera import PinholeCamera, generate_ray, look_at_camera
+from rayvis.camera import PinholeCamera, Ray, generate_ray, look_at_camera
 from rayvis.counters import counters
 from rayvis.errors import ConfigurationError, DimensionMismatchError, InputError
 from rayvis.optim import init_from_depth, view_grad
@@ -450,6 +450,24 @@ class TestBackwardFiniteDifferences:
         assert checked >= 20
 
 
+class TestBackwardRefusals:
+    def test_bilinear_lookups_and_a_state_without_keep_state(self, ring_scene, gt_views):
+        """Only nearest-pixel lookups are differentiable, and the backward needs
+        the intermediates that only ``keep_state=True`` records."""
+        ws = working_set_for(ring_scene, gt_views, 0)
+        cam = ring_scene.cameras[0]
+        dirs, _ = cam.rays_for_pixels(np.array([[32.0, 32.0], [20.5, 40.5]]))
+        origins = np.broadcast_to(cam.center, dirs.shape)
+        config = RenderConfig(k_coarse=8, n_working=3, background=tuple(ring_scene.background))
+        dc_o = np.ones((2, 3))
+        _, kept, _ = render_rays(ws, origins, dirs, config, keep_state=True)
+        with pytest.raises(ConfigurationError, match="nearest-pixel"):
+            render_rays_backward(ws, kept, replace(config, bilinear_params=True), dc_o)
+        _, value_only, _ = render_rays(ws, origins, dirs, config)
+        with pytest.raises(InputError, match="keep_state"):
+            render_rays_backward(ws, value_only, config, dc_o)
+
+
 class TestBilinearGather:
     def test_parameter_grid_centers_and_midpoints(self):
         grid = np.random.default_rng(23).normal(size=(4, 5, 3, 2))
@@ -609,6 +627,22 @@ class TestRenderPixel:
         # fine depths cluster around the true surface
         assert samples.depths.shape == (8,)
         assert np.all(np.abs(samples.depths - hit[0]) < 0.5)
+
+    def test_unkept_coarse_to_fine_ray_renders_background(self, ring_scene, gt_views):
+        """A ray pointing away from the scene has no coarse hitting mass, so it
+        gets no fine pass: zero alphas and hitting probabilities, and
+        background colors at every fine sample."""
+        ws = working_set_for(ring_scene, gt_views, 0)
+        ray = generate_ray(ring_scene.cameras[0], (32.0, 32.0))
+        away = Ray(ray.origin, -ray.direction)
+        config = RenderConfig(k_coarse=32, k_fine=8, mode="coarse_to_fine",
+                              background=tuple(ring_scene.background))
+        assert not render_rays(ws, away.origin[None], away.direction[None], config)[2][0]
+        color, samples = render_pixel(ws, away, config)
+        assert np.array_equal(color, ring_scene.background)
+        assert not np.any(samples.alphas) and not np.any(samples.hit_probs)
+        assert samples.colors.shape == (8, 3)
+        assert np.array_equal(samples.colors, np.tile(ring_scene.background, (8, 1)))
 
     def test_concentrated_mass_keeps_fine_samples_in_bin(self):
         """With all coarse mass in one bin, fine samples stay inside it."""
