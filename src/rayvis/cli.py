@@ -433,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", type=_sampling_mode, metavar="{uniform,c2f}")
     p.add_argument("--k-coarse", type=int)
     p.add_argument("--k-fine", type=int)
-    p.add_argument("--bilinear-params", action="store_true")
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("optimize", parents=[shared], help="optimize distribution maps on a scene")
@@ -452,8 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-views", type=_view_list, default=[],
                    help="comma-separated held-out view indices")
     p.add_argument("--eval-interval", type=int)
-    p.add_argument("--consist-variant", choices=["binary", "categorical"])
-    p.add_argument("--consist-flow", choices=["stop_h", "symmetric"])
     p.add_argument("--resume", action="store_true", default=False)
     p.add_argument("--checkpoint-interval", type=int, default=None)
     p.set_defaults(func=cmd_optimize)

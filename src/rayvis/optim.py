@@ -5,9 +5,10 @@ renders a ray batch from it using the remaining views, and descends three
 losses with analytic gradients:
 
 * render: squared error of the composited colors against the view's image;
-* consistency: cross entropy between the hitting probabilities decoded
-  from the pseudo query ray's own distribution and those computed by the
-  renderer, which is how rendered geometry gets memorized into the maps;
+* consistency: binary cross entropy of the hitting probabilities decoded
+  from the pseudo query ray's own distribution against those computed by
+  the renderer, held constant, which is how rendered geometry gets
+  memorized into the maps;
 * depth: squared error of the first component mean against a depth map.
 
 The maps are the only trainable parameters; Adam updates them densely
@@ -115,8 +116,6 @@ class TrainConfig:
     background: tuple = (0.0, 0.0, 0.0)
     sampling_mode: str = "uniform"       # or "coarse_to_fine"
     k_fine: int = 16
-    consist_variant: str = "binary"      # or "categorical"
-    consist_flow: str = "stop_h"         # or "symmetric"
     eval_interval: int = 500
     threads: int = field(default_factory=usable_cpus)
 
@@ -127,10 +126,6 @@ class TrainConfig:
         self.batch_size = bounded("batch_size", self.batch_size, 1, whole=True)
         for name in ("steps", "seed", "eval_interval"):
             setattr(self, name, bounded(name, getattr(self, name), 0, whole=True))
-        if self.consist_variant not in ("binary", "categorical"):
-            raise ConfigurationError(f"unknown CE variant '{self.consist_variant}'")
-        if self.consist_flow not in ("stop_h", "symmetric"):
-            raise ConfigurationError(f"unknown gradient flow '{self.consist_flow}'")
         # the render config checks the render settings before any step runs and
         # stores threads as an int; its message names this config's fields
         try:
@@ -169,39 +164,23 @@ def render_loss(rendered: np.ndarray, ground_truth: np.ndarray):
     return float(np.sum(diff**2)), 2.0 * diff
 
 
-def consistency_loss(h_tilde, h, eps_prob: float = EPS_PROB, variant: str = "binary"):
-    """Cross entropy between a ray's own hitting probabilities and rendered ones.
+def consistency_loss(h_tilde, h):
+    """Binary cross entropy of a ray's own hitting probabilities against
+    rendered ones, with the rendered side held constant.
 
-    ``h_tilde`` acts as the target distribution taken from the ray's own
-    CDF; ``h`` comes from rendering and is clamped to
-    ``[eps_prob, 1 - eps_prob]``. Returns the loss (averaged over samples,
-    summed over leading axes) plus gradients w.r.t. both arguments.
+    ``h_tilde`` comes from the ray's own CDF; ``h`` comes from rendering, is
+    clamped to ``[EPS_PROB, 1 - EPS_PROB]`` and gets no gradient. Returns the
+    loss (averaged over samples, summed over leading axes) and its gradient
+    w.r.t. ``h_tilde``.
     """
     h_tilde = np.asarray(h_tilde, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
     if h_tilde.shape != h.shape:
         raise DimensionMismatchError("hitting probability arrays differ in shape")
     k = h.shape[-1]
-    hc = np.clip(h, eps_prob, 1.0 - eps_prob)
-    pass_through = (h > eps_prob) & (h < 1.0 - eps_prob)
-    if variant == "binary":
-        ce = -h_tilde * np.log(hc) - (1.0 - h_tilde) * np.log1p(-hc)
-        value = float(ce.sum() / k)
-        g_tilde = (np.log1p(-hc) - np.log(hc)) / k
-        g_h = np.where(pass_through, (-h_tilde / hc + (1.0 - h_tilde) / (1.0 - hc)) / k, 0.0)
-        return value, g_tilde, g_h
-    if variant == "categorical":
-        s_t = np.maximum(h_tilde.sum(axis=-1, keepdims=True), 1e-30)
-        s_h = np.maximum(hc.sum(axis=-1, keepdims=True), 1e-30)
-        p = h_tilde / s_t
-        q = hc / s_h
-        logq = np.log(np.maximum(q, 1e-300))
-        ce = -np.sum(p * logq, axis=-1)
-        value = float(ce.sum())
-        g_tilde = (-logq - ce[..., None]) / s_t
-        g_h = np.where(pass_through, (1.0 - p / np.maximum(q, 1e-300)) / s_h, 0.0)
-        return value, g_tilde, g_h
-    raise ConfigurationError(f"unknown CE variant '{variant}'")
+    hc = np.clip(h, EPS_PROB, 1.0 - EPS_PROB)
+    ce = -h_tilde * np.log(hc) - (1.0 - h_tilde) * np.log1p(-hc)
+    return float(ce.sum() / k), (np.log1p(-hc) - np.log(hc)) / k
 
 
 def depth_loss(dmap: DistributionMap, depth: DepthMap, pixels: np.ndarray,
@@ -475,12 +454,10 @@ def train_step(
             px = pixels[s][kept]
             h_tilde, back = own_hit_probs(data.maps[q], zfac[s][kept], px, fwd.z, fwd.widths,
                                           data.near, data.far)
-            l_consist, g_tilde, g_h = consistency_loss(h_tilde, fwd.h_hat,
-                                                       variant=config.consist_variant)
-            dc_o = config.lambda_render * g_render[kept]
-            dh_extra = config.lambda_consist * g_h if config.consist_flow == "symmetric" else None
-            if config.lambda_render > 0 or dh_extra is not None:
-                rows = render_rays_backward(working, fwd, rcfg, dc_o, dh_extra)
+            l_consist, g_tilde = consistency_loss(h_tilde, fwd.h_hat)
+            if config.lambda_render > 0:
+                rows = render_rays_backward(working, fwd, rcfg,
+                                            config.lambda_render * g_render[kept])
             if config.lambda_consist > 0:
                 own = own_hit_probs_backward(data.maps[q], px, back,
                                              config.lambda_consist * g_tilde)

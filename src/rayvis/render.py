@@ -118,7 +118,6 @@ class RenderConfig:
     background: tuple = (0.0, 0.0, 0.0)
     sh_degree: int = 3
     sh_penalties: tuple = DEFAULT_DEGREE_PENALTIES
-    bilinear_params: bool = False
     threads: int = field(default_factory=usable_cpus)
 
     def __post_init__(self):
@@ -292,7 +291,7 @@ def bilinear_sample(grid: np.ndarray, u, v) -> np.ndarray:
     return _bilinear(grid[None], 0, grid.shape[0], grid.shape[1], u, v)
 
 
-def _lookup(working: WorkingSet, points: np.ndarray, bilinear_params: bool):
+def _lookup(working: WorkingSet, points: np.ndarray):
     """Project points (..., 3) onto every working view and gather their mixtures.
 
     Returns (mu, sig, w), each (n, ..., J), then the view depth, the image
@@ -314,16 +313,11 @@ def _lookup(working: WorkingSet, points: np.ndarray, bilinear_params: bool):
     del pc, safe_z
     h, w = working.sizes
     valid = (z > 0) & (u >= 0) & (u < w) & (v >= 0) & (v < h)
-    view = np.arange(working.n_views)
     cell = np.clip(np.floor(v).astype(np.int64), 0, h - 1)
-    cell += view * working.params.shape[1]
+    cell += np.arange(working.n_views) * working.params.shape[1]
     cell *= working.params.shape[2]
     cell += np.clip(np.floor(u).astype(np.int64), 0, w - 1)
-    if bilinear_params:
-        mu, sig, wt = decode_stack(_bilinear(working.params, view, h, w, u, v),
-                                   working.near, working.far, working.comps)
-    else:
-        mu, sig, wt = np.take(working.decoded, cell, axis=2)
+    mu, sig, wt = np.take(working.decoded, cell, axis=2)
     return mu, sig, wt, z, (u, v), valid, cell
 
 
@@ -365,7 +359,7 @@ def _chunk_forward(working: WorkingSet, origins, dirs, z, widths, config: Render
     background = np.asarray(config.background, dtype=np.float64)
     npts = z.size
     points = origins[:, None, :] + z[..., None] * dirs[:, None, :]
-    mu, sig, w, depth, (u, v), valid, cell = _lookup(working, points, config.bilinear_params)
+    mu, sig, w, depth, (u, v), valid, cell = _lookup(working, points)
     if not with_colors:
         del u, v
     if not keep_state:
@@ -516,10 +510,8 @@ def render_rays_backward(working: WorkingSet, state: ChunkState, config: RenderC
     w) gradient, ``(len(cells), 3, n)``, with padded components zeroed.
     Nothing stack-sized is allocated and nothing is decoded:
     ``optim.view_grad`` adds a step's rows of one view and chains them to
-    the raw parameters once. Only nearest-pixel lookups are differentiable.
+    the raw parameters once.
     """
-    if config.bilinear_params:
-        raise ConfigurationError("gradients require nearest-pixel parameter lookups")
     if state.valid is None:
         raise InputError("state was not recorded with keep_state=True")
     background = np.asarray(config.background, dtype=np.float64)
@@ -687,7 +679,7 @@ def query_visibility(working: WorkingSet, point) -> np.ndarray:
     not (behind the camera or outside the frame) report zero visibility.
     """
     point = np.asarray(point, dtype=np.float64)[None, :]
-    mu, sig, w, depth, _, valid, _ = _lookup(working, point, False)
+    mu, sig, w, depth, _, valid, _ = _lookup(working, point)
     out = np.zeros(working.n_views)
     out[valid[0]] = 1.0 - mixture_cdf(*(a[:, valid].T for a in (mu, sig, w)), depth[valid])
     return out

@@ -283,7 +283,7 @@ class TestCriterion2Gradients:
             target = crng.uniform(0.0, 0.3, size=(1, k))
             zfac = cam.rays_for_pixels(pixels[:, ::-1] + 0.5)[1]
             h_tilde, back = own_hit_probs(dmap, zfac, pixels, z, widths, 1.0, 5.0)
-            _, g_tilde, _ = consistency_loss(h_tilde, target)
+            _, g_tilde = consistency_loss(h_tilde, target)
             grad = map_grads(dmap.params, 1.0, 5.0,
                              [own_hit_probs_backward(dmap, pixels, back, g_tilde)])
 
@@ -556,7 +556,7 @@ class TestCriterion6Optimization:
         state = OptimState()
         for _ in range(200):
             h_tilde, back = own_hit_probs(dmap, own_zfac, pixels, z, widths, near, far)
-            _, g_tilde, _ = consistency_loss(h_tilde, h_target)
+            _, g_tilde = consistency_loss(h_tilde, h_target)
             grad = map_grads(dmap.params, near, far,
                              [own_hit_probs_backward(dmap, pixels, back, g_tilde)])
             adam_step(state, {0: dmap.params}, {0: grad}, 2e-2)

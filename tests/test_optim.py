@@ -66,35 +66,28 @@ class TestRenderLoss:
 
 class TestConsistencyLoss:
     def test_binary_ce_known_value(self):
-        value, _, _ = consistency_loss(np.array([1.0]), np.array([0.5]))
+        value, _ = consistency_loss(np.array([1.0]), np.array([0.5]))
         assert value == pytest.approx(np.log(2.0), abs=1e-9)
 
     def test_ce_of_identical_halves_is_entropy(self):
-        value, _, _ = consistency_loss(np.array([0.5]), np.array([0.5]))
+        value, _ = consistency_loss(np.array([0.5]), np.array([0.5]))
         assert value == pytest.approx(np.log(2.0), abs=1e-9)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(2)
         eps = 1e-6
-        for variant in ("binary", "categorical"):
-            h_tilde = rng.uniform(0.01, 0.2, size=12)
-            h = rng.uniform(0.01, 0.2, size=12)
-            _, g_t, g_h = consistency_loss(h_tilde, h, 1e-5, variant)
-            for i in (0, 5, 11):
-                p = h_tilde.copy(); p[i] += eps
-                m = h_tilde.copy(); m[i] -= eps
-                fd = (consistency_loss(p, h, 1e-5, variant)[0]
-                      - consistency_loss(m, h, 1e-5, variant)[0]) / (2 * eps)
-                assert abs(g_t[i] - fd) / max(abs(fd), 1e-9) < 1e-4
-                p = h.copy(); p[i] += eps
-                m = h.copy(); m[i] -= eps
-                fd = (consistency_loss(h_tilde, p, 1e-5, variant)[0]
-                      - consistency_loss(h_tilde, m, 1e-5, variant)[0]) / (2 * eps)
-                assert abs(g_h[i] - fd) / max(abs(fd), 1e-9) < 1e-4
+        h_tilde = rng.uniform(0.01, 0.2, size=12)
+        h = rng.uniform(0.01, 0.2, size=12)
+        _, g_t = consistency_loss(h_tilde, h)
+        for i in (0, 5, 11):
+            p = h_tilde.copy(); p[i] += eps
+            m = h_tilde.copy(); m[i] -= eps
+            fd = (consistency_loss(p, h)[0] - consistency_loss(m, h)[0]) / (2 * eps)
+            assert abs(g_t[i] - fd) / max(abs(fd), 1e-9) < 1e-4
 
     def test_clamp_keeps_loss_finite(self):
-        value, g_t, g_h = consistency_loss(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        assert np.isfinite(value) and np.all(np.isfinite(g_t)) and np.all(np.isfinite(g_h))
+        value, g_t = consistency_loss(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        assert np.isfinite(value) and np.all(np.isfinite(g_t))
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -398,15 +391,15 @@ class TestTrainStep:
         assert moves.max() == pytest.approx(2e-3, rel=1e-6)
 
     def test_zero_render_weight_is_a_zero_render_gradient(self, monkeypatch):
-        """With the render weight at zero, the symmetric flow's consistency
-        gradient alone runs the backward: the maps and Adam moments equal those
-        of steps whose render loss gradient is zero."""
+        """With the render weight at zero, no render gradient reaches the maps:
+        the maps and Adam moments equal those of steps whose render loss
+        gradient is zero."""
         runs = []
         for zero_gradient in (False, True):
             if zero_gradient:
                 monkeypatch.setattr(optim, "render_loss", lambda rendered, gt, f=render_loss:
                                     (f(rendered, gt)[0], np.zeros_like(rendered)))
-            data, config, state = self.make(lambda_render=0.0, consist_flow="symmetric")
+            data, config, state = self.make(lambda_render=0.0)
             before = {i: m.params.copy() for i, m in data.maps.items()}
             rng = np.random.default_rng(5)
             for _ in range(3):
@@ -417,12 +410,13 @@ class TestTrainStep:
             assert got.keys() == want.keys()
             assert all(np.array_equal(got[i], want[i]) for i in got)
 
-    def test_zero_consist_weight_ignores_clamp_setting(self):
-        """With the consistency weight at zero, knobs that only affect the
-        consistency term, here its variant, cannot change the resulting maps."""
+    def test_zero_consist_weight_ignores_clamp_setting(self, monkeypatch):
+        """With the consistency weight at zero, constants that only affect the
+        consistency term, here its clamp, cannot change the resulting maps."""
         runs = []
-        for variant in ("binary", "categorical"):
-            data, config, state = self.make(lambda_consist=0.0, consist_variant=variant)
+        for clamp in (optim.EPS_PROB, 0.1):
+            monkeypatch.setattr(optim, "EPS_PROB", clamp)
+            data, config, state = self.make(lambda_consist=0.0)
             rng = np.random.default_rng(4)
             for _ in range(3):
                 train_step(data, config, state, rng)
@@ -439,8 +433,7 @@ class TestTrainStep:
     @pytest.mark.parametrize("overrides", [
         dict(sampling_mode="uniform"),
         dict(sampling_mode="coarse_to_fine", k_fine=6),
-        dict(consist_flow="symmetric", consist_variant="categorical"),
-    ], ids=["uniform", "coarse_to_fine", "symmetric_categorical"])
+    ], ids=["uniform", "coarse_to_fine"])
     def test_thread_count_invariant(self, overrides, monkeypatch):
         """Batch 300 is three 128-ray chunks, the last one short, on 1, 2 and
         3 streams, then one task per map. Losses, maps, moments and counters
@@ -953,7 +946,7 @@ class TestMemorization:
         history = []
         for step in range(200):
             h_tilde, back = own_hit_probs(dmap, own_zfac, pixels, z, widths, near, far)
-            value, g_tilde, _ = consistency_loss(h_tilde, h_target)
+            value, g_tilde = consistency_loss(h_tilde, h_target)
             grad = map_grads(dmap.params, near, far,
                              [own_hit_probs_backward(dmap, pixels, back, g_tilde)])
             adam_step(state, {0: dmap.params}, {0: grad}, 2e-2)

@@ -220,18 +220,17 @@ class TestMixedWorkingSet:
                         points.append(cam.unproject((frac * cam.width, cam.height + edge), depth))
         return np.array(points)
 
-    @pytest.mark.parametrize("bilinear", [False, True])
-    def test_lookup_matches_single_view_sets(self, ring_scene, mixed_views, bilinear):
+    def test_lookup_matches_single_view_sets(self, ring_scene, mixed_views):
         from rayvis.render import _lookup
 
         ws = self.working_set(ring_scene, mixed_views)
         points = self.probe_points(ws)
-        mu, sig, w, depth, _, valid, _ = _lookup(ws, points, bilinear)
+        mu, sig, w, depth, _, valid, _ = _lookup(ws, points)
         for j, state in enumerate(ws.views):
             n = state.dmap.n_components
             assert np.all(w[n:, :, j] == 0.0)   # padded components weigh exactly 0
             *want, want_depth, _, want_valid, _ = _lookup(
-                self.working_set(ring_scene, [state]), points, bilinear)
+                self.working_set(ring_scene, [state]), points)
             assert np.array_equal(valid[:, j], want_valid[:, 0])
             assert np.array_equal(depth[:, j], want_depth[:, 0])
             inside = valid[:, j]
@@ -250,10 +249,9 @@ class TestMixedWorkingSet:
         assert inside > 100
 
     @pytest.mark.parametrize("mode", ["uniform", "coarse_to_fine"])
-    @pytest.mark.parametrize("bilinear", [False, True])
-    def test_render_quality(self, ring_scene, ring_ground_truth, mixed_views, mode, bilinear):
+    def test_render_quality(self, ring_scene, ring_ground_truth, mixed_views, mode):
         ws = self.working_set(ring_scene, mixed_views)
-        config = RenderConfig(k_coarse=32, k_fine=8, mode=mode, bilinear_params=bilinear,
+        config = RenderConfig(k_coarse=32, k_fine=8, mode=mode,
                               background=tuple(ring_scene.background))
         image = render_image(ws, config)
         assert np.all(np.isfinite(image)) and image.min() >= 0.0 and image.max() <= 1.0
@@ -451,18 +449,14 @@ class TestBackwardFiniteDifferences:
 
 
 class TestBackwardRefusals:
-    def test_bilinear_lookups_and_a_state_without_keep_state(self, ring_scene, gt_views):
-        """Only nearest-pixel lookups are differentiable, and the backward needs
-        the intermediates that only ``keep_state=True`` records."""
+    def test_a_state_without_keep_state(self, ring_scene, gt_views):
+        """The backward needs the intermediates that only ``keep_state=True`` records."""
         ws = working_set_for(ring_scene, gt_views, 0)
         cam = ring_scene.cameras[0]
         dirs, _ = cam.rays_for_pixels(np.array([[32.0, 32.0], [20.5, 40.5]]))
         origins = np.broadcast_to(cam.center, dirs.shape)
         config = RenderConfig(k_coarse=8, n_working=3, background=tuple(ring_scene.background))
         dc_o = np.ones((2, 3))
-        _, kept, _ = render_rays(ws, origins, dirs, config, keep_state=True)
-        with pytest.raises(ConfigurationError, match="nearest-pixel"):
-            render_rays_backward(ws, kept, replace(config, bilinear_params=True), dc_o)
         _, value_only, _ = render_rays(ws, origins, dirs, config)
         with pytest.raises(InputError, match="keep_state"):
             render_rays_backward(ws, value_only, config, dc_o)
@@ -477,18 +471,6 @@ class TestBilinearGather:
         np.testing.assert_allclose(mid_x, 0.5 * (grid[:, :-1] + grid[:, 1:]), atol=1e-12)
         mid_y = bilinear_sample(grid, ix[:-1] + 0.5, iy[:-1] + 1.0)
         np.testing.assert_allclose(mid_y, 0.5 * (grid[:-1] + grid[1:]), atol=1e-12)
-
-    def test_constant_maps_render_alike_with_either_lookup(self):
-        ws = TestSampleAlpha().synthetic_working_set([0.4, 0.8], [0.75, 0.25])
-        cam = ws.query_camera
-        dirs, _ = cam.rays_for_pixels(np.array([[1.5, 1.5], [2.2, 2.7], [2.5, 1.0]]))
-        origins = np.broadcast_to(cam.center, dirs.shape)
-        results = [
-            render_rays(ws, origins, dirs, RenderConfig(k_coarse=16, bilinear_params=b))
-            for b in (False, True)
-        ]
-        np.testing.assert_allclose(results[0][1].h_hat, results[1][1].h_hat, atol=1e-12)
-        np.testing.assert_allclose(results[0][0], results[1][0], atol=1e-12)
 
 
 class TestHittingProbs:
@@ -714,9 +696,8 @@ class TestRenderImage:
         )
         assert np.array_equal(serial, parallel)
 
-    @pytest.mark.parametrize("mode, bilinear", [
-        ("uniform", False), ("coarse_to_fine", False), ("uniform", True)])
-    def test_thread_count_invariant(self, ring_scene, gt_views, mode, bilinear):
+    @pytest.mark.parametrize("mode", ["uniform", "coarse_to_fine"])
+    def test_thread_count_invariant(self, ring_scene, gt_views, mode):
         """1, 2 and 3 streams share the same 32 chunks of 128 rays; the image
         and the counts must not depend on the count. A short switch interval
         interleaves the streams often, so a chunk lost or rendered twice from
@@ -728,7 +709,6 @@ class TestRenderImage:
         try:
             for threads in (1, 2, 3):
                 config = RenderConfig(k_coarse=32, k_fine=8, mode=mode,
-                                      bilinear_params=bilinear,
                                       background=tuple(ring_scene.background), threads=threads)
                 counters.reset()
                 image = render_image(ws, config)
