@@ -20,6 +20,7 @@ import numpy as np
 from rayvis.errors import BehindCameraError, InputError, PixelBoundsError, bounded
 
 _ROT_TOL = 1e-9
+MAX_SIZE = 8192     # most pixels along a camera's width or height
 
 
 @dataclass(frozen=True)
@@ -58,8 +59,8 @@ class PinholeCamera:
 
     def __post_init__(self):
         for key in ("width", "height"):
-            object.__setattr__(self, key, bounded(key, getattr(self, key), 1, whole=True,
-                                                  error=InputError))
+            object.__setattr__(self, key, bounded(key, getattr(self, key), 1, MAX_SIZE,
+                                                  whole=True, error=InputError))
         for key, low in (("fx", 0), ("fy", 0), ("cx", -np.inf), ("cy", -np.inf)):
             object.__setattr__(self, key, bounded(key, getattr(self, key), low, above=True,
                                                   error=InputError))

@@ -29,7 +29,7 @@ import numpy as np
 import rayvis
 from rayvis import imgio, optim, scenefile
 from rayvis.counters import counters
-from rayvis.errors import InputError, NumericalError, RayvisError, bounded
+from rayvis.errors import InputError, NumericalError, RayvisError, bounded, near_far, rgb
 from rayvis.raydist import (
     DensityProfile,
     DistributionMap,
@@ -115,6 +115,8 @@ def _load_cameras(data_dir) -> tuple:
         raise InputError(f"{path}: not valid JSON: {exc}") from None
     for key, shape in (("near", ()), ("far", ()), ("background", (3,))):
         scenefile.json_array(meta, key, path, shape)
+    meta["near"], meta["far"] = near_far(meta["near"], meta["far"], f"{path}: ")
+    meta["background"] = rgb(f"{path}: background", meta["background"], error=InputError)
     if not isinstance(meta.get("cameras"), list):
         raise InputError(f"{path}: missing or malformed 'cameras'")
     cameras = {}

@@ -3,7 +3,8 @@
 The CLI maps these onto exit codes: usage errors exit 1, ``InputError``
 (bad inputs, bad files, mismatched dimensions) exits 2, and
 ``NumericalError`` (singular systems, failed optimizations) exits 3.
-:func:`bounded` is the one check of a scalar setting.
+:func:`bounded` is the one check of a scalar setting, :func:`near_far`
+of a depth range and :func:`rgb` of a color.
 """
 
 import math
@@ -77,3 +78,23 @@ def bounded(name, value, low, high=math.inf, whole=False, above=False,
         right = ")" if high == math.inf else "]"
         raise error(f"{name} must be {kind}, in {left}{low}, {high}{right}, not {value}")
     return number
+
+
+def near_far(near, far, where="", error=InputError):
+    """``(near, far)`` as floats if ``0 < near < far``, both finite; anything
+    else raises ``error`` whose message starts with ``where``, the source of
+    the values, and names the key."""
+    near = bounded(f"{where}near", near, 0, above=True, error=error)
+    return near, bounded(f"{where}far", far, near, above=True, error=error)
+
+
+def rgb(name, value, error=ConfigurationError):
+    """``value`` as a tuple of three finite floats in [0, 1]; anything else
+    raises ``error`` naming ``name`` and the value."""
+    try:
+        color = tuple(bounded(name, c, 0, 1, error=error) for c in value)
+    except (TypeError, error):
+        color = ()
+    if len(color) != 3:
+        raise error(f"{name} must be an RGB triple of finite values in [0, 1], not {value!r}")
+    return color

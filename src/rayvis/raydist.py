@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rayvis.counters import counters
-from rayvis.errors import InputError, IntervalOrderError, bounded
+from rayvis.errors import InputError, IntervalOrderError, near_far
 from rayvis.imgio import read_record, write_record
 
 NRAY = (b"NRAY", "IIIII")  # magic; version, view, height, width, components
@@ -147,8 +147,7 @@ class MixtureOfLogistics:
 
 def decode(raw: RawRayParams, depth_range) -> MixtureOfLogistics:
     """Deterministic reparameterization from raw values to a valid mixture."""
-    near = float(depth_range[0])
-    far = bounded("far", depth_range[1], near, above=True, error=InputError)
+    near, far = near_far(*depth_range)
     mu, sig, w = decode_arrays(raw.as_array(), near, far)
     return MixtureOfLogistics(mu, sig, w)
 
@@ -329,8 +328,7 @@ def grad_cdf(raw: RawRayParams, z, depth_range) -> np.ndarray:
     Order matches the canonical layout: means, then scales, then weight
     logits.
     """
-    near = float(depth_range[0])
-    far = bounded("far", depth_range[1], near, above=True, error=InputError)
+    near, far = near_far(*depth_range)
     params = raw.as_array()
     mu, sig, w = decode_arrays(params, near, far)
     _, dmu, dsig, dw = mixture_cdf_param_grads(mu, sig, w, np.asarray(z, dtype=np.float64))

@@ -50,7 +50,8 @@ import numpy as np
 
 from rayvis.camera import PinholeCamera, Ray
 from rayvis.counters import counters
-from rayvis.errors import ConfigurationError, DimensionMismatchError, InputError, bounded
+from rayvis.errors import (ConfigurationError, DimensionMismatchError, InputError, bounded,
+                           near_far, rgb)
 from rayvis.raydist import (
     DistributionMap,
     decode_arrays,  # noqa: F401  (perfbench/tracing.py traces it under this name)
@@ -130,6 +131,7 @@ class RenderConfig:
             raise ConfigurationError(f"mode must be uniform or coarse_to_fine, not '{self.mode}'")
         if self.mode == "coarse_to_fine":   # samples per ray
             bounded("k_coarse + k_fine", self.k_coarse + self.k_fine, 2, MAX_SAMPLES, whole=True)
+        object.__setattr__(self, "background", rgb("background", self.background))
         object.__setattr__(self, "sh_penalties",
                            tuple(bounded("sh_penalties", p, 0) for p in self.sh_penalties))
 
@@ -206,6 +208,7 @@ def select_working_views(
     the query is itself a reference view (matched by ``query_index`` or by
     identical camera), it is excluded from its own working set.
     """
+    near, far = near_far(near, far)
     qc = query_camera.center
     candidates = sorted(
         ((float(np.linalg.norm(v.camera.center - qc)), v.index, v) for v in views
@@ -219,7 +222,7 @@ def select_working_views(
     decoded = decode_stack(params, near, far, comps[:, None, None, :])
     cams = [view.camera for view in chosen]
     return WorkingSet(
-        query_camera, chosen, float(near), float(far),
+        query_camera, chosen, near, far,
         rot=np.concatenate([c.rotation.T for c in cams], axis=1),
         trans=np.array([c.translation for c in cams]),
         centers=np.array([c.center for c in cams]),
@@ -292,7 +295,8 @@ def bilinear_sample(grid: np.ndarray, u, v) -> np.ndarray:
 
 
 def _lookup(working: WorkingSet, points: np.ndarray):
-    """Project points (..., 3) onto every working view and gather their mixtures.
+    """Project points (..., 3) onto every working view and gather the decoded
+    mixtures of the pixels they fall in (nearest-pixel lookups).
 
     Returns (mu, sig, w), each (n, ..., J), then the view depth, the image
     coordinates (u, v), ``valid`` (in front of the view, inside its own

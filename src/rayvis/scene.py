@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from rayvis.camera import PinholeCamera, Ray
-from rayvis.errors import BehindCameraError, InputError, bounded
+from rayvis.errors import BehindCameraError, InputError, bounded, near_far, rgb
 
 _MIN_HIT_DEPTH = 1e-6
 
@@ -40,17 +40,12 @@ class Material:
     )
 
     def __post_init__(self):
-        albedo = np.asarray(self.albedo, dtype=np.float64)
-        if albedo.shape != (3,) or not np.all((albedo >= 0) & (albedo <= 1)):
-            raise InputError("albedo must be an RGB triple in [0, 1]")
-        object.__setattr__(self, "albedo", albedo)
+        object.__setattr__(self, "albedo", np.array(rgb("albedo", self.albedo, error=InputError)))
         if self.checker_color is not None:
-            other = np.asarray(self.checker_color, dtype=np.float64)
-            if other.shape != (3,) or not np.all((other >= 0) & (other <= 1)):
-                raise InputError("checker color must be an RGB triple in [0, 1]")
+            object.__setattr__(self, "checker_color", np.array(
+                rgb("checker color", self.checker_color, error=InputError)))
             object.__setattr__(self, "checker_cell", bounded(
                 "checker_cell", self.checker_cell, 0, above=True, error=InputError))
-            object.__setattr__(self, "checker_color", other)
         object.__setattr__(self, "specular_strength", bounded(
             "specular_strength", self.specular_strength, 0, 1, error=InputError))
         object.__setattr__(self, "shininess", bounded(
@@ -248,16 +243,10 @@ class SyntheticScene:
     ):
         if len(cameras) < 2:
             raise InputError("a scene needs at least two reference cameras")
-        near = bounded("near", near, 0, above=True, error=InputError)
-        far = bounded("far", far, near, above=True, error=InputError)
-        bg = np.asarray(background, dtype=np.float64)
-        if bg.shape != (3,) or np.any(bg < 0) or np.any(bg > 1):
-            raise InputError("background must be an RGB triple in [0, 1]")
+        self.near, self.far = near_far(near, far)
+        self.background = np.array(rgb("background", background, error=InputError))
         self.primitives = list(primitives)
-        self.background = bg
         self.cameras = list(cameras)
-        self.near = near
-        self.far = far
         self._validate_bounds()
 
     def _validate_bounds(self):

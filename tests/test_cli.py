@@ -454,12 +454,15 @@ _COMMANDS = {
     "render": lambda d: ["render", "--data", d / "data", "--maps", d / "maps", "--view", "0",
                          "--out", d / "x.ppm", "--k-coarse", "8", "--nw", "3"],
     "init": lambda d: ["init", d / "data", d / "new_maps"],
-    "optimize": lambda d: ["optimize", "--data", d / "data", "--init", d / "maps",
-                           "--out", d / "opt", "--steps", "2", "--batch", "16", "--k", "8",
-                           "--nw", "3", "--sh-degree", "1", "--eval-interval", "0"],
-    "resume": lambda d: [*_COMMANDS["optimize"](d), "--resume"],
+    "optimize": lambda d, out="run": ["optimize", "--data", d / "data", "--init", d / "maps",
+                                      "--out", d / out, "--steps", "2", "--batch", "16",
+                                      "--k", "8", "--nw", "3", "--sh-degree", "1",
+                                      "--eval-interval", "0"],
+    "resume": lambda d: [*_COMMANDS["optimize"](d, "opt"), "--resume"],
     "synth": lambda d: ["synth", d / "scene.json", d / "synth"],
 }
+# what a command of ``_COMMANDS`` writes, and so must not create when it refuses
+_OUTPUTS = {"render": "x.ppm", "optimize": "run", "synth": "synth"}
 
 _PPM, _NRDF = "data/images/view_0001.ppm", "data/depth/view_0002.nrdf"
 _NRAY, _CAMS = "maps/view_0001.nray", "data/cameras.json"
@@ -503,6 +506,17 @@ _FAULTS = {
     "cameras.json-duplicate_index": (
         _CAMS, _edit_json(lambda m: m["cameras"][2].update(index=m["cameras"][1]["index"])),
         "render", ["cameras[2]", "'index'"]),
+    "cameras.json-swapped_range": (
+        _CAMS, _edit_json(lambda m: m.update(near=m["far"], far=m["near"])), "render",
+        ["far must be finite", "not 1.2"]),
+    "cameras.json-swapped_range_optimize": (
+        _CAMS, _edit_json(lambda m: m.update(near=m["far"], far=m["near"])), "optimize",
+        ["far must be finite", "not 1.2"]),
+    "cameras.json-negative_near": (
+        _CAMS, _edit_json(lambda m: m.update(near=-3.0)), "optimize", ["near", "not -3.0"]),
+    "cameras.json-background": (
+        _CAMS, _edit_json(lambda m: m.update(background=[5, -1, 0.5])), "render",
+        ["background must be an RGB triple", "not [5, -1, 0.5]"]),
     "state.npz-truncated": (_STATE, _halve, "resume", []),
     "state.npz-bad_magic": (_STATE, _bad_magic, "resume", []),
     "state.npz-nan": (_STATE, _edit_state(lambda a: a["params_1"].fill(np.nan)), "resume",
@@ -516,6 +530,10 @@ _FAULTS = {
         "resume", ["metrics"]),
     "state.npz-no_settings": (
         _STATE, _edit_state(lambda a: a.pop("settings")), "resume", ["settings"]),
+    "state.npz-removed_setting": (    # as every checkpoint written before it was removed
+        _STATE, _edit_state(lambda a: a.update(settings=np.array(json.dumps(
+            {**json.loads(str(a["settings"])), "consist_variant": "binary"})))),
+        "resume", ["consist_variant='binary'"]),
     "state.npz-wrong_shape": (
         _STATE, _edit_state(lambda a: a.update(params_1=np.zeros((2, 2, 3, 2)))), "resume",
         ["params_1"]),
@@ -533,6 +551,12 @@ _FAULTS = {
         "synth", ["'translation'"]),
     "scene.json-fractional_width": (
         _SCENE, _edit_json(lambda s: s["cameras"][0].update(width=24.9)), "synth", ["width"]),
+    "scene.json-huge_width": (     # refused before its 10**14 pixels are allocated
+        _SCENE, _edit_json(lambda s: s["cameras"][0].update(width=10**7, height=10**7)),
+        "synth", ["width", "8192"]),
+    "scene.json-swapped_range": (
+        _SCENE, _edit_json(lambda s: s.update(near=s["far"], far=s["near"])), "synth",
+        ["far must be finite", "not 1.2"]),
     "scene.json-list_shape": (
         _SCENE, _edit_json(lambda s: s["primitives"][0].update(shape=["sphere"])),
         "synth", ["'shape'"]),
@@ -628,6 +652,7 @@ class TestInputFaults:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert all(word in proc.stderr for word in [Path(target).name, *words]), proc.stderr
+        assert command not in _OUTPUTS or not (tmp_path / _OUTPUTS[command]).exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_render_bad_threads_exits_2_without_traceback(self, threads, synth_dir, maps_dir,
@@ -664,6 +689,18 @@ class TestInputFaults:
         out = tmp_path / "out"
         _refused(capsys, [*_SETTING_COMMANDS[command](synth_dir, maps_dir, out), flag, value],
                  out, code, words)
+
+    @pytest.mark.parametrize("command, flags", [
+        ("render", ["--bilinear-params"]), ("optimize", ["--consist-variant", "categorical"]),
+        ("optimize", ["--consist-flow", "symmetric"])],
+        ids=["render-bilinear-params", "optimize-consist-variant", "optimize-consist-flow"])
+    def test_removed_option_is_a_usage_error(self, command, flags, synth_dir, maps_dir,
+                                             tmp_path, capsys):
+        """Options that selected a non-default lookup or consistency loss, both
+        since removed, are unknown options."""
+        out = tmp_path / "out"
+        _refused(capsys, [*_SETTING_COMMANDS[command](synth_dir, maps_dir, out), *flags],
+                 out, 1, ["unrecognized arguments: " + " ".join(flags)])
 
 
 @pytest.mark.parametrize("command, owner, name", [

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from rayvis import cli
-from rayvis.camera import PinholeCamera, look_at_camera
+from rayvis.camera import MAX_SIZE, PinholeCamera, look_at_camera
 from rayvis.errors import ConfigurationError, InputError, bounded
 from rayvis.optim import (
     OptimState,
@@ -98,8 +98,8 @@ def _train(name, low, whole=False, above=False, good=()):
                    above=above, good=good, read=attrgetter(name))
 
 
-def _camera(name, low, whole=False, above=False, good=()):
-    return Setting(lambda v, ctx: PinholeCamera(**{**CAMERA, name: v}), name, low,
+def _camera(name, low, high=np.inf, whole=False, above=False, good=()):
+    return Setting(lambda v, ctx: PinholeCamera(**{**CAMERA, name: v}), name, low, high,
                    whole=whole, above=above, good=good, read=attrgetter(name))
 
 
@@ -117,6 +117,9 @@ SETTINGS = {
     "RenderConfig.sh_penalties": Setting(
         lambda v, ctx: RenderConfig(sh_penalties=(0.0, v)), "sh_penalties", 0,
         good=(0, 0.25, 1e300), read=lambda config: config.sh_penalties[1]),
+    "RenderConfig.background": Setting(
+        lambda v, ctx: RenderConfig(background=(0.5, v, 0.5)), "background", 0, 1,
+        good=(0, 0.42, 1), read=lambda config: config.background[1]),
     "TrainConfig.lambda_render": _train("lambda_render", 0, good=(0, 0.7)),
     "TrainConfig.lambda_consist": _train("lambda_consist", 0, good=(0, 0.25)),
     "TrainConfig.lambda_depth": _train("lambda_depth", 0, good=(0, 0.1)),
@@ -131,6 +134,9 @@ SETTINGS = {
     "TrainConfig.n_working": _train_render("n_working", "n_working", 1, good=(1.0, BIG)),
     "TrainConfig.sh_degree": _train_render("sh_degree", "sh_degree", 0, 3, good=(0.0, 3)),
     "TrainConfig.threads": _train_render("threads", "threads", 1, good=(1.0, BIG)),
+    "TrainConfig.background": Setting(
+        lambda v, ctx: TrainConfig(background=(0.5, v, 0.5)), "background", 0, 1,
+        good=(0, 0.42, 1), read=lambda config: config.render_config().background[1]),
     "init_from_depth.sigma_init": Setting(
         lambda v, ctx: init_from_depth(DEPTH, v, 2), "sigma_init", SIGMA_MIN_FRACTION,
         above=True, good=(0.005, 1)),
@@ -142,8 +148,8 @@ SETTINGS = {
     "load_checkpoint.step": Setting(
         lambda v, ctx: ctx.resume(v), "step", 0, whole=True, good=(0, 7),
         read=attrgetter("step")),
-    "PinholeCamera.width": _camera("width", 1, whole=True, good=(1.0, BIG)),
-    "PinholeCamera.height": _camera("height", 1, whole=True, good=(1.0, BIG)),
+    "PinholeCamera.width": _camera("width", 1, MAX_SIZE, whole=True, good=(1.0, MAX_SIZE)),
+    "PinholeCamera.height": _camera("height", 1, MAX_SIZE, whole=True, good=(1.0, MAX_SIZE)),
     "PinholeCamera.fx": _camera("fx", 0, above=True, good=(1e-300, 10)),
     "PinholeCamera.fy": _camera("fy", 0, above=True, good=(1e-300, 10)),
     "PinholeCamera.cx": _camera("cx", -np.inf, good=(-5.0, 0, 12.5)),
@@ -171,6 +177,9 @@ SETTINGS = {
     "SyntheticScene.far": Setting(
         lambda v, ctx: SyntheticScene([], (0, 0, 0), ctx.cameras, 1.0, v), "far", 1.0,
         above=True, good=(1.5, 50), read=attrgetter("far")),
+    "SyntheticScene.background": Setting(
+        lambda v, ctx: SyntheticScene([], (0.5, v, 0.5), ctx.cameras, 1.0, 50.0), "background",
+        0, 1, good=(0, 0.42, 1), read=lambda scene: scene.background.tolist()[1]),
     "perturb_depth.noise_sigma": Setting(
         lambda v, ctx: perturb_depth(DEPTH, v, 0), "noise sigma", 0, good=(0, 0.02)),
     "perturb_depth.seed": Setting(
@@ -182,6 +191,15 @@ SETTINGS = {
     "select_working_views.n_working": Setting(
         lambda v, ctx: select_working_views(ctx.views[1:], ctx.views[0].camera, v, 1.0, 5.0),
         "n_working", 1, 2, whole=True, good=(1.0, 2)),
+    "select_working_views.near": Setting(
+        lambda v, ctx: select_working_views(ctx.views[1:], ctx.views[0].camera, 2, v, 5.0),
+        "near", 0, above=True, good=(0.5, 4.9), read=attrgetter("near")),
+    "select_working_views.far": Setting(
+        lambda v, ctx: select_working_views(ctx.views[1:], ctx.views[0].camera, 2, 1.0, v),
+        "far", 1.0, above=True, good=(1.5, 9), read=attrgetter("far")),
+    "decode.near": Setting(
+        lambda v, ctx: decode(RawRayParams([0.0], [0.0], [0.0]), (v, 5.0)), "near", 0,
+        above=True, good=(0.5, 4.9)),
     "decode.far": Setting(
         lambda v, ctx: decode(RawRayParams([0.0], [0.0], [0.0]), (1.0, v)), "far", 1.0,
         above=True, good=(1.5, 9)),
@@ -304,6 +322,16 @@ def test_large_whole_numbers_keep_every_bit():
 def test_non_numbers_refused(value):
     with pytest.raises(ConfigurationError, match=r"^count must be finite, in \[0, inf\), not "):
         bounded("count", value, 0)
+
+
+@pytest.mark.parametrize("make", [
+    RenderConfig, TrainConfig,
+    lambda background: SyntheticScene([], background, _ring_cameras(2), 1.0, 5.0),
+], ids=["RenderConfig", "TrainConfig", "SyntheticScene"])
+@pytest.mark.parametrize("background", [(0.5, 0.5), (0, 0, 0, 0), [[0, 0, 0]], "abc", 5, None])
+def test_background_not_an_rgb_triple_refused(make, background):
+    with pytest.raises(InputError, match=r"^background must be an RGB triple of finite values"):
+        make(background=background)
 
 
 def test_message_names_the_bounds():
