@@ -80,12 +80,12 @@ def bounded(name, value, low, high=math.inf, whole=False, above=False,
     return number
 
 
-def near_far(near, far, where="", error=InputError):
+def near_far(near, far, where=""):
     """``(near, far)`` as floats if ``0 < near < far``, both finite; anything
-    else raises ``error`` whose message starts with ``where``, the source of
-    the values, and names the key."""
-    near = bounded(f"{where}near", near, 0, above=True, error=error)
-    return near, bounded(f"{where}far", far, near, above=True, error=error)
+    else raises ``InputError`` whose message starts with ``where``, the
+    source of the values, and names the key."""
+    near = bounded(f"{where}near", near, 0, above=True, error=InputError)
+    return near, bounded(f"{where}far", far, near, above=True, error=InputError)
 
 
 def rgb(name, value, error=ConfigurationError):

@@ -530,7 +530,7 @@ _FAULTS = {
         "resume", ["metrics"]),
     "state.npz-no_settings": (
         _STATE, _edit_state(lambda a: a.pop("settings")), "resume", ["settings"]),
-    "state.npz-removed_setting": (    # as every checkpoint written before it was removed
+    "state.npz-removed_setting": (    # a checkpoint of a version with consist_variant
         _STATE, _edit_state(lambda a: a.update(settings=np.array(json.dumps(
             {**json.loads(str(a["settings"])), "consist_variant": "binary"})))),
         "resume", ["consist_variant='binary'"]),
