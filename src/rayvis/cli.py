@@ -202,16 +202,16 @@ def cmd_init(args) -> int:
     _, meta = _load_cameras(args.data_dir)
     near, far = float(meta["near"]), float(meta["far"])
     out = Path(args.out_dir)
-    outputs = []
+    dmaps = {}
     for idx, path in sorted(depths.items()):
         depth = replace(imgio.read_depth_map(path), near=near, far=far)
         depth = perturb_depth(depth, args.noise, (args.seed, idx))
-        dmap = optim.init_from_depth(depth, args.sigma_init, args.components, view=idx)
-        # only now: a refused setting leaves no output directory
-        out.mkdir(parents=True, exist_ok=True)
-        map_path = out / imgio.view_name(idx, "nray")
+        dmaps[idx] = optim.init_from_depth(depth, args.sigma_init, args.components, view=idx)
+    # only now: a refused setting or an unreadable depth map leaves no output directory
+    out.mkdir(parents=True, exist_ok=True)
+    outputs = [out / imgio.view_name(idx, "nray") for idx in dmaps]
+    for map_path, dmap in zip(outputs, dmaps.values()):
         dmap.save(map_path)
-        outputs.append(map_path)
     _write_manifest(out, args, [*depths.values(), Path(args.data_dir) / "cameras.json"],
                     outputs, start)
     print(f"initialized {len(outputs)} maps in {out}")

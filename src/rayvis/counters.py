@@ -10,43 +10,37 @@ harmonics fits a render performs.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 
 @dataclass
 class CounterSnapshot:
-    cdf_evals: int
-    density_evals: int
-    sh_fits: int
-    color_samples: int
+    """The value of every counter: the one declaration of their names."""
+
+    cdf_evals: int = 0
+    density_evals: int = 0
+    sh_fits: int = 0
+    color_samples: int = 0
 
 
 class Counters:
-    """Global, lock-protected event counters."""
+    """Global, lock-protected event counters, one per field of CounterSnapshot."""
 
     def __init__(self):
         self._lock = threading.Lock()
-        self.cdf_evals = 0
-        self.density_evals = 0
-        self.sh_fits = 0
-        self.color_samples = 0
+        self._values = CounterSnapshot()
 
     def reset(self):
         with self._lock:
-            self.cdf_evals = 0
-            self.density_evals = 0
-            self.sh_fits = 0
-            self.color_samples = 0
+            self._values = CounterSnapshot()
 
     def add(self, counter: str, amount: int = 1):
         with self._lock:
-            setattr(self, counter, getattr(self, counter) + int(amount))
+            setattr(self._values, counter, getattr(self._values, counter) + int(amount))
 
     def snapshot(self) -> CounterSnapshot:
         with self._lock:
-            return CounterSnapshot(
-                self.cdf_evals, self.density_evals, self.sh_fits, self.color_samples
-            )
+            return replace(self._values)
 
 
 counters = Counters()

@@ -271,25 +271,19 @@ def hit_prob_interval(dist: MixtureOfLogistics, z0, z1):
     return occlusion_cdf(dist, z1) - occlusion_cdf(dist, z0)
 
 
-def input_ray_alpha(dist: MixtureOfLogistics, z0, z1, return_saturated: bool = False):
+def input_ray_alpha(dist: MixtureOfLogistics, z0, z1):
     """Opacity of the interval ``(z0, z1)``: ``(t(z1) - t(z0)) / (1 - t(z0))``.
 
     When ``t(z0)`` has saturated to 1 the result clamps to 1 instead of
-    raising, since this occurs transiently during optimization; pass
-    ``return_saturated=True`` to observe the clamp.
+    raising, since this occurs transiently during optimization.
     """
     z0 = np.asarray(z0, dtype=np.float64)
     z1 = np.asarray(z1, dtype=np.float64)
     if np.any(z0 > z1):
         raise IntervalOrderError("interval endpoints must satisfy z0 <= z1")
-    alpha, saturated = interval_alpha(occlusion_cdf(dist, z0), occlusion_cdf(dist, z1))
+    alpha, _ = interval_alpha(occlusion_cdf(dist, z0), occlusion_cdf(dist, z1))
     alpha = np.clip(alpha, 0.0, 1.0)
-    if alpha.ndim == 0:
-        alpha = float(alpha)
-        saturated = bool(saturated)
-    if return_saturated:
-        return alpha, saturated
-    return alpha
+    return float(alpha) if alpha.ndim == 0 else alpha
 
 
 def interval_alpha(t0, t1):

@@ -48,7 +48,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from rayvis.camera import PinholeCamera, Ray
+from rayvis.camera import PinholeCamera
 from rayvis.counters import counters
 from rayvis.errors import (ConfigurationError, DimensionMismatchError, InputError, bounded,
                            near_far, rgb)
@@ -118,7 +118,6 @@ class RenderConfig:
     n_working: int = 8
     background: tuple = (0.0, 0.0, 0.0)
     sh_degree: int = 3
-    sh_penalties: tuple = DEFAULT_DEGREE_PENALTIES
     threads: int = field(default_factory=usable_cpus)
 
     def __post_init__(self):
@@ -132,8 +131,6 @@ class RenderConfig:
         if self.mode == "coarse_to_fine":   # samples per ray
             bounded("k_coarse + k_fine", self.k_coarse + self.k_fine, 2, MAX_SAMPLES, whole=True)
         object.__setattr__(self, "background", rgb("background", self.background))
-        object.__setattr__(self, "sh_penalties",
-                           tuple(bounded("sh_penalties", p, 0) for p in self.sh_penalties))
 
 
 @dataclass
@@ -181,17 +178,6 @@ class WorkingSet:
     @property
     def n_views(self) -> int:
         return len(self.views)
-
-
-@dataclass
-class SampleSet:
-    """Per-ray sample bookkeeping: depths, bin widths, alpha/hit/color slots."""
-
-    depths: np.ndarray
-    widths: np.ndarray
-    alphas: np.ndarray
-    hit_probs: np.ndarray
-    colors: np.ndarray
 
 
 def select_working_views(
@@ -283,15 +269,6 @@ def _bilinear(stack: np.ndarray, view, h, w, u, v) -> np.ndarray:
         rows.append(left)
     rows[0] += rows[1]
     return rows[0]
-
-
-def bilinear_sample(grid: np.ndarray, u, v) -> np.ndarray:
-    """Bilinear lookup at continuous image coordinates (pixel centers at +0.5).
-
-    ``grid`` is (H, W, ...): an image or a raw parameter map; the weights
-    broadcast over its trailing axes.
-    """
-    return _bilinear(grid[None], 0, grid.shape[0], grid.shape[1], u, v)
 
 
 def _lookup(working: WorkingSet, points: np.ndarray):
@@ -408,7 +385,7 @@ def _chunk_forward(working: WorkingSet, origins, dirs, z, widths, config: Render
         in_dirs = np.subtract(in_dirs, working.centers.T[:, :, None], order="C")  # (3,J,M)
         in_dirs /= np.maximum(np.linalg.norm(in_dirs, axis=0, keepdims=True), 1e-30)
         q_dirs = dirs[np.nonzero(active)[0]]                                 # (M,3)
-        kernel, border_degree, border = sh_dual_form(config.sh_degree, config.sh_penalties)
+        kernel, border_degree, border = sh_dual_form(config.sh_degree, DEFAULT_DEGREE_PENALTIES)
         colors_q, fit = sh_fit_batched(
             in_dirs.T, weights.T, in_colors, q_dirs, kernel,
             sh_basis_values(border_degree, in_dirs.T)[..., border],
@@ -656,26 +633,6 @@ def render_image(working: WorkingSet, config: RenderConfig) -> np.ndarray:
     return np.clip(out.reshape(cam.height, cam.width, 3), 0.0, 1.0)
 
 
-def render_pixel(working: WorkingSet, ray: Ray, config: RenderConfig):
-    """Render a single query ray; returns (color, SampleSet)."""
-    colors, state, kept = render_rays(working, ray.origin[None], ray.direction[None], config)
-    if kept[0]:
-        samples = SampleSet(state.z[0], state.widths[0], state.alpha_hat[0], state.h_hat[0],
-                            state.sample_colors[0])
-    else:   # a coarse-to-fine ray without fine samples: zero alphas, background colors
-        samples = SampleSet(*np.zeros((4, config.k_fine)),
-                            np.zeros((config.k_fine, 3)) + config.background)
-    return np.clip(colors[0], 0.0, 1.0), samples
-
-
-def hitting_probs(alphas) -> np.ndarray:
-    """First-hit probabilities from ordered alphas: transmittance times alpha."""
-    alphas = np.asarray(alphas, dtype=np.float64)
-    if not np.all((alphas >= 0) & (alphas <= 1)):    # NaN fails both
-        raise InputError("alphas must lie in [0, 1]")
-    return _transmittance(alphas) * alphas
-
-
 def query_visibility(working: WorkingSet, point) -> np.ndarray:
     """Per-working-view visibility of a world point.
 
@@ -687,33 +644,6 @@ def query_visibility(working: WorkingSet, point) -> np.ndarray:
     out = np.zeros(working.n_views)
     out[valid[0]] = 1.0 - mixture_cdf(*(a[:, valid].T for a in (mu, sig, w)), depth[valid])
     return out
-
-
-def _point_sample(working: WorkingSet, point, direction, bin_width: float,
-                  config: RenderConfig, with_colors: bool) -> ChunkState:
-    """One sample on a ray that starts at ``point``: depth 0, width ``bin_width``,
-    which must be finite and positive."""
-    width = bounded("bin width", bin_width, 0, above=True, error=InputError)
-    origins = np.asarray(point, dtype=np.float64).reshape(1, 3)
-    dirs = np.asarray(direction, dtype=np.float64).reshape(1, 3)
-    return _chunk_forward(working, origins, dirs, np.zeros((1, 1)), np.full((1, 1), width),
-                          config, with_colors=with_colors)
-
-
-def sample_alpha(working: WorkingSet, point, bin_width: float) -> float:
-    """Visibility-weighted mean of the working views' interval opacities."""
-    state = _point_sample(working, point, np.zeros(3), bin_width, RenderConfig(), False)
-    return float(state.alpha_hat[0, 0])
-
-
-def sample_color(working: WorkingSet, point, direction, bin_width: float,
-                 config: RenderConfig) -> np.ndarray:
-    """Hitting-probability-weighted SH color of one sample point.
-
-    Falls back to the background color when every working view's weight is
-    below the visibility floor.
-    """
-    return _point_sample(working, point, direction, bin_width, config, True).sample_colors[0, 0]
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:

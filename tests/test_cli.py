@@ -462,7 +462,7 @@ _COMMANDS = {
     "synth": lambda d: ["synth", d / "scene.json", d / "synth"],
 }
 # what a command of ``_COMMANDS`` writes, and so must not create when it refuses
-_OUTPUTS = {"render": "x.ppm", "optimize": "run", "synth": "synth"}
+_OUTPUTS = {"init": "new_maps", "render": "x.ppm", "optimize": "run", "synth": "synth"}
 
 _PPM, _NRDF = "data/images/view_0001.ppm", "data/depth/view_0002.nrdf"
 _NRAY, _CAMS = "maps/view_0001.nray", "data/cameras.json"

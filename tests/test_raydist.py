@@ -270,13 +270,9 @@ class TestInputRayAlpha:
         t1 = occlusion_cdf(mix, edges[-1])
         assert lhs == pytest.approx((t1 - t0) / (1 - t0), abs=1e-12)
 
-    def test_saturation_clamps_with_flag(self):
+    def test_saturation_clamps_to_one(self):
         mix = MixtureOfLogistics([1.0], [1e-4], [1.0])
-        alpha, saturated = input_ray_alpha(mix, 500.0, 600.0, return_saturated=True)
-        assert alpha == 1.0
-        assert saturated
-        alpha, saturated = input_ray_alpha(mix, 1.0, 2.0, return_saturated=True)
-        assert not saturated
+        assert input_ray_alpha(mix, 500.0, 600.0) == 1.0
 
 
 class TestGradCdf:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rayvis import render
-from rayvis.camera import PinholeCamera, Ray, generate_ray, look_at_camera
+from rayvis.camera import PinholeCamera, generate_ray, look_at_camera
 from rayvis.counters import counters
 from rayvis.errors import ConfigurationError, DimensionMismatchError, InputError
 from rayvis.optim import init_from_depth, view_grad
@@ -16,16 +16,11 @@ from rayvis.raydist import DistributionMap
 from rayvis.render import (
     RenderConfig,
     RenderView,
-    bilinear_sample,
-    hitting_probs,
     psnr,
     query_visibility,
     render_image,
-    render_pixel,
     render_rays,
     render_rays_backward,
-    sample_alpha,
-    sample_color,
     select_working_views,
     usable_cpus,
 )
@@ -42,6 +37,22 @@ def working_set_for(ring_scene, gt_views, query_index, n_working=8):
         ring_scene.far,
         query_index=query_index,
     )
+
+
+def one_sample(working, point, direction, width, config=None, with_colors=True):
+    """The chunk state of one ray that starts at ``point``: one sample at
+    depth 0 with bin width ``width``."""
+    origins = np.asarray(point, dtype=np.float64).reshape(1, 3)
+    dirs = np.asarray(direction, dtype=np.float64).reshape(1, 3)
+    return render._chunk_forward(working, origins, dirs, np.zeros((1, 1)),
+                                 np.full((1, 1), float(width)), config or RenderConfig(),
+                                 with_colors=with_colors)
+
+
+def alpha_at(working, point, width) -> float:
+    """Visibility-weighted mean of the working views' interval opacities at ``point``."""
+    return float(one_sample(working, point, (0.0, 0.0, 0.0), width,
+                            with_colors=False).alpha_hat[0, 0])
 
 
 def unstarted_threads(monkeypatch):
@@ -297,29 +308,16 @@ class TestSampleAlpha:
 
     def test_weighted_mean(self):
         ws = self.synthetic_working_set([0.4, 0.8], [0.75, 0.25])
-        value = sample_alpha(ws, (0, 0, 0), 0.5)
+        value = alpha_at(ws, (0, 0, 0), 0.5)
         assert value == pytest.approx(0.5, abs=1e-6)
 
     def test_all_invisible_convention(self):
         ws = self.synthetic_working_set([0.5, 0.5], [1e-9, 1e-9])
-        assert sample_alpha(ws, (0, 0, 0), 0.5) == 0.0
+        assert alpha_at(ws, (0, 0, 0), 0.5) == 0.0
 
     def test_single_visible_view(self):
         ws = self.synthetic_working_set([0.6], [1.0 - 1e-7])
-        assert sample_alpha(ws, (0, 0, 0), 0.5) == pytest.approx(0.6, abs=1e-5)
-
-    def test_bin_width_positive(self):
-        ws = self.synthetic_working_set([0.5], [0.9])
-        with pytest.raises(InputError):
-            sample_alpha(ws, (0, 0, 0), 0.0)
-
-    @pytest.mark.parametrize("width", [-0.5, 0.0, np.nan, np.inf, -np.inf])
-    def test_both_point_helpers_refuse_a_bad_bin_width(self, width):
-        ws = self.synthetic_working_set([0.5], [0.9])
-        with pytest.raises(InputError, match="bin width"):
-            sample_alpha(ws, (0, 0, 0), width)
-        with pytest.raises(InputError, match="bin width"):
-            sample_color(ws, (0, 0, 0), (0.0, 0.0, 1.0), width, RenderConfig())
+        assert alpha_at(ws, (0, 0, 0), 0.5) == pytest.approx(0.6, abs=1e-5)
 
 
 class TestRenderConfig:
@@ -327,11 +325,6 @@ class TestRenderConfig:
     def test_sh_degree_out_of_range(self, degree):
         with pytest.raises(ConfigurationError, match="sh_degree"):
             RenderConfig(sh_degree=degree)
-
-    @pytest.mark.parametrize("penalties", [(0.0, -1e-3, 0.0, 0.0), (0.0, np.nan), (np.inf,)])
-    def test_negative_or_non_finite_penalty(self, penalties):
-        with pytest.raises(ConfigurationError, match="sh_penalties"):
-            RenderConfig(sh_penalties=penalties)
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one(self, threads):
@@ -376,22 +369,6 @@ class TestRenderConfig:
     def test_threads_default_to_usable_cpus(self):
         assert usable_cpus() >= 1
         assert RenderConfig().threads == usable_cpus()
-
-
-class TestBorderPenalties:
-    def test_near_rank_deficient_border_renders(self, ring_scene, ring_ground_truth):
-        """With degree 2 unpenalized, some rows' weighted border columns span
-        singular values from about 1e-2 down to 1e-11: a factorization of the
-        bordered system meets a zero pivot there, so those rows must be
-        eliminated."""
-        images, depths = ring_ground_truth
-        views = [RenderView(i, cam, init_from_depth(depths[i], 0.01, 2, view=i), images[i])
-                 for i, cam in enumerate(ring_scene.cameras)]
-        ws = select_working_views(views, ring_scene.cameras[3], 8, ring_scene.near,
-                                  ring_scene.far, query_index=3)
-        config = RenderConfig(k_coarse=24, sh_degree=2, sh_penalties=(0.002, 0.001, 0.0, 0.01))
-        image = render_image(ws, config)
-        assert np.all(np.isfinite(image)) and image.min() >= 0.0 and image.max() <= 1.0
 
 
 class TestBackwardFiniteDifferences:
@@ -466,11 +443,21 @@ class TestBilinearGather:
     def test_parameter_grid_centers_and_midpoints(self):
         grid = np.random.default_rng(23).normal(size=(4, 5, 3, 2))
         iy, ix = np.meshgrid(np.arange(4), np.arange(5), indexing="ij")
-        assert np.array_equal(bilinear_sample(grid, ix + 0.5, iy + 0.5), grid)
-        mid_x = bilinear_sample(grid, ix[:, :-1] + 1.0, iy[:, :-1] + 0.5)
+
+        def lookup(u, v):
+            return render._bilinear(grid[None], 0, 4, 5, u, v)
+
+        assert np.array_equal(lookup(ix + 0.5, iy + 0.5), grid)
+        mid_x = lookup(ix[:, :-1] + 1.0, iy[:, :-1] + 0.5)
         np.testing.assert_allclose(mid_x, 0.5 * (grid[:, :-1] + grid[:, 1:]), atol=1e-12)
-        mid_y = bilinear_sample(grid, ix[:-1] + 0.5, iy[:-1] + 1.0)
+        mid_y = lookup(ix[:-1] + 0.5, iy[:-1] + 1.0)
         np.testing.assert_allclose(mid_y, 0.5 * (grid[:-1] + grid[1:]), atol=1e-12)
+
+
+def hitting_probs(alphas) -> np.ndarray:
+    """First-hit probabilities of ordered alphas, as the renderer composites them."""
+    alphas = np.asarray(alphas, dtype=np.float64)
+    return render._transmittance(alphas) * alphas
 
 
 class TestHittingProbs:
@@ -493,15 +480,6 @@ class TestHittingProbs:
             assert np.all(h >= 0) and np.all(h <= 1)
             assert h.sum() + np.prod(1 - alphas) == pytest.approx(1.0, abs=1e-9)
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(InputError):
-            hitting_probs([0.5, 1.2])
-
-    @pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf, -1e-300])
-    def test_rejects_non_finite_and_negative(self, bad):
-        with pytest.raises(InputError):
-            hitting_probs([0.5, bad, 0.2])
-
 
 class TestSampleColor:
     def test_surface_color_matches_shading_oracle(self, ring_scene, gt_views):
@@ -518,7 +496,7 @@ class TestSampleColor:
                 continue
             depth, _, shaded = hit
             point = ray.point_at(depth)
-            color = sample_color(ws, point, ray.direction, 0.03, config)
+            color = one_sample(ws, point, ray.direction, 0.03, config).sample_colors[0, 0]
             # the fitted color is view-blended; diffuse albedo dominates
             if np.max(np.abs(color - shaded)) < 0.1:
                 checked += 1
@@ -533,7 +511,7 @@ class TestSampleColor:
         config = RenderConfig(background=(0.1, 0.2, 0.3))
         # a free-space point well in front of the spheres
         point = np.array([0.0, 0.0, 0.0]) + np.array([0.0, 2.2, 0.0])
-        color = sample_color(ws, point, np.array([0.0, 0.0, 1.0]), 0.03, config)
+        color = one_sample(ws, point, (0.0, 0.0, 1.0), 0.03, config).sample_colors[0, 0]
         np.testing.assert_allclose(color, (0.1, 0.2, 0.3), atol=1e-12)
 
     def test_occluded_view_excluded(self):
@@ -560,7 +538,7 @@ class TestSampleColor:
         config = RenderConfig(background=(0, 0, 0))
         # probe at depth 2 from both views: the red view's surface sits in
         # the probe bin (weight ~1); the blue view is occluded at 1.4
-        color = sample_color(ws, (0, 0, 0), np.array([0.0, 0.0, 1.0]), 0.5, config)
+        color = one_sample(ws, (0, 0, 0), (0.0, 0.0, 1.0), 0.5, config).sample_colors[0, 0]
         np.testing.assert_allclose(color, (1, 0, 0), atol=1e-3)
 
 
@@ -578,11 +556,11 @@ class TestRenderPixel:
             k_coarse=64, mode="uniform", background=tuple(ring_scene.background)
         )
         ray = generate_ray(cam, (1.0, 1.0))  # corner pixel, misses geometry
-        color, samples = render_pixel(ws, ray, config)
+        colors, state, _ = render_rays(ws, ray.origin[None], ray.direction[None], config)
         # miss rays composite the working views' far-plane sentinel mass,
         # whose colors are the background, so the pixel stays background
-        np.testing.assert_allclose(color, ring_scene.background, atol=0.02)
-        assert samples.hit_probs.sum() <= 1 + 1e-9
+        np.testing.assert_allclose(colors[0], ring_scene.background, atol=0.02)
+        assert state.h_hat[0].sum() <= 1 + 1e-9
 
     def test_sample_set_contract_uniform(self, ring_scene, gt_views):
         ws = working_set_for(ring_scene, gt_views, 0)
@@ -590,13 +568,13 @@ class TestRenderPixel:
         config = RenderConfig(k_coarse=32, mode="uniform",
                               background=tuple(ring_scene.background))
         ray = generate_ray(cam, (32.0, 32.0))
-        _, samples = render_pixel(ws, ray, config)
-        assert samples.depths.shape == (32,)
-        assert np.all(np.diff(samples.depths) > 0)
+        _, state, _ = render_rays(ws, ray.origin[None], ray.direction[None], config)
+        assert state.z[0].shape == (32,)
+        assert np.all(np.diff(state.z[0]) > 0)
         step = (ring_scene.far - ring_scene.near) / 32
-        np.testing.assert_allclose(samples.widths, step, atol=1e-12)
-        assert np.all(samples.alphas >= 0) and np.all(samples.alphas <= 1)
-        assert samples.hit_probs.sum() <= 1 + 1e-9
+        np.testing.assert_allclose(state.widths[0], step, atol=1e-12)
+        assert np.all(state.alpha_hat[0] >= 0) and np.all(state.alpha_hat[0] <= 1)
+        assert state.h_hat[0].sum() <= 1 + 1e-9
 
     def test_fine_samples_concentrate(self, ring_scene, gt_views):
         ws = working_set_for(ring_scene, gt_views, 0)
@@ -605,26 +583,21 @@ class TestRenderPixel:
                               background=tuple(ring_scene.background))
         ray = generate_ray(cam, (32.0, 32.0))
         hit = intersect(ring_scene, ray)
-        color, samples = render_pixel(ws, ray, config)
+        _, state, kept = render_rays(ws, ray.origin[None], ray.direction[None], config)
         # fine depths cluster around the true surface
-        assert samples.depths.shape == (8,)
-        assert np.all(np.abs(samples.depths - hit[0]) < 0.5)
+        assert kept[0] and state.z.shape == (1, 8)
+        assert np.all(np.abs(state.z[0] - hit[0]) < 0.5)
 
     def test_unkept_coarse_to_fine_ray_renders_background(self, ring_scene, gt_views):
         """A ray pointing away from the scene has no coarse hitting mass, so it
-        gets no fine pass: zero alphas and hitting probabilities, and
-        background colors at every fine sample."""
+        gets no fine pass and no state, and renders as the background."""
         ws = working_set_for(ring_scene, gt_views, 0)
         ray = generate_ray(ring_scene.cameras[0], (32.0, 32.0))
-        away = Ray(ray.origin, -ray.direction)
         config = RenderConfig(k_coarse=32, k_fine=8, mode="coarse_to_fine",
                               background=tuple(ring_scene.background))
-        assert not render_rays(ws, away.origin[None], away.direction[None], config)[2][0]
-        color, samples = render_pixel(ws, away, config)
-        assert np.array_equal(color, ring_scene.background)
-        assert not np.any(samples.alphas) and not np.any(samples.hit_probs)
-        assert samples.colors.shape == (8, 3)
-        assert np.array_equal(samples.colors, np.tile(ring_scene.background, (8, 1)))
+        colors, state, kept = render_rays(ws, ray.origin[None], -ray.direction[None], config)
+        assert not kept[0] and state is None
+        assert np.array_equal(colors[0], ring_scene.background)
 
     def test_concentrated_mass_keeps_fine_samples_in_bin(self):
         """With all coarse mass in one bin, fine samples stay inside it."""
@@ -999,14 +972,11 @@ class TestDualFormCache:
         monkeypatch.setattr(np.polynomial.legendre, "leg2poly", counting_expand)
         shcolor._dual_form.cache_clear()
         ws = working_set_for(ring_scene, gt_views, 2)
-        config = RenderConfig(k_coarse=8, sh_degree=2, sh_penalties=(0.0, 0.003, 0.004),
-                              threads=1)
-        render_image(ws, config)
+        render_image(ws, RenderConfig(k_coarse=8, sh_degree=2, threads=1))
         assert calls == [3]
-        render_image(ws, RenderConfig(k_coarse=8, sh_degree=2,
-                                      sh_penalties=(0.0, 0.003, 0.004), threads=2))
+        render_image(ws, RenderConfig(k_coarse=8, sh_degree=2, threads=2))
         assert calls == [3]
-        kernel, _, border = shcolor.sh_dual_form(2, [0.0, 0.003, 0.004])
+        kernel, _, border = shcolor.sh_dual_form(2, list(shcolor.DEFAULT_DEGREE_PENALTIES))
         assert calls == [3]
         for array in (kernel, border):
             with pytest.raises(ValueError, match="read-only"):

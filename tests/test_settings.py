@@ -34,7 +34,6 @@ from rayvis.render import (
     MAX_SAMPLES,
     RenderConfig,
     RenderView,
-    sample_alpha,
     select_working_views,
 )
 from rayvis.scene import (
@@ -114,9 +113,6 @@ SETTINGS = {
     "RenderConfig.n_working": _render("n_working", 1, good=(1.0, BIG)),
     "RenderConfig.threads": _render("threads", 1, good=(1.0, BIG)),
     "RenderConfig.sh_degree": _render("sh_degree", 0, 3, good=(0.0, 3)),
-    "RenderConfig.sh_penalties": Setting(
-        lambda v, ctx: RenderConfig(sh_penalties=(0.0, v)), "sh_penalties", 0,
-        good=(0, 0.25, 1e300), read=lambda config: config.sh_penalties[1]),
     "RenderConfig.background": Setting(
         lambda v, ctx: RenderConfig(background=(0.5, v, 0.5)), "background", 0, 1,
         good=(0, 0.42, 1), read=lambda config: config.background[1]),
@@ -185,9 +181,6 @@ SETTINGS = {
     "perturb_depth.seed": Setting(
         lambda v, ctx: perturb_depth(DEPTH, 0.02, (7, v)), "noise seed", 0, whole=True,
         good=(0.0, BIG)),
-    "sample_alpha.bin_width": Setting(
-        lambda v, ctx: sample_alpha(ctx.working, (0.0, 0.5, 0.0), v), "bin width", 0,
-        above=True, good=(0.05, 4)),
     "select_working_views.n_working": Setting(
         lambda v, ctx: select_working_views(ctx.views[1:], ctx.views[0].camera, v, 1.0, 5.0),
         "n_working", 1, 2, whole=True, good=(1.0, 2)),
@@ -225,12 +218,11 @@ def scene_parts():
 
 
 class Context:
-    """What the calls of the sweep need: views, a working set, and a run
-    directory under ``tmp_path`` that a refused call must not create."""
+    """What the calls of the sweep need: views, and a run directory under
+    ``tmp_path`` that a refused call must not create."""
 
     def __init__(self, scene_parts, tmp_path):
         self.cameras, self.views = scene_parts
-        self.working = select_working_views(self.views[1:], self.views[0].camera, 2, 1.0, 5.0)
         self.out = tmp_path / "run"
         self.data = SceneData(
             cameras=dict(enumerate(self.cameras)),
