@@ -658,6 +658,22 @@ class TestRenderImage:
         image = render_image(ws, config)
         assert psnr(image, images[0]) >= 25.0
 
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_every_sh_degree_renders_a_held_out_view(self, ring_scene, ring_ground_truth,
+                                                      degree):
+        """Maps of width 0.01 and the default per-degree penalties: each
+        degree's fit gives a finite image in [0, 1] of held-out quality."""
+        images, depths = ring_ground_truth
+        views = [RenderView(i, cam, init_from_depth(depths[i], 0.01, 2, view=i), images[i])
+                 for i, cam in enumerate(ring_scene.cameras)]
+        ws = select_working_views(views, ring_scene.cameras[3], 8, ring_scene.near,
+                                  ring_scene.far, query_index=3)
+        config = RenderConfig(k_coarse=24, sh_degree=degree,
+                              background=tuple(ring_scene.background))
+        image = render_image(ws, config)
+        assert np.all(np.isfinite(image)) and image.min() >= 0.0 and image.max() <= 1.0
+        assert psnr(image, images[3]) >= 25.0
+
     def test_parallel_matches_serial(self, ring_scene, gt_views):
         """32 chunks of 128 rays on 1 and on 4 streams."""
         ws = working_set_for(ring_scene, gt_views, 0)

@@ -29,7 +29,7 @@ from rayvis.optim import (
     optimize_scene,
     save_checkpoint,
 )
-from rayvis.raydist import SIGMA_MIN_FRACTION, DistributionMap, RawRayParams, decode
+from rayvis.raydist import SIGMA_MIN_FRACTION, DistributionMap, RawRayParams, decode, grad_cdf
 from rayvis.render import (
     MAX_SAMPLES,
     RenderConfig,
@@ -158,6 +158,12 @@ SETTINGS = {
     "WeightedColorSample.weight": Setting(
         lambda v, ctx: WeightedColorSample((0, 0, 1), (0.5, 0.5, 0.5), v), "weight", 0,
         good=(0, 0.5), read=attrgetter("weight")),
+    "Material.albedo": Setting(
+        lambda v, ctx: Material((0.5, v, 0.5)), "albedo", 0, 1, good=(0, 0.42, 1),
+        read=lambda material: material.albedo.tolist()[1]),
+    "Material.checker_color": Setting(
+        lambda v, ctx: Material((0.5, 0.5, 0.5), (0.5, v, 0.5)), "checker color", 0, 1,
+        good=(0, 0.42, 1), read=lambda material: material.checker_color.tolist()[1]),
     "Material.checker_cell": _material("checker_cell", 0, above=True, good=(0.25, 2)),
     "Material.specular_strength": _material("specular_strength", 0, 1, good=(0, 0.5, 1)),
     "Material.shininess": _material("shininess", 0, above=True, good=(1, 32.0)),
@@ -195,6 +201,12 @@ SETTINGS = {
         above=True, good=(0.5, 4.9)),
     "decode.far": Setting(
         lambda v, ctx: decode(RawRayParams([0.0], [0.0], [0.0]), (1.0, v)), "far", 1.0,
+        above=True, good=(1.5, 9)),
+    "grad_cdf.near": Setting(
+        lambda v, ctx: grad_cdf(RawRayParams([0.0], [0.0], [0.0]), 2.0, (v, 5.0)), "near", 0,
+        above=True, good=(0.5, 4.9)),
+    "grad_cdf.far": Setting(
+        lambda v, ctx: grad_cdf(RawRayParams([0.0], [0.0], [0.0]), 2.0, (1.0, v)), "far", 1.0,
         above=True, good=(1.5, 9)),
 }
 
