@@ -264,12 +264,17 @@ def cmd_optimize(args) -> int:
     views = _load_render_views(args.data_dir, cameras, args.init_dir, exclude=args.eval_views)
     if len(views) < 2:
         raise InputError("optimization needs at least two initialized views")
-    depth_paths = imgio.scan_views(Path(args.data_dir) / "depth", "nrdf")
+    depth_dir = Path(args.data_dir) / "depth"
+    depth_paths = imgio.scan_views(depth_dir, "nrdf")
     deps = {}
     for view in views:
         if view.index in depth_paths:
             deps[view.index] = imgio.read_depth_map(depth_paths[view.index])
             _check_size(depth_paths[view.index], deps[view.index].values.shape, view.camera)
+    missing = [view.index for view in views if view.index not in deps]
+    if deps and missing:    # the depth loss would have no target on these views
+        raise InputError(f"{depth_dir / imgio.view_name(missing[0], 'nrdf')}: missing, "
+                         f"but other training views have depth maps")
     data = optim.SceneData(
         cameras=cameras,
         images={view.index: view.image for view in views},

@@ -385,17 +385,18 @@ def map_grads(params: np.ndarray, near: float, far: float, parts) -> np.ndarray:
 
 
 def view_grad(working: WorkingSet, j: int, parts) -> np.ndarray:
-    """Raw-parameter gradient of working view ``j``, cut to its map's shape:
-    :func:`map_grads` of its (H, W, 3, n) grid of the working set's stack,
-    from each part's slice that falls in that grid. A part's cells strictly
-    increase, so two binary searches find its slice."""
-    size = working.params.shape[1] * working.params.shape[2]
+    """Raw-parameter gradient of working view ``j``'s map: :func:`map_grads`
+    of each part's slice that falls in the view's cells, renumbered from its
+    first cell, with the rows of the components the map has. A part's cells
+    strictly increase, so two binary searches find its slice. It decodes
+    through the map's parameters as they are when it is called, so
+    :func:`train_step` calls it before its commit writes any map."""
+    dmap, first = working.views[j].dmap, working.first[j]
     own = []
     for cells, rows in parts:
-        lo, hi = np.searchsorted(cells, (j * size, (j + 1) * size))
-        own.append((cells[lo:hi] - j * size, rows[lo:hi]))
-    g_raw = map_grads(working.params[j], working.near, working.far, own)
-    return g_raw[tuple(map(slice, working.views[j].dmap.params.shape))]
+        lo, hi = np.searchsorted(cells, working.first[j:j + 2])
+        own.append((cells[lo:hi] - first, rows[lo:hi, :, :dmap.n_components]))
+    return map_grads(dmap.params, working.near, working.far, own)
 
 
 def train_step(

@@ -152,12 +152,11 @@ def decode(raw: RawRayParams, depth_range) -> MixtureOfLogistics:
     return MixtureOfLogistics(mu, sig, w)
 
 
-def decode_stack(params: np.ndarray, near: float, far: float, comps=None) -> np.ndarray:
+def decode_stack(params: np.ndarray, near: float, far: float) -> np.ndarray:
     """The one decode: raw parameters (..., 3, n) into a new contiguous
     component-major array (3, n, ...) of mu, sigma and w, by component, then
-    by the leading axes of ``params``. Where ``comps``, which broadcasts
-    against (..., n), is False, the weight is exactly 0: a padded component
-    weighs nothing. The raw values are copied in once and decoded in place."""
+    by the leading axes of ``params``. The raw values are copied in once and
+    decoded in place."""
     span = far - near
     out = np.empty((3, params.shape[-1]) + params.shape[:-2])
     np.copyto(out, np.moveaxis(params, (-2, -1), (0, 1)))
@@ -169,8 +168,6 @@ def decode_stack(params: np.ndarray, near: float, far: float, comps=None) -> np.
     sig += SIGMA_MIN_FRACTION * span
     w = np.moveaxis(w, 0, -1)
     softmax(w, out=w)
-    if comps is not None:
-        w *= comps
     return out
 
 

@@ -9,14 +9,14 @@ and coarse-to-fine where a cheap coarse pass (CDF evaluations only, no
 color fits) places the few fine samples by deterministic stratified
 inverse-CDF sampling of the coarse hitting mass.
 
-A working set stacks its J views, padded to the largest height H, width W
-and component count n. Points project onto every view at once, so
-per-sample quantities are (..., J) arrays. Pixel (y, x) of view j is the
-flat cell ``(j * H + y) * W + x`` of a (J, H, W, ...) stack, by which
-parameters, images and gradients are gathered and scattered. The decoded
-mixtures are component-major: the (3, n, J·H·W) stack gathers to
-(mu, sigma, w), each (n, ..., J), so the CDF kernel and its gradients
-work on contiguous per-component arrays.
+A working set stores its J views' pixels end to end: view j owns the flat
+cells ``first[j]:first[j + 1]``, row-major at its own width, by which
+decoded mixtures, images and gradients are gathered and scattered. Points
+project onto every view at once, so per-sample quantities are (..., J)
+arrays. The decoded mixtures are component-major: the (3, n, cells) stack
+gathers to (mu, sigma, w), each (n, ..., J), so the CDF kernel and its
+gradients work on contiguous per-component arrays. A component that a
+view lacks has scale 1 and weight exactly 0.
 
 ``render_image`` cuts the image into chunks of at most 128 rays and 8192
 (ray, sample) pairs, whatever the thread count, and renders them on up to
@@ -80,9 +80,6 @@ _FINE_MASS_FLOOR = 1e-3
 # width: transferring long intervals onto input rays manufactures opacity
 # from unrelated geometry far behind the sample
 _FINE_WIDTH_CAP = 0.5
-# raw value of padded cells: as a weight logit it decodes to about 1e-305,
-# which leaves the real weights bit-exact, before being set to exactly 0
-_PAD_LOGIT = -1e300
 # most rays in one chunk (``_chunk_rays``) of ``render_image`` and of
 # ``optim.train_step``; a step's sums depend on it, never on the thread count
 _CHUNK_RAYS = 128
@@ -169,11 +166,9 @@ class WorkingSet:
     centers: np.ndarray     # (J, 3)
     intrinsics: np.ndarray  # (4, J): fx, fy, cx, cy
     sizes: np.ndarray       # (2, J): each view's own height and width
-    comps: np.ndarray       # (J, n): True for the components a view really has
-    params: np.ndarray      # (J, H, W, 3, n) raw parameters
-    decoded: np.ndarray     # contiguous (3, n, J*H*W): mu, sig, w by component and cell;
-                            # padding weighs 0
-    images: np.ndarray      # (J, H, W, 3)
+    first: np.ndarray       # (J + 1,): view j owns cells first[j]:first[j + 1]
+    decoded: np.ndarray     # contiguous (3, n, cells): mu, sig, w by component and cell
+    images: np.ndarray      # (cells, 3)
 
     @property
     def n_views(self) -> int:
@@ -203,28 +198,23 @@ def select_working_views(
     )
     n_working = bounded("n_working", n_working, 1, len(candidates), whole=True)
     chosen = [view for _, _, view in candidates[:n_working]]
-    params = _padded([view.dmap.params for view in chosen], _PAD_LOGIT)
-    comps = np.arange(params.shape[-1]) < np.array([[v.dmap.n_components] for v in chosen])
-    decoded = decode_stack(params, near, far, comps[:, None, None, :])
     cams = [view.camera for view in chosen]
+    first = np.cumsum([0] + [c.height * c.width for c in cams])
+    decoded = np.zeros((3, max(v.dmap.n_components for v in chosen), first[-1]))
+    decoded[1] = 1.0                    # a component a view lacks: scale 1, weight 0
+    for j, view in enumerate(chosen):
+        n = view.dmap.n_components
+        decoded[:, :n, first[j]:first[j + 1]] = decode_stack(
+            view.dmap.params.reshape(-1, 3, n), near, far)
     return WorkingSet(
         query_camera, chosen, near, far,
         rot=np.concatenate([c.rotation.T for c in cams], axis=1),
         trans=np.array([c.translation for c in cams]),
         centers=np.array([c.center for c in cams]),
         intrinsics=np.array([[c.fx, c.fy, c.cx, c.cy] for c in cams]).T,
-        sizes=np.array([[c.height, c.width] for c in cams]).T,
-        comps=comps, params=params, decoded=decoded.reshape(3, params.shape[-1], -1),
-        images=_padded([view.image for view in chosen], 0.0),
+        sizes=np.array([[c.height, c.width] for c in cams]).T, first=first, decoded=decoded,
+        images=np.concatenate([view.image.reshape(-1, 3) for view in chosen]),
     )
-
-
-def _padded(arrays, fill: float) -> np.ndarray:
-    """Stack arrays along a new leading axis, padded with ``fill`` to the largest shape."""
-    out = np.full((len(arrays),) + tuple(np.max([a.shape for a in arrays], axis=0)), fill)
-    for j, a in enumerate(arrays):
-        out[j][tuple(map(slice, a.shape))] = a
-    return out
 
 
 def _same_camera(a: PinholeCamera, b: PinholeCamera) -> bool:
@@ -235,34 +225,32 @@ def _same_camera(a: PinholeCamera, b: PinholeCamera) -> bool:
     )
 
 
-def _take(stack: np.ndarray, cells) -> np.ndarray:
-    """Gather by one flat ``np.take`` over the first three axes: cells of a
-    (J, H, W, ...) stack, or (ray, sample, view) entries of a (B, K, J, ...) array."""
-    return np.take(stack.reshape((-1,) + stack.shape[3:]), cells, axis=0)
+def _take(array: np.ndarray, entries) -> np.ndarray:
+    """Gather (ray, sample, view) entries of a (B, K, J, ...) array by one flat ``np.take``."""
+    return np.take(array.reshape((-1,) + array.shape[3:]), entries, axis=0)
 
 
-def _bilinear(stack: np.ndarray, view, h, w, u, v) -> np.ndarray:
+def _bilinear(stack: np.ndarray, first, h, w, u, v) -> np.ndarray:
     """Bilinear lookup at continuous image coordinates (pixel centers at +0.5)
-    in grid ``view`` of a (J, H, W, ...) stack, clipped to that grid's own
-    ``h`` x ``w``; the weights broadcast over the trailing axes. Each row of
-    corners is blended in place, so at most three gathers are alive at once."""
+    in the row-major ``h`` x ``w`` grid from cell ``first`` of a (cells, ...)
+    stack, clipped to it; the weights broadcast over the trailing axes. Each
+    row of corners is blended in place, so at most three gathers are alive at once."""
     x = np.asarray(u, dtype=np.float64) - 0.5
     y = np.asarray(v, dtype=np.float64) - 0.5
     x0 = np.clip(np.floor(x).astype(np.int64), 0, w - 1)
     y0 = np.clip(np.floor(y).astype(np.int64), 0, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    trailing = (...,) + (None,) * (stack.ndim - 3)
+    trailing = (...,) + (None,) * (stack.ndim - 1)
     fx = np.clip(x - x0, 0.0, 1.0)[trailing]
     fy = np.clip(y - y0, 0.0, 1.0)[trailing]
     del x, y
-    first = view * stack.shape[1]       # the grid's first row in the stack
     rows = []
     for r, weight in ((y0, 1 - fy), (y1, fy)):
-        r = (first + r) * stack.shape[2]
-        left = _take(stack, r + x0)
+        r = r * w + first
+        left = np.take(stack, r + x0, axis=0)
         left *= 1 - fx
-        right = _take(stack, r + x1)
+        right = np.take(stack, r + x1, axis=0)
         right *= fx
         left += right
         left *= weight
@@ -295,9 +283,9 @@ def _lookup(working: WorkingSet, points: np.ndarray):
     h, w = working.sizes
     valid = (z > 0) & (u >= 0) & (u < w) & (v >= 0) & (v < h)
     cell = np.clip(np.floor(v).astype(np.int64), 0, h - 1)
-    cell += np.arange(working.n_views) * working.params.shape[1]
-    cell *= working.params.shape[2]
+    cell *= w
     cell += np.clip(np.floor(u).astype(np.int64), 0, w - 1)
+    cell += working.first[:-1]
     mu, sig, wt = np.take(working.decoded, cell, axis=2)
     return mu, sig, wt, z, (u, v), valid, cell
 
@@ -378,7 +366,7 @@ def _chunk_forward(working: WorkingSet, origins, dirs, z, widths, config: Render
         picked = active.reshape(-1)
         weights = np.compress(picked, h_w.reshape(-1, working.n_views).T, axis=1)
         del h_w
-        in_colors = _bilinear(working.images, np.arange(working.n_views), *working.sizes,
+        in_colors = _bilinear(working.images, working.first[:-1], *working.sizes,
                               u[active], v[active])                          # (M,J,3)
         del u, v
         in_dirs = np.compress(picked, points.reshape(-1, 3).T, axis=1)[:, None, :]
@@ -487,11 +475,11 @@ def render_rays_backward(working: WorkingSet, state: ChunkState, config: RenderC
     ``state`` is one of :func:`render_rays`, recorded with
     ``keep_state=True``, and ``dc_o`` and ``dh_extra`` cover its rays.
     Returns ``(cells, rows)``: the strictly increasing flat cells of the
-    (J, H, W) stack that some sample hit, and each one's summed (mu, sigma,
-    w) gradient, ``(len(cells), 3, n)``, with padded components zeroed.
-    Nothing stack-sized is allocated and nothing is decoded:
-    ``optim.view_grad`` adds a step's rows of one view and chains them to
-    the raw parameters once.
+    working set that some sample hit, and each one's summed (mu, sigma, w)
+    gradient, ``(len(cells), 3, n)``; the rows of components that a view
+    lacks are meaningless, and ``optim.view_grad`` drops them. Nothing
+    stack-sized is allocated and nothing is decoded: ``view_grad`` adds a
+    step's rows of one view and chains them to the raw parameters once.
     """
     if state.valid is None:
         raise InputError("state was not recorded with keep_state=True")
@@ -556,12 +544,8 @@ def render_rays_backward(working: WorkingSet, state: ChunkState, config: RenderC
     for total, far_end in zip(g, scaled_grads(dt_b, state.cdf_b)):
         total += far_end
     del sel, sig, w, dt_a, dt_b
-    # sum the (mu, sigma, w) gradients per hit cell of the stack, in entry order
-    n_views, height, width = working.params.shape[:3]
-    cells, rows = rows_by_cell(n_views * height * width, cell, g)
-    if not working.comps.all():                # padded components stay put
-        rows[:, 2] *= working.comps[cells // (height * width)]
-    return cells, rows
+    # sum the (mu, sigma, w) gradients per hit cell of the working set, in entry order
+    return rows_by_cell(working.first[-1], cell, g)
 
 
 def _run_streams(n_tasks: int, task, streams: int) -> None:

@@ -481,6 +481,7 @@ _FAULTS = {
     "nrdf-nan_header": (_NRDF, _nan_at(12), "init", ["non-finite"]),
     "nrdf-wrong_shape": (_NRDF, lambda p: write_depth_map(
         p, DepthMap(np.full((12, 12), 2.0), 1.0, 5.0, 4.0)), "optimize", []),
+    "nrdf-missing": (_NRDF, lambda p: p.unlink(), "optimize", []),
     "nray-truncated": (_NRAY, _keep(10), "render", []),
     "nray-bad_magic": (_NRAY, _bad_magic, "render", []),
     "nray-wrong_size": (_NRAY, _keep(-4), "render", []),

@@ -12,7 +12,7 @@ from rayvis.camera import PinholeCamera, generate_ray, look_at_camera
 from rayvis.counters import counters
 from rayvis.errors import ConfigurationError, DimensionMismatchError, InputError
 from rayvis.optim import init_from_depth, view_grad
-from rayvis.raydist import DistributionMap
+from rayvis.raydist import DistributionMap, decode_stack
 from rayvis.render import (
     RenderConfig,
     RenderView,
@@ -259,6 +259,38 @@ class TestMixedWorkingSet:
             inside += int(np.count_nonzero(want))
         assert inside > 100
 
+    def test_views_stored_end_to_end(self, ring_scene, mixed_views):
+        """View j owns cells first[j]:first[j + 1], row-major at its own width:
+        they hold its own decoded map and image, and the components it lacks
+        have scale 1 and weight 0. ``view_grad`` of a backward part touches
+        only view j's own hit pixels and drops the rows of those components."""
+        ws = self.working_set(ring_scene, mixed_views)
+        first, n = ws.first, ws.decoded.shape[1]
+        assert first[0] == 0 and first[-1] == len(ws.images) == ws.decoded.shape[2]
+        for j, view in enumerate(ws.views):
+            own, k = slice(first[j], first[j + 1]), view.dmap.n_components
+            decoded = decode_stack(view.dmap.params, ws.near, ws.far)      # (3, k, h, w)
+            assert np.array_equal(ws.decoded[:, :k, own], decoded.reshape(3, k, -1))
+            assert np.array_equal(ws.images[own], view.image.reshape(-1, 3))
+            assert np.all(ws.decoded[1, k:, own] == 1.0) and np.all(ws.decoded[2, k:, own] == 0.0)
+
+        cam = ring_scene.cameras[0]
+        dirs, _ = cam.rays_for_pixels(np.random.default_rng(43).uniform(0, 64, size=(96, 2)))
+        config = RenderConfig(k_coarse=16, sh_degree=1, background=tuple(ring_scene.background))
+        _, state, _ = render_rays(ws, np.broadcast_to(cam.center, dirs.shape), dirs, config,
+                                  keep_state=True)
+        cells, rows = render_rays_backward(ws, state, config,
+                                           np.random.default_rng(44).normal(size=(96, 3)))
+        comps = np.array([v.dmap.n_components for v in ws.views])
+        lacking = np.arange(n) >= comps[np.searchsorted(first, cells, side="right") - 1, None]
+        rows[np.broadcast_to(lacking[:, None, :], rows.shape)] = np.nan
+        for j, view in enumerate(ws.views):
+            g = view_grad(ws, j, [(cells, rows)])
+            assert g.shape == view.dmap.params.shape and np.all(np.isfinite(g))
+            hit = cells[(cells >= first[j]) & (cells < first[j + 1])] - first[j]
+            touched = np.flatnonzero(np.any(g != 0, axis=(2, 3)))
+            assert len(touched) > 0 and set(touched) <= set(hit)
+
     @pytest.mark.parametrize("mode", ["uniform", "coarse_to_fine"])
     def test_render_quality(self, ring_scene, ring_ground_truth, mixed_views, mode):
         ws = self.working_set(ring_scene, mixed_views)
@@ -445,7 +477,7 @@ class TestBilinearGather:
         iy, ix = np.meshgrid(np.arange(4), np.arange(5), indexing="ij")
 
         def lookup(u, v):
-            return render._bilinear(grid[None], 0, 4, 5, u, v)
+            return render._bilinear(grid.reshape(20, 3, 2), 0, 4, 5, u, v)
 
         assert np.array_equal(lookup(ix + 0.5, iy + 0.5), grid)
         mid_x = lookup(ix[:, :-1] + 1.0, iy[:, :-1] + 0.5)
@@ -543,11 +575,25 @@ class TestSampleColor:
 
 
 class TestRenderPixel:
-    def test_convex_combination(self):
-        colors = np.array([[1.0, 0, 0], [0, 0, 1.0]])
-        h = np.array([0.5, 0.5])
-        out = colors.T @ h
-        np.testing.assert_allclose(out, [0.5, 0, 0.5])
+    def test_convex_combination(self, ring_scene, gt_views):
+        """Each ray's color composites its sample colors by the hitting
+        probabilities and the background by the rest of the mass, so it
+        lies in the per-channel hull of its sample colors and the background."""
+        ws = working_set_for(ring_scene, gt_views, 0)
+        cam = ring_scene.cameras[0]
+        config = RenderConfig(k_coarse=32, background=(0.1, 0.9, 0.5))
+        dirs, _ = cam.rays_for_pixels(np.random.default_rng(41).uniform(0, 64, size=(40, 2)))
+        colors, state, _ = render_rays(ws, np.broadcast_to(cam.center, dirs.shape), dirs, config)
+        h, samples = state.h_hat, state.sample_colors
+        mass = h.sum(axis=1)
+        assert np.all(h >= 0) and np.all(mass <= 1 + 1e-12)
+        assert np.any(mass > 0.5) and np.any(mass < 0.5)      # surfaces and background both count
+        background = np.array(config.background)
+        want = np.einsum("bk,bkc->bc", h, samples) + background * (1 - mass)[:, None]
+        np.testing.assert_allclose(colors, want, rtol=0, atol=1e-12)
+        hull = np.concatenate([samples, np.broadcast_to(background, (len(h), 1, 3))], axis=1)
+        assert np.all(colors >= hull.min(axis=1) - 1e-12)
+        assert np.all(colors <= hull.max(axis=1) + 1e-12)
 
     def test_miss_ray_returns_background(self, ring_scene, gt_views):
         ws = working_set_for(ring_scene, gt_views, 0)
@@ -968,8 +1014,8 @@ class TestChunkMemory:
         finally:
             tracemalloc.stop()
         assert len(cells) > 0 and np.all(np.diff(cells) > 0)
-        assert rows.shape == (len(cells), 3, ws.params.shape[-1])
-        assert peak < ws.params.size * 8
+        assert rows.shape == (len(cells), 3, ws.decoded.shape[1])
+        assert peak < ws.decoded.size * 8
 
 
 class TestDualFormCache:
