@@ -48,7 +48,15 @@ def sigmoid(x, out=None):
 
 
 def softplus(x, out=None):
-    return np.logaddexp(0.0, x, out=out)
+    """``log(1 + exp(x))`` as ``log1p(exp(-|x|)) + max(x, 0)``, which never
+    overflows, written through ``out`` (``out=x`` works in place)."""
+    top = np.maximum(x, 0.0)
+    if out is None:
+        out = np.empty(np.shape(x))
+    np.negative(np.abs(x, out=out), out=out)
+    np.log1p(np.exp(out, out=out), out=out)
+    out += top
+    return out
 
 
 def inv_softplus(y):
@@ -58,27 +66,29 @@ def inv_softplus(y):
     return np.where(y > 30, y, np.log(np.expm1(np.minimum(y, 30.0))))
 
 
-def _component_sum(x):
-    """Sum over the last (component) axis by explicit adds in component order,
-    the rule of :func:`mixture_cdf_terms`; (..., n) -> (..., 1)."""
+def fold_last(ufunc, x):
+    """Reduce the last axis by ``ufunc``, one slice after another in order:
+    (..., n) -> (..., 1). Each step is one loop over every leading entry, so
+    a short last axis (mixture components, working views) is never NumPy's
+    innermost loop. For ``np.add`` this is the component sum of
+    :func:`mixture_cdf_terms`; it equals ``np.sum`` bit for bit for n <= 7,
+    but from n = 8 on NumPy sums pairwise and may round differently."""
     out = x[..., :1].copy()
     for i in range(1, x.shape[-1]):
-        out += x[..., i:i + 1]
+        ufunc(out, x[..., i:i + 1], out=out)
     return out
 
 
 def softmax(x, out=None):
     """Softmax over the last axis, the components, written through ``out``
     (``out=x`` works in place)."""
-    top = x[..., :1].copy()
-    for i in range(1, x.shape[-1]):
-        np.maximum(top, x[..., i:i + 1], out=top)
+    top = fold_last(np.maximum, x)
     ex = np.subtract(x, top, out=out)
     # the clamp keeps extreme logit gaps from underflowing to an exact
     # zero weight, so decoding stays a total function
     np.maximum(ex, -700.0, out=ex)
     np.exp(ex, out=ex)
-    ex /= _component_sum(ex)
+    ex /= fold_last(np.add, ex)
     return ex
 
 
@@ -185,7 +195,7 @@ def decode_backward(params: np.ndarray, near: float, far: float, gmu, gsig, gw):
     out = np.empty_like(params)
     out[..., 0, :] = gmu * span * sm * (1.0 - sm)
     out[..., 1, :] = gsig * sigmoid(params[..., 1, :])
-    inner = _component_sum(gw * w)
+    inner = fold_last(np.add, gw * w)
     out[..., 2, :] = w * (gw - inner)
     return out
 

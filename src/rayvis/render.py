@@ -11,12 +11,16 @@ inverse-CDF sampling of the coarse hitting mass.
 
 A working set stores its J views' pixels end to end: view j owns the flat
 cells ``first[j]:first[j + 1]``, row-major at its own width, by which
-decoded mixtures, images and gradients are gathered and scattered. Points
-project onto every view at once, so per-sample quantities are (..., J)
-arrays. The decoded mixtures are component-major: the (3, n, cells) stack
-gathers to (mu, sigma, w), each (n, ..., J), so the CDF kernel and its
-gradients work on contiguous per-component arrays. A component that a
-view lacks has scale 1 and weight exactly 0.
+decoded mixtures, images and gradients are gathered and scattered. A ray
+is projected once per view, through the (4, 3, J) stack ``proj`` of the
+views' ``K [R | t]``; its samples' depths and image coordinates follow from
+one small product per ray, so per-sample quantities are contiguous
+(B, K, J) arrays, and sums over the views add one view's (B, K) slice
+after another: no per-sample operation has the J views as NumPy's
+innermost loop. The decoded mixtures are component-major: the (3, n,
+cells) stack gathers to (mu, sigma, w), each (n, ..., J), so the CDF
+kernel and its gradients work on contiguous per-component arrays. A
+component that a view lacks has scale 1 and weight exactly 0.
 
 ``render_image`` cuts the image into chunks of at most 128 rays and 8192
 (ray, sample) pairs, whatever the thread count, and renders them on up to
@@ -30,7 +34,7 @@ fine path makes a third as many small NumPy calls per ray. Each such call
 hands the GIL over, and with several streams every handoff is contended.
 A chunk's forward frees each per-entry temporary at its last use and builds
 the SH system in place; with 8 working views its traced peak is about
-0.9-1 KB per (ray, sample) pair, and a 32 + 8 task's about 6 MB, so each
+0.9-1 KB per (ray, sample) pair, and a 32 + 8 task's about 5.6 MB, so each
 stream holds at most about 8 MB traced (each thread's malloc arena may keep
 some of what it freed). NumPy releases the GIL in the large kernels, so the
 streams overlap. Rays never interact, so the image and the counters are
@@ -56,6 +60,7 @@ from rayvis.raydist import (
     DistributionMap,
     decode_arrays,  # noqa: F401  (perfbench/tracing.py traces it under this name)
     decode_stack,
+    fold_last,
     interval_alpha,
     mixture_cdf,
     mixture_cdf_grads,
@@ -161,14 +166,12 @@ class WorkingSet:
     views: list             # the J chosen RenderViews
     near: float
     far: float
-    rot: np.ndarray         # (3, 3J): the transposed rotations side by side
-    trans: np.ndarray       # (J, 3)
+    proj: np.ndarray        # (4, 3, J): K [R | t] of each view, transposed
     centers: np.ndarray     # (J, 3)
-    intrinsics: np.ndarray  # (4, J): fx, fy, cx, cy
     sizes: np.ndarray       # (2, J): each view's own height and width
     first: np.ndarray       # (J + 1,): view j owns cells first[j]:first[j + 1]
     decoded: np.ndarray     # contiguous (3, n, cells): mu, sig, w by component and cell
-    images: np.ndarray      # (cells, 3)
+    images: np.ndarray      # (3, cells): the views' colors, channel-major
 
     @property
     def n_views(self) -> int:
@@ -208,12 +211,11 @@ def select_working_views(
             view.dmap.params.reshape(-1, 3, n), near, far)
     return WorkingSet(
         query_camera, chosen, near, far,
-        rot=np.concatenate([c.rotation.T for c in cams], axis=1),
-        trans=np.array([c.translation for c in cams]),
+        proj=np.stack([(np.array([[c.fx, 0.0, c.cx], [0.0, c.fy, c.cy], [0.0, 0.0, 1.0]])
+                        @ np.column_stack([c.rotation, c.translation])).T for c in cams], axis=-1),
         centers=np.array([c.center for c in cams]),
-        intrinsics=np.array([[c.fx, c.fy, c.cx, c.cy] for c in cams]).T,
         sizes=np.array([[c.height, c.width] for c in cams]).T, first=first, decoded=decoded,
-        images=np.concatenate([view.image.reshape(-1, 3) for view in chosen]),
+        images=np.concatenate([view.image.reshape(-1, 3) for view in chosen]).T.copy(),
     )
 
 
@@ -232,25 +234,25 @@ def _take(array: np.ndarray, entries) -> np.ndarray:
 
 def _bilinear(stack: np.ndarray, first, h, w, u, v) -> np.ndarray:
     """Bilinear lookup at continuous image coordinates (pixel centers at +0.5)
-    in the row-major ``h`` x ``w`` grid from cell ``first`` of a (cells, ...)
-    stack, clipped to it; the weights broadcast over the trailing axes. Each
-    row of corners is blended in place, so at most three gathers are alive at once."""
+    in the row-major ``h`` x ``w`` grid from cell ``first`` of a (..., cells)
+    stack, clipped to it; the result is (..., *u.shape), the weights
+    broadcast over the leading axes. Each row of corners is blended in
+    place, so at most three gathers are alive at once."""
     x = np.asarray(u, dtype=np.float64) - 0.5
     y = np.asarray(v, dtype=np.float64) - 0.5
     x0 = np.clip(np.floor(x).astype(np.int64), 0, w - 1)
     y0 = np.clip(np.floor(y).astype(np.int64), 0, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    trailing = (...,) + (None,) * (stack.ndim - 1)
-    fx = np.clip(x - x0, 0.0, 1.0)[trailing]
-    fy = np.clip(y - y0, 0.0, 1.0)[trailing]
+    fx = np.clip(x - x0, 0.0, 1.0)
+    fy = np.clip(y - y0, 0.0, 1.0)
     del x, y
     rows = []
     for r, weight in ((y0, 1 - fy), (y1, fy)):
         r = r * w + first
-        left = np.take(stack, r + x0, axis=0)
+        left = np.take(stack, r + x0, axis=-1)
         left *= 1 - fx
-        right = np.take(stack, r + x1, axis=0)
+        right = np.take(stack, r + x1, axis=-1)
         right *= fx
         left += right
         left *= weight
@@ -259,35 +261,72 @@ def _bilinear(stack: np.ndarray, first, h, w, u, v) -> np.ndarray:
     return rows[0]
 
 
-def _lookup(working: WorkingSet, points: np.ndarray):
-    """Project points (..., 3) onto every working view and gather the decoded
+def _lookup(working: WorkingSet, origins, dirs, z, widths):
+    """Project the samples ``o + z d`` of rays (``origins`` and ``dirs``
+    (B, 3), ``z`` and the bin ``widths`` (B, K)) onto every working view and gather the decoded
     mixtures of the pixels they fall in (nearest-pixel lookups).
 
-    Returns (mu, sig, w), each (n, ..., J), then the view depth, the image
-    coordinates (u, v), ``valid`` (in front of the view, inside its own
-    image) and the flat cell, each a contiguous (..., J) array. The
-    projection is freed before the gather, so only what is returned stays.
+    Each ray is projected once per view, ``K (R o + t)`` and ``K R d`` from
+    two (B, 3) products with ``proj``; a sample's ``u·depth`` and ``v·depth``
+    are then one (K, 2) @ (2, J) product per ray and coordinate, and the
+    depths of its bin's two ends one (K, 3) @ (3, J) product each, the far
+    end's adding the bin width. So no per-sample operation has the J views
+    as NumPy's innermost loop.
+
+    Returns (mu, sig, w), each (n, B, K, J), the depths (2, B, K, J) of the
+    bins' near and far ends, then the image coordinates (u, v), ``valid``
+    (in front of the view, inside its own image) and the flat cell, each a
+    contiguous (B, K, J) array.
     """
-    pc = (points @ working.rot).reshape(points.shape[:-1] + working.trans.shape)
-    pc += working.trans
-    z = pc[..., 2].copy()
-    safe_z = np.where(z > 0, z, 1.0)
-    fx, fy, cx, cy = working.intrinsics
-    u = pc[..., 0] * fx
-    u /= safe_z
-    u += cx
-    v = pc[..., 1] * fy
-    v /= safe_z
-    v += cy
-    del pc, safe_z
-    h, w = working.sizes
-    valid = (z > 0) & (u >= 0) & (u < w) & (v >= 0) & (v < h)
-    cell = np.clip(np.floor(v).astype(np.int64), 0, h - 1)
+    b, k = z.shape
+    proj = working.proj.reshape(4, -1)
+    # per ray and view, the terms in (1, z, width) of u·depth, v·depth and the
+    # depths of the bin's near and far ends: K (R o + t), K R d, and the width
+    terms = np.zeros((4, b, 3, working.n_views))
+    terms[:3, :, 0] = (origins @ proj[:3] + proj[3]).reshape(b, 3, -1).transpose(1, 0, 2)
+    terms[:3, :, 1] = (dirs @ proj[:3]).reshape(b, 3, -1).transpose(1, 0, 2)
+    terms[3, :, :2] = terms[2, :, :2]
+    terms[3, :, 2] = 1.0
+    samples = np.empty((b, k, 3))
+    samples[..., 0] = 1.0
+    samples[..., 1] = z
+    samples[..., 2] = widths
+    u, v = np.matmul(samples[..., :2], terms[:2, :, :2])
+    depth = np.matmul(samples, terms[2:])
+    del terms, samples
+    near = depth[0]
+    safe = np.where(near > 0, near, 1.0)
+    u /= safe
+    v /= safe
+    del safe
+    # each view's size and first cell at every sample of a ray: contiguous
+    # (K, J) float operands, so the loops below run over K * J entries at a
+    # time; the cell is summed in floats, exact below 2**53, and cast once
+    h, w, first = np.repeat(np.vstack([working.sizes, working.first[:-1]])[:, None], k,
+                            axis=1).astype(np.float64)
+    valid = near > 0
+    valid &= u >= 0
+    valid &= u < w
+    valid &= v >= 0
+    valid &= v < h
+    cell = np.floor(v)
+    np.clip(cell, 0, h - 1, out=cell)
     cell *= w
-    cell += np.clip(np.floor(u).astype(np.int64), 0, w - 1)
-    cell += working.first[:-1]
+    column = np.floor(u)
+    np.clip(column, 0, w - 1, out=column)
+    cell += column
+    del column
+    cell += first
+    cell = cell.astype(np.int64)
     mu, sig, wt = np.take(working.decoded, cell, axis=2)
-    return mu, sig, wt, z, (u, v), valid, cell
+    return mu, sig, wt, depth, (u, v), valid, cell
+
+
+def _unit_dirs(points, centers):
+    """Unit directions (3, J, M) from each view's center (J, 3) to each point (M, 3)."""
+    dirs = np.subtract(points.T[:, None, :], centers.T[:, :, None], order="C")
+    dirs /= np.maximum(np.linalg.norm(dirs, axis=0, keepdims=True), 1e-30)
+    return dirs
 
 
 def _transmittance(alphas):
@@ -327,15 +366,13 @@ def _chunk_forward(working: WorkingSet, origins, dirs, z, widths, config: Render
     """
     background = np.asarray(config.background, dtype=np.float64)
     npts = z.size
-    points = origins[:, None, :] + z[..., None] * dirs[:, None, :]
-    mu, sig, w, depth, (u, v), valid, cell = _lookup(working, points)
+    mu, sig, w, depth, (u, v), valid, cell = _lookup(working, origins, dirs, z, widths)
     if not with_colors:
         del u, v
     if not keep_state:
         del cell
-    cdf_a = mixture_cdf_terms(mu, sig, w, depth, keep_state)
-    depth += widths[..., None]          # the bins' far ends
-    cdf_b = mixture_cdf_terms(mu, sig, w, depth, keep_state)
+    cdf_a = mixture_cdf_terms(mu, sig, w, depth[0], keep_state)
+    cdf_b = mixture_cdf_terms(mu, sig, w, depth[1], keep_state)    # the bins' far ends
     del mu, sig, w, depth
     counters.add("cdf_evals", 2 * npts * working.n_views)
     t_a, t_b = cdf_a[0], cdf_b[0]
@@ -343,10 +380,12 @@ def _chunk_forward(working: WorkingSet, origins, dirs, z, widths, config: Render
     alpha_raw, _ = interval_alpha(t_a, t_b)
     alpha_tilde = np.where(valid, np.clip(alpha_raw, 0.0, 1.0), 0.0)
     del alpha_raw
-    denom = vis.sum(axis=-1)
+    # the view sums add one view's (B, K) slice after another, in view order
+    denom = fold_last(np.add, vis)[..., 0]
     good = denom >= EPS_VISIBILITY
     safe = np.where(good, denom, 1.0)
-    alpha_hat = np.where(good, np.sum(alpha_tilde * vis, axis=-1) / safe, 0.0)
+    alpha_tilde *= vis
+    alpha_hat = np.where(good, fold_last(np.add, alpha_tilde)[..., 0] / safe, 0.0)
     h_hat = _transmittance(alpha_hat) * alpha_hat
     out = ChunkState(z, widths, None, alpha_hat, h_hat, None, None, denom)
     if keep_state:
@@ -357,28 +396,32 @@ def _chunk_forward(working: WorkingSet, origins, dirs, z, widths, config: Render
     del cdf_a, cdf_b, t_a, t_b, vis, alpha_tilde, good, safe, valid
 
     counters.add("color_samples", npts)
-    active = np.any(h_w >= EPS_VISIBILITY, axis=-1)
+    # any entry reaches EPS_VISIBILITY exactly when the largest one does
+    active = fold_last(np.fmax, h_w)[..., 0] >= EPS_VISIBILITY
     sample_colors = np.broadcast_to(background, z.shape + (3,)).copy()
     if np.any(active):
         counters.add("sh_fits", int(active.sum()))
-        # the fit's weights and input directions are built batch last, as the
-        # solver works on them: (J, M) and (3, J, M), passed as transposed views
-        picked = active.reshape(-1)
-        weights = np.compress(picked, h_w.reshape(-1, working.n_views).T, axis=1)
+        # the fit's weights, input colors and directions are built batch last,
+        # as the solver works on them: (J, M), (3, J, M) and (3, J, M), passed
+        # as transposed views; so are the active samples' image coordinates,
+        # whose lookups then loop over the samples of one view at a time
+        weights, u, v = (np.compress(active.reshape(-1), a.reshape(-1, working.n_views).T, axis=1)
+                         for a in (h_w, u, v))
         del h_w
-        in_colors = _bilinear(working.images, working.first[:-1], *working.sizes,
-                              u[active], v[active])                          # (M,J,3)
+        in_colors = _bilinear(working.images, working.first[:-1, None],
+                              *working.sizes[:, :, None], u, v)
         del u, v
-        in_dirs = np.compress(picked, points.reshape(-1, 3).T, axis=1)[:, None, :]
-        in_dirs = np.subtract(in_dirs, working.centers.T[:, :, None], order="C")  # (3,J,M)
-        in_dirs /= np.maximum(np.linalg.norm(in_dirs, axis=0, keepdims=True), 1e-30)
-        q_dirs = dirs[np.nonzero(active)[0]]                                 # (M,3)
+        rays = np.nonzero(active)[0]
+        q_dirs = dirs[rays]                                                  # (M,3)
         kernel, border_degree, border = sh_dual_form(config.sh_degree, DEFAULT_DEGREE_PENALTIES)
+
+        def border_basis(x):
+            return sh_basis_values(border_degree, x)[..., border]
+
+        # the directions go unnamed, so the fit frees them once it has their cosines
         colors_q, fit = sh_fit_batched(
-            in_dirs.T, weights.T, in_colors, q_dirs, kernel,
-            sh_basis_values(border_degree, in_dirs.T)[..., border],
-            sh_basis_values(border_degree, q_dirs)[..., border],
-        )
+            _unit_dirs(origins[rays] + z[active][:, None] * q_dirs, working.centers).T,
+            weights.T, in_colors.T, q_dirs, kernel, border_basis)
         sample_colors[active] = colors_q
         if keep_state:
             out.sh = fit
@@ -624,9 +667,9 @@ def query_visibility(working: WorkingSet, point) -> np.ndarray:
     not (behind the camera or outside the frame) report zero visibility.
     """
     point = np.asarray(point, dtype=np.float64)[None, :]
-    mu, sig, w, depth, _, valid, _ = _lookup(working, point)
+    mu, sig, w, depth, _, valid, _ = _lookup(working, point, np.zeros((1, 3)), *np.zeros((2, 1, 1)))
     out = np.zeros(working.n_views)
-    out[valid[0]] = 1.0 - mixture_cdf(*(a[:, valid].T for a in (mu, sig, w)), depth[valid])
+    out[valid[0, 0]] = 1.0 - mixture_cdf(*(a[:, valid].T for a in (mu, sig, w)), depth[0][valid])
     return out
 
 

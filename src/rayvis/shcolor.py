@@ -190,8 +190,8 @@ def sh_fit(
     kernel, _, border = sh_dual_form(basis.degree, reg.degree_penalties)
     y = sh_basis_values(basis.degree, dirs)
     j = len(samples)
-    s, _, system = _dual_system(dirs.T[..., None], weights[:, None], kernel,
-                                y[:, border].T[..., None])
+    s, system = _dual_system(_pair_kernel(kernel, dirs.T[..., None]), weights[:, None], kernel,
+                             y[:, border].T[..., None])
     rhs = np.concatenate([s * colors, np.zeros((border.size, 3))])
     sol = _solve(_factor(system, j), rhs[..., None])[..., 0]
     theta = np.zeros((basis.basis_size, 3))
@@ -240,25 +240,29 @@ def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dual_system(dirs, weights, kernel, y_b):
-    """Square-root weights, pair kernel and bordered system of each row, batch last.
+def _pair_kernel(kernel, dirs):
+    """The kernel (J(J-1)/2, M) over the view pairs ``np.tril_indices(J, -1)``
+    of batch-last unit directions ``dirs`` (3, J, M); each cosine takes three
+    products."""
+    ia, ib = np.tril_indices(dirs.shape[1], -1)
+    cos = dirs[0, ia] * dirs[0, ib]
+    cos += dirs[1, ia] * dirs[1, ib]
+    cos += dirs[2, ia] * dirs[2, ib]
+    return _horner(kernel, cos)
 
-    ``dirs`` (3, J, M), ``weights`` (J, M) and ``y_b`` (n_b, J, M) give
-    ``(s, k_pairs, system)``: ``s`` (J, M), the kernel ``k_pairs``
-    (J(J-1)/2, M) over the view pairs ``np.tril_indices(J, -1)``, whose
-    cosines take three products each, and ``S`` (J + n_b, J + n_b, M). Only
-    the pairs run Horner's rule; the diagonal is ``K(1) s^2 + 1``.
+
+def _dual_system(k_pairs, weights, kernel, y_b):
+    """Square-root weights and bordered system of each row, batch last.
+
+    ``k_pairs`` (J(J-1)/2, M) from :func:`_pair_kernel`, ``weights`` (J, M)
+    and ``y_b`` (n_b, J, M) give ``(s, system)``: ``s`` (J, M) and ``S``
+    (J + n_b, J + n_b, M). The diagonal is ``K(1) s^2 + 1``.
     """
     j, m = weights.shape
     n = j + y_b.shape[0]
     s = np.maximum(weights, 0.0)  # clamp rounding noise below zero
     np.sqrt(s, out=s)
     ia, ib = np.tril_indices(j, -1)
-    cos = dirs[0, ia] * dirs[0, ib]
-    cos += dirs[1, ia] * dirs[1, ib]
-    cos += dirs[2, ia] * dirs[2, ib]
-    k_pairs = _horner(kernel, cos)
-    del cos
     off = s[ia] * k_pairs
     off *= s[ib]
     system = np.empty((n, n, m))    # once the products' temporary is freed: a lower peak
@@ -272,7 +276,7 @@ def _dual_system(dirs, weights, kernel, y_b):
     system[j:, :j] = s * y_b
     system[:j, j:] = system[j:, :j].transpose(1, 0, 2)
     system[j:, j:] = 0.0
-    return s, k_pairs, system
+    return s, system
 
 
 @dataclass
@@ -368,40 +372,48 @@ class DualFit:
     k_pairs: np.ndarray  # (J(J-1)/2, M) kernel on the pairs np.tril_indices(J, -1)
     k_q: np.ndarray      # (J, M) kernel between input and query directions
     y_b: np.ndarray      # (n_b, J, M) border columns at the input directions
-    colors: np.ndarray   # (M, J, 3)
+    colors: np.ndarray   # (3, J, M)
     factors: _Factors    # of the bordered system
     g: np.ndarray        # (J + n_b, M) forward solution
 
 
-def sh_fit_batched(dirs, weights, colors, query, kernel, y_b, y_bq):
+def sh_fit_batched(dirs, weights, colors, query, kernel, border_basis):
     """Batched dual-form fits, each evaluated at its query direction.
 
     ``dirs``: (M, J, 3) unit input directions, ``weights``: (M, J)
     nonnegative, ``colors``: (M, J, 3), ``query``: (M, 3) unit directions,
-    ``kernel``, ``y_b`` (M, J, n_b) and ``y_bq`` (M, n_b) from
-    :func:`sh_dual_form` and :func:`sh_basis_values`. Returns
-    ``(colors_q, fit)`` with colors_q (M, 3) and ``fit`` the batch-last
-    intermediates that the backward pass needs.
+    ``kernel`` from :func:`sh_dual_form` and ``border_basis``, which maps
+    unit directions (..., 3) to their border columns (..., n_b) of
+    :func:`sh_basis_values`. The directions are dropped once their basis
+    values and cosines exist, so a caller that keeps no reference to them
+    frees them before the system is built. Returns ``(colors_q, fit)`` with
+    colors_q (M, 3) and ``fit`` the batch-last intermediates that the
+    backward pass needs.
     """
     j = weights.shape[1]
+    colors = np.ascontiguousarray(colors.transpose(2, 1, 0))
     d = np.ascontiguousarray(dirs.transpose(2, 1, 0))
-    y_b = np.ascontiguousarray(y_b.transpose(2, 1, 0))
-    s, k_pairs, system = _dual_system(d, np.ascontiguousarray(weights.T), kernel, y_b)
+    y_b = np.ascontiguousarray(border_basis(dirs).transpose(2, 1, 0))
     q = query.T
     cos = d[0] * q[0]
     cos += d[1] * q[1]
     cos += d[2] * q[2]
     k_q = _horner(kernel, cos)
-    del d, cos
+    k_pairs = _pair_kernel(kernel, d)
+    del dirs, d, cos
+    s, system = _dual_system(k_pairs, np.ascontiguousarray(weights.T), kernel, y_b)
     rhs = np.empty((system.shape[0], 1, s.shape[1]))
     np.multiply(s, k_q, out=rhs[:j, 0])
-    rhs[j:, 0] = y_bq.T
+    rhs[j:, 0] = border_basis(query).T
     factors = _factor(system, j)
     g = _solve(factors, rhs)[:, 0]
-    colors_q = np.matmul((g[:j] * s).T[:, None, :], colors)[:, 0]
+    gs = g[:j] * s
+    colors_q = colors[:, 0] * gs[0]
+    for i in range(1, j):
+        colors_q += colors[:, i] * gs[i]
     fit = DualFit(s, float(_horner(kernel, np.ones(1))[0]), k_pairs, k_q, y_b, colors,
                   factors, g)
-    return colors_q, fit
+    return colors_q.T, fit
 
 
 def sh_fit_weight_grads(fit: DualFit, dc: np.ndarray) -> np.ndarray:
@@ -424,7 +436,9 @@ def sh_fit_weight_grads(fit: DualFit, dc: np.ndarray) -> np.ndarray:
         return (np.sum(kern * (fit.s * x[:j]), axis=1)
                 + np.sum(fit.y_b * x[j:, None], axis=0))
 
-    e = np.matmul(fit.colors, dc[..., None])[..., 0].T
+    e = fit.colors[0] * dc[:, 0]
+    e += fit.colors[1] * dc[:, 1]
+    e += fit.colors[2] * dc[:, 2]
     rhs = np.zeros((j + fit.y_b.shape[0], 1, m))
     np.multiply(fit.s, e, out=rhs[:j, 0])
     resid = e - unweighted(_solve(fit.factors, rhs)[:, 0])

@@ -101,6 +101,32 @@ class TestSigmoid:
             assert sigmoid(np.array([-1e4, -710.0, -1e300])).sum() == 0.0
 
 
+class TestSoftplus:
+    def test_within_4_ulp_of_logaddexp(self):
+        rng = np.random.default_rng(11)
+        x = np.concatenate([rng.uniform(-750.0, 750.0, 200_000), rng.normal(0.0, 10.0, 200_000),
+                            rng.normal(0.0, 1.0, 200_000)])
+        want = np.logaddexp(0.0, x)
+        # positive floats are ordered like their bit patterns
+        ulps = np.abs(softplus(x).view(np.int64) - want.view(np.int64))
+        assert ulps.max() <= 4
+
+    def test_exact_at_limits(self):
+        x = np.array([0.0, np.inf, -np.inf, 1e300, -1e300])
+        assert np.array_equal(softplus(x), [np.log(2.0), np.inf, 0.0, 1e300, 0.0])
+
+    def test_in_place_returns_its_argument(self):
+        x = np.linspace(-800.0, 800.0, 101)
+        want = softplus(x)
+        assert softplus(x, out=x) is x
+        assert np.array_equal(x, want)
+
+    def test_overflow_raises_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(softplus(np.array([1e4, 710.0, -1e4])), [1e4, 710.0, 0.0])
+
+
 class TestComponentSums:
     """The decode reduces over the component axis by explicit adds in
     component order. That equals NumPy's ``max``/``sum`` reduce bit for bit

@@ -12,7 +12,7 @@ from rayvis.camera import PinholeCamera, generate_ray, look_at_camera
 from rayvis.counters import counters
 from rayvis.errors import ConfigurationError, DimensionMismatchError, InputError
 from rayvis.optim import init_from_depth, view_grad
-from rayvis.raydist import DistributionMap, decode_stack
+from rayvis.raydist import DistributionMap, decode_stack, fold_last, interval_alpha
 from rayvis.render import (
     RenderConfig,
     RenderView,
@@ -189,6 +189,74 @@ def _images_point(cam, point) -> bool:
     return bool(0 <= u < cam.width and 0 <= v < cam.height)
 
 
+class TestRayLookup:
+    """The per-ray lookup of a real chunk, the 128 rays of the query view 1
+    from pixel row 28 on the ring's 8 working views, against each view's own
+    ``PinholeCamera.project_points`` of the chunk's sample points."""
+
+    def chunk(self, ring_scene, gt_views, mode):
+        ws = working_set_for(ring_scene, gt_views, 1)
+        cam = ring_scene.cameras[1]
+        px = np.stack(np.divmod(np.arange(28 * 64, 28 * 64 + 128), 64)[::-1], axis=1) + 0.5
+        dirs, _ = cam.rays_for_pixels(px)
+        origins = np.broadcast_to(cam.center, dirs.shape)
+        config = RenderConfig(k_coarse=32, k_fine=8, mode=mode,
+                              background=tuple(ring_scene.background))
+        _, state, kept = render_rays(ws, origins, dirs, config, keep_state=True)
+        return ws, origins[kept], dirs[kept], state
+
+    @pytest.mark.parametrize("mode", ["uniform", "coarse_to_fine"])
+    def test_matches_camera_projection(self, ring_scene, gt_views, mode):
+        ws, origins, dirs, state = self.chunk(ring_scene, gt_views, mode)
+        _, _, _, depth, (u, v), valid, cell = render._lookup(ws, origins, dirs, state.z,
+                                                             state.widths)
+        assert np.array_equal(valid, state.valid) and np.array_equal(cell, state.cell)
+        points = origins[:, None, :] + state.z[..., None] * dirs[:, None, :]
+        edges = 0
+        for j, view in enumerate(ws.views):
+            cam = view.camera
+            uv, z = cam.project_points(points)
+            want = (z > 0) & (uv[..., 0] >= 0) & (uv[..., 0] < cam.width) \
+                & (uv[..., 1] >= 0) & (uv[..., 1] < cam.height)
+            floor = np.floor(uv)
+            want_cell = ws.first[j] + floor[..., 1] * cam.width + floor[..., 0]
+            # a sample within 1e-9 px of a pixel edge may fall on either side
+            edge = np.any(np.minimum(uv - floor, floor + 1 - uv) < 1e-9, axis=-1)
+            edges += int(edge.sum())
+            assert np.array_equal(valid[..., j][~edge], want[~edge])
+            hit = valid[..., j] & want & ~edge
+            assert np.array_equal(cell[..., j][hit], want_cell[hit])
+            # image coordinates relative to the larger of themselves and the image size
+            for got, ref, size in ((depth[0, ..., j], z, 0),
+                                   (depth[1, ..., j], z + state.widths, 0),
+                                   (u[..., j], uv[..., 0], cam.width),
+                                   (v[..., j], uv[..., 1], cam.height)):
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * size)
+        assert edges < 0.01 * valid.size and valid.mean() > 0.5
+
+    def test_view_reductions_match_numpy(self, ring_scene, gt_views):
+        """The forward's view sums, added one view slice after another, equal
+        ``np.sum`` over the views (pairwise for 8 views) within the rounding
+        bound of the two orders, and its active flags, from the largest entry
+        of each sample, equal ``np.any`` exactly."""
+        ws, _, _, state = self.chunk(ring_scene, gt_views, "uniform")
+        # each order rounds J nonnegative terms within (J - 1), resp.
+        # log2(J), half-ulps of their total
+        bound = (ws.n_views - 1 + np.log2(ws.n_views)) * np.finfo(float).eps / 2
+        t_a, t_b = state.cdf_a[0], state.cdf_b[0]
+        vis = np.where(state.valid, 1.0 - t_a, 0.0)
+        assert np.all(np.abs(state.denom - vis.sum(axis=-1)) <= bound * state.denom)
+        alpha = np.where(state.valid, np.clip(interval_alpha(t_a, t_b)[0], 0.0, 1.0), 0.0) * vis
+        total = fold_last(np.add, alpha)[..., 0]
+        assert np.all(np.abs(total - alpha.sum(axis=-1)) <= bound * total)
+        good = state.denom >= render.EPS_VISIBILITY
+        np.testing.assert_array_equal(
+            state.alpha_hat, np.where(good, total / np.where(good, state.denom, 1.0), 0.0))
+        h_w = np.where(state.valid, t_b - t_a, 0.0)
+        assert np.array_equal(state.active, np.any(h_w >= render.EPS_VISIBILITY, axis=-1))
+        assert 0 < state.active.sum() < state.active.size
+
+
 @pytest.fixture(scope="module")
 def mixed_views(ring_scene, ring_ground_truth):
     """The ring with every odd view re-shot at 40x48 pixels, and with 1 to 3
@@ -217,8 +285,8 @@ class TestMixedWorkingSet:
 
     def probe_points(self, ws):
         """Random points, plus points just inside and just outside the smaller
-        views' right and bottom edges, where a lookup clipped to the padded
-        size goes wrong."""
+        views' right and bottom edges, where a lookup clipped to another
+        view's size goes wrong."""
         points = list(np.random.default_rng(31).uniform(-1.5, 1.5, size=(60, 3)))
         for state in ws.views:
             cam = state.camera
@@ -236,17 +304,18 @@ class TestMixedWorkingSet:
 
         ws = self.working_set(ring_scene, mixed_views)
         points = self.probe_points(ws)
-        mu, sig, w, depth, _, valid, _ = _lookup(ws, points)
+        rays = (points, np.zeros_like(points)) + 2 * (np.zeros((len(points), 1)),)
+        mu, sig, w, depth, _, valid, _ = _lookup(ws, *rays)
         for j, state in enumerate(ws.views):
             n = state.dmap.n_components
-            assert np.all(w[n:, :, j] == 0.0)   # padded components weigh exactly 0
+            assert np.all(w[n:, :, 0, j] == 0.0)   # padded components weigh exactly 0
             *want, want_depth, _, want_valid, _ = _lookup(
-                self.working_set(ring_scene, [state]), points)
-            assert np.array_equal(valid[:, j], want_valid[:, 0])
-            assert np.array_equal(depth[:, j], want_depth[:, 0])
-            inside = valid[:, j]
+                self.working_set(ring_scene, [state]), *rays)
+            assert np.array_equal(valid[:, 0, j], want_valid[:, 0, 0])
+            assert np.array_equal(depth[0, :, 0, j], want_depth[0, :, 0, 0])
+            inside = valid[:, 0, j]
             for got, single in zip((mu, sig, w), want):
-                assert np.array_equal(got[:n, inside, j], single[:, inside, 0])
+                assert np.array_equal(got[:n, inside, 0, j], single[:, inside, 0, 0])
 
     def test_visibility_matches_single_view_sets(self, ring_scene, mixed_views):
         ws = self.working_set(ring_scene, mixed_views)
@@ -266,12 +335,12 @@ class TestMixedWorkingSet:
         only view j's own hit pixels and drops the rows of those components."""
         ws = self.working_set(ring_scene, mixed_views)
         first, n = ws.first, ws.decoded.shape[1]
-        assert first[0] == 0 and first[-1] == len(ws.images) == ws.decoded.shape[2]
+        assert first[0] == 0 and first[-1] == ws.images.shape[1] == ws.decoded.shape[2]
         for j, view in enumerate(ws.views):
             own, k = slice(first[j], first[j + 1]), view.dmap.n_components
             decoded = decode_stack(view.dmap.params, ws.near, ws.far)      # (3, k, h, w)
             assert np.array_equal(ws.decoded[:, :k, own], decoded.reshape(3, k, -1))
-            assert np.array_equal(ws.images[own], view.image.reshape(-1, 3))
+            assert np.array_equal(ws.images[:, own], view.image.reshape(-1, 3).T)
             assert np.all(ws.decoded[1, k:, own] == 1.0) and np.all(ws.decoded[2, k:, own] == 0.0)
 
         cam = ring_scene.cameras[0]
@@ -477,7 +546,8 @@ class TestBilinearGather:
         iy, ix = np.meshgrid(np.arange(4), np.arange(5), indexing="ij")
 
         def lookup(u, v):
-            return render._bilinear(grid.reshape(20, 3, 2), 0, 4, 5, u, v)
+            stack = np.moveaxis(grid.reshape(20, 3, 2), 0, -1)
+            return np.moveaxis(render._bilinear(stack, 0, 4, 5, u, v), (0, 1), (-2, -1))
 
         assert np.array_equal(lookup(ix + 0.5, iy + 0.5), grid)
         mid_x = lookup(ix[:, :-1] + 1.0, iy[:, :-1] + 0.5)

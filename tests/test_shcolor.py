@@ -6,6 +6,7 @@ from rayvis.errors import DegenerateFitError, InputError
 from rayvis.shcolor import (
     DEFAULT_DEGREE_PENALTIES,
     _dual_system,
+    _pair_kernel,
     _eliminate,
     _factor,
     _solve,
@@ -280,9 +281,8 @@ def lstsq_fit(dirs, weights, colors, degree, penalties):
 
 def dual_colors(dirs, weights, colors, query, degree, penalties):
     kernel, border_degree, border = sh_dual_form(degree, penalties)
-    y_b = sh_basis_values(border_degree, dirs)[..., border]
-    y_bq = sh_basis_values(border_degree, query)[..., border]
-    return sh_fit_batched(dirs, weights, colors, query, kernel, y_b, y_bq)
+    return sh_fit_batched(dirs, weights, colors, query, kernel,
+                          lambda x: sh_basis_values(border_degree, x)[..., border])
 
 
 class TestDualFit:
@@ -433,7 +433,8 @@ class TestDualSystem:
         y_b = sh_basis_values(border_degree, dirs)[..., border]
         want_s, want_kern, want = block_system(dirs, weights, kernel, y_b)
         d, w, yb = batch_last(dirs, weights, y_b)
-        s, k_pairs, system = _dual_system(d, w, kernel, yb)
+        k_pairs = _pair_kernel(kernel, d)
+        s, system = _dual_system(k_pairs, w, kernel, yb)
         n = j + border.size
         assert system.shape == (n, n, rows)
         assert system.tobytes() == np.ascontiguousarray(want.transpose(1, 2, 0)).tobytes()
@@ -459,7 +460,7 @@ def bordered_rows(rng, rows, j, n_b):
     weights[3, 0] = 0.0
     y_b = sh_basis_values(border_degree, dirs)[..., border]
     d, w, yb = batch_last(dirs, weights, y_b)
-    return _dual_system(d, w, kernel, yb)[2], weights
+    return _dual_system(_pair_kernel(kernel, d), w, kernel, yb)[1], weights
 
 
 class TestSolver:
@@ -506,5 +507,5 @@ class TestSolver:
         _, fit = dual_colors(dirs, weights, colors, query, 3, penalties)
         rhs = rng.normal(size=(j + n_b, 1, rows))
         d, w, yb = batch_last(dirs, weights, y_b)
-        fresh = _solve(_factor(_dual_system(d, w, kernel, yb)[2], j), rhs)
+        fresh = _solve(_factor(_dual_system(_pair_kernel(kernel, d), w, kernel, yb)[1], j), rhs)
         assert _solve(fit.factors, rhs).tobytes() == fresh.tobytes()
