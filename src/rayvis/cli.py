@@ -12,7 +12,9 @@ value under the field's name and has no default of its own, so the config
 holds the only default and the only check of each setting.
 
 Exit codes: 0 success, 1 usage error, 2 input/IO error (running out of memory
-included), 3 numerical error.
+included), 3 numerical error, 130 interrupted (SIGINT, Ctrl-C). An
+interrupted command leaves no temporary file; ``optimize --resume`` goes on
+from its last checkpoint.
 """
 
 from __future__ import annotations
@@ -496,6 +498,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: {args.command}: out of memory: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -39,13 +39,20 @@ def view_name(index: int, suffix: str) -> str:
 
 
 def scan_views(directory, suffix: str) -> dict:
-    """The ``view_NNNN.<suffix>`` files of ``directory``, keyed by view index."""
+    """The ``view_NNNN.<suffix>`` files of ``directory``, keyed by view index.
+    Two files of one index, such as ``view_3`` and ``view_0003``, raise
+    ``InputError`` naming both."""
     directory = Path(directory)
     if not directory.is_dir():
         raise InputError(f"not a directory: {directory}")
     pattern = re.compile(rf"view_(\d+)\.{re.escape(suffix)}")
-    return {int(m.group(1)): path for path in sorted(directory.iterdir())
-            if (m := pattern.fullmatch(path.name))}
+    views = {}
+    for path in sorted(directory.iterdir()):
+        if m := pattern.fullmatch(path.name):
+            if (index := int(m.group(1))) in views:
+                raise InputError(f"{views[index]} and {path} are both view {index}")
+            views[index] = path
+    return views
 
 
 @contextmanager

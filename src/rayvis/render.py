@@ -68,10 +68,9 @@ from rayvis.raydist import (
     rows_by_cell,
 )
 from rayvis.shcolor import (
-    DEFAULT_DEGREE_PENALTIES,
     MAX_DEGREE,
     DualFit,
-    sh_basis_values,
+    sh_basis_values,  # noqa: F401  (perfbench/tracing.py traces it under this name)
     sh_dual_form,
     sh_fit_batched,
     sh_fit_weight_grads,
@@ -413,15 +412,10 @@ def _chunk_forward(working: WorkingSet, origins, dirs, z, widths, config: Render
         del u, v
         rays = np.nonzero(active)[0]
         q_dirs = dirs[rays]                                                  # (M,3)
-        kernel, border_degree, border = sh_dual_form(config.sh_degree, DEFAULT_DEGREE_PENALTIES)
-
-        def border_basis(x):
-            return sh_basis_values(border_degree, x)[..., border]
-
         # the directions go unnamed, so the fit frees them once it has their cosines
         colors_q, fit = sh_fit_batched(
             _unit_dirs(origins[rays] + z[active][:, None] * q_dirs, working.centers).T,
-            weights.T, in_colors.T, q_dirs, kernel, border_basis)
+            weights.T, in_colors.T, q_dirs, sh_dual_form(config.sh_degree))
         sample_colors[active] = colors_q
         if keep_state:
             out.sh = fit
@@ -597,7 +591,8 @@ def _run_streams(n_tasks: int, task, streams: int) -> None:
     The caller and up to ``min(streams, n_tasks, 128) - 1`` helper threads
     pull the next index from one shared queue, so which stream runs a task
     is left to timing: tasks must write disjoint outputs. The first error raised in any stream
-    stops the queue and is re-raised once all streams have stopped.
+    stops the queue and is re-raised once all streams have stopped. An interrupt that lands in
+    the caller outside its tasks empties the queue and is raised at once.
     """
     indices = iter(range(n_tasks))
     lock = threading.Lock()
@@ -618,9 +613,13 @@ def _run_streams(n_tasks: int, task, streams: int) -> None:
 
     helpers = [threading.Thread(target=drain)
                for _ in range(min(streams, n_tasks, _MAX_STREAMS) - 1)]
-    for helper in helpers:
-        helper.start()
-    drain()
+    try:
+        for helper in helpers:
+            helper.start()
+        drain()
+    finally:
+        with lock:    # drain reads the name at each pull, so no helper starts another task
+            indices = iter(())
     for helper in helpers:
         helper.join()
     if errors:

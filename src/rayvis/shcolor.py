@@ -9,37 +9,40 @@ disturb the fit.
 Basis convention: real spherical harmonics, components ordered by degree l
 ascending and order m from -l to l within each degree. Degree 0..3 only.
 
-There is one solver. The render pipeline needs only the color at the query
-direction and has few views (J) per fit, so the estimator is solved in its
-dual (kernel) form, by :func:`sh_fit_batched` for a batch of fits and by
-:func:`sh_fit` as a one-row call of the same system that returns coefficients.
-By the addition theorem, ``sum_m Y_lm(a) Y_lm(b) = (2l+1)/(4 pi) P_l(a.b)``,
-so the penalized degrees reduce to the kernel
-``K(a, b) = sum_{lambda_l > 0} (2l+1)/(4 pi lambda_l) P_l(a.b)``, one cubic
-in the direction cosine. Degrees with zero penalty stay explicit as border
-columns ``Y_b``. With ``s = sqrt(w)``, the fit is one symmetric system of
-size J + n_b::
+The fit minimizes ``sum_j w_j |B(r_j) theta - c_j|^2 + theta' Lambda theta``
+per channel, ``Lambda`` the per-degree penalties of :class:`SHRegularizer`.
+:func:`sh_fit` returns its coefficients, the minimum-norm least-squares
+solution of ``[s * Y; sqrt(Lambda)] theta = [s * c; 0]`` with ``s = sqrt(w)``.
 
-    S = [[I + diag(s) K diag(s), diag(s) Y_b],
-         [(diag(s) Y_b)',        0          ]]
+The renderer needs only the color at the query direction, has few views (J)
+per fit and always fits under ``DEFAULT_DEGREE_PENALTIES``, so
+:func:`sh_fit_batched` solves a batch of fits in the dual (kernel) form of
+that one regularizer. By the addition theorem,
+``sum_m Y_lm(a) Y_lm(b) = (2l+1)/(4 pi) P_l(a.b)``, so the penalized degrees
+reduce to the kernel ``K(a, b) = sum_{l > 0} (2l+1)/(4 pi lambda_l) P_l(a.b)``,
+one cubic in the direction cosine. Degree 0 is unpenalized and stays
+explicit as one border column, the constant ``C0``. The fit is one symmetric
+system of size J + 1::
+
+    S = [[I + diag(s) K diag(s), C0 * s],
+         [C0 * s',               0     ]]
 
 and the color at ``q`` is ``sum_j g_j s_j c_j`` with
-``g = S^+ [s * K(q, d); y_b(q)]``. The systems of a batch are stored batch
-last, (J + n_b, J + n_b, M), so each step of an elimination is one vector
-operation over all M rows. ``A = I + diag(s) K diag(s)`` has every
-eigenvalue at least 1, as ``K`` is positive semidefinite, so ``S = L D L'``
-without pivoting is stable while the border is at most one nonzero column:
-its pivots are at least 1 on ``A`` and the Schur complement
-``-b' A^-1 b`` on the border. Any other row eliminates the border through
-the SVD of ``diag(s) Y_b``, keeping the directions ``matrix_rank`` counts,
-since a factorization of ``S`` would square that matrix's condition.
+``g = S^+ [s * K(q, d); C0]``. The systems of a batch are stored batch last,
+(J + 1, J + 1, M), so each step of an elimination is one vector operation
+over all M rows. ``A = I + diag(s) K diag(s)`` has every eigenvalue at least
+1, as ``K`` is positive semidefinite, so ``S = L D L'`` without pivoting is
+stable: its pivots are at least 1 on ``A``, and the last one is the Schur
+complement ``-C0^2 s' A^-1 s``. That pivot is 0 only when every weight is,
+and its reciprocal is then stored as 0, which solves such a row to the zero
+color, the pseudo-inverse of its block-diagonal ``S``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -169,16 +172,9 @@ def sh_fit(
     basis: SHBasis,
     reg: SHRegularizer = SHRegularizer(),
 ) -> SHCoefficients:
-    """Solve the regularized weighted least squares for the coefficients.
-
-    Minimizes ``sum_j w_j * |B(r_j) theta - c_j|^2 + theta' Lambda theta``
-    per channel by one row of the dual system, the channels as right-hand
-    sides ``[s * c; 0]``: the border unknowns are the unpenalized
-    coefficients, the penalized ones are ``Lambda^-1 Y_p' (s * r)`` for the
-    solved residuals ``r``. Coefficients that are not unique come out
-    minimum-norm. Raises only when all weights are zero and the regularizer
-    vanishes.
-    """
+    """The coefficients of the regularized weighted least squares, by
+    ``np.linalg.lstsq``; those that are not unique come out minimum-norm.
+    Raises only when all weights are zero and the regularizer vanishes."""
     if not samples:
         raise InputError("need at least one sample")
     dirs = np.stack([s.direction for s in samples])
@@ -187,18 +183,10 @@ def sh_fit(
     lam = reg.diagonal(basis)
     if np.all(weights == 0) and np.all(lam == 0):
         raise DegenerateFitError("all weights zero and no regularization")
-    kernel, _, border = sh_dual_form(basis.degree, reg.degree_penalties)
-    y = sh_basis_values(basis.degree, dirs)
-    j = len(samples)
-    s, system = _dual_system(_pair_kernel(kernel, dirs.T[..., None]), weights[:, None], kernel,
-                             y[:, border].T[..., None])
-    rhs = np.concatenate([s * colors, np.zeros((border.size, 3))])
-    sol = _solve(_factor(system, j), rhs[..., None])[..., 0]
-    theta = np.zeros((basis.basis_size, 3))
-    theta[border] = sol[j:]
-    pen = lam > 0
-    theta[pen] = y[:, pen].T @ (s * sol[:j]) / lam[pen, None]
-    return SHCoefficients(theta)
+    s = np.sqrt(weights)[:, None]
+    a = np.concatenate([s * sh_basis_values(basis.degree, dirs), np.diag(np.sqrt(lam))])
+    b = np.concatenate([s * colors, np.zeros((lam.size, 3))])
+    return SHCoefficients(np.linalg.lstsq(a, b, rcond=None)[0])
 
 
 def sh_color(coeffs: SHCoefficients, direction) -> np.ndarray:
@@ -207,29 +195,16 @@ def sh_color(coeffs: SHCoefficients, direction) -> np.ndarray:
     return sh_eval(SHBasis(degree), direction) @ coeffs.values
 
 
-def sh_dual_form(degree: int, penalties: Sequence[float]):
-    """Kernel and border of the dual fit for ``degree`` and per-degree penalties.
-
-    Returns ``(kernel, border_degree, border)``: the power-series
-    coefficients (lowest first) of ``K`` in the direction cosine, and the
-    indices of the unpenalized basis columns within
-    ``sh_basis_values(border_degree, ...)``. Missing penalties are zero.
-    Computed once per (degree, penalties), so the arrays are shared and
-    read-only.
-    """
-    return _dual_form(degree, tuple(float(p) for p in penalties))
-
-
-@lru_cache(maxsize=64)
-def _dual_form(degree: int, penalties: tuple):
-    pen = [penalties[ell] if ell < len(penalties) else 0.0 for ell in range(degree + 1)]
-    legendre = [(2 * ell + 1) / (4.0 * np.pi * p) if p > 0 else 0.0 for ell, p in enumerate(pen)]
+@lru_cache(maxsize=MAX_DEGREE + 1)
+def sh_dual_form(degree: int) -> np.ndarray:
+    """The kernel of the dual fit for ``degree`` under ``DEFAULT_DEGREE_PENALTIES``:
+    the power-series coefficients (lowest first) of ``K`` in the direction
+    cosine. Computed once per degree, so the array is shared and read-only."""
+    legendre = [(2 * ell + 1) / (4.0 * np.pi * p) if p > 0 else 0.0
+                for ell, p in enumerate(DEFAULT_DEGREE_PENALTIES[:degree + 1])]
     kernel = np.polynomial.legendre.leg2poly(legendre)
-    free = [ell for ell, p in enumerate(pen) if p == 0]
-    border = np.array([i for ell in free for i in range(ell * ell, (ell + 1) ** 2)], dtype=np.int64)
     kernel.setflags(write=False)
-    border.setflags(write=False)
-    return kernel, max(free, default=0), border
+    return kernel
 
 
 def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -251,21 +226,20 @@ def _pair_kernel(kernel, dirs):
     return _horner(kernel, cos)
 
 
-def _dual_system(k_pairs, weights, kernel, y_b):
+def _dual_system(k_pairs, weights, kernel):
     """Square-root weights and bordered system of each row, batch last.
 
-    ``k_pairs`` (J(J-1)/2, M) from :func:`_pair_kernel`, ``weights`` (J, M)
-    and ``y_b`` (n_b, J, M) give ``(s, system)``: ``s`` (J, M) and ``S``
-    (J + n_b, J + n_b, M). The diagonal is ``K(1) s^2 + 1``.
+    ``k_pairs`` (J(J-1)/2, M) from :func:`_pair_kernel` and ``weights``
+    (J, M) give ``(s, system)``: ``s`` (J, M) and ``S`` (J + 1, J + 1, M).
+    The diagonal is ``K(1) s^2 + 1``.
     """
     j, m = weights.shape
-    n = j + y_b.shape[0]
     s = np.maximum(weights, 0.0)  # clamp rounding noise below zero
     np.sqrt(s, out=s)
     ia, ib = np.tril_indices(j, -1)
     off = s[ia] * k_pairs
     off *= s[ib]
-    system = np.empty((n, n, m))    # once the products' temporary is freed: a lower peak
+    system = np.empty((j + 1, j + 1, m))    # once the products' temporary is freed: a lower peak
     system[ia, ib] = off
     system[ib, ia] = off
     del off
@@ -273,39 +247,19 @@ def _dual_system(k_pairs, weights, kernel, y_b):
     diag *= s
     diag += 1.0
     system[np.arange(j), np.arange(j)] = diag
-    system[j:, :j] = s * y_b
-    system[:j, j:] = system[j:, :j].transpose(1, 0, 2)
-    system[j:, j:] = 0.0
+    system[j, :j] = s * _C0
+    system[:j, j] = system[j, :j]
+    system[j, j] = 0.0
     return s, system
 
 
-@dataclass
-class _Factors:
-    """The bordered systems of a batch of fits, factored once for every solve.
-
-    With at most one border column, ``S = L D L'`` in place, batch last: the
-    strict lower triangle of ``ldl`` holds ``L``, its diagonal ``D`` and its
-    upper triangle still ``S``. An all-zero border column has a zero pivot,
-    whose reciprocal is stored as 0; those rows, and every row with more
-    than one border column, are ``rest``, solved by :func:`_eliminate` from
-    their systems kept batch first.
-    """
-
-    j: int
-    ldl: Optional[np.ndarray]    # (J + n_b, J + n_b, M); None when n_b > 1
-    inv_d: Optional[np.ndarray]  # (J + n_b, M) reciprocal pivots
-    rest: np.ndarray             # (R,) rows that _eliminate solves
-    rest_system: np.ndarray      # (R, J + n_b, J + n_b)
-
-
-def _factor(system: np.ndarray, j: int) -> _Factors:
-    """Factor the batch-last systems (J + n_b, J + n_b, M) in place."""
+def _factor(system: np.ndarray):
+    """``S = L D L'`` of the batch-last systems (J + 1, J + 1, M), in place,
+    factored once for every solve. Returns ``(ldl, inv_d)``: ``ldl`` is the
+    system with ``L`` in its strict lower triangle, ``D`` on its diagonal and
+    ``S`` still above; ``inv_d`` (J + 1, M) holds the reciprocal pivots, 0
+    for a zero pivot."""
     n, _, m = system.shape
-    if n - j > 1:
-        return _Factors(j, None, None, np.arange(m),
-                        np.ascontiguousarray(system.transpose(2, 0, 1)))
-    rest = np.flatnonzero(~system[j:, :j].any(axis=(0, 1))) if n > j else np.arange(0)
-    rest_system = np.ascontiguousarray(system[:, :, rest].transpose(2, 0, 1))
     inv_d = np.zeros((n, m))
     for k in range(n):
         pivot = system[k, k]
@@ -315,47 +269,21 @@ def _factor(system: np.ndarray, j: int) -> _Factors:
         for i in range(k + 1, n):  # the trailing lower triangle, row by row
             system[i, k + 1:i + 1] -= lcol[i - k - 1] * col[:i - k]
         col[...] = lcol
-    return _Factors(j, system, inv_d, rest, rest_system)
+    return system, inv_d
 
 
-def _solve(factors: _Factors, rhs: np.ndarray) -> np.ndarray:
-    """``S^+ rhs`` for batch-last right-hand sides ``rhs`` (J + n_b, k, M)."""
+def _solve(factors, rhs: np.ndarray) -> np.ndarray:
+    """``S^+ rhs`` for batch-last right-hand sides ``rhs`` (J + 1, k, M), with
+    the ``factors`` of :func:`_factor`."""
     x = rhs.copy()
-    ldl = factors.ldl
-    if ldl is not None:
-        n = ldl.shape[0]
-        for k in range(n - 1):
-            x[k + 1:] -= ldl[k + 1:, k, None] * x[k]
-        x *= factors.inv_d[:, None]
-        for k in range(n - 1, 0, -1):
-            x[:k] -= ldl[k, :k, None] * x[k]
-    if factors.rest.size:
-        rest = rhs[..., factors.rest].transpose(2, 0, 1)
-        x[..., factors.rest] = _eliminate(factors.rest_system, rest,
-                                          factors.j).transpose(1, 2, 0)
+    ldl, inv_d = factors
+    n = ldl.shape[0]
+    for k in range(n - 1):
+        x[k + 1:] -= ldl[k + 1:, k, None] * x[k]
+    x *= inv_d[:, None]
+    for k in range(n - 1, 0, -1):
+        x[:k] -= ldl[k, :k, None] * x[k]
     return x
-
-
-def _eliminate(system: np.ndarray, rhs: np.ndarray, j: int) -> np.ndarray:
-    """``S^+ rhs`` by eliminating the border ``B = s * Y_b = U1 sv V1'``.
-
-    ``B' x = t`` fixes ``U1' x``; the rest of ``x`` solves the SPD system
-    ``P A P + I - P`` with ``P = I - U1 U1'``, and the border unknowns are the
-    minimum-norm ``V1 sv^-1 U1' (r - A x)``.
-    """
-    a, b = system[:, :j, :j], system[:, :j, j:]
-    r, t = rhs[:, :j], rhs[:, j:]
-    u, sv, vh = np.linalg.svd(b)
-    k = sv.shape[-1]
-    keep = sv > np.finfo(float).eps * max(b.shape[1:]) * sv[:, :1]
-    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)[..., None]
-    u1 = u[..., :k] * keep[:, None, :]  # dropped directions join the null space of B'
-    u1t, v1t = np.swapaxes(u1, -1, -2), vh[:, :k]
-    x = u1 @ (inv * (v1t @ t))
-    p = np.eye(j) - u1 @ u1t
-    x += np.linalg.solve(p @ a @ p + np.eye(j) - p, p @ (r - a @ x))
-    y = np.swapaxes(v1t, -1, -2) @ (inv * (u1t @ (r - a @ x)))
-    return np.concatenate([x, y], axis=1)
 
 
 @dataclass
@@ -371,29 +299,25 @@ class DualFit:
     k_one: float         # K(1), the kernel's diagonal
     k_pairs: np.ndarray  # (J(J-1)/2, M) kernel on the pairs np.tril_indices(J, -1)
     k_q: np.ndarray      # (J, M) kernel between input and query directions
-    y_b: np.ndarray      # (n_b, J, M) border columns at the input directions
     colors: np.ndarray   # (3, J, M)
-    factors: _Factors    # of the bordered system
-    g: np.ndarray        # (J + n_b, M) forward solution
+    factors: tuple       # (ldl, inv_d) of the bordered system, from _factor
+    g: np.ndarray        # (J + 1, M) forward solution
 
 
-def sh_fit_batched(dirs, weights, colors, query, kernel, border_basis):
+def sh_fit_batched(dirs, weights, colors, query, kernel):
     """Batched dual-form fits, each evaluated at its query direction.
 
     ``dirs``: (M, J, 3) unit input directions, ``weights``: (M, J)
-    nonnegative, ``colors``: (M, J, 3), ``query``: (M, 3) unit directions,
-    ``kernel`` from :func:`sh_dual_form` and ``border_basis``, which maps
-    unit directions (..., 3) to their border columns (..., n_b) of
-    :func:`sh_basis_values`. The directions are dropped once their basis
-    values and cosines exist, so a caller that keeps no reference to them
-    frees them before the system is built. Returns ``(colors_q, fit)`` with
+    nonnegative, ``colors``: (M, J, 3), ``query``: (M, 3) unit directions and
+    ``kernel`` from :func:`sh_dual_form`. The directions are dropped once
+    their cosines exist, so a caller that keeps no reference to them frees
+    them before the system is built. Returns ``(colors_q, fit)`` with
     colors_q (M, 3) and ``fit`` the batch-last intermediates that the
     backward pass needs.
     """
     j = weights.shape[1]
     colors = np.ascontiguousarray(colors.transpose(2, 1, 0))
     d = np.ascontiguousarray(dirs.transpose(2, 1, 0))
-    y_b = np.ascontiguousarray(border_basis(dirs).transpose(2, 1, 0))
     q = query.T
     cos = d[0] * q[0]
     cos += d[1] * q[1]
@@ -401,18 +325,17 @@ def sh_fit_batched(dirs, weights, colors, query, kernel, border_basis):
     k_q = _horner(kernel, cos)
     k_pairs = _pair_kernel(kernel, d)
     del dirs, d, cos
-    s, system = _dual_system(k_pairs, np.ascontiguousarray(weights.T), kernel, y_b)
-    rhs = np.empty((system.shape[0], 1, s.shape[1]))
+    s, system = _dual_system(k_pairs, np.ascontiguousarray(weights.T), kernel)
+    rhs = np.empty((j + 1, 1, s.shape[1]))
     np.multiply(s, k_q, out=rhs[:j, 0])
-    rhs[j:, 0] = border_basis(query).T
-    factors = _factor(system, j)
+    rhs[j, 0] = _C0
+    factors = _factor(system)
     g = _solve(factors, rhs)[:, 0]
     gs = g[:j] * s
     colors_q = colors[:, 0] * gs[0]
     for i in range(1, j):
         colors_q += colors[:, i] * gs[i]
-    fit = DualFit(s, float(_horner(kernel, np.ones(1))[0]), k_pairs, k_q, y_b, colors,
-                  factors, g)
+    fit = DualFit(s, float(_horner(kernel, np.ones(1))[0]), k_pairs, k_q, colors, factors, g)
     return colors_q.T, fit
 
 
@@ -421,7 +344,7 @@ def sh_fit_weight_grads(fit: DualFit, dc: np.ndarray) -> np.ndarray:
 
     ``d color / d w_j = (y_j . psi)(c_j - fitted_j)`` with ``psi`` the
     primal solve of the query basis row. Both factors come without a
-    division by ``s``: ``y_j . psi = k_q - K (s g_J) - Y_b g_b``, and the
+    division by ``s``: ``y_j . psi = k_q - K (s g_J) - C0 g_b``, and the
     residual of the colors projected on ``dc`` follows from one more solve
     with the forward's factors, as the fit is linear in the colors.
     """
@@ -433,13 +356,12 @@ def sh_fit_weight_grads(fit: DualFit, dc: np.ndarray) -> np.ndarray:
     kern[np.arange(j), np.arange(j)] = fit.k_one
 
     def unweighted(x):
-        return (np.sum(kern * (fit.s * x[:j]), axis=1)
-                + np.sum(fit.y_b * x[j:, None], axis=0))
+        return np.sum(kern * (fit.s * x[:j]), axis=1) + _C0 * x[j]
 
     e = fit.colors[0] * dc[:, 0]
     e += fit.colors[1] * dc[:, 1]
     e += fit.colors[2] * dc[:, 2]
-    rhs = np.zeros((j + fit.y_b.shape[0], 1, m))
+    rhs = np.zeros((j + 1, 1, m))
     np.multiply(fit.s, e, out=rhs[:j, 0])
     resid = e - unweighted(_solve(fit.factors, rhs)[:, 0])
     ypsi = fit.k_q - unweighted(fit.g)

@@ -2,8 +2,10 @@ import argparse
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -365,6 +367,45 @@ class TestOptimize:
             "--out", str(out), "--steps", "2", "--nw", "3", "--resume",
         ])
         assert code == 2
+
+
+class TestInterrupt:
+    def test_sigint_exits_130_and_resumes_exactly(self, synth_dir, maps_dir, tmp_path):
+        """SIGINT, sent once a checkpointing ``optimize`` has written its
+        state, exits 130 with one line on stderr, no traceback and no
+        temporary file. ``--resume`` to two steps past the checkpoint then
+        writes the bytes of a straight run, ``manifest.json`` aside. (SIGTERM
+        is not handled: it ends the process by the signal.)"""
+        common = ["optimize", "--data", str(synth_dir), "--init", str(maps_dir),
+                  "--batch", "32", "--k", "16", "--nw", "3", "--sh-degree", "1",
+                  "--eval-views", "0", "--eval-interval", "3", "--threads", "2"]
+        out = tmp_path / "interrupted"
+        src = str(Path(rayvis.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rayvis.cli", *common, "--out", str(out),
+             "--steps", "100000", "--checkpoint-interval", "1"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env)
+        try:
+            deadline = time.monotonic() + 60
+            while not (out / "state.npz").exists():
+                assert proc.poll() is None and time.monotonic() < deadline, proc.stderr.read()
+                time.sleep(0.02)
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 130, err
+        assert err.splitlines() == ["error: interrupted"], err
+        assert not list(out.glob("*.tmp"))
+        with np.load(out / "state.npz") as blob:
+            steps = str(int(blob["step"]) + 2)
+        assert main([*common, "--out", str(out), "--resume", "--steps", steps]) == 0
+        straight = tmp_path / "straight"
+        assert main([*common, "--out", str(straight), "--steps", steps]) == 0
+        assert tree_bytes(out) == tree_bytes(straight)
 
 
 class TestNumericalFailure:
@@ -799,6 +840,16 @@ class TestEval:
         assert code == 2
         err = capsys.readouterr().err
         assert "missing" in err
+
+    def test_two_files_for_one_view_exit_2(self, synth_dir, tmp_path, capsys):
+        """A ``view_3.ppm`` beside ``synth``'s ``view_0003.ppm`` is refused, naming both."""
+        images = tmp_path / "images"
+        shutil.copytree(synth_dir / "images", images)
+        (images / "view_3.ppm").write_bytes((images / "view_0000.ppm").read_bytes())
+        capsys.readouterr()
+        assert main(["eval", str(images), str(synth_dir / "images")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "view_0003.ppm and" in err and "view_3.ppm" in err
 
 
 class TestBench:

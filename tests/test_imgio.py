@@ -8,6 +8,7 @@ from rayvis.imgio import (
     read_depth_map,
     read_float_image,
     read_ppm,
+    scan_views,
     write_depth_map,
     write_float_image,
     write_ppm,
@@ -157,3 +158,15 @@ def test_atomic_writer_keeps_the_old_file_on_error(tmp_path):
             raise RuntimeError("interrupted")
     assert path.read_bytes() == b"old"
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_scan_views_refuses_two_files_for_one_view(tmp_path):
+    """``view_3`` beside ``view_0003`` is one view twice; neither silently wins."""
+    image = np.zeros((2, 2, 3))
+    for name in ("view_0003.ppm", "view_3.ppm", "view_0004.ppm"):
+        write_ppm(tmp_path / name, image)
+    with pytest.raises(InputError, match="view_0003.ppm and .*view_3.ppm are both view 3"):
+        scan_views(tmp_path, "ppm")
+    (tmp_path / "view_3.ppm").unlink()
+    assert scan_views(tmp_path, "ppm") == {3: tmp_path / "view_0003.ppm",
+                                           4: tmp_path / "view_0004.ppm"}

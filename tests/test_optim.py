@@ -1,5 +1,6 @@
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -1095,3 +1096,98 @@ class TestOptimizeScene:
         state, history = optimize_scene(data, config)
         totals = np.array([rep.total for rep, _ in history])
         assert totals[-10:].mean() <= totals[:10].mean() + 1e-9
+
+
+class TestWholeStepGradient:
+    """The gradient that ``train_step`` hands to Adam, per map, against central
+    differences of the total loss it reports.
+
+    A 6-camera 20 x 20 ring, its maps initialized from depth maps with 2%
+    noise and their raw parameters perturbed by N(0, 0.1), so that no two
+    components are alike, a batch of 300 rays at k=64 (three chunks) and 4
+    working views. The consistency loss holds the rendered side constant, so the working
+    views are checked with ``lambda_consist = 0``; the query view is not in
+    its own working set, so its map is checked against the full total. An
+    entry is checked where the differences at steps 1e-6 and 1e-5 agree to
+    ``REL``; the entries are the largest gradients of each stratum (map
+    kind, parameter row, component), and each stratum must check at least
+    ``MIN_CHECKED``. Coarse-to-fine placement is constant by design, so
+    only uniform sampling is checked."""
+
+    REL = 1e-4
+    STEPS = (1e-6, 1e-5)
+    PER_STRATUM = 5
+    MIN_CHECKED = 3
+
+    @staticmethod
+    def ring_data():
+        from rayvis.scene import perturb_depth, render_ground_truth
+        from rayvis.scenes import two_spheres
+
+        ring = two_spheres(n_cameras=6, width=20, height=20)
+        rng = np.random.default_rng(4)
+        images, depths, maps = {}, {}, {}
+        for i, cam in enumerate(ring.cameras):
+            images[i], depths[i] = render_ground_truth(ring, cam)
+            maps[i] = init_from_depth(perturb_depth(depths[i], 0.02, (4, i)), 0.01, 2, view=i)
+            maps[i].params += rng.normal(0.0, 0.1, size=maps[i].params.shape)
+        return (SceneData(dict(enumerate(ring.cameras)), images, maps, depths,
+                          ring.near, ring.far), tuple(ring.background))
+
+    @staticmethod
+    def step_total(data, config):
+        return train_step(data, config, OptimState(), np.random.default_rng(config.seed)).total
+
+    def check(self, data, config, keys, strata, checked, failures):
+        """Capture each map's gradient from one step; check the largest
+        ``PER_STRATUM`` entries of each stratum of ``keys``' maps."""
+        grads = {}
+
+        def capture(state, key, p, g, lr, t):
+            grads[key] = g
+            return None, None, None, True
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optim, "_adam_update", capture)
+            train_step(data, config, OptimState(), np.random.default_rng(config.seed))
+        for row in range(3):
+            for comp in range(2):
+                stratum = (strata, row, comp)
+                candidates = sorted(((abs(grads[key][..., row, comp][pixel]), key,
+                                      pixel + (row, comp))
+                                     for key in keys
+                                     for pixel in np.ndindex(grads[key].shape[:2])),
+                                    reverse=True)[:self.PER_STRATUM]
+                checked[stratum] = 0
+                for _, key, index in candidates:
+                    p = data.maps[key].params
+                    old, slopes = p[index], []
+                    for h in self.STEPS:
+                        p[index] = old + h
+                        up = self.step_total(data, config)
+                        p[index] = old - h
+                        slopes.append((up - self.step_total(data, config)) / (2 * h))
+                    p[index] = old
+                    fine, coarse = slopes
+                    if not abs(fine - coarse) < self.REL * abs(coarse):    # nor 0
+                        continue
+                    checked[stratum] += 1
+                    if abs(grads[key][index] - coarse) > self.REL * abs(coarse):
+                        failures.append((stratum, key, index, grads[key][index], coarse))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_adam_gets_the_gradient_of_the_reported_total(self, threads, monkeypatch):
+        data, background = self.ring_data()
+        config = TrainConfig(batch_size=300, k_samples=64, n_working=4, seed=1,
+                             threads=threads, background=background)
+        q = optim._draw_batch(np.random.default_rng(config.seed), data, config)[0]
+        views = [v for v in data.render_views() if v.index != q]
+        working = [v.index for v in select_working_views(
+            views, data.cameras[q], 4, data.near, data.far, query_index=q).views]
+        monkeypatch.setattr(optim, "_commit", lambda *args: None)    # the maps stay put
+        checked, failures = {}, []
+        self.check(data, replace(config, lambda_consist=0.0),
+                   working, "working", checked, failures)
+        self.check(data, config, [q], "query", checked, failures)
+        assert not failures, failures
+        assert min(checked.values()) >= self.MIN_CHECKED, checked

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from rayvis.raydist import decode_arrays  # noqa: E402
 from rayvis.shcolor import (  # noqa: E402
+    DEFAULT_DEGREE_PENALTIES,
     SHBasis,
     SHRegularizer,
     WeightedColorSample,
@@ -26,7 +27,8 @@ PENALTIES = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
 @given(seed=st.integers(0, 2**32 - 1), degree=st.integers(0, 3), data=st.data())
 def test_sh_fits_match_lstsq_oracle(seed, degree, data):
     """Directions and colors come from ``seed``; weights include exact zeros
-    and 1e-12, penalties include exact zeros."""
+    and 1e-12. ``sh_fit``'s penalties include exact zeros; the batched fit
+    takes the renderer's default penalties."""
     n_views = data.draw(st.integers(1, 12), label="n_views")
     weights = np.array(data.draw(st.lists(WEIGHTS, min_size=n_views, max_size=n_views),
                                  label="weights"))
@@ -37,18 +39,21 @@ def test_sh_fits_match_lstsq_oracle(seed, degree, data):
     dirs = random_directions(rng, n_views)
     query = random_directions(rng, 1)
     colors = rng.uniform(0, 1, size=(n_views, 3))
-    theta, cond = lstsq_fit(dirs, weights, colors, degree, penalties)
-    want = sh_basis_values(degree, query[0]) @ theta
-    got, _ = dual_colors(dirs[None], weights[None], colors[None], query, degree, penalties)
+    got, _ = dual_colors(dirs[None], weights[None], colors[None], query, degree)
     samples = [WeightedColorSample(d, c, float(w)) for d, c, w in zip(dirs, colors, weights)]
     fitted = sh_color(sh_fit(samples, SHBasis(degree), SHRegularizer(penalties)), query[0])
-    # a backward-stable solve, the oracle's included, is good to a small
-    # multiple of eps * cond * scale; where a 1e-12 weight alone pins a
-    # direction, cond passes 1e6 and that term exceeds 1e-9 of the colors
-    scale = max(np.max(np.abs(colors)), np.max(np.abs(want)))
-    tol = 1e-9 * np.max(np.abs(colors)) + 50 * np.finfo(float).eps * cond * scale
-    assert np.max(np.abs(got[0] - want)) <= tol
-    assert np.max(np.abs(fitted - want)) <= tol
+    for value, pens in ((got[0], DEFAULT_DEGREE_PENALTIES), (fitted, penalties)):
+        if not weights.any() and not any(pens[:degree + 1]):
+            np.testing.assert_array_equal(value, 0.0)   # the batched fit's zero fit
+            continue
+        theta, cond = lstsq_fit(dirs, weights, colors, degree, pens)
+        want = sh_basis_values(degree, query[0]) @ theta
+        # a backward-stable solve, the oracle's included, is good to a small
+        # multiple of eps * cond * scale; where a 1e-12 weight alone pins a
+        # direction, cond passes 1e6 and that term exceeds 1e-9 of the colors
+        scale = max(np.max(np.abs(colors)), np.max(np.abs(want)))
+        tol = 1e-9 * np.max(np.abs(colors)) + 50 * np.finfo(float).eps * cond * scale
+        assert np.max(np.abs(value - want)) <= tol
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

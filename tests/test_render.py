@@ -501,7 +501,7 @@ class TestBackwardFiniteDifferences:
 
         ws = select_working_views(views, qcam, 8, 1.0, 5.0)
         _, state, _ = render_rays(ws, origins, dirs, config, keep_state=True)
-        assert state.sh.factors.ldl.shape[:2] == (9, 9)
+        assert state.sh.factors[0].shape[:2] == (9, 9)    # ldl of J + 1 = 9
         parts = [render_rays_backward(ws, state, config, weights)]
         grads = {v.index: view_grad(ws, j, parts) for j, v in enumerate(ws.views)}
         checked = 0
@@ -962,6 +962,51 @@ class TestRenderImage:
         render._run_streams(1000, ran.append, 10**6)
         assert len(helpers) == 127 and ran == list(range(1000))
 
+    def test_interrupt_outside_a_task_stops_the_queue(self, monkeypatch):
+        """A KeyboardInterrupt that lands in the caller outside its tasks, here
+        in its wait for the queue's lock while the helper runs a task, stops
+        the queue: the interrupt is raised, and the helper starts no other
+        task."""
+        caller, running = threading.current_thread(), set(threading.enumerate())
+        helper_busy, caller_done, stopped = (threading.Event() for _ in range(3))
+        started, interrupts = [], []
+
+        class InterruptedLock:
+            """The queue's lock. The caller's first wait after its task is
+            interrupted; its next release, once it has stopped the queue,
+            lets the helper finish its task."""
+
+            def __init__(self):
+                self.lock = threading.Lock()
+
+            def __enter__(self):
+                if threading.current_thread() is caller and caller_done.is_set() and not interrupts:
+                    interrupts.append(KeyboardInterrupt())
+                    raise interrupts[0]
+                self.lock.acquire()
+
+            def __exit__(self, *exc):
+                self.lock.release()
+                if threading.current_thread() is caller and interrupts:
+                    stopped.set()
+
+        def task(i):
+            started.append(i)
+            if threading.current_thread() is caller:
+                assert helper_busy.wait(10)
+                caller_done.set()
+            else:
+                helper_busy.set()
+                stopped.wait(5)     # the helper is busy until the queue stops
+
+        monkeypatch.setattr(render, "threading",
+                            SimpleNamespace(Lock=InterruptedLock, Thread=threading.Thread))
+        with pytest.raises(KeyboardInterrupt) as raised:
+            render._run_streams(6, task, 2)
+        for helper in set(threading.enumerate()) - running:
+            helper.join()
+        assert raised.value is interrupts[0] and sorted(started) == [0, 1]
+
     @pytest.mark.parametrize("mode", ["uniform", "coarse_to_fine"])
     def test_value_only_path_matches_kept_path(self, ring_scene, gt_views, mode):
         """Without ``keep_state`` the CDF kernel overwrites its standardized
@@ -1090,9 +1135,9 @@ class TestChunkMemory:
 
 class TestDualFormCache:
     def test_one_kernel_expansion_per_render(self, ring_scene, gt_views, monkeypatch):
-        """The SH kernel depends only on the degree and the penalties, so a
-        render expands it once, not once per chunk, and later renders with
-        the same settings reuse it; the shared arrays refuse writes."""
+        """The SH kernel depends only on the degree, so a render expands it
+        once, not once per chunk, and later renders of the same degree reuse
+        it; the shared array refuses writes."""
         from rayvis import shcolor
 
         expand, calls = np.polynomial.legendre.leg2poly, []
@@ -1102,17 +1147,16 @@ class TestDualFormCache:
             return expand(c)
 
         monkeypatch.setattr(np.polynomial.legendre, "leg2poly", counting_expand)
-        shcolor._dual_form.cache_clear()
+        shcolor.sh_dual_form.cache_clear()
         ws = working_set_for(ring_scene, gt_views, 2)
         render_image(ws, RenderConfig(k_coarse=8, sh_degree=2, threads=1))
         assert calls == [3]
         render_image(ws, RenderConfig(k_coarse=8, sh_degree=2, threads=2))
         assert calls == [3]
-        kernel, _, border = shcolor.sh_dual_form(2, list(shcolor.DEFAULT_DEGREE_PENALTIES))
+        kernel = shcolor.sh_dual_form(2)
         assert calls == [3]
-        for array in (kernel, border):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            kernel[0] = 1
 
 
 class TestPsnr:

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from rayvis import shcolor
 from rayvis.errors import DegenerateFitError, InputError
 from rayvis.shcolor import (
     DEFAULT_DEGREE_PENALTIES,
     _dual_system,
     _pair_kernel,
-    _eliminate,
     _factor,
     _solve,
     SHBasis,
@@ -279,14 +277,13 @@ def lstsq_fit(dirs, weights, colors, degree, penalties):
     return theta, sv[0] / sv[rank - 1]
 
 
-def dual_colors(dirs, weights, colors, query, degree, penalties):
-    kernel, border_degree, border = sh_dual_form(degree, penalties)
-    return sh_fit_batched(dirs, weights, colors, query, kernel,
-                          lambda x: sh_basis_values(border_degree, x)[..., border])
+def dual_colors(dirs, weights, colors, query, degree):
+    return sh_fit_batched(dirs, weights, colors, query, sh_dual_form(degree))
 
 
 class TestDualFit:
-    """Both SH entry points against an independent least-squares oracle."""
+    """Both SH entry points against an independent least-squares oracle; the
+    batched fit under the renderer's default penalties only."""
 
     BORDER_PENALTIES = (0.002, 0.001, 0.0, 0.01)  # unpenalized degree 2 only
 
@@ -305,53 +302,24 @@ class TestDualFit:
         # a 1e-12 weight alone pins the unpenalized columns it reaches
         weights[2::3, -1] = 1e-12
         weights[4] = 1e-12
-        got, _ = dual_colors(dirs, weights, colors, query, degree, penalties)
+        batched = penalties == DEFAULT_DEGREE_PENALTIES
+        if batched:
+            got, _ = dual_colors(dirs, weights, colors, query, degree)
         basis, reg = SHBasis(degree), SHRegularizer(penalties)
         for m in range(rows):
             if not weights[m].any() and not any(penalties[: degree + 1]):
-                # sh_fit refuses this fit; the dual returns the zero fit
+                # sh_fit refuses this fit; the batched one returns the zero fit
                 np.testing.assert_array_equal(got[m], 0.0)
                 continue
-            samples = [WeightedColorSample(d, c, float(w))
-                       for d, c, w in zip(dirs[m], colors[m], weights[m])]
             theta, _ = lstsq_fit(dirs[m], weights[m], colors[m], degree, penalties)
             want = sh_basis_values(degree, query[m]) @ theta
-            fitted = sh_color(sh_fit(samples, basis, reg), query[m])
             scale = 1e-9 * np.max(np.abs(colors[m]))
-            assert np.max(np.abs(got[m] - want)) <= scale, m
+            if batched:
+                assert np.max(np.abs(got[m] - want)) <= scale, m
+            samples = [WeightedColorSample(d, c, float(w))
+                       for d, c, w in zip(dirs[m], colors[m], weights[m])]
+            fitted = sh_color(sh_fit(samples, basis, reg), query[m])
             assert np.max(np.abs(fitted - want)) <= scale, m
-
-    @pytest.mark.parametrize("degree", [2, 3])
-    def test_weight_grads_on_rank_deficient_rows(self, degree):
-        """Three views, two of them antipodal: the even degree-2 border sees
-        them as one direction, so ``s * Y_b`` has rank 2 < J = 3 < n_b = 5.
-        The third view's color is fitted exactly, so its gradient is zero.
-        Weights near the penalties keep the pair's gradients well above the
-        rounding floor of the central difference."""
-        rng = np.random.default_rng(50 + degree)
-        rows = 6
-        d, e = random_directions(rng, 2 * rows).reshape(2, rows, 3)
-        dirs = np.stack([d, -d, e], axis=1)
-        query = random_directions(rng, rows)
-        colors = rng.uniform(0, 1, size=(rows, 3, 3))
-        weights = rng.uniform(0.01, 0.1, size=(rows, 3))
-        dc = rng.normal(size=(rows, 3))
-
-        def objective(w):
-            return np.sum(dual_colors(dirs, w, colors, query, degree,
-                                      self.BORDER_PENALTIES)[0] * dc, axis=-1)
-
-        _, fit = dual_colors(dirs, weights, colors, query, degree, self.BORDER_PENALTIES)
-        assert fit.y_b.shape[0] == 5    # more than one border column: eliminated
-        grads = sh_fit_weight_grads(fit, dc)
-        assert np.max(np.abs(grads[:, 2])) < 1e-12
-        h = 1e-6
-        for j in range(2):
-            step = np.zeros_like(weights)
-            step[:, j] = h
-            slope = (objective(weights + step) - objective(weights - step)) / (2 * h)
-            np.testing.assert_allclose(grads[:, j], slope, rtol=1e-4)
-
 
     @pytest.mark.parametrize("degree", [1, 2, 3])
     def test_weight_grads_on_default_penalty_rows(self, degree):
@@ -366,11 +334,10 @@ class TestDualFit:
         dc = rng.normal(size=(rows, 3))
 
         def objective(w):
-            return np.sum(dual_colors(dirs, w, colors, query, degree,
-                                      DEFAULT_DEGREE_PENALTIES)[0] * dc, axis=-1)
+            return np.sum(dual_colors(dirs, w, colors, query, degree)[0] * dc, axis=-1)
 
-        _, fit = dual_colors(dirs, weights, colors, query, degree, DEFAULT_DEGREE_PENALTIES)
-        assert fit.y_b.shape[0] == 1 and fit.factors.rest.size == 0
+        _, fit = dual_colors(dirs, weights, colors, query, degree)
+        assert fit.factors[0].shape == (j + 1, j + 1, rows)
         grads = sh_fit_weight_grads(fit, dc)
         h = 1e-6
         for view in range(j):
@@ -379,19 +346,47 @@ class TestDualFit:
             slope = (objective(weights + step) - objective(weights - step)) / (2 * h)
             np.testing.assert_allclose(grads[:, view], slope, rtol=1e-4, atol=1e-8)
 
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_weight_grads_on_rank_deficient_rows(self, degree):
+        """Four views, two sharing a direction and one opposite them: the
+        pair kernel block ``s K s`` has rank below J, the even degrees see
+        the opposite view as the same direction, and only the identity of
+        the dual system keeps it regular. Weights near the penalties keep
+        the gradients well above the rounding floor of the central
+        difference."""
+        rng = np.random.default_rng(50 + degree)
+        rows = 6
+        d, e = random_directions(rng, 2 * rows).reshape(2, rows, 3)
+        dirs = np.stack([d, d, -d, e], axis=1)
+        query = random_directions(rng, rows)
+        colors = rng.uniform(0, 1, size=(rows, 4, 3))
+        weights = rng.uniform(0.01, 0.1, size=(rows, 4))
+        dc = rng.normal(size=(rows, 3))
 
-def batch_last(dirs, weights, y_b):
-    """The (M, J, 3), (M, J) and (M, J, n_b) inputs in the solver's layout."""
-    return tuple(np.ascontiguousarray(a.T) for a in (dirs, weights, y_b))
+        def objective(w):
+            return np.sum(dual_colors(dirs, w, colors, query, degree)[0] * dc, axis=-1)
+
+        _, fit = dual_colors(dirs, weights, colors, query, degree)
+        grads = sh_fit_weight_grads(fit, dc)
+        h = 1e-6
+        for view in range(4):
+            step = np.zeros_like(weights)
+            step[:, view] = h
+            slope = (objective(weights + step) - objective(weights - step)) / (2 * h)
+            np.testing.assert_allclose(grads[:, view], slope, rtol=1e-4, atol=1e-8)
 
 
-def block_system(dirs, weights, kernel, y_b):
+def batch_last(dirs, weights):
+    """The (M, J, 3) and (M, J) inputs in the solver's layout."""
+    return tuple(np.ascontiguousarray(a.T) for a in (dirs, weights))
+
+
+def block_system(dirs, weights, kernel):
     """Reference assembly of the bordered dual system, batch first: the cosines
     and the kernel by Horner's rule on every (a, b), ``K(1)`` on the
     diagonal, the lower triangle mirrored, then ``np.block`` over the
-    separately built blocks."""
+    separately built blocks, the border from the degree-0 basis column."""
     m, j = weights.shape
-    nb = y_b.shape[-1]
     s = np.sqrt(np.maximum(weights, 0.0))
     x, y, z = dirs[..., 0], dirs[..., 1], dirs[..., 2]
     cos = (x[:, :, None] * x[:, None, :] + y[:, :, None] * y[:, None, :]
@@ -403,40 +398,30 @@ def block_system(dirs, weights, kernel, y_b):
     top = s[:, :, None] * kern * s[:, None, :]
     top = np.where(np.tri(j, dtype=bool), top, np.swapaxes(top, -1, -2))
     top[:, np.arange(j), np.arange(j)] += 1.0
-    sb = s[..., None] * y_b
-    return s, kern, np.block([[top, sb], [np.swapaxes(sb, -1, -2), np.zeros((m, nb, nb))]])
+    sb = s[..., None] * sh_basis_values(0, dirs)
+    return s, kern, np.block([[top, sb], [np.swapaxes(sb, -1, -2), np.zeros((m, 1, 1))]])
 
 
 class TestDualSystem:
     """The batch-last assembly of ``_dual_system`` against ``np.block``."""
 
-    # border sizes n_b by degree 0..3: none, one column, and several
-    PENALTIES = {
-        "all_penalized": ((0.002, 0.001, 0.005, 0.01), (0, 0, 0, 0)),
-        "default": (DEFAULT_DEGREE_PENALTIES, (1, 1, 1, 1)),
-        "two_free_degrees": ((0.0, 0.0, 0.005, 0.01), (1, 4, 4, 4)),
-    }
-
-    @pytest.mark.parametrize("name", sorted(PENALTIES))
+    # one view has no pairs; 8 is the renderer's default working set
+    @pytest.mark.parametrize("j", [1, 8, 20])
     @pytest.mark.parametrize("degree", [0, 1, 2, 3])
-    def test_equals_block_assembly_bit_for_bit(self, degree, name):
-        penalties, n_b = self.PENALTIES[name]
-        rng = np.random.default_rng(7 * degree + len(name))
-        rows, j = 9, 8
+    def test_equals_block_assembly_bit_for_bit(self, degree, j):
+        rng = np.random.default_rng(7 * degree + j - 1)
+        rows = 9
         dirs = random_directions(rng, rows * j).reshape(rows, j, 3)
         weights = rng.uniform(0, 1, size=(rows, j))
         weights[1, :3] = 0.0
-        weights[2, 4] = -1e-18      # rounding noise below zero is clamped
+        weights[2, min(4, j - 1)] = -1e-18      # rounding noise below zero is clamped
         weights[3] = 0.0
-        kernel, border_degree, border = sh_dual_form(degree, penalties)
-        assert border.size == n_b[degree]
-        y_b = sh_basis_values(border_degree, dirs)[..., border]
-        want_s, want_kern, want = block_system(dirs, weights, kernel, y_b)
-        d, w, yb = batch_last(dirs, weights, y_b)
+        kernel = sh_dual_form(degree)
+        want_s, want_kern, want = block_system(dirs, weights, kernel)
+        d, w = batch_last(dirs, weights)
         k_pairs = _pair_kernel(kernel, d)
-        s, system = _dual_system(k_pairs, w, kernel, yb)
-        n = j + border.size
-        assert system.shape == (n, n, rows)
+        s, system = _dual_system(k_pairs, w, kernel)
+        assert system.shape == (j + 1, j + 1, rows)
         assert system.tobytes() == np.ascontiguousarray(want.transpose(1, 2, 0)).tobytes()
         assert s.tobytes() == np.ascontiguousarray(want_s.T).tobytes()
         ia, ib = np.tril_indices(j, -1)
@@ -447,44 +432,34 @@ class TestDualSystem:
                                       want_s * k_one * want_s + 1.0)
 
 
-def bordered_rows(rng, rows, j, n_b):
-    """Batch-last systems of random rows with n_b (0 or 1) border columns,
-    rows 1 and 2 with every weight zero or 1e-12, row 3 with one zero weight."""
-    penalties = (0.002, 0.001, 0.005, 0.01) if n_b == 0 else DEFAULT_DEGREE_PENALTIES
-    kernel, border_degree, border = sh_dual_form(3, penalties)
-    assert border.size == n_b
+def bordered_rows(rng, rows, j, degree):
+    """Batch-last systems of random rows, rows 1 and 2 with every weight zero
+    or 1e-12, row 3 with one zero weight."""
+    kernel = sh_dual_form(degree)
     dirs = random_directions(rng, rows * j).reshape(rows, j, 3)
     weights = rng.uniform(0, 1, size=(rows, j))
     weights[1] = 0.0
     weights[2] = 1e-12
     weights[3, 0] = 0.0
-    y_b = sh_basis_values(border_degree, dirs)[..., border]
-    d, w, yb = batch_last(dirs, weights, y_b)
-    return _dual_system(_pair_kernel(kernel, d), w, kernel, yb)[1], weights
+    d, w = batch_last(dirs, weights)
+    return _dual_system(_pair_kernel(kernel, d), w, kernel)[1], weights
 
 
 class TestSolver:
     """The kept LDL' factors of ``_factor`` and their sweeps in ``_solve``."""
 
-    @pytest.mark.parametrize("n_b", [0, 1])
+    # degree 0's kernel is the zero polynomial: the top block is the identity
+    @pytest.mark.parametrize("degree", [0, 3])
     @pytest.mark.parametrize("j", [1, 3, 8, 20])
-    def test_matches_dense_solve(self, j, n_b, monkeypatch):
-        rng = np.random.default_rng(100 * j + n_b)
+    def test_matches_dense_solve(self, j, degree):
+        rng = np.random.default_rng(100 * j + min(degree, 1))
         rows = 6
-        system, weights = bordered_rows(rng, rows, j, n_b)
+        system, weights = bordered_rows(rng, rows, j, degree)
         dense = system.transpose(2, 0, 1).copy()
-        rhs = rng.normal(size=(j + n_b, 2, rows))
-        eliminated = []
-
-        def spy(sys_rows, rhs_rows, j_):
-            eliminated.append(sys_rows.shape[0])
-            return _eliminate(sys_rows, rhs_rows, j_)
-
-        monkeypatch.setattr(shcolor, "_eliminate", spy)
-        got = _solve(_factor(system, j), rhs)
-        # an all-zero border column reaches _eliminate; nothing else does
-        zero = ~weights.any(axis=1) if n_b else np.zeros(rows, dtype=bool)
-        assert eliminated == ([zero.sum()] if zero.any() else [])
+        rhs = rng.normal(size=(j + 1, 2, rows))
+        got = _solve(_factor(system), rhs)
+        # an all-zero border column is a zero pivot: the pseudo-inverse
+        zero = ~weights.any(axis=1)
         for m in range(rows):
             if zero[m]:
                 want = np.linalg.lstsq(dense[m], rhs[..., m], rcond=None)[0]
@@ -492,20 +467,18 @@ class TestSolver:
                 want = np.linalg.solve(dense[m], rhs[..., m])
             assert np.max(np.abs(got[..., m] - want)) <= 1e-12 * np.max(np.abs(want)), m
 
-    @pytest.mark.parametrize("n_b", [0, 1])
-    def test_kept_factors_resolve_like_a_fresh_solve(self, n_b):
-        rng = np.random.default_rng(40 + n_b)
+    @pytest.mark.parametrize("degree", [0, 3])
+    def test_kept_factors_resolve_like_a_fresh_solve(self, degree):
+        rng = np.random.default_rng(40 + min(degree, 1))
         rows, j = 7, 8
-        penalties = (0.002, 0.001, 0.005, 0.01) if n_b == 0 else DEFAULT_DEGREE_PENALTIES
         dirs = random_directions(rng, rows * j).reshape(rows, j, 3)
         weights = rng.uniform(0, 1, size=(rows, j))
         weights[1] = 0.0
         colors = rng.uniform(0, 1, size=(rows, j, 3))
         query = random_directions(rng, rows)
-        kernel, border_degree, border = sh_dual_form(3, penalties)
-        y_b = sh_basis_values(border_degree, dirs)[..., border]
-        _, fit = dual_colors(dirs, weights, colors, query, 3, penalties)
-        rhs = rng.normal(size=(j + n_b, 1, rows))
-        d, w, yb = batch_last(dirs, weights, y_b)
-        fresh = _solve(_factor(_dual_system(_pair_kernel(kernel, d), w, kernel, yb)[1], j), rhs)
+        kernel = sh_dual_form(degree)
+        _, fit = dual_colors(dirs, weights, colors, query, degree)
+        rhs = rng.normal(size=(j + 1, 1, rows))
+        d, w = batch_last(dirs, weights)
+        fresh = _solve(_factor(_dual_system(_pair_kernel(kernel, d), w, kernel)[1]), rhs)
         assert _solve(fit.factors, rhs).tobytes() == fresh.tobytes()
