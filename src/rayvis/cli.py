@@ -12,16 +12,19 @@ value under the field's name and has no default of its own, so the config
 holds the only default and the only check of each setting.
 
 Exit codes: 0 success, 1 usage error, 2 input/IO error (running out of memory
-included), 3 numerical error, 130 interrupted (SIGINT, Ctrl-C). An
-interrupted command leaves no temporary file; ``optimize --resume`` goes on
-from its last checkpoint.
+included), 3 numerical error, 130 interrupted (SIGINT, Ctrl-C), 143
+terminated (SIGTERM, handled on the main thread while ``main`` runs). An
+interrupted or terminated command leaves no temporary file; ``optimize
+--resume`` goes on from its last checkpoint.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
+import threading
 import time
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -481,12 +484,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Terminated(KeyboardInterrupt):
+    """SIGTERM, raised by :func:`main`'s handler where SIGINT raises KeyboardInterrupt."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    on_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _terminate) if on_main else None
     try:
         return args.func(args)
     except NumericalError as exc:
@@ -498,9 +511,13 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: {args.command}: out of memory: {exc}", file=sys.stderr)
         return 2
-    except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
-        return 130
+    except KeyboardInterrupt as exc:
+        terminated = isinstance(exc, _Terminated)
+        print(f"error: {'terminated' if terminated else 'interrupted'}", file=sys.stderr)
+        return 143 if terminated else 130
+    finally:
+        if on_main:     # a handler installed from C reads as None and is not restorable
+            signal.signal(signal.SIGTERM, previous or signal.SIG_DFL)
 
 
 if __name__ == "__main__":

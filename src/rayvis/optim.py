@@ -16,21 +16,13 @@ with the constants ``ADAM_BETAS`` and ``ADAM_EPS``, at ``TrainConfig.learning_ra
 halved every ``LR_HALVE_EVERY`` steps. ``OptimState`` holds only what a run
 accumulates: each map's moments and the number of completed steps.
 
-A step's ray batch is cut, in pixel order, into the chunks of
-``render_image`` (at most 128 rays and 8192 (ray, sample) pairs), run on
-up to ``TrainConfig.threads`` streams. Each chunk renders its rays, takes
-its share of the render and consistency losses and runs its own backward.
-Every backward returns ``(cells, rows)``: the flat cells of a parameter
-stack it touched and their summed (mu, sigma, w) gradient rows. The caller
-adds the chunks' losses in chunk order. Then one task per reference map
-runs on the same streams: ``map_grads`` adds that map's rows in chunk
-order and decodes them to the raw parameters once (a working view cuts its
-slice of each chunk's rows; the pseudo query view takes its own-hit rows,
-then its depth rows), and ``_adam_update`` computes the map's Adam moments
-and new parameters into new arrays. Nothing is written until every task
-has finished and every map's gradient and update are finite. Neither the
-chunks nor the tasks depend on the thread count, so a step is
-bit-identical for every count.
+A step's ray batch is cut into ``render_image``'s chunks, and every
+chunk's backward returns ``(cells, rows)``: the flat cells of a parameter
+stack it touched and their summed gradients w.r.t. (mu, sigma, w),
+component-major (3, n, len(cells)) like the decode. One task per map then
+adds its rows in chunk order, decodes them to the raw parameters once and
+computes its Adam update; nothing is written until every map's update is
+finite, and a step is bit-identical for every thread count (:func:`train_step`).
 """
 
 from __future__ import annotations
@@ -325,33 +317,29 @@ def own_hit_probs(dmap: DistributionMap, zfac: np.ndarray, pixels: np.ndarray,
     ``z``/``widths`` are (B, K) euclidean ray parameters of the pseudo query
     rays; they convert to view depths through ``zfac``, the z factor of each
     pixel's ray from ``PinholeCamera.rays_for_pixels``. Returns the (B, K)
-    probabilities plus the (mu, sigma, w) derivatives the backward needs,
-    component-major and sample-major like the mixture kernel's own arrays:
-    each (n, K, B), so the backward's sum over the samples runs along a
-    middle axis, one sample after another.
-    """
+    probabilities and what the backward needs: the decoded scales and
+    weights, then the kernel's ``x`` and ``s`` at the bins' near and far
+    ends, component-major and sample-major like the kernel's own arrays, each
+    (n, K or 1, B), so the backward sums the samples along a middle axis."""
     mu, sig, w = decode_stack(dmap.params[pixels[:, 0], pixels[:, 1]], near, far)[:, :, None]
     z_start = np.multiply(z.T, zfac, order="C")                 # (K, B) view depths
     z_end = np.add(z.T, widths.T, order="C")
     z_end *= zfac
-    t_a, x, s = mixture_cdf_terms(mu, sig, w, z_start)
-    back = mixture_cdf_grads(sig, w, x, s)
-    t_b, x, s = mixture_cdf_terms(mu, sig, w, z_end)
-    for total, far_end in zip(back, mixture_cdf_grads(sig, w, x, s)):
-        np.subtract(far_end, total, out=total)
-    return np.ascontiguousarray((t_b - t_a).T), back
+    t_a, x_a, s_a = mixture_cdf_terms(mu, sig, w, z_start)
+    t_b, x_b, s_b = mixture_cdf_terms(mu, sig, w, z_end)
+    return np.ascontiguousarray((t_b - t_a).T), (sig, w, x_a, s_a, x_b, s_b)
 
 
 def own_hit_probs_backward(dmap: DistributionMap, pixels: np.ndarray, back, g_h_tilde):
-    """Pull hitting-probability gradients back to the rays' (mu, sigma, w).
-
-    Returns ``(cells, rows)``: the map's flat pixels and each one's summed
-    (mu, sigma, w) gradient over the rays at it, as :func:`map_grads` takes
-    them. Nothing is decoded.
-    """
+    """Pull hitting-probability gradients back to the rays' (mu, sigma, w), a
+    bin's near end at ``-g`` and its far end at ``g``. Returns ``(cells, rows)``,
+    the map's flat pixels and their summed rows, as :func:`map_grads` takes
+    them. Nothing is decoded."""
+    sig, w, x_a, s_a, x_b, s_b = back
     g = np.ascontiguousarray(g_h_tilde.T)
+    grads = mixture_cdf_grads(sig, w, [(np.negative(g), x_a, s_a), (g, x_b, s_b)])
     return rows_by_cell(dmap.height * dmap.width, pixels[:, 0] * dmap.width + pixels[:, 1],
-                        [np.sum(g * d, axis=1) for d in back])
+                        [np.sum(d, axis=1) for d in grads])
 
 
 def _draw_batch(rng: np.random.Generator, data: SceneData, config: TrainConfig):
@@ -370,18 +358,18 @@ def map_grads(params: np.ndarray, near: float, far: float, parts) -> np.ndarray:
 
     ``parts`` holds ``(cells, rows)`` pairs, cells flat over the leading
     axes, as :func:`render_rays_backward`, :func:`own_hit_probs_backward`
-    and :func:`depth_loss` return them. Their rows are added, in order, into
-    one zeroed stack of (mu, sigma, w) gradients, chained through the decode
-    with ``(near, far)`` once. The decode acts per cell and is linear in the
-    gradients, so this equals decoding each part on its own up to the order
-    of the sums; a cell no part names gets exactly 0.
+    and :func:`depth_loss` return them. Their rows are added in order, one
+    contiguous line at a time, into a zeroed (3, n, cells) stack decoded once
+    with ``(near, far)``. The decode is linear per cell, so this equals
+    decoding each part on its own up to the order of the sums.
     """
     flat = params.reshape((-1,) + params.shape[-2:])
-    stack = np.zeros(flat.shape)
+    stack = np.zeros((3, params.shape[-1], len(flat)))
+    lines = stack.reshape(-1, len(flat))
     for cells, rows in parts:
-        stack[cells] += rows
-    return decode_backward(flat, near, far, stack[:, 0], stack[:, 1],
-                           stack[:, 2]).reshape(params.shape)
+        for line, row in zip(lines, rows.reshape(len(lines), -1)):
+            line[cells] += row
+    return decode_backward(flat, near, far, stack).reshape(params.shape)
 
 
 def view_grad(working: WorkingSet, j: int, parts) -> np.ndarray:
@@ -395,7 +383,7 @@ def view_grad(working: WorkingSet, j: int, parts) -> np.ndarray:
     own = []
     for cells, rows in parts:
         lo, hi = np.searchsorted(cells, working.first[j:j + 2])
-        own.append((cells[lo:hi] - first, rows[lo:hi, :, :dmap.n_components]))
+        own.append((cells[lo:hi] - first, rows[:, :dmap.n_components, lo:hi]))
     return map_grads(dmap.params, working.near, working.far, own)
 
 

@@ -7,7 +7,10 @@ mixture of logistics distributions, so the visibility of a point at depth
 parameters live on per-view pixel grids and are what the optimizer trains.
 
 Raw parameter layout per ray: ``(3, n)`` rows ``[means, scales, weights]``.
-The deterministic reparameterization keeps every decode valid:
+Decoded parameters and their gradients are component-major (3, n, ...)
+stacks instead, as :func:`decode_stack`, :func:`rows_by_cell` and
+:func:`decode_backward` hold them. The deterministic reparameterization
+keeps every decode valid:
 
 * means:   ``near + (far - near) * sigmoid(raw)``
 * scales:  ``sigma_min + softplus(raw)`` with ``sigma_min = 1e-4 * (far - near)``
@@ -187,16 +190,17 @@ def decode_arrays(params: np.ndarray, near: float, far: float):
     return tuple(np.moveaxis(decode_stack(params, near, far), 1, -1))
 
 
-def decode_backward(params: np.ndarray, near: float, far: float, gmu, gsig, gw):
-    """Pull gradients w.r.t. (mu, sigma, w) back to the raw layout (..., 3, n)."""
-    span = far - near
-    sm = sigmoid(params[..., 0, :])
-    w = softmax(params[..., 2, :])
+def decode_backward(params: np.ndarray, near: float, far: float, grads: np.ndarray):
+    """Pull a (3, n, ...) stack of gradients w.r.t. (mu, sigma, w), laid out as
+    :func:`decode_stack` returns the decode, back to the raw layout (..., 3, n)."""
     out = np.empty_like(params)
-    out[..., 0, :] = gmu * span * sm * (1.0 - sm)
-    out[..., 1, :] = gsig * sigmoid(params[..., 1, :])
-    inner = fold_last(np.add, gw * w)
-    out[..., 2, :] = w * (gw - inner)
+    raw, back = (np.moveaxis(a, (-2, -1), (0, 1)) for a in (params, out))    # (3, n, ...) views
+    sm = sigmoid(raw[0])
+    back[0] = grads[0] * (far - near) * sm * (1.0 - sm)
+    back[1] = grads[1] * sigmoid(raw[1])
+    w = np.moveaxis(softmax(params[..., 2, :]), -1, 0)
+    gww = grads[2] * w
+    back[2] = w * (grads[2] - sum(gww[1:], gww[0]))     # the components summed in order
     return out
 
 
@@ -239,11 +243,21 @@ def mixture_cdf(mu, sig, w, z):
     return t
 
 
-def mixture_cdf_grads(sig, w, x, s):
-    """Gradients of ``t`` w.r.t. (mu, sigma, w) from the kernel's ``x`` and
-    ``s``; component-first like the kernel."""
-    sp = s * (1.0 - s)
-    return -w * sp / sig, -w * sp * x / sig, s
+def mixture_cdf_grads(sig, w, ends):
+    """The one CDF gradient, of ``sum_e dt_e * t(z_e)`` w.r.t. (mu, sigma, w).
+    ``ends`` yields each end's ``(dt, x, s)``, its weights and the kernel's
+    ``x`` and ``s`` there, broadcasting against the component-first ``sig``
+    and ``w``; it is read one end at a time, so a caller may gather each end
+    lazily. One end of weight 1 gives t's own gradients exactly."""
+    sums = None
+    for dt, x, s in ends:
+        ws = s * (1.0 - s) * w * -dt        # sigma times the end's mean gradient
+        terms = ws, ws * x, s * dt
+        del x, s                            # before the next end is gathered
+        sums = terms if sums is None else [np.add(a, b, out=a) for a, b in zip(sums, terms)]
+    for total in sums[:2]:
+        total /= sig
+    return sums
 
 
 def mixture_cdf_param_grads(mu, sig, w, z):
@@ -255,7 +269,7 @@ def mixture_cdf_param_grads(mu, sig, w, z):
     mu, sig, w, z = _component_first(mu, sig, w, z)
     t, x, s = mixture_cdf_terms(mu, sig, w, z)
     return (t,) + tuple(np.ascontiguousarray(np.moveaxis(g, 0, -1))
-                        for g in mixture_cdf_grads(sig, w, x, s))
+                        for g in mixture_cdf_grads(sig, w, [(1.0, x, s)]))
 
 
 def occlusion_cdf(dist: MixtureOfLogistics, z):
@@ -304,23 +318,19 @@ def interval_alpha(t0, t1):
 
 
 def rows_by_cell(n_cells: int, cell, values):
-    """Sum per-entry (3, n) rows by the flat cell in ``range(n_cells)`` each
-    entry names. ``values`` is component-major, as the mixture gradients
+    """Sum per-entry (mu, sigma, w) gradients by the flat cell in ``range(n_cells)``
+    each entry names. ``values`` is component-major, as the mixture gradients
     come: one (n, N) block per parameter row, three in all. Returns
     ``(cells, rows)``: the strictly increasing cells named and their summed
-    rows, (len(cells), 3, n). One ``np.bincount`` per (row, component)
-    column: the same sums in the same order as ``np.add.at``, several times
-    faster.
-    """
+    rows, component-major (3, n, len(cells)) like :func:`decode_stack`. One
+    ``np.bincount`` per (row, component): the same sums in the same order as
+    ``np.add.at``, several times faster."""
     hit = np.zeros(n_cells, dtype=bool)
     hit[cell] = True
     cells = np.flatnonzero(hit)
     rank = np.cumsum(hit)[cell] - 1     # each entry's row among ``cells``
-    rows = np.empty((len(cells), len(values), len(values[0])))
-    for r, block in enumerate(values):
-        for c, column in enumerate(block):
-            rows[:, r, c] = np.bincount(rank, weights=column, minlength=len(cells))
-    return cells, rows
+    return cells, np.array([[np.bincount(rank, weights=column, minlength=len(cells))
+                             for column in block] for block in values])
 
 
 def grad_cdf(raw: RawRayParams, z, depth_range) -> np.ndarray:
@@ -332,8 +342,8 @@ def grad_cdf(raw: RawRayParams, z, depth_range) -> np.ndarray:
     near, far = near_far(*depth_range)
     params = raw.as_array()
     mu, sig, w = decode_arrays(params, near, far)
-    _, dmu, dsig, dw = mixture_cdf_param_grads(mu, sig, w, np.asarray(z, dtype=np.float64))
-    return decode_backward(params, near, far, dmu, dsig, dw).reshape(-1)
+    grads = mixture_cdf_param_grads(mu, sig, w, np.asarray(z, dtype=np.float64))[1:]
+    return decode_backward(params, near, far, np.stack(grads)).reshape(-1)
 
 
 @dataclass

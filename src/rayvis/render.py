@@ -19,28 +19,21 @@ one small product per ray, so per-sample quantities are contiguous
 after another: no per-sample operation has the J views as NumPy's
 innermost loop. The decoded mixtures are component-major: the (3, n,
 cells) stack gathers to (mu, sigma, w), each (n, ..., J), so the CDF
-kernel and its gradients work on contiguous per-component arrays. A
-component that a view lacks has scale 1 and weight exactly 0.
+kernel and its gradients work on contiguous per-component arrays, and the
+backward returns per-cell gradients in the stack's layout. A component that
+a view lacks has scale 1 and weight exactly 0.
 
 ``render_image`` cuts the image into chunks of at most 128 rays and 8192
-(ray, sample) pairs, whatever the thread count, and renders them on up to
-``RenderConfig.threads`` streams, by default every CPU the process may
-use: the caller and its helper threads pull tasks from one shared queue.
-A task is one chunk, except in coarse-to-fine mode, where it holds
-``max(chunk, 3072 // k_fine)`` rays (384 at 32 + 8): the coarse pass runs
-chunk by chunk and keeps only the hitting probabilities, then fine
-placement, the fine pass and its SH fits run once over the task, so the
-fine path makes a third as many small NumPy calls per ray. Each such call
-hands the GIL over, and with several streams every handoff is contended.
-A chunk's forward frees each per-entry temporary at its last use and builds
-the SH system in place; with 8 working views its traced peak is about
-0.9-1 KB per (ray, sample) pair, and a 32 + 8 task's about 5.6 MB, so each
-stream holds at most about 8 MB traced (each thread's malloc arena may keep
-some of what it freed). NumPy releases the GIL in the large kernels, so the
-streams overlap. Rays never interact, so the image and the counters are
-identical for every thread count. ``optim.train_step`` cuts its batch by
-the same chunk rule and runs its chunks, then one task per map, on the
-same stream runner, ``_run_streams``, which starts at most 128 streams.
+(ray, sample) pairs, or in coarse-to-fine mode tasks of ``max(chunk, 3072
+// k_fine)`` rays whose fine pass and SH fits run once per task, a third as
+many small NumPy calls, each a GIL handoff, per ray. Up to
+``RenderConfig.threads`` streams, by default every usable CPU, pull them
+from one queue (``_run_streams``, which also runs ``optim.train_step``'s
+chunks and map tasks, and starts at most 128 streams). A chunk frees each
+temporary at its last use: with 8 working views its traced peak is about
+0.9-1 KB per (ray, sample) pair, and a 32 + 8 task's about 5.6 MB. Rays
+never interact, so the image and the counters are identical for every
+thread count.
 """
 
 from __future__ import annotations
@@ -512,11 +505,10 @@ def render_rays_backward(working: WorkingSet, state: ChunkState, config: RenderC
     ``state`` is one of :func:`render_rays`, recorded with
     ``keep_state=True``, and ``dc_o`` and ``dh_extra`` cover its rays.
     Returns ``(cells, rows)``: the strictly increasing flat cells of the
-    working set that some sample hit, and each one's summed (mu, sigma, w)
-    gradient, ``(len(cells), 3, n)``; the rows of components that a view
-    lacks are meaningless, and ``optim.view_grad`` drops them. Nothing
-    stack-sized is allocated and nothing is decoded: ``view_grad`` adds a
-    step's rows of one view and chains them to the raw parameters once.
+    working set that some sample hit and their summed gradients, (3, n,
+    len(cells)) like the stack; ``optim.view_grad`` drops the meaningless
+    rows of components a view lacks. Nothing stack-sized is allocated and
+    nothing is decoded.
     """
     if state.valid is None:
         raise InputError("state was not recorded with keep_state=True")
@@ -568,18 +560,10 @@ def render_rays_backward(working: WorkingSet, state: ChunkState, config: RenderC
 
     cell = _take(state.cell, sel)
     sig, w = np.take(working.decoded[1:], cell, axis=2)
-    def scaled_grads(dt, cdf):
-        """Mixture CDF gradients at one bin end from the forward's stored x and
-        component sigmoids, gathered as (n, M) columns, scaled by ``dt`` in place."""
-        grads = mixture_cdf_grads(sig, w, *(np.take(a.reshape(len(a), -1), sel, axis=1)
-                                            for a in cdf[1:]))
-        for g in grads:
-            g *= dt
-        return grads
-
-    g = scaled_grads(dt_a, state.cdf_a)
-    for total, far_end in zip(g, scaled_grads(dt_b, state.cdf_b)):
-        total += far_end
+    # each end's stored x and s, gathered as (n, M) columns when the kernel takes it
+    ends = ((dt, *(np.take(a.reshape(len(a), -1), sel, axis=1) for a in cdf[1:]))
+            for dt, cdf in ((dt_a, state.cdf_a), (dt_b, state.cdf_b)))
+    g = mixture_cdf_grads(sig, w, ends)
     del sel, sig, w, dt_a, dt_b
     # sum the (mu, sigma, w) gradients per hit cell of the working set, in entry order
     return rows_by_cell(working.first[-1], cell, g)

@@ -50,7 +50,7 @@ def fit_logistics_to_density(
         gmu = 2.0 * np.sum(resid[:, None] * dmu, axis=0)
         gsig = 2.0 * np.sum(resid[:, None] * dsig, axis=0)
         gw = 2.0 * np.sum(resid[:, None] * dw, axis=0)
-        grad = decode_backward(params, near, far, gmu, gsig, gw)
+        grad = decode_backward(params, near, far, np.stack([gmu, gsig, gw]))
         return float(np.sum(resid**2)), grad.reshape(-1)
 
     rng = np.random.default_rng(seed)

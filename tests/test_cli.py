@@ -5,6 +5,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -370,12 +371,15 @@ class TestOptimize:
 
 
 class TestInterrupt:
-    def test_sigint_exits_130_and_resumes_exactly(self, synth_dir, maps_dir, tmp_path):
-        """SIGINT, sent once a checkpointing ``optimize`` has written its
-        state, exits 130 with one line on stderr, no traceback and no
-        temporary file. ``--resume`` to two steps past the checkpoint then
-        writes the bytes of a straight run, ``manifest.json`` aside. (SIGTERM
-        is not handled: it ends the process by the signal.)"""
+    @pytest.mark.parametrize("sig, code, message", [(signal.SIGINT, 130, "interrupted"),
+                                                    (signal.SIGTERM, 143, "terminated")])
+    def test_signal_exits_and_resumes_exactly(self, synth_dir, maps_dir, tmp_path,
+                                              sig, code, message):
+        """SIGINT or SIGTERM, sent once a checkpointing ``optimize`` has
+        written its state, exits 130 or 143 with one line on stderr, no
+        traceback and no temporary file. ``--resume`` to two steps past the
+        checkpoint then writes the bytes of a straight run, ``manifest.json``
+        aside."""
         common = ["optimize", "--data", str(synth_dir), "--init", str(maps_dir),
                   "--batch", "32", "--k", "16", "--nw", "3", "--sh-degree", "1",
                   "--eval-views", "0", "--eval-interval", "3", "--threads", "2"]
@@ -392,13 +396,13 @@ class TestInterrupt:
             while not (out / "state.npz").exists():
                 assert proc.poll() is None and time.monotonic() < deadline, proc.stderr.read()
                 time.sleep(0.02)
-            proc.send_signal(signal.SIGINT)
+            proc.send_signal(sig)
             _, err = proc.communicate(timeout=60)
         finally:
             proc.kill()
             proc.wait()
-        assert proc.returncode == 130, err
-        assert err.splitlines() == ["error: interrupted"], err
+        assert proc.returncode == code, err
+        assert err.splitlines() == [f"error: {message}"], err
         assert not list(out.glob("*.tmp"))
         with np.load(out / "state.npz") as blob:
             steps = str(int(blob["step"]) + 2)
@@ -406,6 +410,22 @@ class TestInterrupt:
         straight = tmp_path / "straight"
         assert main([*common, "--out", str(straight), "--steps", steps]) == 0
         assert tree_bytes(out) == tree_bytes(straight)
+
+    def test_sigterm_handler_lives_only_while_main_runs(self, tmp_path, monkeypatch):
+        """``main`` handles SIGTERM while it runs and then restores the handler
+        it found; on another thread, where Python cannot set handlers, it
+        leaves SIGTERM alone."""
+        seen = []
+        monkeypatch.setattr(cli, "cmd_eval",
+                            lambda args: seen.append(signal.getsignal(signal.SIGTERM)) or 0)
+        before = signal.getsignal(signal.SIGTERM)
+        argv = ["eval", str(tmp_path), str(tmp_path)]
+        assert main(argv) == 0
+        assert seen == [cli._terminate] and signal.getsignal(signal.SIGTERM) == before
+        thread = threading.Thread(target=lambda: seen.append(main(argv)))
+        thread.start()
+        thread.join()
+        assert seen[1:] == [before, 0]
 
 
 class TestNumericalFailure:

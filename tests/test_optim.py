@@ -25,7 +25,8 @@ from rayvis.optim import (
     train_step,
     view_grad,
 )
-from rayvis.raydist import DistributionMap, decode, decode_arrays, decode_backward
+from rayvis.raydist import (DistributionMap, decode, decode_arrays, decode_backward,
+                            mixture_cdf_grads)
 from rayvis.render import render_rays, render_rays_backward, select_working_views
 from rayvis.scene import DepthMap
 
@@ -584,8 +585,7 @@ class TestViewGrads:
         total = {}
         for cells, rows in parts:
             g_raw = np.zeros(flat.shape)
-            g_raw[cells] = decode_backward(flat[cells], ws.near, ws.far,
-                                           rows[:, 0], rows[:, 1], rows[:, 2])
+            g_raw[cells] = decode_backward(flat[cells], ws.near, ws.far, rows)
             g_raw = g_raw.reshape(shape)
             for j, v in enumerate(ws.views):
                 g = g_raw[j][tuple(map(slice, v.dmap.params.shape))]
@@ -614,7 +614,7 @@ class TestViewGrads:
             cells, rows = render_rays_backward(ws, fwd, rcfg, rng.normal(size=(n, 3)),
                                                rng.normal(size=fwd.h_hat.shape))
             assert np.all(np.diff(cells) > 0)
-            assert rows.shape == (len(cells), 3, ws.decoded.shape[1])
+            assert rows.shape == (3, ws.decoded.shape[1], len(cells))
             parts.append((cells, rows))
         assert sum(len(cells) for cells, _ in parts) > len(np.unique(
             np.concatenate([cells for cells, _ in parts])))    # the chunks share cells
@@ -650,13 +650,13 @@ class TestViewGrads:
         return q, calls, grads, params
 
     @staticmethod
-    def dense_decoded(params, near, far, pixels, gmu, gsig, gw):
-        """Decode per-ray (mu, sigma, w) gradients and scatter them into a
-        zeroed map, the own-hit and depth rule of per-chunk decoding."""
+    def dense_decoded(params, near, far, pixels, grads):
+        """Decode per-ray (mu, sigma, w) gradients, a (3, n, B) stack, and
+        scatter them into a zeroed map, the own-hit and depth rule of
+        per-chunk decoding."""
         raw = params[pixels[:, 0], pixels[:, 1]]
         dense = np.zeros(params.shape)
-        np.add.at(dense, (pixels[:, 0], pixels[:, 1]),
-                  decode_backward(raw, near, far, gmu, gsig, gw))
+        np.add.at(dense, (pixels[:, 0], pixels[:, 1]), decode_backward(raw, near, far, grads))
         return dense
 
     @pytest.mark.parametrize("mode", ["uniform", "coarse_to_fine"])
@@ -670,15 +670,16 @@ class TestViewGrads:
         p, near, far = params[q], data.near, data.far
         want = None
         for pixels, back, g in calls:
-            own = self.dense_decoded(p, near, far, pixels,    # back is (n, K, B)
-                                     *(np.sum(g.T * d, axis=1).T for d in back))
+            sig, w, x_a, s_a, x_b, s_b = back                  # each (n, ..., B)
+            per_ray = mixture_cdf_grads(sig, w, [(-g.T, x_a, s_a), (g.T, x_b, s_b)])
+            own = self.dense_decoded(p, near, far, pixels,
+                                     np.stack([np.sum(d, axis=1) for d in per_ray]))
             want = own if want is None else want + own
         pixels = optim._draw_batch(np.random.default_rng(config.seed), data, config)[1]
         mu = decode_arrays(p[pixels[:, 0], pixels[:, 1]], near, far)[0]
-        gmu = np.zeros_like(mu)
-        gmu[:, 0] = 2.0 * (mu[:, 0] - data.depths[q].values[pixels[:, 0], pixels[:, 1]])
-        zero = np.zeros_like(mu)
-        want += config.lambda_depth * self.dense_decoded(p, near, far, pixels, gmu, zero, zero)
+        g_depth = np.zeros((3,) + mu.T.shape)
+        g_depth[0, 0] = 2.0 * (mu[:, 0] - data.depths[q].values[pixels[:, 0], pixels[:, 1]])
+        want += config.lambda_depth * self.dense_decoded(p, near, far, pixels, g_depth)
         assert np.any(want != 0)
         np.testing.assert_allclose(grads[q], want, rtol=1e-12, atol=0)
 
@@ -782,7 +783,7 @@ class TestStepTail:
 
             def poisoned(*args, fn=getattr(optim, name)):
                 cells, rows = fn(*args)
-                rows[0, 0] = np.nan         # the mean row of the part's first cell
+                rows[0, 0, 0] = np.nan      # the first component mean of the part's first cell
                 return cells, rows
 
             monkeypatch.setattr(optim, name, poisoned)
@@ -915,11 +916,11 @@ class TestOwnHitProbs:
         g_out = rng.normal(size=(3, 6))
         cells, rows = own_hit_probs_backward(dmap, pixels, back, g_out)
         assert np.array_equal(cells, [4 * 10 + 4, 5 * 10 + 2])
-        # back is component-major, (n, K, B): ray i is the last axis's entry i
+        # back is component-major, each array (n, ..., B): ray i is the last axis's entry i
         single = [own_hit_probs_backward(dmap, pixels[i:i + 1], [d[..., i:i + 1] for d in back],
-                                         g_out[i:i + 1])[1][0] for i in range(3)]
-        assert np.array_equal(rows[0], single[0] + single[2])
-        assert np.array_equal(rows[1], single[1])
+                                         g_out[i:i + 1])[1][..., 0] for i in range(3)]
+        assert np.array_equal(rows[..., 0], single[0] + single[2])
+        assert np.array_equal(rows[..., 1], single[1])
 
 
 class TestMemorization:

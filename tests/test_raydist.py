@@ -21,7 +21,9 @@ from rayvis.raydist import (
     hit_prob_interval,
     input_ray_alpha,
     mixture_cdf,
+    mixture_cdf_grads,
     mixture_cdf_param_grads,
+    mixture_cdf_terms,
     occlusion_cdf,
     rows_by_cell,
     sigmoid,
@@ -166,7 +168,7 @@ class TestComponentSums:
         for ours, numpy_ in zip(decode_arrays(params, 1.0, 5.0),
                                 self.numpy_decode(params, 1.0, 5.0)):
             assert np.array_equal(ours, numpy_)
-        assert np.array_equal(decode_backward(params, 1.0, 5.0, *grads),
+        assert np.array_equal(decode_backward(params, 1.0, 5.0, np.moveaxis(grads, -1, 1)),
                               self.numpy_decode_backward(params, 1.0, 5.0, *grads))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -186,7 +188,7 @@ class TestComponentSums:
         eps = np.finfo(np.float64).eps
         w = self.numpy_softmax(params[:, 2])
         np.testing.assert_allclose(softmax(params[:, 2]), w, rtol=4 * eps, atol=0)
-        ours = decode_backward(params, 1.0, 5.0, *grads)
+        ours = decode_backward(params, 1.0, 5.0, np.moveaxis(grads, -1, 1))
         numpy_ = self.numpy_decode_backward(params, 1.0, 5.0, *grads)
         assert np.array_equal(ours[:, :2], numpy_[:, :2])
         # the weight row is w * (gw - sum(gw * w)): bound by the ulps of its terms
@@ -431,6 +433,68 @@ class TestReferenceBroadcast:
                 assert np.array_equal(got[i], single)
 
 
+class TestMixtureCdfGrads:
+    """The one CDF gradient: of ``sum_e dt_e * t(z_e)`` w.r.t. (mu, sigma, w),
+    component-first, the ends taken one at a time."""
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 4), (2, 2), (2, 5), (3, 3), (3, 2)])
+    def test_one_end_of_weight_one_is_exact(self, n, m):
+        """The exact gradients of ``test_single_mixture_many_depths``."""
+        rng = np.random.default_rng(60 + 10 * n + m)
+        mu, sig = rng.uniform(1.0, 5.0, n), rng.uniform(0.1, 1.0, n)
+        w = rng.dirichlet(np.ones(n))
+        z = rng.uniform(0.0, 6.0, m)
+        s = sigmoid((z[..., None] - mu) / sig)
+        sp = s * (1.0 - s)
+        want_grads = (-w * sp / sig, -w * sp * ((z[..., None] - mu) / sig) / sig, s)
+        mu, sig, w = (np.repeat(a[:, None], m, axis=1) for a in (mu, sig, w))     # (n, m)
+        _, x, s = mixture_cdf_terms(mu, sig, w, z)
+        for got, expected in zip(mixture_cdf_grads(sig, w, [(1.0, x, s)]), want_grads):
+            assert got.shape == (n, m)
+            assert np.array_equal(got, expected.T)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_two_ends_match_central_differences(self, n):
+        """40 rays, each with its own mixture and bin; half the rays weigh
+        their ends ``dt_a = -dt_b``, as a hitting probability does."""
+        rng = np.random.default_rng(80 + n)
+        m = 40
+        params = [rng.uniform(1.0, 5.0, (n, m)), rng.uniform(0.1, 1.0, (n, m)),
+                  rng.dirichlet(np.ones(n), m).T]
+        z_a = rng.uniform(0.5, 5.5, m)
+        z_b = z_a + rng.uniform(0.0, 0.5, m)
+        dt_a, dt_b = rng.normal(size=(2, m))
+        dt_a[::2] = -dt_b[::2]
+
+        def total(mu, sig, w):
+            return (dt_a * mixture_cdf_terms(mu, sig, w, z_a)[0]
+                    + dt_b * mixture_cdf_terms(mu, sig, w, z_b)[0])
+
+        mu, sig, w = params
+        ends = [(dt, *mixture_cdf_terms(mu, sig, w, z)[1:])
+                for dt, z in ((dt_a, z_a), (dt_b, z_b))]
+        grads = mixture_cdf_grads(sig, w, ends)
+        eps = 1e-6
+        for row, grad in enumerate(grads):
+            assert grad.shape == (n, m)
+            for comp in range(n):       # every ray's entry moves at once; rays are independent
+                moved = [p.copy() for p in params]
+                moved[row][comp] += eps
+                up = total(*moved)
+                moved[row][comp] -= 2 * eps
+                fd = (up - total(*moved)) / (2 * eps)
+                np.testing.assert_allclose(grad[comp], fd, rtol=1e-6, atol=1e-9)
+
+    def test_opposite_weights_at_one_depth_cancel_exactly(self):
+        rng = np.random.default_rng(83)
+        mu, sig = rng.uniform(1.0, 5.0, (2, 9)), rng.uniform(0.1, 1.0, (2, 9))
+        w = np.full((2, 9), 0.5)
+        _, x, s = mixture_cdf_terms(mu, sig, w, rng.uniform(0.5, 5.5, 9))
+        dt = rng.normal(size=9)
+        for grad in mixture_cdf_grads(sig, w, [(-dt, x, s), (dt, x, s)]):
+            assert np.all(grad == 0)
+
+
 class TestRowsByCell:
     def test_matches_add_at_reference(self):
         """300 entries on 35 cells repeat cells; 2 of the cells are never named."""
@@ -445,11 +509,11 @@ class TestRowsByCell:
         for layout in (component_major, values.transpose(1, 2, 0)):
             cells, rows = rows_by_cell(35, cell, layout)
             assert np.array_equal(cells, want_cells)
-            assert np.array_equal(rows, want[want_cells])
+            assert np.array_equal(rows, want[want_cells].transpose(1, 2, 0))
 
     def test_no_entries_give_no_rows(self):
         cells, rows = rows_by_cell(12, np.zeros(0, dtype=np.int64), np.zeros((3, 1, 0)))
-        assert cells.shape == (0,) and rows.shape == (0, 3, 1)
+        assert cells.shape == (0,) and rows.shape == (3, 1, 0)
 
 
 class TestDistributionMapFormat:

@@ -352,7 +352,7 @@ class TestMixedWorkingSet:
                                            np.random.default_rng(44).normal(size=(96, 3)))
         comps = np.array([v.dmap.n_components for v in ws.views])
         lacking = np.arange(n) >= comps[np.searchsorted(first, cells, side="right") - 1, None]
-        rows[np.broadcast_to(lacking[:, None, :], rows.shape)] = np.nan
+        rows[np.broadcast_to(lacking.T, rows.shape)] = np.nan
         for j, view in enumerate(ws.views):
             g = view_grad(ws, j, [(cells, rows)])
             assert g.shape == view.dmap.params.shape and np.all(np.isfinite(g))
@@ -1129,7 +1129,7 @@ class TestChunkMemory:
         finally:
             tracemalloc.stop()
         assert len(cells) > 0 and np.all(np.diff(cells) > 0)
-        assert rows.shape == (len(cells), 3, ws.decoded.shape[1])
+        assert rows.shape == (3, ws.decoded.shape[1], len(cells))
         assert peak < ws.decoded.size * 8
 
 
